@@ -392,23 +392,12 @@ def _scan_row(desc) -> tuple:
         if quantity in _GROUP_QUANTITIES:
             counts._require_group_lambda(p, lam)
         reports = _COMPUTE[quantity](cfg)
+        r = reports[0]
         if quantity == "sigma":
-            # a scan wants one row per instance: keep the headline bound,
-            # the Cartesian main estimate when H is a grid, else the first
-            # main estimate
-            which = "sigma2_cartesian" if (h_spec or "").startswith("cart:") else "sigma1"
-            m = max_line_multiplicity(H)
-            ev = bounds.eval_main_theorem(len(A), len(H), m, which)
-            r = make_report(
-                "sigma",
-                {"p": p, "card_A": len(A), "card_H": len(H), "M": m},
-                reports[0].empirical,
-                ev.value,
-                ASYMPTOTIC,
-                _regime(ev),
-            )
-        else:
-            r = reports[0]
+            # a scan wants one row per instance: the headline main estimate,
+            # which _compute_sigma puts at index 3 (sigma2_cartesian) when H
+            # is a grid and at index 1 (sigma1) otherwise
+            r = reports[3] if h_spec.startswith("cart:") else reports[1]
         return (report_to_csv_row(r), report_to_json_obj(r))
     except HyperlabError as e:
         inputs = {"p": p}

@@ -4,7 +4,9 @@ Minkowski realisations, rich curves and lines, and the Cauchy-Schwarz chain.
 Every count here is an exact integer; no floating point enters.  Group
 quantities (anything built from HH^-1 products) exist only for the curve
 constant lambda = -1, where translates embed into SL2.  Keys of the
-counting tables are full entry tuples, never hashes of partial state.
+counting tables are full entry tuples, never hashes of partial state;
+the tuples come from the moebius entry generators, which hold the only
+copy of each SL2 closed form.
 
 Inverses come from extended Euclid (or the O(p) table recurrence); the
 brute-force reference loops in the oracle module use Fermat powers
@@ -18,17 +20,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit
-from .field import Fp
-from .moebius import INFINITY
+from .field import check_prime
+from .moebius import INFINITY, pair_quotient_entries, product_entries, triple_product_entries
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
 _SQRT_TABLE_MAX = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _fp(p: int) -> Fp:
-    return Fp(p)
 
 
 @lru_cache(maxsize=8)
@@ -46,7 +43,7 @@ def _inv_fn(p: int):
     if p <= _INV_TABLE_MAX:
         table = _inv_table(p)
         return table.__getitem__
-    return _fp(p).inv
+    return check_prime(p).inv
 
 
 @lru_cache(maxsize=8)
@@ -63,7 +60,7 @@ def _sqrt_fn(p: int):
     if p <= _SQRT_TABLE_MAX:
         table = _sqrt_table(p)
         return table.get
-    return _fp(p).sqrt
+    return check_prime(p).sqrt
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class Budget:
     t3_max_h gates the |H|^3 triple enumeration; t4_support_product gates
     the histogram self-convolution; exhaustive_cells gates full p^2 scans.
     table_entries, when set (HYPERLAB_BUDGET_MB, about 10000 entries per
-    MB), additionally caps any single counting table.
+    MB), additionally caps the |H|^3 entries of the T_3 counting table.
     """
 
     t3_max_h: int = 512
@@ -172,38 +169,11 @@ def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return sigma_rect(A, A, H, lam)
 
 
-def quotient_histogram(H: TranslateSet, projective: bool = False) -> CountHistogram:
-    """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs.
-
-    Keys are SL2 entry tuples of the closed-form pair quotient; with
-    projective=True the keys are collapsed to canonical form instead
-    (counts can only merge, never split).
-    """
-    p = H.p
+def quotient_histogram(H: TranslateSet) -> CountHistogram:
+    """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs, keyed by the SL2
+    entry tuple of the pair quotient."""
     hh = H.elements
-    acc = Counter()
-    for a1, b1 in hh:
-        for a2, b2 in hh:
-            w1 = b1 - b2
-            acc[
-                (
-                    (1 + a1 * w1) % p,
-                    (a1 - a2 - a1 * a2 * w1) % p,
-                    w1 % p,
-                    (1 - a2 * w1) % p,
-                )
-            ] += 1
-    if projective:
-        inv = _inv_fn(p)
-        folded = Counter()
-        for key, cnt in acc.items():
-            for e in key:
-                if e:
-                    s = inv(e)
-                    folded[tuple(x * s % p for x in key)] += cnt
-                    break
-        acc = folded
-    return CountHistogram(dict(acc))
+    return CountHistogram(dict(Counter(pair_quotient_entries(H.p, hh, hh))))
 
 
 def _t3_histogram(H: TranslateSet, budget: Budget | None = None) -> Counter:
@@ -214,26 +184,8 @@ def _t3_histogram(H: TranslateSet, budget: Budget | None = None) -> Counter:
         raise ResourceLimit("T3 enumeration over |H|^3", required=n, budget=bud.t3_max_h)
     if bud.table_entries is not None and n**3 > bud.table_entries:
         raise ResourceLimit("T3 counting table", required=n**3, budget=bud.table_entries)
-    p = H.p
     hh = H.elements
-    acc = Counter()
-    for a1, b1 in hh:
-        for a2, b2 in hh:
-            w1 = b1 - b2
-            e1base = 1 + a1 * w1
-            for a3, b3 in hh:
-                w2 = a3 - a2
-                ct = 1 + w1 * w2
-                act = a1 * ct
-                acc[
-                    (
-                        (-act - w2) % p,
-                        (e1base + b3 * (w2 + act)) % p,
-                        -ct % p,
-                        (w1 + b3 * ct) % p,
-                    )
-                ] += 1
-    return acc
+    return Counter(triple_product_entries(H.p, hh, hh, hh))
 
 
 def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
@@ -248,7 +200,6 @@ def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
         return sum(v * v for v in _t3_histogram(H, budget).values())
     if k == 4:
         bud = _budget(budget)
-        p = H.p
         q2 = quotient_histogram(H).entries
         support = len(q2)
         if support * support > bud.t4_support_product:
@@ -257,18 +208,11 @@ def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
                 required=support * support,
                 budget=bud.t4_support_product,
             )
-        items = list(q2.items())
+        keys = list(q2)
+        weights = (cu * cv for cu in q2.values() for cv in q2.values())
         acc = Counter()
-        for (a1, b1, c1, d1), cu in items:
-            for (a2, b2, c2, d2), cv in items:
-                acc[
-                    (
-                        (a1 * a2 + b1 * c2) % p,
-                        (a1 * b2 + b1 * d2) % p,
-                        (c1 * a2 + d1 * c2) % p,
-                        (c1 * b2 + d1 * d2) % p,
-                    )
-                ] += cu * cv
+        for key, w in zip(product_entries(H.p, keys, keys), weights):
+            acc[key] += w
         return sum(v * v for v in acc.values())
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
@@ -577,7 +521,8 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainRepo
         pairs.append((r, su))
         total_rs += r * su
     rhs = len(A) * total_rs
-    assert sig * sig <= rhs
+    if sig * sig > rhs:
+        raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
     omega_size = 0
     omega_rs = 0

@@ -4,6 +4,8 @@ Elements are canonical Python ints in [0, p) handled through an Fp context;
 Python's arbitrary-precision integers keep every intermediate product exact.
 """
 
+from functools import lru_cache
+
 from .errors import DivisionByZero, InvalidArgument, NotAPrime
 
 MAX_MODULUS = (1 << 61) - 1
@@ -131,6 +133,11 @@ class Fp:
         return r
 
 
+@lru_cache(maxsize=None, typed=True)
 def check_prime(n: int) -> Fp:
-    """Validate n as an odd word-size prime and return its field context."""
+    """Validate n as an odd word-size prime and return its field context.
+
+    Cached: one context per modulus, so callers that only hold p skip
+    the primality test on repeat calls.
+    """
     return Fp(n)

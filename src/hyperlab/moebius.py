@@ -8,10 +8,9 @@ Collapsing the two would silently change every counted quantity.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidArgument, InvalidSpec, ModulusMismatch
-from .field import Fp
+from .field import Fp, check_prime
 
 
 class _AtInfinity:
@@ -36,13 +35,6 @@ ProjectiveValue = int | _AtInfinity
 
 # A translate is the plain pair (a, b) of canonical residues.
 Translate = tuple[int, int]
-
-
-@lru_cache(maxsize=None)
-def _ctx(p: int) -> Fp:
-    # One validated field context per modulus; avoids re-running the
-    # primality check on every canonicalize/evaluate call.
-    return Fp(p)
 
 
 @dataclass(frozen=True)
@@ -96,13 +88,8 @@ def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
     """Exact matrix product g*h; applies h first under evaluate."""
     if g.p != h.p:
         raise ModulusMismatch(f"compose across moduli {g.p} and {h.p}")
-    return MoebiusMap(
-        g.p,
-        g.a * h.a + g.b * h.c,
-        g.a * h.b + g.b * h.d,
-        g.c * h.a + g.d * h.c,
-        g.c * h.b + g.d * h.d,
-    )
+    (entries,) = product_entries(g.p, (g.entries,), (h.entries,))
+    return MoebiusMap(g.p, *entries)
 
 
 def invert(m: MoebiusMap) -> MoebiusMap:
@@ -116,7 +103,7 @@ def canonicalize(m: MoebiusMap) -> MoebiusMap:
 
     Entry-equal canonical forms characterize equality as Moebius maps.
     """
-    F = _ctx(m.p)
+    F = check_prime(m.p)
     for e in (m.a, m.b, m.c, m.d):
         if e != 0:
             s = F.inv(e)
@@ -126,7 +113,7 @@ def canonicalize(m: MoebiusMap) -> MoebiusMap:
 
 def evaluate(m: MoebiusMap, x: ProjectiveValue) -> ProjectiveValue:
     """Action on the projective line, infinity handled by its own chart."""
-    F = _ctx(m.p)
+    F = check_prime(m.p)
     if isinstance(x, _AtInfinity):
         if m.c == 0:
             return INFINITY
@@ -157,44 +144,71 @@ def apply_translate(F: Fp, h: Translate, x: ProjectiveValue, lam_prime: int = 1)
     return (a + lam_prime * F.inv(den)) % p
 
 
-def _pq(p: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int, int, int]:
-    # Entry tuple of embed(h1) * embed(h2)^-1, expanded by hand.
-    w1 = b1 - b2
-    return (
-        (1 + a1 * w1) % p,
-        (a1 - a2 - a1 * a2 * w1) % p,
-        w1 % p,
-        (1 - a2 * w1) % p,
-    )
+def product_entries(p: int, ms, ns):
+    """Entry tuples of the 2x2 products m*n, m over ms (outer loop) and
+    n over ns; ms and ns hold entry tuples (a, b, c, d)."""
+    for a1, b1, c1, d1 in ms:
+        for a2, b2, c2, d2 in ns:
+            yield (
+                (a1 * a2 + b1 * c2) % p,
+                (a1 * b2 + b1 * d2) % p,
+                (c1 * a2 + d1 * c2) % p,
+                (c1 * b2 + d1 * d2) % p,
+            )
 
 
-def _tp(p: int, a1: int, b1: int, a2: int, b2: int, a3: int, b3: int) -> tuple[int, int, int, int]:
-    # Entry tuple of embed(h1) * embed(h2)^-1 * embed(h3).
-    w1 = b1 - b2
-    w2 = a3 - a2
-    ct = 1 + w1 * w2
-    return (
-        (-a1 * ct - w2) % p,
-        (1 + a1 * w1 + b3 * (w2 + a1 * ct)) % p,
-        -ct % p,
-        (w1 + b3 * ct) % p,
-    )
+def pair_quotient_entries(p: int, hs1, hs2):
+    """Entry tuples of h1 h2^-1, h1 over hs1 (outer loop) and h2 over hs2.
+
+    Closed form with w1 = b1 - b2:
+    ((1 + a1 w1, a1 - a2 - a1 a2 w1), (w1, 1 - a2 w1)).
+    """
+    for a1, b1 in hs1:
+        for a2, b2 in hs2:
+            w1 = b1 - b2
+            yield (
+                (1 + a1 * w1) % p,
+                (a1 - a2 - a1 * a2 * w1) % p,
+                w1 % p,
+                (1 - a2 * w1) % p,
+            )
+
+
+def triple_product_entries(p: int, hs1, hs2, hs3):
+    """Entry tuples of h1 h2^-1 h3, looping h1, h2, h3 outermost first.
+
+    Closed form with w1 = b1 - b2, w2 = a3 - a2, ct = 1 + w1 w2:
+    ((-a1 ct - w2, 1 + a1 w1 + b3 (w2 + a1 ct)), (-ct, w1 + b3 ct)).
+    """
+    for a1, b1 in hs1:
+        for a2, b2 in hs2:
+            w1 = b1 - b2
+            e1base = 1 + a1 * w1
+            for a3, b3 in hs3:
+                w2 = a3 - a2
+                ct = 1 + w1 * w2
+                act = a1 * ct
+                yield (
+                    (-act - w2) % p,
+                    (e1base + b3 * (w2 + act)) % p,
+                    -ct % p,
+                    (w1 + b3 * ct) % p,
+                )
 
 
 def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
-    """Closed form for h1 h2^-1: with w1 = b1 - b2,
-    ((1 + a1 w1, a1 - a2 - a1 a2 w1), (w1, 1 - a2 w1)).
+    """h1 h2^-1 by the closed form of pair_quotient_entries.
 
     Entry-exact match with the generic compose/invert chain.
     """
-    a, b, c, d = _pq(F.p, h1[0], h1[1], h2[0], h2[1])
-    return MoebiusMap(F.p, a, b, c, d)
+    (entries,) = pair_quotient_entries(F.p, (h1,), (h2,))
+    return MoebiusMap(F.p, *entries)
 
 
 def triple_product(F: Fp, h1: Translate, h2: Translate, h3: Translate) -> MoebiusMap:
-    """Closed form for h1 h2^-1 h3; bottom-left entry is -(1 + w1 w2)."""
-    a, b, c, d = _tp(F.p, h1[0], h1[1], h2[0], h2[1], h3[0], h3[1])
-    return MoebiusMap(F.p, a, b, c, d)
+    """h1 h2^-1 h3 by the closed form of triple_product_entries."""
+    (entries,) = triple_product_entries(F.p, (h1,), (h2,), (h3,))
+    return MoebiusMap(F.p, *entries)
 
 
 def is_borel(m: MoebiusMap) -> bool:
@@ -231,5 +245,5 @@ def parse_map(text: str) -> MoebiusMap:
         c, d = (int(t) for t in rows[1].split(","))
     except ValueError:
         raise InvalidSpec(f"expected '[[a,b],[c,d]] mod p', got {text!r}") from None
-    _ctx(p)
+    check_prime(p)
     return MoebiusMap(p, a, b, c, d)

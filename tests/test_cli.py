@@ -144,13 +144,18 @@ def test_scan_empty_family_header_only(tmp_path, capsys):
 
 def test_scan_file_family_and_row_errors(tmp_path, capsys):
     fam = tmp_path / "rows.txt"
-    fam.write_text("7 list:1,6 listh:0,0\n9 list:1,2 listh:0,0\n")
+    fam.write_text(
+        "7 list:1,6 listh:0,0\n9 list:1,2 listh:0,0\n101 ap:1,1,6 cart:ap:1,1,6;ap:1,1,6\n"
+    )
     code, out, _ = run(capsys, "scan", "sigma", "--family", f"file:{fam}")
     assert code == 0  # the bad row is captured, the scan continues
     lines = out.strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].split(",")[6] == "2"
+    # the headline bound: sigma1 in general, the Cartesian estimate on a grid
+    assert lines[1].split(",")[9] == "M1-direct-na"
     assert "error:NotAPrime" in lines[2]
+    assert lines[3].split(",")[9] == "cartesian"
 
 
 def test_scan_unknown_family_exit_2(capsys):

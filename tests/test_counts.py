@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,15 @@ from hyperlab import (
     additive_energy,
     borel_coset_mass,
     borel_t3_mass,
+    compose,
     cs_chain_report,
     d_histogram,
     difference_set,
+    embed_translate,
     energy_borel_split,
     energy_system_counts,
     gen_cartesian,
+    invert,
     minkowski_grid,
     minkowski_realisations,
     product_rep_energy,
@@ -104,16 +108,6 @@ def test_quotient_histogram_pin():
     assert len(hist) == 3
 
 
-def test_projective_folding_is_coarser():
-    rng = random.Random(1)
-    for _ in range(10):
-        H = rand_translates(rng, 13, 8)
-        plain = quotient_histogram(H)
-        folded = quotient_histogram(H, projective=True)
-        assert folded.total_mass == plain.total_mass
-        assert len(folded) <= len(plain)
-
-
 def test_t2_pin():
     assert t_k(H2, 2) == 6
 
@@ -142,6 +136,31 @@ def test_t4_brute_force_tiny():
                     prod[compose(compose(compose(m1, m2), m3), m4).entries] += 1
     expected = sum(v * v for v in prod.values())
     assert t_k(HD, 4) == expected
+
+
+# |H| = 24 is past the T_3 oracle's |H| <= 10 cap, and p = 65537 is past
+# 55108, the largest p whose entry tuples pack into one int64 key
+P_BIG = 65537
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        rand_translates(random.Random(5), P_BIG, 24),
+        gen_cartesian(
+            ScalarSet(P_BIG, tuple(40_503 * i % P_BIG for i in range(4))),
+            ScalarSet(P_BIG, tuple(P_BIG - 1 - 9_001 * i for i in range(6))),
+        ),
+    ],
+    ids=["random", "grid"],
+)
+def test_group_histograms_match_generic_chain(H):
+    F = Fp(P_BIG)
+    mats = [embed_translate(F, h) for h in H]
+    quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
+    assert quotient_histogram(H).entries == Counter(u.entries for u in quotients)
+    triples = Counter(compose(u, m3).entries for u in quotients for m3 in mats)
+    assert t_k(H, 3) == sum(v * v for v in triples.values())
 
 
 def test_t_k_domain():
@@ -387,6 +406,13 @@ def test_cs_chain_inequality_random():
         assert rep.lhs_sq <= rep.rhs_cs
         assert 0 <= rep.omega_incidence_share <= 1
         assert rep.omega_size <= len(quotient_histogram(H))
+
+
+def test_cs_chain_raises_when_inequality_fails(monkeypatch):
+    # an explicit raise, not an assert, so the check survives python -O
+    monkeypatch.setattr(counts, "sigma", lambda A, H, lam: 3)
+    with pytest.raises(AssertionError, match="Cauchy-Schwarz"):
+        cs_chain_report(A16, H00)
 
 
 def test_cs_chain_domain():
