@@ -3,10 +3,11 @@ Minkowski realisations, rich curves and lines, and the Cauchy-Schwarz chain.
 
 Every count here is an exact integer; no floating point enters.  Group
 quantities (anything built from HH^-1 products) exist only for the curve
-constant lambda = -1, where translates embed into SL2.  Keys of the
-counting tables are full entry tuples, never hashes of partial state;
-the tuples come from the moebius entry generators, which hold the only
-copy of each SL2 closed form.
+constant lambda = -1, where translates embed into SL2.  The moebius column
+forms, the only copy of each SL2 closed form, give their entries as arrays;
+sorting the packed keys (a p + b) p + (c if a else d), injective on SL2 as
+det = 1 makes a != 0 fix d and a = 0 force bc = -1 (b fixes c), counts them
+as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
 
 Inverses come from extended Euclid (or the O(p) table recurrence); the
 brute-force reference loops in the oracle module use Fermat powers
@@ -17,7 +18,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit
 from .field import check_prime
@@ -26,6 +29,7 @@ from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
 _SQRT_TABLE_MAX = 1 << 16
+_CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 
 
 @lru_cache(maxsize=8)
@@ -44,6 +48,14 @@ def _inv_fn(p: int):
         table = _inv_table(p)
         return table.__getitem__
     return check_prime(p).inv
+
+
+def _inv_vec(p: int):
+    """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p."""
+    if p <= _INV_TABLE_MAX:
+        return np.array(_inv_table(p)).__getitem__
+    inv = check_prime(p).inv
+    return np.frompyfunc(lambda x: inv(x) if x else 0, 1, 1)
 
 
 @lru_cache(maxsize=8)
@@ -69,8 +81,8 @@ class Budget:
 
     t3_max_h gates the |H|^3 triple enumeration; t4_support_product gates
     the histogram self-convolution; exhaustive_cells gates full p^2 scans.
-    table_entries, when set (HYPERLAB_BUDGET_MB, about 10000 entries per
-    MB), additionally caps the |H|^3 entries of the T_3 counting table.
+    table_entries, when set (HYPERLAB_BUDGET_MB, 131072 eight-byte keys per
+    MB), additionally caps the |H|^3 keys of the T_3 key array.
     """
 
     t3_max_h: int = 512
@@ -84,7 +96,7 @@ class Budget:
         if mb is None:
             return Budget()
         try:
-            entries = int(mb) * 10_000
+            entries = int(mb) * (1 << 20) // 8
         except ValueError:
             raise InvalidArgument(f"HYPERLAB_BUDGET_MB must be an integer, got {mb!r}") from None
         return Budget(table_entries=entries)
@@ -109,6 +121,21 @@ class CountHistogram:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+class _Sl2Histogram(CountHistogram):
+    """Entry columns of each distinct SL2 element, in key order, and their
+    counts, as arrays; the entry-tuple dict is built when read."""
+
+    def __init__(self, columns: tuple, counts):
+        self.__dict__.update(columns=columns, counts=counts)
+
+    @cached_property
+    def entries(self) -> dict:
+        return dict(zip(zip(*(c.tolist() for c in self.columns)), self.counts.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -169,23 +196,68 @@ def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return sigma_rect(A, A, H, lam)
 
 
+def _columns(H: TranslateSet) -> tuple:
+    # int64 while p <= 2^21, where keys (< p^3) and intermediates (< 3 p^2) fit
+    hh = np.array(H.elements, dtype=np.int64 if H.p <= 1 << 21 else object).reshape(-1, 2)
+    return hh[:, 0], hh[:, 1]
+
+
+def _key(p: int, a, b, c, d):
+    """Injective packed key of SL2 entry arrays (see the module docstring)."""
+    return (a * p + b) * p + np.where(a == 0, d, c)
+
+
+def _tally(keys, weights):
+    """(index of one occurrence, total weight) of each distinct key, in key order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], ordered[1:] != ordered[:-1])))
+    return order[starts], np.add.reduceat(weights[order], starts)
+
+
+def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
+    """Sum of squared run lengths of sorted keys, over Borel keys (c = 0)
+    only if asked, block by block: the j-th key of a run adds 2j + 1."""
+    total = start = 0
+    for i in range(0, len(keys), _CHUNK):
+        block = keys[i : i + _CHUNK]
+        idx = np.arange(i, i + len(block))
+        new = np.concatenate(([i == 0 or block[0] != keys[i - 1]], block[1:] != block[:-1]))
+        starts = np.maximum.accumulate(np.where(new, idx, start))
+        start = int(starts[-1])
+        terms = 2 * (idx - starts) + 1
+        if borel:  # c = 0 needs a != 0, so the key ends in c
+            terms = terms[(block % p == 0) & (block >= p * p)]
+        total += int(terms.sum())  # below 2 _CHUNK len(keys) within a block
+    return total
+
+
 def quotient_histogram(H: TranslateSet) -> CountHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs, keyed by the SL2
     entry tuple of the pair quotient."""
-    hh = H.elements
-    return CountHistogram(dict(Counter(pair_quotient_entries(H.p, hh, hh))))
+    a, b = _columns(H)
+    cols = [e.ravel() for e in pair_quotient_entries(H.p, a[:, None], b[:, None], a, b)]
+    first, counts = _tally(_key(H.p, *cols), np.ones(len(cols[0]), dtype=np.int64))
+    return _Sl2Histogram(tuple(e[first] for e in cols), counts)
 
 
-def _t3_histogram(H: TranslateSet, budget: Budget | None = None) -> Counter:
-    """g -> r_{HH^-1H}(g) by direct |H|^3 enumeration of the closed formula."""
+def _t3_keys(H: TranslateSet, budget: Budget | None = None):
+    """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1."""
     bud = _budget(budget)
     n = len(H)
     if n > bud.t3_max_h:
         raise ResourceLimit("T3 enumeration over |H|^3", required=n, budget=bud.t3_max_h)
     if bud.table_entries is not None and n**3 > bud.table_entries:
-        raise ResourceLimit("T3 counting table", required=n**3, budget=bud.table_entries)
-    hh = H.elements
-    return Counter(triple_product_entries(H.p, hh, hh, hh))
+        raise ResourceLimit("T3 key array of 8-byte keys", required=n**3, budget=bud.table_entries)
+    a, b = _columns(H)
+    keys = np.empty(n**3, dtype=a.dtype)
+    rows = max(1, _CHUNK // (n * n))
+    for i in range(0, n, rows):
+        h1 = (a[i : i + rows, None, None], b[i : i + rows, None, None])
+        tp = triple_product_entries(H.p, *h1, a[:, None], b[:, None], a, b)
+        keys.reshape(n, n, n)[i : i + rows] = _key(H.p, *tp)
+    keys.sort()
+    return keys
 
 
 def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
@@ -194,26 +266,18 @@ def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
     if len(H) == 0:
         return 0
     if k == 2:
-        hist = quotient_histogram(H)
-        return sum(v * v for v in hist.entries.values())
+        return sum(v * v for v in quotient_histogram(H).counts.tolist())
     if k == 3:
-        return sum(v * v for v in _t3_histogram(H, budget).values())
+        return _sorted_square_sum(_t3_keys(H, budget), H.p)
     if k == 4:
         bud = _budget(budget)
-        q2 = quotient_histogram(H).entries
-        support = len(q2)
-        if support * support > bud.t4_support_product:
-            raise ResourceLimit(
-                "T4 histogram self-convolution",
-                required=support * support,
-                budget=bud.t4_support_product,
-            )
-        keys = list(q2)
-        weights = (cu * cv for cu in q2.values() for cv in q2.values())
-        acc = Counter()
-        for key, w in zip(product_entries(H.p, keys, keys), weights):
-            acc[key] += w
-        return sum(v * v for v in acc.values())
+        q2 = quotient_histogram(H)
+        if len(q2) ** 2 > bud.t4_support_product:
+            raise ResourceLimit("T4 histogram self-convolution", len(q2) ** 2, bud.t4_support_product)
+        keys = _key(H.p, *product_entries(H.p, *(e[:, None] for e in q2.columns), *q2.columns))
+        # a weight sum is at most |H|^4 < 2^63: the support cap keeps |H| small
+        _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
+        return sum(v * v for v in sums.tolist())
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
@@ -448,33 +512,27 @@ def borel_coset_mass(H: TranslateSet) -> tuple[CountHistogram, int]:
     Returns (label -> sum of r^2 over the coset, max over finite labels).
     The label is u(oo); Borel elements collect under the INFINITY key.
     """
-    p = H.p
-    inv = _inv_fn(p)
-    masses = {}
-    for (a, b, c, d), r in quotient_histogram(H).entries.items():
-        label = INFINITY if c == 0 else a * inv(c) % p
-        masses[label] = masses.get(label, 0) + r * r
-    max_nonborel = max((v for lbl, v in masses.items() if lbl is not INFINITY), default=0)
-    return CountHistogram(masses), max_nonborel
+    hist = quotient_histogram(H)
+    a, _, c, _ = hist.columns
+    # label a/c, or p for oo (c = 0 inverts to 0); a mass is <= E(H) <= |H|^3
+    labels = np.where(c == 0, H.p, a * _inv_vec(H.p)(c) % H.p)
+    first, mass = _tally(labels, hist.counts * hist.counts)
+    masses = {INFINITY if k == H.p else k: v for k, v in zip(labels[first].tolist(), mass.tolist())}
+    return CountHistogram(masses), max((v for k, v in masses.items() if k is not INFINITY), default=0)
 
 
 def borel_t3_mass(H: TranslateSet, budget: Budget | None = None) -> int:
     """Y_B: the part of T_3 carried by upper-triangular products."""
     if len(H) == 0:
         return 0
-    return sum(v * v for key, v in _t3_histogram(H, budget).items() if key[2] == 0)
+    return _sorted_square_sum(_t3_keys(H, budget), H.p, borel=True)
 
 
 def energy_borel_split(H: TranslateSet) -> tuple[int, int]:
     """E(H) split into (Borel-supported, rest) by quotient key."""
-    borel = 0
-    rest = 0
-    for key, r in quotient_histogram(H).entries.items():
-        if key[2] == 0:
-            borel += r * r
-        else:
-            rest += r * r
-    return borel, rest
+    hist = quotient_histogram(H)
+    borel = hist.columns[2] == 0
+    return tuple(sum(v * v for v in hist.counts[part].tolist()) for part in (borel, ~borel))
 
 
 def energy_system_counts(H: TranslateSet) -> tuple[int, int]:
@@ -505,37 +563,31 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainRepo
     p = A.p
     _require_group_lambda(p, lam)
     sig = sigma(A, H, -1)
-    inv = _inv_fn(p)
-    members = A.members
-    xs = A.elements
-    total_rs = 0
-    pairs = []  # (r(u), sigma_u)
-    for (a, b, c, d), r in quotient_histogram(H).entries.items():
-        su = 0
-        for x in xs:
-            den = (c * x + d) % p
-            if den == 0:
-                continue  # u(x) = oo, never in A
-            if (a * x + b) * inv(den) % p in members:
-                su += 1
-        pairs.append((r, su))
-        total_rs += r * su
+    hist = quotient_histogram(H)
+    a, b, c, d = (col[:, None] for col in hist.columns)
+    xs = np.array(A.elements, dtype=a.dtype)
+    inv = _inv_vec(p)
+    su = np.empty(len(hist), dtype=np.int64)
+    rows = max(1, _CHUNK // len(xs))
+    for i in range(0, len(su), rows):
+        s = slice(i, i + rows)
+        den = (c[s] * xs + d[s]) % p
+        y = (a[s] * xs + b[s]) % p * inv(den) % p
+        # den = 0 puts u(x) at oo, never in A (y reads 0 there)
+        su[s] = ((den != 0) & np.isin(y, xs)).sum(axis=1)
+    rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
+    total_rs = sum(rs.tolist())
     rhs = len(A) * total_rs
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
-    omega_size = 0
-    omega_rs = 0
-    for r, su in pairs:
-        if su >= delta:
-            omega_size += 1
-            omega_rs += r * su
-    share = Fraction(omega_rs, total_rs) if total_rs else Fraction(1)
+    omega = su >= -(-delta.numerator // delta.denominator)  # sigma_u >= ceil(delta)
+    share = Fraction(sum(rs[omega].tolist()), total_rs) if total_rs else Fraction(1)
     return CsChainReport(
         sigma=sig,
         lhs_sq=sig * sig,
         rhs_cs=rhs,
         delta=delta,
-        omega_size=omega_size,
+        omega_size=int(np.count_nonzero(omega)),
         omega_incidence_share=share,
     )

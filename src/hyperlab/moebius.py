@@ -88,8 +88,7 @@ def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
     """Exact matrix product g*h; applies h first under evaluate."""
     if g.p != h.p:
         raise ModulusMismatch(f"compose across moduli {g.p} and {h.p}")
-    (entries,) = product_entries(g.p, (g.entries,), (h.entries,))
-    return MoebiusMap(g.p, *entries)
+    return MoebiusMap(g.p, *product_entries(g.p, *g.entries, *h.entries))
 
 
 def invert(m: MoebiusMap) -> MoebiusMap:
@@ -144,56 +143,50 @@ def apply_translate(F: Fp, h: Translate, x: ProjectiveValue, lam_prime: int = 1)
     return (a + lam_prime * F.inv(den)) % p
 
 
-def product_entries(p: int, ms, ns):
-    """Entry tuples of the 2x2 products m*n, m over ms (outer loop) and
-    n over ns; ms and ns hold entry tuples (a, b, c, d)."""
-    for a1, b1, c1, d1 in ms:
-        for a2, b2, c2, d2 in ns:
-            yield (
-                (a1 * a2 + b1 * c2) % p,
-                (a1 * b2 + b1 * d2) % p,
-                (c1 * a2 + d1 * c2) % p,
-                (c1 * b2 + d1 * d2) % p,
-            )
+def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
+    """Entries of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, in column form: only
+    + - * % enter, so the arguments may be Python ints or broadcast numpy
+    arrays alike.  From residues, intermediates stay below 2 p^2."""
+    return (
+        (a1 * a2 + b1 * c2) % p,
+        (a1 * b2 + b1 * d2) % p,
+        (c1 * a2 + d1 * c2) % p,
+        (c1 * b2 + d1 * d2) % p,
+    )
 
 
-def pair_quotient_entries(p: int, hs1, hs2):
-    """Entry tuples of h1 h2^-1, h1 over hs1 (outer loop) and h2 over hs2.
+def pair_quotient_entries(p: int, a1, b1, a2, b2):
+    """Entries of h1 h2^-1, h1 = (a1, b1) and h2 = (a2, b2), in column form.
 
-    Closed form with w1 = b1 - b2:
+    Closed form with w1 = b1 - b2, intermediates below 2 p^2:
     ((1 + a1 w1, a1 - a2 - a1 a2 w1), (w1, 1 - a2 w1)).
     """
-    for a1, b1 in hs1:
-        for a2, b2 in hs2:
-            w1 = b1 - b2
-            yield (
-                (1 + a1 * w1) % p,
-                (a1 - a2 - a1 * a2 * w1) % p,
-                w1 % p,
-                (1 - a2 * w1) % p,
-            )
+    w1 = b1 - b2
+    return (
+        (1 + a1 * w1) % p,
+        (a1 - a2 - a1 * a2 % p * w1) % p,
+        w1 % p,
+        (1 - a2 * w1) % p,
+    )
 
 
-def triple_product_entries(p: int, hs1, hs2, hs3):
-    """Entry tuples of h1 h2^-1 h3, looping h1, h2, h3 outermost first.
+def triple_product_entries(p: int, a1, b1, a2, b2, a3, b3):
+    """Entries of h1 h2^-1 h3, in column form.
 
     Closed form with w1 = b1 - b2, w2 = a3 - a2, ct = 1 + w1 w2:
-    ((-a1 ct - w2, 1 + a1 w1 + b3 (w2 + a1 ct)), (-ct, w1 + b3 ct)).
+    ((-a1 ct - w2, 1 + a1 w1 + b3 (w2 + a1 ct)), (-ct, w1 + b3 ct)); ct
+    and a1 ct are reduced as they form, keeping intermediates below 3 p^2.
     """
-    for a1, b1 in hs1:
-        for a2, b2 in hs2:
-            w1 = b1 - b2
-            e1base = 1 + a1 * w1
-            for a3, b3 in hs3:
-                w2 = a3 - a2
-                ct = 1 + w1 * w2
-                act = a1 * ct
-                yield (
-                    (-act - w2) % p,
-                    (e1base + b3 * (w2 + act)) % p,
-                    -ct % p,
-                    (w1 + b3 * ct) % p,
-                )
+    w1 = b1 - b2
+    w2 = a3 - a2
+    ct = (1 + w1 * w2) % p
+    act = a1 * ct % p
+    return (
+        (-act - w2) % p,
+        (1 + a1 * w1 + b3 * (w2 + act)) % p,
+        -ct % p,
+        (w1 + b3 * ct) % p,
+    )
 
 
 def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
@@ -201,14 +194,12 @@ def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
 
     Entry-exact match with the generic compose/invert chain.
     """
-    (entries,) = pair_quotient_entries(F.p, (h1,), (h2,))
-    return MoebiusMap(F.p, *entries)
+    return MoebiusMap(F.p, *pair_quotient_entries(F.p, *h1, *h2))
 
 
 def triple_product(F: Fp, h1: Translate, h2: Translate, h3: Translate) -> MoebiusMap:
     """h1 h2^-1 h3 by the closed form of triple_product_entries."""
-    (entries,) = triple_product_entries(F.p, (h1,), (h2,), (h3,))
-    return MoebiusMap(F.p, *entries)
+    return MoebiusMap(F.p, *triple_product_entries(F.p, *h1, *h2, *h3))
 
 
 def is_borel(m: MoebiusMap) -> bool:

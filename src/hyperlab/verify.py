@@ -22,6 +22,7 @@ from .moebius import (
     evaluate,
     invert,
     pair_quotient,
+    product_entries,
     triple_product,
 )
 from .sets import ScalarSet, TranslateSet, difference_set, gen_cartesian, sumset
@@ -144,11 +145,7 @@ def algebraic_identities(seed=0, trials=None, p=None) -> SuiteResult:
         res.check(bool(np.all(dets == 1)), f"det(embed) = 1 exhaustively, p={q} ({q * q} translates)")
         for gi in range(q * q):
             ga, gb, gc, gd = int(Ah[gi]), int(Bh[gi]), int(Ch[gi]), int(Dh[gi])
-            Am = (ga * Ah + gb * Ch) % q
-            Bm = (ga * Bh + gb * Dh) % q
-            Cm = (gc * Ah + gd * Ch) % q
-            Dm = (gc * Bh + gd * Dh) % q
-            lhs = _np_eval_table(q, Am, Bm, Cm, Dm, inv)
+            lhs = _np_eval_table(q, *product_entries(q, ga, gb, gc, gd, Ah, Bh, Ch, Dh), inv)
             rhs = ev_ext[gi][ev_ext]
             mism += int(np.count_nonzero(lhs != rhs))
         res.check(

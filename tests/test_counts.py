@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,11 @@ import hyperlab.counts as counts
 from hyperlab import (
     Budget,
     EmptyInput,
+    INFINITY,
     Fp,
     InvalidArgument,
     ModulusMismatch,
+    MoebiusMap,
     ResourceLimit,
     ScalarSet,
     TranslateSet,
@@ -26,6 +29,7 @@ from hyperlab import (
     embed_translate,
     energy_borel_split,
     energy_system_counts,
+    evaluate,
     gen_cartesian,
     invert,
     minkowski_grid,
@@ -138,8 +142,8 @@ def test_t4_brute_force_tiny():
     assert t_k(HD, 4) == expected
 
 
-# |H| = 24 is past the T_3 oracle's |H| <= 10 cap, and p = 65537 is past
-# 55108, the largest p whose entry tuples pack into one int64 key
+# |H| = 24 is past the T_3 oracle's |H| <= 10 cap, and p = 65537 is the
+# largest prime of the sl2-energy benchmark jobs
 P_BIG = 65537
 
 
@@ -161,6 +165,99 @@ def test_group_histograms_match_generic_chain(H):
     assert quotient_histogram(H).entries == Counter(u.entries for u in quotients)
     triples = Counter(compose(u, m3).entries for u in quotients for m3 in mats)
     assert t_k(H, 3) == sum(v * v for v in triples.values())
+
+
+def _generic_group_counts(H):
+    """quotient, T_3 and T_4 histograms by the generic compose/invert chain."""
+    F = Fp(H.p)
+    mats = [embed_translate(F, h) for h in H]
+    quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
+    triples = [compose(u, m3) for u in quotients for m3 in mats]
+    fours = Counter(compose(g, invert(m4)).entries for g in triples for m4 in mats)
+    return Counter(u.entries for u in quotients), Counter(g.entries for g in triples), fours
+
+
+def _scalar_cs_chain(A, H):
+    """cs_chain_report's fields, with sigma_u by a scalar evaluate loop."""
+    sig = sigma(A, H)
+    rs = []
+    for entries, r in _generic_group_counts(H)[0].items():
+        u = MoebiusMap(H.p, *entries)
+        rs.append((r, sum(1 for x in A if evaluate(u, x) in A.members)))
+    total = sum(r * su for r, su in rs)
+    delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
+    omega = [(r, su) for r, su in rs if su >= delta]
+    share = Fraction(sum(r * su for r, su in omega), total) if total else Fraction(1)
+    return (sig, sig * sig, len(A) * total, delta, len(omega), share)
+
+
+def _check_group_kernels(A, H):
+    """Every group kernel against the generic chain and scalar evaluate, and
+    every value it returns a Python int (or INFINITY / Fraction)."""
+    q2, q3, q4 = _generic_group_counts(H)
+    assert quotient_histogram(H).entries == q2
+    values = [t_k(H, k) for k in (2, 3, 4)]
+    assert values == [sum(v * v for v in q.values()) for q in (q2, q3, q4)]
+    yb = borel_t3_mass(H)
+    assert yb == sum(v * v for key, v in q3.items() if key[2] == 0)
+    rep = cs_chain_report(A, H)
+    fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
+    assert fields == _scalar_cs_chain(A, H)
+    table, max_nb = borel_coset_mass(H)
+    values += [yb, max_nb, *energy_borel_split(H), *table.entries.values()]
+    values += [rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.omega_size]
+    assert all(type(v) is int for v in values)
+    assert all(type(lbl) is int or lbl is INFINITY for lbl in table.entries)
+    for frac in (rep.delta, rep.omega_incidence_share):
+        assert type(frac) is Fraction
+        assert type(frac.numerator) is int and type(frac.denominator) is int
+
+
+@pytest.mark.parametrize(
+    "p, wide",
+    [(1000003, False), (2097143, False), (2097169, True), ((1 << 31) - 1, True), ((1 << 61) - 1, True)],
+)
+def test_group_kernels_at_large_primes(p, wide):
+    # above 2^18 no inverse table exists, so sigma_u and the coset labels
+    # invert per element; 2097143 < 2^21 < 2097169 straddle the switch from
+    # int64 to Python ints, where keys (< p^3) stop fitting int64
+    assert p > counts._INV_TABLE_MAX
+    assert (counts._columns(TranslateSet(p, ((0, 0),)))[0].dtype == object) is wide
+    rng = random.Random(p)
+    # (0,0), (5,1), (p-1,7) give Borel triples, as (b1 - b2)(a3 - a2) = -1
+    # there; A holds incidences of (0,0), which maps 1 -> -1 and -1 -> 1
+    H = TranslateSet(p, ((0, 0), (5, 1), (p - 1, 7), *((rng.randrange(p), rng.randrange(p)) for _ in range(3))))
+    A = ScalarSet(p, (0, 1, 2, p - 1, *rng.sample(range(p), 4)))
+    _check_group_kernels(A, H)
+
+
+def test_key_injective_on_sl2():
+    for p in (3, 5, 7):
+        elems = [
+            (a, b, c, d)
+            for a in range(p) for b in range(p) for c in range(p) for d in range(p)
+            if (a * d - b * c) % p == 1
+        ]
+        assert len(elems) == p**3 - p
+        a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*elems))
+        keys = counts._key(p, a, b, c, d).tolist()
+        assert len(set(keys)) == len(elems)
+        for key, (a, b, c, d) in zip(keys, elems):
+            assert 0 <= key < p**3
+            assert (key // p**2, key // p % p, key % p) == (a, b, c if a else d)
+
+
+def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
+    # a grid has long runs of equal products, so runs straddle block ends
+    H = gen_cartesian(ScalarSet(101, (1, 2, 3, 4)), ScalarSet(101, (1, 2, 3, 4, 5, 6)))
+    A = ScalarSet(101, (1, 2, 3, 50, 100))
+    assert len(H) == 24
+    want = (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H))
+    assert want[1] > 0
+    # |H|^2 = 576 keys per h1 row: 2900 fills five rows a chunk, four in the last
+    for chunk in (7, 100, 2900):
+        monkeypatch.setattr(counts, "_CHUNK", chunk)
+        assert (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H)) == want
 
 
 def test_t_k_domain():
@@ -191,7 +288,7 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.delenv("HYPERLAB_BUDGET_MB", raising=False)
     assert Budget.from_env().table_entries is None
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
-    assert Budget.from_env().table_entries == 20_000
+    assert Budget.from_env().table_entries == 262_144  # 2 MB of 8-byte keys
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "lots")
     with pytest.raises(InvalidArgument):
         Budget.from_env()
