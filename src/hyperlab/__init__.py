@@ -19,7 +19,6 @@ from .bounds import (
     report_to_json_obj,
 )
 from .counts import (
-    Budget,
     CountHistogram,
     CsChainReport,
     RichCount,

@@ -20,7 +20,8 @@ Scan families (--family):
                 quantity (positional, default sigma) applies to every row
 
 Exit codes: 0 clean, 1 an exact-constant assertion failed, 2 usage,
-spec, or budget errors.
+spec, or budget errors (a kernel whose table would exceed HYPERLAB_BUDGET_MB
+MiB, default 1536, refuses before it allocates).
 """
 
 import argparse
@@ -28,7 +29,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bounds, counts
 from .bounds import ASYMPTOTIC, EXACT, CSV_HEADER, make_report, report_to_csv_row, report_to_json_obj
@@ -67,7 +68,6 @@ class ExperimentConfig:
     seed: int
     trials: int | None
     workers: int
-    budget: counts.Budget
     out: str | None
     fmt: str
 
@@ -91,11 +91,6 @@ def _resolve_translates(text: str, F: Fp, seed: int) -> TranslateSet:
 
 
 def _build_config(ns) -> ExperimentConfig:
-    budget = counts.Budget.from_env()
-    if getattr(ns, "budget_t3", None) is not None:
-        if ns.budget_t3 < 1:
-            raise InvalidArgument(f"--budget-t3 must be >= 1, got {ns.budget_t3}")
-        budget = replace(budget, t3_max_h=ns.budget_t3)
     if ns.workers < 1:
         raise InvalidArgument(f"--workers must be >= 1, got {ns.workers}")
     F = Fp(ns.p) if ns.p is not None else None
@@ -112,7 +107,7 @@ def _build_config(ns) -> ExperimentConfig:
     return ExperimentConfig(
         p=ns.p, lam=ns.lam, A=A, H=H, B=B, C=C,
         h_spec=ns.H, k=ns.k, seed=ns.seed, trials=ns.trials,
-        workers=ns.workers, budget=budget, out=ns.out, fmt=ns.format,
+        workers=ns.workers, out=ns.out, fmt=ns.format,
     )
 
 
@@ -153,7 +148,7 @@ def _compute_sigma(cfg: ExperimentConfig):
 def _compute_energy(cfg: ExperimentConfig):
     _need(cfg, "energy", p=cfg.p, H=cfg.H)
     H = cfg.H
-    emp = counts.t_k(H, 2, cfg.budget)
+    emp = counts.t_k(H, 2)
     m = max_line_multiplicity(H)
     inputs = {"p": cfg.p, "card_H": len(H), "M": m}
     return [
@@ -165,7 +160,7 @@ def _compute_energy(cfg: ExperimentConfig):
 def _compute_t3(cfg: ExperimentConfig):
     _need(cfg, "t3", p=cfg.p, H=cfg.H)
     H = cfg.H
-    emp = counts.t_k(H, 3, cfg.budget)
+    emp = counts.t_k(H, 3)
     q = counts.q_rect(H)
     m = max_line_multiplicity(H)
     inputs = {"p": cfg.p, "card_H": len(H), "M": m}
@@ -182,8 +177,8 @@ def _compute_t3(cfg: ExperimentConfig):
 def _compute_t4(cfg: ExperimentConfig):
     _need(cfg, "t4", p=cfg.p, H=cfg.H)
     H = cfg.H
-    emp = counts.t_k(H, 4, cfg.budget)
-    t3 = counts.t_k(H, 3, cfg.budget)
+    emp = counts.t_k(H, 4)
+    t3 = counts.t_k(H, 3)
     inputs = {"p": cfg.p, "card_H": len(H)}
     return [make_report("t4", inputs, emp, float(len(H) ** 2 * t3), EXACT, "t3-chain")]
 
@@ -201,7 +196,7 @@ def _compute_q(cfg: ExperimentConfig):
 def _compute_mk(cfg: ExperimentConfig):
     _need(cfg, "mk", p=cfg.p, A=cfg.A, k=cfg.k)
     A, k = cfg.A, cfg.k
-    emp = counts.rich_hyperbolae(A, k, cfg.lam, mode="pairs", budget=cfg.budget).count
+    emp = counts.rich_hyperbolae(A, k, cfg.lam, mode="pairs").count
     inputs = {"p": cfg.p, "card_A": len(A), "k": k}
     ev = bounds.eval_mk_bb(len(A), k, cfg.p)
     return [make_report("mk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))]
@@ -263,7 +258,7 @@ def _compute_borel(cfg: ExperimentConfig):
     _need(cfg, "borel", p=cfg.p, H=cfg.H)
     H = cfg.H
     _, xb = counts.borel_coset_mass(H)
-    yb = counts.borel_t3_mass(H, cfg.budget)
+    yb = counts.borel_t3_mass(H)
     inputs = {"p": cfg.p, "card_H": len(H)}
     return [
         make_report("borel", inputs, xb, float(len(H) ** 2), EXACT, "coset-mass"),
@@ -336,7 +331,7 @@ def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
 def _scan_descs(cfg: ExperimentConfig, quantity: str, family: str):
     """Deterministic list of row descriptors for a family.  Each desc is a
     tuple of primitives so worker processes can receive it unchanged."""
-    base = (cfg.lam, cfg.seed, cfg.budget.t3_max_h, cfg.budget.table_entries)
+    base = (cfg.lam, cfg.seed)
     descs = []
     if family == "ap-main":
         p = cfg.p if cfg.p is not None else 1009
@@ -377,15 +372,14 @@ def _scan_descs(cfg: ExperimentConfig, quantity: str, family: str):
 def _scan_row(desc) -> tuple:
     """Compute one scan row; any package error becomes an error row so the
     scan continues.  Returns (csv_row, json_obj)."""
-    quantity, p, a_spec, h_spec, k, lam, seed, t3_max_h, table_entries = desc
+    quantity, p, a_spec, h_spec, k, lam, seed = desc
     try:
-        budget = replace(counts.Budget(), t3_max_h=t3_max_h, table_entries=table_entries)
         F = Fp(p)
         A = _resolve_scalar(a_spec, F, seed) if a_spec else None
         H = _resolve_translates(h_spec, F, seed) if h_spec else None
         cfg = ExperimentConfig(
             p=p, lam=lam, A=A, H=H, B=None, C=None, h_spec=h_spec, k=k,
-            seed=seed, trials=None, workers=1, budget=budget, out=None, fmt="csv",
+            seed=seed, trials=None, workers=1, out=None, fmt="csv",
         )
         if quantity not in _COMPUTE:
             raise InvalidArgument(f"unknown quantity {quantity!r}")
@@ -437,7 +431,6 @@ def _add_common_flags(sp):
     sp.add_argument("--seed", type=int, default=0, help="seed for random: specs and suites")
     sp.add_argument("--trials", type=int, default=None, help="suite corpus size override")
     sp.add_argument("--workers", type=int, default=1, help="scan worker processes")
-    sp.add_argument("--budget-t3", type=int, default=None, help="max |H| for T3/T4 enumeration")
     sp.add_argument("--out", default=None, help="write the report here instead of stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -8,6 +8,8 @@ forms, the only copy of each SL2 closed form, give their entries as arrays;
 sorting the packed keys (a p + b) p + (c if a else d), injective on SL2 as
 det = 1 makes a != 0 fix d and a = 0 force bc = -1 (b fixes c), counts them
 as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
+Every table-building kernel checks its estimated peak bytes against
+HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
 Inverses come from extended Euclid (or the O(p) table recurrence); the
 brute-force reference loops in the oracle module use Fermat powers
@@ -15,6 +17,7 @@ instead, so the two routes share no arithmetic shortcuts.
 """
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,8 @@ from .sets import ScalarSet, TranslateSet
 _INV_TABLE_MAX = 1 << 18
 _SQRT_TABLE_MAX = 1 << 16
 _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
+_INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
+_OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
 
 
 @lru_cache(maxsize=8)
@@ -75,35 +80,26 @@ def _sqrt_fn(p: int):
     return check_prime(p).sqrt
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Caps on counting-table sizes and enumeration ranges.
-
-    t3_max_h gates the |H|^3 triple enumeration; t4_support_product gates
-    the histogram self-convolution; exhaustive_cells gates full p^2 scans.
-    table_entries, when set (HYPERLAB_BUDGET_MB, 131072 eight-byte keys per
-    MB), additionally caps the |H|^3 keys of the T_3 key array.
-    """
-
-    t3_max_h: int = 512
-    t4_support_product: int = 4_000_000
-    exhaustive_cells: int = 4_200_000
-    table_entries: int | None = None
-
-    @staticmethod
-    def from_env() -> "Budget":
-        mb = os.environ.get("HYPERLAB_BUDGET_MB")
-        if mb is None:
-            return Budget()
-        try:
-            entries = int(mb) * (1 << 20) // 8
-        except ValueError:
-            raise InvalidArgument(f"HYPERLAB_BUDGET_MB must be an integer, got {mb!r}") from None
-        return Budget(table_entries=entries)
+def _reserve(what: str, nbytes: int) -> None:
+    """Refuse a table whose estimated peak, nbytes plus a fixed overhead,
+    exceeds HYPERLAB_BUDGET_MB MiB (default 1536); call before allocating."""
+    raw = os.environ.get("HYPERLAB_BUDGET_MB", "1536")
+    try:
+        mb = int(raw)
+    except ValueError:
+        mb = 0
+    if mb < 1:
+        raise InvalidArgument(f"HYPERLAB_BUDGET_MB must be an integer >= 1, got {raw!r}")
+    if nbytes + _OVERHEAD > mb << 20:
+        raise ResourceLimit(
+            f"{what} in bytes (HYPERLAB_BUDGET_MB={mb})", required=nbytes + _OVERHEAD, budget=mb << 20
+        )
 
 
-def _budget(budget: Budget | None) -> Budget:
-    return budget if budget is not None else Budget.from_env()
+def _item_bytes(p: int) -> int:
+    """Bytes per group-kernel array element: an int64, or above _INT64_P a
+    pointer to a Python int no larger than a key (< p^3)."""
+    return 8 if p <= _INT64_P else 8 + sys.getsizeof(p**3)
 
 
 @dataclass(frozen=True)
@@ -197,8 +193,7 @@ def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
 
 
 def _columns(H: TranslateSet) -> tuple:
-    # int64 while p <= 2^21, where keys (< p^3) and intermediates (< 3 p^2) fit
-    hh = np.array(H.elements, dtype=np.int64 if H.p <= 1 << 21 else object).reshape(-1, 2)
+    hh = np.array(H.elements, dtype=np.int64 if H.p <= _INT64_P else object).reshape(-1, 2)
     return hh[:, 0], hh[:, 1]
 
 
@@ -235,32 +230,34 @@ def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
 def quotient_histogram(H: TranslateSet) -> CountHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs, keyed by the SL2
     entry tuple of the pair quotient."""
+    # 12 arrays of |H|^2 items at the tally (96 B per pair at int64, measured)
+    _reserve("quotient histogram", 13 * len(H) ** 2 * _item_bytes(H.p))
     a, b = _columns(H)
     cols = [e.ravel() for e in pair_quotient_entries(H.p, a[:, None], b[:, None], a, b)]
     first, counts = _tally(_key(H.p, *cols), np.ones(len(cols[0]), dtype=np.int64))
     return _Sl2Histogram(tuple(e[first] for e in cols), counts)
 
 
-def _t3_keys(H: TranslateSet, budget: Budget | None = None):
+def _t3_keys(H: TranslateSet):
     """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1."""
-    bud = _budget(budget)
     n = len(H)
-    if n > bud.t3_max_h:
-        raise ResourceLimit("T3 enumeration over |H|^3", required=n, budget=bud.t3_max_h)
-    if bud.table_entries is not None and n**3 > bud.table_entries:
-        raise ResourceLimit("T3 key array of 8-byte keys", required=n**3, budget=bud.table_entries)
+    # the keys, plus 8 items per element of the larger of a fill chunk
+    # (57 B at int64, measured) and a _sorted_square_sum block (34 B)
+    chunk = max(n * n, min(n**3, _CHUNK))
+    _reserve("T3 key array", (n**3 + 8 * chunk) * _item_bytes(H.p))
     a, b = _columns(H)
     keys = np.empty(n**3, dtype=a.dtype)
     rows = max(1, _CHUNK // (n * n))
     for i in range(0, n, rows):
         h1 = (a[i : i + rows, None, None], b[i : i + rows, None, None])
-        tp = triple_product_entries(H.p, *h1, a[:, None], b[:, None], a, b)
-        keys.reshape(n, n, n)[i : i + rows] = _key(H.p, *tp)
+        keys.reshape(n, n, n)[i : i + rows] = _key(
+            H.p, *triple_product_entries(H.p, *h1, a[:, None], b[:, None], a, b)
+        )
     keys.sort()
     return keys
 
 
-def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
+def t_k(H: TranslateSet, k: int) -> int:
     """T_k(H) = sum of squared representation counts of alternating
     products h1 h2^-1 h3 ... of length k, at SL2-entry equality."""
     if len(H) == 0:
@@ -268,14 +265,15 @@ def t_k(H: TranslateSet, k: int, budget: Budget | None = None) -> int:
     if k == 2:
         return sum(v * v for v in quotient_histogram(H).counts.tolist())
     if k == 3:
-        return _sorted_square_sum(_t3_keys(H, budget), H.p)
+        return _sorted_square_sum(_t3_keys(H), H.p)
     if k == 4:
-        bud = _budget(budget)
         q2 = quotient_histogram(H)
-        if len(q2) ** 2 > bud.t4_support_product:
-            raise ResourceLimit("T4 histogram self-convolution", len(q2) ** 2, bud.t4_support_product)
+        # 9 items per product of the support (63 B at int64, measured)
+        _reserve("T4 self-convolution", 9 * len(q2) ** 2 * _item_bytes(H.p))
         keys = _key(H.p, *product_entries(H.p, *(e[:, None] for e in q2.columns), *q2.columns))
-        # a weight sum is at most |H|^4 < 2^63: the support cap keeps |H| small
+        # a weight sum is at most |H|^4; r(u) <= |H| makes the support at
+        # least |H|, so the reservation admits |H|^4 >= 2^63 only on a budget
+        # of 2^31.5 * 72 B (about 204 GiB) or more
         _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
         return sum(v * v for v in sums.tolist())
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
@@ -332,7 +330,6 @@ def rich_hyperbolae(
     lam: int = -1,
     mode: str = "pairs",
     within: TranslateSet | None = None,
-    budget: Budget | None = None,
 ) -> RichCount:
     """m_k: translates (a, b) whose curve (x-b)(y-a) = lam holds >= k
     points of A x A.
@@ -359,10 +356,8 @@ def rich_hyperbolae(
     if mode == "exhaustive":
         if k < 1:
             raise InvalidArgument(f"k must be >= 1, got {k}")
-        bud = _budget(budget)
-        cells = len(within) if within is not None else p * p
-        if cells > bud.exhaustive_cells:
-            raise ResourceLimit("exhaustive translate scan", required=cells, budget=bud.exhaustive_cells)
+        # a witness per cell at most: its tuple, ints and list slots (79 B, measured)
+        _reserve("exhaustive translate scan", 128 * (len(within) if within is not None else p * p))
         inv = _inv_fn(p)
         members = A.members
         xs = A.elements
@@ -388,10 +383,14 @@ def _pair_hits(A: ScalarSet, lam: int) -> Counter:
     # for a t-rich translate.
     p = A.p
     xs = A.elements
+    n = len(xs)
+    # a dict entry per translate hit, plus its witness tuple in
+    # rich_hyperbolae (up to 222 B together, measured); at most n(n-1)/2
+    # x-pairs times n(n-1) y-pairs times 2 roots hit
+    _reserve("pair-hit table", 256 * min(n * n * (n - 1) ** 2, p * p))
     inv = _inv_fn(p)
     sqrt = _sqrt_fn(p)
     hits = Counter()
-    n = len(xs)
     for i in range(n):
         x1 = xs[i]
         for j in range(i + 1, n):
@@ -434,6 +433,9 @@ def rich_lines(
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     p = B.p
+    n = len(B) * len(C)
+    # a dict entry per line (up to 193 B with its key tuple, measured) and per point
+    _reserve("rich-line table", 256 * (min(n * (n - 1) // 2, p * p + p) + n))
     inv = _inv_fn(p)
     pts = [(x, y) for x in B for y in C]
     hits = Counter()
@@ -521,11 +523,11 @@ def borel_coset_mass(H: TranslateSet) -> tuple[CountHistogram, int]:
     return CountHistogram(masses), max((v for k, v in masses.items() if k is not INFINITY), default=0)
 
 
-def borel_t3_mass(H: TranslateSet, budget: Budget | None = None) -> int:
+def borel_t3_mass(H: TranslateSet) -> int:
     """Y_B: the part of T_3 carried by upper-triangular products."""
     if len(H) == 0:
         return 0
-    return _sorted_square_sum(_t3_keys(H, budget), H.p, borel=True)
+    return _sorted_square_sum(_t3_keys(H), H.p, borel=True)
 
 
 def energy_borel_split(H: TranslateSet) -> tuple[int, int]:

@@ -66,18 +66,6 @@ class Fp:
         """Canonical residue in [0, p) of an arbitrary-sign integer."""
         return n % self.p
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
     def inv(self, x: int) -> int:
         """Inverse by extended Euclid; x = 0 raises DivisionByZero."""
         x %= self.p
@@ -92,9 +80,6 @@ class Fp:
             old_s, s = s, old_s - q * s
         assert old_r == 1
         return old_s % self.p
-
-    def div(self, x: int, y: int) -> int:
-        return x * self.inv(y) % self.p
 
     def is_square(self, x: int) -> bool:
         """Euler criterion; zero reports True."""

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from hyperlab.bounds import CSV_HEADER
-from hyperlab.cli import main
+from hyperlab.cli import QUANTITIES, main
 
 
 def run(capsys, *argv):
@@ -53,12 +54,43 @@ def test_compute_budget_overflow_exit_2(capsys):
     assert "budget" in err
 
 
-def test_compute_budget_flag_moves_cap(capsys):
+def test_compute_budget_env_moves_cap(capsys, monkeypatch):
     args = ("compute", "t3", "--p", "101", "--H", "randomh:30,1")
-    code, _, err = run(capsys, *args, "--budget-t3", "20")
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    code, _, err = run(capsys, *args)
     assert code == 2 and "budget" in err
-    code, _, _ = run(capsys, *args, "--budget-t3", "40")
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "8")
+    code, _, _ = run(capsys, *args)
     assert code == 0
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "0")
+    code, _, err = run(capsys, *args)
+    assert code == 2 and "HYPERLAB_BUDGET_MB must be an integer >= 1" in err
+
+
+_REFUSAL = re.compile(r"^error: .* in bytes \(HYPERLAB_BUDGET_MB=\d+\): requires (\d+), budget (\d+)$")
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantity):
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    code, _, err = run(
+        capsys, "compute", quantity, "--p", "101", "--A", "ap:1,1,12", "--H", "randomh:40,1", "--k", "3"
+    )
+    if code != 2:
+        assert code in (0, 1)
+        return
+    m = _REFUSAL.match(err.strip())
+    assert m, err
+    required, budget = map(int, m.groups())
+    assert budget == 1 << 20 < required
+
+
+def test_default_budget_refuses_large_energy(capsys):
+    # the 8192^2-pair quotient histogram would need about 7 GB
+    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:8192,1")
+    assert code == 2
+    required, budget = map(int, _REFUSAL.match(err.strip()).groups())
+    assert budget == 1536 << 20 < 6 * 10**9 < required
 
 
 def test_group_lambda_refused(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import hyperlab.counts as counts
 from hyperlab import (
-    Budget,
     EmptyInput,
     INFINITY,
     Fp,
@@ -268,30 +268,115 @@ def test_t_k_domain():
         t_k(HD, 1)
 
 
-def test_t3_budget_gate():
+class _Admitted(Exception):
+    pass
+
+
+def test_t3_budget_gate(monkeypatch):
     rng = random.Random(0)
     H = rand_translates(rng, 101, 40)
+    want = t_k(H, 3), borel_t3_mass(H)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")  # 40^3 keys and a chunk: 4.6 MB
+    with pytest.raises(ResourceLimit, match="T3 key array"):
+        t_k(H, 3)
+    with pytest.raises(ResourceLimit, match="T3 key array"):
+        borel_t3_mass(H)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "8")
+    assert (t_k(H, 3), borel_t3_mass(H)) == want
+    # the default budget admits |H| = 512 (8 * 512^3 B of keys and a chunk);
+    # an admitted call stops before it allocates
+    monkeypatch.delenv("HYPERLAB_BUDGET_MB")
+    real = counts._reserve
+
+    def reserve(what, nbytes):
+        real(what, nbytes)
+        raise _Admitted(what)
+
+    monkeypatch.setattr(counts, "_reserve", reserve)
+    with pytest.raises(_Admitted):
+        t_k(rand_translates(rng, 1009, 512), 3)
     with pytest.raises(ResourceLimit):
-        t_k(H, 3, Budget(t3_max_h=24))
-    with pytest.raises(ResourceLimit):
-        t_k(H, 3, Budget(table_entries=1000))
+        t_k(rand_translates(rng, 1009, 600), 3)
 
 
-def test_t4_budget_gate():
+def test_t4_budget_gate(monkeypatch):
     rng = random.Random(0)
     H = rand_translates(rng, 101, 30)
-    with pytest.raises(ResourceLimit):
-        t_k(H, 4, Budget(t4_support_product=10))
+    want = t_k(H, 4)
+    # the quotient histogram (94 kB) fits, the support^2 convolution (55 MB) does not
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit, match="T4 self-convolution"):
+        t_k(H, 4)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "64")
+    assert t_k(H, 4) == want
 
 
 def test_budget_from_env(monkeypatch):
-    monkeypatch.delenv("HYPERLAB_BUDGET_MB", raising=False)
-    assert Budget.from_env().table_entries is None
+    H = rand_translates(random.Random(0), 101, 100)
+    with pytest.raises(ResourceLimit) as e:
+        counts._reserve("table", 1536 << 20)
+    assert e.value.budget == 1536 << 20  # the default, in bytes
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit) as e:
+        quotient_histogram(H)
+    assert (e.value.required, e.value.budget) == (104 * 100**2 + counts._OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
-    assert Budget.from_env().table_entries == 262_144  # 2 MB of 8-byte keys
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "lots")
-    with pytest.raises(InvalidArgument):
-        Budget.from_env()
+    assert len(quotient_histogram(H)) > 0
+    for bad in ("lots", "", "0", "-3", "1.5"):
+        monkeypatch.setenv("HYPERLAB_BUDGET_MB", bad)
+        with pytest.raises(InvalidArgument, match="HYPERLAB_BUDGET_MB"):
+            t_k(H, 2)
+
+
+def _rand_h(p, n):
+    rng = random.Random(n)
+    return TranslateSet(p, tuple((rng.randrange(p), rng.randrange(p)) for _ in range(n)))
+
+
+def _rand_a(p, n):
+    return ScalarSet(p, tuple(random.Random(n).sample(range(p), n)))
+
+
+P61 = (1 << 61) - 1
+
+# each table-building kernel at two small sizes; p >= 2097169 runs on Python ints
+_PEAK_CASES = {
+    "quotient-64": lambda: quotient_histogram(_rand_h(1009, 64)),
+    "quotient-256": lambda: quotient_histogram(_rand_h(1009, 256)),
+    "quotient-p61": lambda: quotient_histogram(_rand_h(P61, 64)),
+    "t3-24": lambda: t_k(_rand_h(1009, 24), 3),
+    "t3-80": lambda: t_k(_rand_h(1009, 80), 3),
+    "borel-t3-2097169": lambda: borel_t3_mass(_rand_h(2097169, 24)),
+    "borel-t3-p61": lambda: borel_t3_mass(_rand_h(P61, 16)),
+    "t4-12": lambda: t_k(_rand_h(1009, 12), 4),
+    "t4-24": lambda: t_k(_rand_h(1009, 24), 4),
+    "t4-p61": lambda: t_k(_rand_h(P61, 10), 4),
+    "mk-exhaustive-61": lambda: rich_hyperbolae(_rand_a(61, 8), 1, mode="exhaustive"),
+    "mk-exhaustive-101": lambda: rich_hyperbolae(_rand_a(101, 6), 1, mode="exhaustive"),
+    "mk-pairs-10": lambda: rich_hyperbolae(_rand_a(1009, 10), 2),
+    "mk-pairs-12": lambda: rich_hyperbolae(_rand_a(1009, 12), 2),
+    "lk-8": lambda: rich_lines(_rand_a(65537, 8), _rand_a(65537, 8), 2),
+    "lk-12": lambda: rich_lines(_rand_a(65537, 12), _rand_a(65537, 12), 2),
+}
+
+
+@pytest.mark.parametrize("kernel", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
+def test_reserved_bytes_bound_the_peak(monkeypatch, kernel):
+    """Each kernel's estimate is at least tracemalloc's peak of the call, and
+    at most 4 peaks + 1 MiB (a gate that is not vacuous)."""
+    reserved = []
+    real = counts._reserve
+    monkeypatch.setattr(counts, "_reserve", lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes)))
+    kernel()  # warm the inverse and square-root tables
+    reserved.clear()
+    tracemalloc.start()
+    try:
+        kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = max(reserved) + counts._OVERHEAD
+    assert peak <= estimate <= 4 * peak + (1 << 20)
 
 
 # ------------------------------------------------------------ rectangular quadruples
@@ -369,13 +454,14 @@ def test_rich_hyperbolae_within_filter():
     assert rce.witnesses == ((0, 0),)
 
 
-def test_rich_hyperbolae_domain():
+def test_rich_hyperbolae_domain(monkeypatch):
     with pytest.raises(InvalidArgument):
         rich_hyperbolae(A16, 1, mode="pairs")
     with pytest.raises(InvalidArgument):
         rich_hyperbolae(A16, 2, mode="nosuch")
-    with pytest.raises(ResourceLimit):
-        rich_hyperbolae(ScalarSet(2053, (0, 1)), 1, mode="exhaustive")
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")  # 101^2 cells at 128 B
+    with pytest.raises(ResourceLimit, match="exhaustive translate scan"):
+        rich_hyperbolae(ScalarSet(101, (0, 1)), 1, mode="exhaustive")
 
 
 def test_rich_lines_pins():

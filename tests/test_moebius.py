@@ -42,7 +42,7 @@ def test_singular_rejected():
 def test_entries_normalized():
     m = MoebiusMap(7, -1, 8, 14, 3)
     assert m.entries == (6, 1, 0, 3)
-    assert m.det == F7.sub(F7.mul(6, 3), F7.mul(1, 0))
+    assert m.det == (6 * 3 - 1 * 0) % 7
 
 
 def test_embed_pins():
