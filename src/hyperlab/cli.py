@@ -196,7 +196,7 @@ def _compute_q(cfg: ExperimentConfig):
 def _compute_mk(cfg: ExperimentConfig):
     _need(cfg, "mk", p=cfg.p, A=cfg.A, k=cfg.k)
     A, k = cfg.A, cfg.k
-    emp = counts.rich_hyperbolae(A, k, cfg.lam, mode="pairs").count
+    emp = counts.rich_hyperbolae(A, k, cfg.lam).count
     inputs = {"p": cfg.p, "card_A": len(A), "k": k}
     ev = bounds.eval_mk_bb(len(A), k, cfg.p)
     return [make_report("mk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))]

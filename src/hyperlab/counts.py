@@ -31,10 +31,10 @@ from .moebius import INFINITY, pair_quotient_entries, product_entries, triple_pr
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
-_SQRT_TABLE_MAX = 1 << 16
 _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 _INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
 _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
+_WITNESS = 200  # bytes per witness: its tuple and ints, a slot, and its key as a Python int
 
 
 @lru_cache(maxsize=8)
@@ -55,29 +55,35 @@ def _inv_fn(p: int):
     return check_prime(p).inv
 
 
+def _elementwise(fn):
+    """fn over each element of an array, returned in the array's dtype."""
+    ufunc = np.frompyfunc(lambda x: fn(int(x)), 1, 1)
+    return lambda x: ufunc(x).astype(x.dtype)
+
+
 def _inv_vec(p: int):
     """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p."""
     if p <= _INV_TABLE_MAX:
         return np.array(_inv_table(p)).__getitem__
     inv = check_prime(p).inv
-    return np.frompyfunc(lambda x: inv(x) if x else 0, 1, 1)
+    return _elementwise(lambda x: inv(x) if x else 0)
 
 
-@lru_cache(maxsize=8)
-def _sqrt_table(p: int) -> dict:
-    # value -> smaller square root; residues only.
-    roots = {}
-    for x in range((p - 1) // 2, -1, -1):
-        roots[x * x % p] = x
-    return roots
+def _sqrt_vec(p: int):
+    """Elementwise square root mod p of an array, -1 for non-residues;
+    table-backed for small p."""
+    if p <= _INV_TABLE_MAX:
+        roots = np.arange((p + 1) // 2)  # their squares are distinct
+        table = np.full(p, -1)
+        table[roots * roots % p] = roots
+        return table.__getitem__
+    sqrt = check_prime(p).sqrt
+    return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _sqrt_fn(p: int):
-    """Callable x -> a square root of x, or None for non-residues."""
-    if p <= _SQRT_TABLE_MAX:
-        table = _sqrt_table(p)
-        return table.get
-    return check_prime(p).sqrt
+def _table_bytes(p: int, tables: int) -> int:
+    """Peak bytes of building lookup tables: 1 for _inv_vec, 3 for _sqrt_vec."""
+    return 8 * p * tables if p <= _INV_TABLE_MAX else 0
 
 
 def _reserve(what: str, nbytes: int) -> None:
@@ -192,8 +198,13 @@ def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return sigma_rect(A, A, H, lam)
 
 
+def _array(S):
+    """The elements of a scalar or translate set as an array, int64 up to _INT64_P."""
+    return np.array(S.elements, dtype=np.int64 if S.p <= _INT64_P else object)
+
+
 def _columns(H: TranslateSet) -> tuple:
-    hh = np.array(H.elements, dtype=np.int64 if H.p <= _INT64_P else object).reshape(-1, 2)
+    hh = _array(H).reshape(-1, 2)
     return hh[:, 0], hh[:, 1]
 
 
@@ -208,6 +219,13 @@ def _tally(keys, weights):
     ordered = keys[order]
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], ordered[1:] != ordered[:-1])))
     return order[starts], np.add.reduceat(weights[order], starts)
+
+
+def _runs(keys):
+    """Each distinct key, ascending, and its multiplicity; sorts keys in place."""
+    keys.sort()
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
@@ -311,148 +329,120 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     p = A.p
     lam = _check_lambda(p, lam)
     r = Counter((x - y) % p for x in A for y in A)
-    sqrt = _sqrt_fn(p)
-    total = 0
-    for dx, cx in r.items():
-        t = (dx * dx - lam) % p
-        if t == 0:
-            total += cx * r.get(0, 0)
-            continue
-        s = sqrt(t)
-        if s is not None:
-            total += cx * (r.get(s, 0) + r.get(p - s, 0))
-    return total
+    dx = np.array(list(r), dtype=np.int64 if p <= _INT64_P else object)
+    # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 marks a non-residue
+    terms = zip(r.values(), _sqrt_vec(p)((dx * dx - lam) % p).tolist())
+    return sum(cx * (r.get(s, 0) + (r.get(p - s, 0) if s else 0)) for cx, s in terms if s >= 0)
 
 
-def rich_hyperbolae(
-    A: ScalarSet,
-    k: int,
-    lam: int = -1,
-    mode: str = "pairs",
-    within: TranslateSet | None = None,
-) -> RichCount:
-    """m_k: translates (a, b) whose curve (x-b)(y-a) = lam holds >= k
-    points of A x A.
+def _point_pairs(p: int, xs, ys):
+    """Each unordered pair of points of xs x ys with distinct x once, in blocks of about _CHUNK
+    (one empty if none): (x1, e, y1, f), e = x1 - x2 over (rows, 1), f = y1 - y2 over ys^2."""
+    i, j = np.triu_indices(len(xs), 1)
+    x1, e = xs[i, None], (xs[i, None] - xs[j, None]) % p
+    y1, y2 = np.repeat(ys, len(ys)), np.tile(ys, len(ys))
+    rows = max(1, _CHUNK // max(1, len(y1)))
+    for r in range(0, max(1, len(e)), rows):
+        yield x1[r : r + rows], e[r : r + rows], y1, (y1 - y2) % p
 
-    pairs mode solves, per point pair of A x A with distinct coordinates,
-    the quadratic for candidate translates; a t-rich translate then shows
-    up exactly C(t,2) times.  exhaustive mode scans all p^2 translates.
-    Any two distinct points of one curve differ in both coordinates, so
-    the pair enumeration misses nothing with t >= 2.
-    """
+
+def _mk_columns(A: ScalarSet, lam: int) -> tuple:
+    """(keys a p + b ascending, richness) of every translate holding >= 2
+    points of A x A, in O(p |A|^2 log |A|): (x, y) with x != b lies on (a, b)
+    exactly when a = y - lam/(x - b), so the runs of the sorted |A|^2 keys
+    of column b are its translates' richness.  Columns go in blocks."""
+    p, n = A.p, len(A)
+    rows = max(1, _CHUNK // max(1, n * n))
+    # 9 int64 items per element of a block, two arrays per block, and 5 items per
+    # translate with >= 2 points (at most min(p^2, |A|^2 (|A|-1)^2), see _mk_pairs)
+    translates, cells = min(p * p, n * n * (n - 1) ** 2), min(p, rows) * n * n
+    _reserve("m_k column pass", 72 * cells + 256 * (p // rows + 1) + 40 * translates + _table_bytes(p, 1))
+    xs = _array(A)
+    inv = _inv_vec(p)
+    keys, rich = [], []
+    for b0 in range(0, p, rows):
+        b = np.arange(b0, min(p, b0 + rows))[:, None]
+        u = (xs - b) % p
+        a = (xs - (lam * inv(u) % p)[:, :, None]) % p  # over (b, x, y)
+        found, t = _runs((a * p + b[:, :, None])[u != 0].ravel())
+        keys.append(found[t >= 2])
+        rich.append(t[t >= 2])
+    keys, rich = np.concatenate(keys), np.concatenate(rich)
+    order = np.argsort(keys)
+    return keys[order], rich[order]
+
+
+def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
+    """_mk_columns from point pairs: the translates through (x1, y1) and
+    (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0, solve
+    f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant ef(ef - 4 lam)),
+    so a t-rich translate shows up C(t, 2) times.  Any two points of one
+    curve differ in both coordinates, so no translate with t >= 2 is missed."""
+    p, n = A.p, len(A)
+    roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
+    # 12 items per element of a block (n^2 y-pairs per x-pair) and 3 per root
+    block = min(n**3 * (n - 1) // 2, max(n * n, _CHUNK))
+    _reserve("m_k pair pass", _item_bytes(p) * (12 * block + 3 * roots) + _table_bytes(p, 4))
+    xs = _array(A)
+    inv, sqrt = _inv_vec(p), _sqrt_vec(p)
+    keys = []
+    for x1, e, y1, f in _point_pairs(p, xs, xs):
+        ef = e * f % p
+        s = sqrt(ef * ((ef - 4 * lam) % p) % p)
+        inv2f = inv(2 * f % p)
+        for root, hit in ((s, s >= 0), (-s, s > 0)):  # a double root counts once
+            u = (ef + root) % p * inv2f % p  # nonzero: the roots multiply to lam e / f
+            keys.append(((y1 - lam * inv(u)) % p * p + (x1 - u) % p)[hit & (f != 0)])
+    keys, hits = _runs(np.concatenate(keys))
+    # 1 + 8 C(t, 2) = (2t - 1)^2 is an exact square below 2^53, so its float root is exact
+    return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
+
+
+def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> RichCount:
+    """m_k: translates (a, b) whose curve (x-b)(y-a) = lam holds >= k points of
+    A x A, with the translates as witnesses in order.  Two arms give the same
+    map of every translate's richness: the column arm (all p^2 translates,
+    O(p |A|^2 log |A|)) runs when p <= |A|^2 and p <= 2^21, the pair arm (the
+    translates through each point pair, O(|A|^4 log |A|)) otherwise."""
     p = A.p
     lam = _check_lambda(p, lam)
-    if mode == "pairs":
-        if k < 2:
-            raise InvalidArgument("pairs mode needs k >= 2 (translates are found through point pairs)")
-        hits = _pair_hits(A, lam)
-        thr = k * (k - 1) // 2
-        selected = [key for key, c in hits.items() if c >= thr]
-        if within is not None:
-            wm = within.members
-            selected = [key for key in selected if divmod(key, p) in wm]
-        wits = tuple(sorted(divmod(key, p) for key in selected))
-        return RichCount(k=k, count=len(selected), witnesses=wits)
-    if mode == "exhaustive":
-        if k < 1:
-            raise InvalidArgument(f"k must be >= 1, got {k}")
-        # a witness per cell at most: its tuple, ints and list slots (79 B, measured)
-        _reserve("exhaustive translate scan", 128 * (len(within) if within is not None else p * p))
-        inv = _inv_fn(p)
-        members = A.members
-        xs = A.elements
-        translates = within.elements if within is not None else (
-            (a, b) for a in range(p) for b in range(p)
-        )
-        wits = []
-        for a, b in translates:
-            t = 0
-            for x in xs:
-                if x == b:
-                    continue
-                if (a + lam * inv((x - b) % p)) % p in members:
-                    t += 1
-            if t >= k:
-                wits.append((a, b))
-        return RichCount(k=k, count=len(wits), witnesses=tuple(sorted(wits)))
-    raise InvalidArgument(f"mode must be 'pairs' or 'exhaustive', got {mode!r}")
+    if k < 2:
+        raise InvalidArgument(f"k must be >= 2, got {k}")
+    arm = _mk_columns if p <= min(len(A) ** 2, _INT64_P) else _mk_pairs
+    keys, rich = arm(A, lam)
+    rich = rich >= k
+    _reserve("m_k witnesses", 4 * _item_bytes(p) * len(keys) + _WITNESS * int(np.count_nonzero(rich)))
+    wits = tuple(divmod(key, p) for key in keys[rich].tolist())
+    return RichCount(k=k, count=len(wits), witnesses=wits)
 
 
-def _pair_hits(A: ScalarSet, lam: int) -> Counter:
-    # key a*p + b -> number of unordered curve-point pairs; equals C(t,2)
-    # for a t-rich translate.
-    p = A.p
-    xs = A.elements
-    n = len(xs)
-    # a dict entry per translate hit, plus its witness tuple in
-    # rich_hyperbolae (up to 222 B together, measured); at most n(n-1)/2
-    # x-pairs times n(n-1) y-pairs times 2 roots hit
-    _reserve("pair-hit table", 256 * min(n * n * (n - 1) ** 2, p * p))
-    inv = _inv_fn(p)
-    sqrt = _sqrt_fn(p)
-    hits = Counter()
-    for i in range(n):
-        x1 = xs[i]
-        for j in range(i + 1, n):
-            e = (x1 - xs[j]) % p
-            # For P = (x1, y1), Q = (x2, y2) with f = y1 - y2 != 0, the
-            # translates through both points solve f*u^2 - ef*u + lam*e = 0
-            # in u = x1 - b; discriminant ef(ef - 4 lam).
-            cache = {}
-            for y1 in xs:
-                for y2 in xs:
-                    f = (y1 - y2) % p
-                    if f == 0:
-                        continue
-                    roots = cache.get(f)
-                    if roots is None:
-                        ef = e * f % p
-                        disc = ef * (ef - 4 * lam) % p
-                        s = sqrt(disc)
-                        roots = []
-                        if s is not None:
-                            inv2f = inv(2 * f % p)
-                            for ss in ((s, p - s) if s else (0,)):
-                                u = (ef + ss) * inv2f % p
-                                # b = x1 - u; a = y1 - lam/u; u != 0 since
-                                # the root product lam*e/f is nonzero.
-                                roots.append(((x1 - u) % p, lam * inv(u) % p))
-                        cache[f] = roots
-                    for b, ca in roots:
-                        hits[((y1 - ca) % p) * p + b] += 1
-    return hits
+def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> RichCount:
+    """l_k: affine lines holding >= k points of B x C, with witnesses
+    ("s", m, c) for y = m x + c and ("v", x) for a vertical line, in order.
 
-
-def rich_lines(
-    B: ScalarSet, C: ScalarSet, k: int, include_axis_parallel: bool = True
-) -> RichCount:
-    """l_k: affine lines (vertical included) holding >= k points of B x C,
-    by pair-slope bucketing."""
+    Each point pair with distinct x keys its line m p + c, so a t-rich line
+    shows up C(t, 2) times; each vertical line holds the |C| points of its x."""
     if B.p != C.p:
         raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}")
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     p = B.p
-    n = len(B) * len(C)
-    # a dict entry per line (up to 193 B with its key tuple, measured) and per point
-    _reserve("rich-line table", 256 * (min(n * (n - 1) // 2, p * p + p) + n))
-    inv = _inv_fn(p)
-    pts = [(x, y) for x in B for y in C]
-    hits = Counter()
-    for i in range(len(pts)):
-        x1, y1 = pts[i]
-        for j in range(i + 1, len(pts)):
-            x2, y2 = pts[j]
-            if x1 == x2:
-                hits[("v", x1)] += 1
-            else:
-                m = (y2 - y1) * inv((x2 - x1) % p) % p
-                hits[("s", m, (y1 - m * x1) % p)] += 1
-    thr = k * (k - 1) // 2
-    selected = [key for key, c in hits.items() if c >= thr]
-    if not include_axis_parallel:
-        selected = [key for key in selected if key[0] != "v" and key[1] != 0]
-    return RichCount(k=k, count=len(selected), witnesses=tuple(sorted(selected)))
+    pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
+    # 5 items per pair of a block (|C|^2 y-pairs per x-pair) and 4 per pair
+    block = min(pairs, max(len(C) ** 2, _CHUNK))
+    _reserve("rich-line table", _item_bytes(p) * (5 * block + 4 * pairs) + _table_bytes(p, 1))
+    inv = _inv_vec(p)
+    keys = []
+    for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
+        m = f * inv(e) % p
+        keys.append((m * p + (y1 - m * x1) % p).ravel())
+    keys, hits = _runs(np.concatenate(keys))
+    keys = keys[hits >= k * (k - 1) // 2]
+    verticals = sorted(B.elements) if len(C) >= k else []
+    nbytes = 3 * _item_bytes(p) * len(hits) + _WITNESS * (len(keys) + len(verticals))
+    _reserve("l_k witnesses", nbytes + _table_bytes(p, 1))
+    wits = tuple(("s", *divmod(key, p)) for key in keys.tolist()) + tuple(("v", x) for x in verticals)
+    return RichCount(k=k, count=len(wits), witnesses=wits)
 
 
 def additive_energy(B: ScalarSet) -> int:
@@ -567,10 +557,14 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainRepo
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
     a, b, c, d = (col[:, None] for col in hist.columns)
-    xs = np.array(A.elements, dtype=a.dtype)
+    rows = max(1, _CHUNK // len(A))
+    # 8 items per element of a block of quotients on A, and the histogram's
+    # 5 columns with su per quotient
+    cells = min(rows, len(hist)) * len(A)
+    _reserve("Cauchy-Schwarz blocks", _item_bytes(p) * (8 * cells + 6 * len(hist)) + _table_bytes(p, 1))
+    xs = _array(A)
     inv = _inv_vec(p)
     su = np.empty(len(hist), dtype=np.int64)
-    rows = max(1, _CHUNK // len(xs))
     for i in range(0, len(su), rows):
         s = slice(i, i + rows)
         den = (c[s] * xs + d[s]) % p

@@ -290,7 +290,8 @@ def t4_chain(seed=0, trials=None, p=None) -> SuiteResult:
 
 
 def cross_algorithm_mk(seed=0, trials=None, p=None) -> SuiteResult:
-    """rich_hyperbolae pairs mode vs exhaustive mode vs the oracle scan."""
+    """The pair and column (exhaustive=, all p^2 translates) m_k arms give equal
+    richness maps, and at each k their counts and witnesses match the oracle scan."""
     trials = 20 if trials is None else trials
     primes = [p] if p else [7, 13, 31, 61]
     res = SuiteResult("cross-algorithm-mk")
@@ -301,14 +302,17 @@ def cross_algorithm_mk(seed=0, trials=None, p=None) -> SuiteResult:
         if len(A) < 2:
             A = ScalarSet(q, tuple(rng.sample(range(q), 2)))
         lam = rng.randrange(1, q)
+        pk, pr = counts._mk_pairs(A, lam)
+        ck, cr = counts._mk_columns(A, lam)
+        same = np.array_equal(pk, ck) and np.array_equal(pr, cr)
         for k in range(2, len(A) + 1):
-            mp = counts.rich_hyperbolae(A, k, lam, mode="pairs")
-            me = counts.rich_hyperbolae(A, k, lam, mode="exhaustive")
+            wits = {divmod(key, q) for key in pk[pr >= k].tolist()}
+            me = int(np.count_nonzero(cr >= k))
             mo = oracle.mk_exhaustive(A, k, lam)
-            ok = mp.count == me.count == mo.count and set(mp.witnesses) == set(mo.witnesses)
+            ok = same and len(wits) == me == mo.count and wits == set(mo.witnesses)
             res.check(
                 ok,
-                f"p={q} |A|={len(A)} lam={lam} k={k} pairs={mp.count} exhaustive={me.count} oracle={mo.count}",
+                f"p={q} |A|={len(A)} lam={lam} k={k} pairs={len(wits)} exhaustive={me} oracle={mo.count}",
             )
     return res
 

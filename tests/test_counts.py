@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -34,6 +35,7 @@ from hyperlab import (
     invert,
     minkowski_grid,
     minkowski_realisations,
+    parse_setspec,
     product_rep_energy,
     q_rect,
     quotient_histogram,
@@ -351,12 +353,18 @@ _PEAK_CASES = {
     "t4-12": lambda: t_k(_rand_h(1009, 12), 4),
     "t4-24": lambda: t_k(_rand_h(1009, 24), 4),
     "t4-p61": lambda: t_k(_rand_h(P61, 10), 4),
-    "mk-exhaustive-61": lambda: rich_hyperbolae(_rand_a(61, 8), 1, mode="exhaustive"),
-    "mk-exhaustive-101": lambda: rich_hyperbolae(_rand_a(101, 6), 1, mode="exhaustive"),
+    # m_k at k = 2, where every translate found is a witness: the column
+    # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
+    "mk-exhaustive-61": lambda: rich_hyperbolae(_rand_a(61, 8), 2),
+    "mk-exhaustive-101": lambda: rich_hyperbolae(_rand_a(101, 12), 2),
     "mk-pairs-10": lambda: rich_hyperbolae(_rand_a(1009, 10), 2),
     "mk-pairs-12": lambda: rich_hyperbolae(_rand_a(1009, 12), 2),
+    "mk-pairs-p61": lambda: rich_hyperbolae(_rand_a(P61, 6), 2),
     "lk-8": lambda: rich_lines(_rand_a(65537, 8), _rand_a(65537, 8), 2),
     "lk-12": lambda: rich_lines(_rand_a(65537, 12), _rand_a(65537, 12), 2),
+    "lk-p61": lambda: rich_lines(_rand_a(P61, 8), _rand_a(P61, 8), 2),
+    "cschain-1000": lambda: cs_chain_report(parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
+    "cschain-p61": lambda: cs_chain_report(_rand_a(P61, 20), _rand_h(P61, 12)),
 }
 
 
@@ -440,33 +448,105 @@ def test_rich_hyperbolae_pins():
 
 
 def test_rich_hyperbolae_ap_pin():
+    # p = 61 <= 8^2 runs the column arm; the pair arm gives the same map
     A = ScalarSet(61, tuple(range(1, 9)))
+    keys, rich = counts._mk_pairs(A, 60)
     for k, expected in ((2, 1140), (3, 320), (4, 42)):
-        assert rich_hyperbolae(A, k, mode="pairs").count == expected
-        assert rich_hyperbolae(A, k, mode="exhaustive").count == expected
+        assert rich_hyperbolae(A, k).count == expected
+        assert np.count_nonzero(rich >= k) == expected
 
 
-def test_rich_hyperbolae_within_filter():
-    win = TranslateSet(7, ((0, 0), (1, 1)))
-    rc = rich_hyperbolae(A16, 2, within=win)
-    assert rc.witnesses == ((0, 0),)
-    rce = rich_hyperbolae(A16, 2, mode="exhaustive", within=win)
-    assert rce.witnesses == ((0, 0),)
+@pytest.mark.parametrize(
+    "p, spec",
+    [(1009, "random:40,1"), (1009, "ap:1,1,32"), (65537, "random:8,1"), (65537, "gp:3,5,8")],
+)
+def test_mk_arms_agree(p, spec):
+    """The column and pair arms give the same translate -> richness map."""
+    A = parse_setspec(spec, Fp(p))
+    for lam in (-1, 5):
+        lam %= p
+        ck, cr = counts._mk_columns(A, lam)
+        pk, pr = counts._mk_pairs(A, lam)
+        assert len(ck) > 0
+        assert np.array_equal(ck, pk) and np.array_equal(cr, pr)
+        assert np.all(ck[1:] > ck[:-1]) and np.all(cr >= 2)
+
+
+def test_rich_hyperbolae_arm_selection(monkeypatch):
+    """The column arm runs when p <= |A|^2 and p <= 2^21, the pair arm otherwise."""
+    ran = []
+    for name in ("_mk_columns", "_mk_pairs"):
+        monkeypatch.setattr(
+            counts, name, lambda A, lam, name=name: ran.append(name) or (np.zeros(0, np.int64),) * 2
+        )
+    for p, n, arm in (
+        (1009, 32, "_mk_columns"),  # 1009 <= 1024
+        (1009, 31, "_mk_pairs"),  # 1009 > 961
+        (65537, 257, "_mk_columns"),  # 65537 <= 66049
+        (65537, 256, "_mk_pairs"),  # 65537 > 65536
+        (2097143, 1449, "_mk_columns"),  # the largest prime below 2^21
+        (2097169, 1449, "_mk_pairs"),  # above 2^21 the pair arm runs at any size
+    ):
+        ran.clear()
+        assert rich_hyperbolae(ScalarSet(p, tuple(range(n))), 3).count == 0
+        assert ran == [arm], (p, n)
+
+
+def _digest(witnesses) -> str:
+    return hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+
+
+# recorded from the per-translate and Counter loops that the arms replaced
+_LARGE_P_RICH = {
+    2097169: {
+        ("mk", 2): (2478, "9820cdd7e42115b9"),
+        ("mk", 3): (15, "0c6392b0896b8772"),
+        ("mk", 4): (1, "5a86e376cdc22fce"),
+        ("lk", 3): (98, "aafa72c45cca7f43"),
+        ("lk", 4): (23, "e456fb865b70eb74"),
+    },
+    P61: {
+        ("mk", 2): (1858, "4181e6aa0ede9412"),
+        ("mk", 3): (15, "57ef59f24b2de25f"),
+        ("mk", 4): (1, "5a86e376cdc22fce"),
+        ("lk", 3): (98, "1883b80333cb4e60"),
+        ("lk", 4): (23, "f9ae619c4cc51471"),
+    },
+}
+
+
+@pytest.mark.parametrize("p", _LARGE_P_RICH)
+def test_rich_counts_at_large_primes(p):
+    # x and -1/x for x = 1..4: the translate (0, 0) holds all 8 points
+    A = ScalarSet(p, tuple({x for x in range(1, 5)} | {-pow(x, -1, p) % p for x in range(1, 5)}))
+    for (quantity, k), (count, digest) in _LARGE_P_RICH[p].items():
+        rc = rich_hyperbolae(A, k) if quantity == "mk" else rich_lines(A, A, k)
+        assert (rc.count, _digest(rc.witnesses)) == (count, digest), (quantity, k)
+        assert all(type(v) is int for w in rc.witnesses for v in w if v not in ("s", "v"))
+    assert rich_hyperbolae(A, 8).witnesses == ((0, 0),)
 
 
 def test_rich_hyperbolae_domain(monkeypatch):
-    with pytest.raises(InvalidArgument):
-        rich_hyperbolae(A16, 1, mode="pairs")
-    with pytest.raises(InvalidArgument):
-        rich_hyperbolae(A16, 2, mode="nosuch")
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")  # 101^2 cells at 128 B
-    with pytest.raises(ResourceLimit, match="exhaustive translate scan"):
-        rich_hyperbolae(ScalarSet(101, (0, 1)), 1, mode="exhaustive")
+    with pytest.raises(InvalidArgument, match="k must be >= 2"):
+        rich_hyperbolae(A16, 1)
+    with pytest.raises(InvalidArgument, match="lambda"):
+        rich_hyperbolae(A16, 2, 7)
+    assert rich_hyperbolae(ScalarSet(7, ()), 2).count == 0
+    assert rich_hyperbolae(ScalarSet(7, (3,)), 2).count == 0
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit, match="m_k column pass"):
+        rich_hyperbolae(_rand_a(1009, 40), 3)
+    with pytest.raises(ResourceLimit, match="m_k pair pass"):
+        rich_hyperbolae(_rand_a(65537, 30), 3)
+    assert rich_hyperbolae(_rand_a(1009, 10), 3).count >= 0
 
 
 def test_rich_lines_pins():
-    assert rich_lines(B01, B01, 2).count == 6
-    assert rich_lines(B01, B01, 2, include_axis_parallel=False).count == 2
+    rc = rich_lines(B01, B01, 2)
+    assert rc.count == 6
+    assert rc.witnesses == (("s", 0, 0), ("s", 0, 1), ("s", 1, 0), ("s", 6, 1), ("v", 0), ("v", 1))
+    assert rich_lines(B01, B01, 3).count == 0
+    assert rich_lines(B01, ScalarSet(7, (0, 1, 2)), 3).witnesses == (("v", 0), ("v", 1))
     with pytest.raises(InvalidArgument):
         rich_lines(B01, B01, 1)
 
