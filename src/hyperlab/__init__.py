@@ -19,7 +19,6 @@ from .bounds import (
     report_to_json_obj,
 )
 from .counts import (
-    CountHistogram,
     CsChainReport,
     RichCount,
     additive_energy,
@@ -27,8 +26,6 @@ from .counts import (
     borel_t3_mass,
     cs_chain_report,
     d_histogram,
-    energy_borel_split,
-    energy_system_counts,
     minkowski_grid,
     minkowski_realisations,
     product_rep_energy,
@@ -56,18 +53,11 @@ from .field import MAX_MODULUS, Fp, check_prime, is_prime
 from .moebius import (
     INFINITY,
     MoebiusMap,
-    apply_translate,
-    canonicalize,
     compose,
-    coset_label,
     embed_translate,
     evaluate,
-    identity_map,
     invert,
-    is_borel,
     pair_quotient,
-    parse_map,
-    render_map,
     triple_product,
 )
 from .sets import (
@@ -77,12 +67,9 @@ from .sets import (
     gen_cartesian,
     max_line_multiplicity,
     parse_setspec,
-    prune_rich_lines,
     read_scalar_file,
     read_translate_file,
-    rotate_coordinates,
     sumset,
-    unrotate_coordinates,
 )
 from .verify import SUITES, SuiteResult
 

@@ -2,8 +2,9 @@
 
 Asymptotic bounds are evaluated with implicit constant 1 and tagged
 "asymptotic": their ratios are trend data, never assertions.  Bounds
-that hold with explicit numeric constants are tagged "exact-constant"
-and a ratio above 1 is a hard failure.
+that hold with explicit numeric constants are tagged "exact-constant",
+and a count above such a bound is a hard failure, decided in integers; the
+float bound and ratio are only printed.
 
 Regime selection uses exact integer comparisons (|H|^2 <= |A|^3 rather
 than floats), so tags flip at precisely the stated thresholds.
@@ -12,8 +13,6 @@ than floats), so tags flip at precisely the stated thresholds.
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
-
-_EXACT_EMPIRICAL_LIMIT = 1 << 53  # ints below this convert to float losslessly
 
 EXACT = "exact-constant"
 ASYMPTOTIC = "asymptotic"
@@ -38,19 +37,19 @@ class BoundReport:
     ratio: float
     regime: str
     exactness: str
-
-    @property
-    def violated(self) -> bool:
-        return self.exactness == EXACT and self.ratio > 1.0
+    violated: bool
 
 
 def make_report(
-    quantity: str, inputs: dict, empirical: int, bound: float, exactness: str, regime: str = ""
+    quantity: str, inputs: dict, empirical: int, bound: int | float, exactness: str,
+    regime: str = "", holds: bool | None = None,
 ) -> BoundReport:
-    if abs(empirical) >= _EXACT_EMPIRICAL_LIMIT:
-        raise InvalidArgument(
-            f"empirical count {empirical} exceeds the exact float comparison range 2^53"
-        )
+    """An exact-constant report is violated when empirical exceeds bound,
+    compared exactly: pass an int bound, or the verdict as holds where the
+    bound is irrational (char-sum)."""
+    if holds is None:
+        holds = empirical <= bound
+    bound = float(bound)
     if bound > 0:
         ratio = empirical / bound
     else:
@@ -63,6 +62,7 @@ def make_report(
         ratio=ratio,
         regime=regime,
         exactness=exactness,
+        violated=exactness == EXACT and not holds,
     )
 
 
@@ -172,6 +172,13 @@ def eval_t3_bounds(card_h: int, m: int, p: int, which: str) -> EvalResult:
 def eval_charsum(card_a: int, card_h: int, p: int) -> EvalResult:
     """|A|^2|H|/p + 2|A| sqrt(p|H|); holds with these exact constants."""
     return EvalResult(card_a**2 * card_h / p + 2 * card_a * (p * card_h) ** 0.5, "char-sum")
+
+
+def charsum_holds(s: int, card_a: int, card_h: int, p: int) -> bool:
+    """s <= |A|^2|H|/p + 2|A| sqrt(p|H|) in integers: with L = s p - |A|^2|H|,
+    exactly when L <= 0 or L^2 <= 4 |A|^2 p^3 |H|."""
+    excess = s * p - card_a**2 * card_h
+    return excess <= 0 or excess * excess <= 4 * card_a**2 * p**3 * card_h
 
 
 CSV_HEADER = "quantity,p,card_A,card_H,M,k,empirical,bound,ratio,regime,exactness"

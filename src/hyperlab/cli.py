@@ -7,8 +7,15 @@ Three subcommands:
   scan                 a parameter family, one row per instance, worker pool
 
 Quantities: sigma, energy, t3, t4, q, mk, lk, eplus, sumprod, minkowski,
-cschain, borel.  All parameters are long flags; set-valued flags accept
-either a set-spec literal or @path to a file with one literal per line.
+cschain, borel.  All parameters are long flags, and each subcommand takes
+only the flags it reads (any other is a usage error):
+
+  compute       --p --lambda --A --H --k --seed --out --format
+  verify        --p --seed --trials --out
+  scan          --family --p --lambda --k --seed --workers --out --format
+
+The set-valued flags --A and --H accept either a set-spec literal or @path
+to a file with one literal per line.
 
 Scan families (--family):
 
@@ -57,19 +64,14 @@ _GROUP_QUANTITIES = {"energy", "t3", "t4", "cschain", "borel"}
 
 @dataclass
 class ExperimentConfig:
+    """One compute instance."""
+
     p: int | None
     lam: int
     A: ScalarSet | None
     H: TranslateSet | None
-    B: ScalarSet | None
-    C: ScalarSet | None
     h_spec: str | None
     k: int | None
-    seed: int
-    trials: int | None
-    workers: int
-    out: str | None
-    fmt: str
 
 
 def _resolve_scalar(text: str, F: Fp, seed: int) -> ScalarSet:
@@ -90,11 +92,7 @@ def _resolve_translates(text: str, F: Fp, seed: int) -> TranslateSet:
     return s
 
 
-def _build_config(ns) -> ExperimentConfig:
-    if ns.workers < 1:
-        raise InvalidArgument(f"--workers must be >= 1, got {ns.workers}")
-    F = Fp(ns.p) if ns.p is not None else None
-
+def _build_config(ns, F: Fp | None) -> ExperimentConfig:
     def need_field():
         if F is None:
             raise InvalidArgument("--p is required when set specs are given")
@@ -102,13 +100,7 @@ def _build_config(ns) -> ExperimentConfig:
 
     A = _resolve_scalar(ns.A, need_field(), ns.seed) if ns.A else None
     H = _resolve_translates(ns.H, need_field(), ns.seed) if ns.H else None
-    B = _resolve_scalar(ns.B, need_field(), ns.seed) if ns.B else None
-    C = _resolve_scalar(ns.C, need_field(), ns.seed) if ns.C else None
-    return ExperimentConfig(
-        p=ns.p, lam=ns.lam, A=A, H=H, B=B, C=C,
-        h_spec=ns.H, k=ns.k, seed=ns.seed, trials=ns.trials,
-        workers=ns.workers, out=ns.out, fmt=ns.format,
-    )
+    return ExperimentConfig(p=ns.p, lam=ns.lam, A=A, H=H, h_spec=ns.H, k=ns.k)
 
 
 def _need(cfg: ExperimentConfig, quantity: str, **what):
@@ -129,7 +121,8 @@ def _compute_sigma(cfg: ExperimentConfig):
     inputs = {"p": p, "card_A": len(A), "card_H": len(H), "M": m}
     rows = []
     ev = bounds.eval_charsum(len(A), len(H), p)
-    rows.append(make_report("sigma", inputs, emp, ev.value, EXACT, ev.regime))
+    holds = bounds.charsum_holds(emp, len(A), len(H), p)
+    rows.append(make_report("sigma", inputs, emp, ev.value, EXACT, ev.regime, holds=holds))
     for which in ("sigma1", "sigma2"):
         ev = bounds.eval_main_theorem(len(A), len(H), m, which)
         rows.append(make_report("sigma", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev)))
@@ -152,7 +145,7 @@ def _compute_energy(cfg: ExperimentConfig):
     m = max_line_multiplicity(H)
     inputs = {"p": cfg.p, "card_H": len(H), "M": m}
     return [
-        make_report("energy", inputs, emp, float(len(H) ** 3), EXACT, "trivial-cube"),
+        make_report("energy", inputs, emp, len(H) ** 3, EXACT, "trivial-cube"),
         make_report("energy", inputs, emp, float(m * len(H) ** 2), ASYMPTOTIC, "line-mult"),
     ]
 
@@ -165,9 +158,7 @@ def _compute_t3(cfg: ExperimentConfig):
     m = max_line_multiplicity(H)
     inputs = {"p": cfg.p, "card_H": len(H), "M": m}
     rows = [
-        make_report(
-            "t3", inputs, emp, float(2 * len(H) * q + 2 * len(H) ** 4), EXACT, "quadruple-chain"
-        )
+        make_report("t3", inputs, emp, 2 * len(H) * q + 2 * len(H) ** 4, EXACT, "quadruple-chain")
     ]
     ev = bounds.eval_t3_bounds(len(H), m, cfg.p, "lemma_t3bd")
     rows.append(make_report("t3", inputs, emp, ev.value, ASYMPTOTIC, ev.regime))
@@ -180,7 +171,7 @@ def _compute_t4(cfg: ExperimentConfig):
     emp = counts.t_k(H, 4)
     t3 = counts.t_k(H, 3)
     inputs = {"p": cfg.p, "card_H": len(H)}
-    return [make_report("t4", inputs, emp, float(len(H) ** 2 * t3), EXACT, "t3-chain")]
+    return [make_report("t4", inputs, emp, len(H) ** 2 * t3, EXACT, "t3-chain")]
 
 
 def _compute_q(cfg: ExperimentConfig):
@@ -216,7 +207,7 @@ def _compute_eplus(cfg: ExperimentConfig):
     A = cfg.A
     emp = counts.additive_energy(A)
     inputs = {"p": cfg.p, "card_A": len(A)}
-    return [make_report("eplus", inputs, emp, float(len(A) ** 3), EXACT, "trivial-cube")]
+    return [make_report("eplus", inputs, emp, len(A) ** 3, EXACT, "trivial-cube")]
 
 
 def _compute_sumprod(cfg: ExperimentConfig):
@@ -249,9 +240,7 @@ def _compute_cschain(cfg: ExperimentConfig):
     _need(cfg, "cschain", p=cfg.p, A=cfg.A, H=cfg.H)
     rep = counts.cs_chain_report(cfg.A, cfg.H, cfg.lam)
     inputs = {"p": cfg.p, "card_A": len(cfg.A), "card_H": len(cfg.H)}
-    return [
-        make_report("cschain", inputs, rep.lhs_sq, float(rep.rhs_cs), EXACT, "cauchy-schwarz")
-    ]
+    return [make_report("cschain", inputs, rep.lhs_sq, rep.rhs_cs, EXACT, "cauchy-schwarz")]
 
 
 def _compute_borel(cfg: ExperimentConfig):
@@ -261,8 +250,8 @@ def _compute_borel(cfg: ExperimentConfig):
     yb = counts.borel_t3_mass(H)
     inputs = {"p": cfg.p, "card_H": len(H)}
     return [
-        make_report("borel", inputs, xb, float(len(H) ** 2), EXACT, "coset-mass"),
-        make_report("borel", inputs, yb, float(len(H) ** 4), EXACT, "t3-mass"),
+        make_report("borel", inputs, xb, len(H) ** 2, EXACT, "coset-mass"),
+        make_report("borel", inputs, yb, len(H) ** 4, EXACT, "t3-mass"),
     ]
 
 
@@ -299,11 +288,13 @@ def _write_output(text: str, out: str | None):
         raise HyperlabError(f"cannot write {out}: {e}") from e
 
 
-def cmd_compute(cfg: ExperimentConfig, quantity: str) -> int:
+def cmd_compute(ns, F: Fp | None) -> int:
+    cfg = _build_config(ns, F)
+    quantity = ns.quantity
     if quantity in _GROUP_QUANTITIES and cfg.p is not None:
         counts._require_group_lambda(cfg.p, cfg.lam)
     reports = _COMPUTE[quantity](cfg)
-    _write_output(_emit_reports(reports, cfg.fmt), cfg.out)
+    _write_output(_emit_reports(reports, ns.format), ns.out)
     bad = [r for r in reports if r.violated]
     for r in bad:
         print(
@@ -314,37 +305,38 @@ def cmd_compute(cfg: ExperimentConfig, quantity: str) -> int:
     return 1 if bad else 0
 
 
-def cmd_verify(cfg: ExperimentConfig, suite: str) -> int:
-    result = SUITES[suite](seed=cfg.seed, trials=cfg.trials, p=cfg.p)
+def cmd_verify(ns) -> int:
+    result = SUITES[ns.suite](seed=ns.seed, trials=ns.trials, p=ns.p)
     lines = list(result.case_lines)
     verdict = "PASS" if result.passed else "FAIL"
     lines.append(f"suite {result.name}: {result.cases} checks, {len(result.failures)} failures -> {verdict}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if cfg.out:
-        _write_output(text, cfg.out)
+    if ns.out:
+        _write_output(text, ns.out)
     return 0 if result.passed else 1
 
 
 # ---------------------------------------------------------------- scan
 
-def _scan_descs(cfg: ExperimentConfig, quantity: str, family: str):
+def _scan_descs(ns):
     """Deterministic list of row descriptors for a family.  Each desc is a
     tuple of primitives so worker processes can receive it unchanged."""
-    base = (cfg.lam, cfg.seed)
+    quantity, family = ns.quantity, ns.family
+    base = (ns.lam, ns.seed)
     descs = []
     if family == "ap-main":
-        p = cfg.p if cfg.p is not None else 1009
+        p = ns.p if ns.p is not None else 1009
         for n in (8, 16, 32, 64):
             k = math.ceil(n**0.75)
             descs.append(("mk", p, f"ap:1,1,{n}", None, k) + base)
             descs.append(("sigma", p, f"ap:1,1,{n}", f"cart:ap:1,1,{n};ap:1,1,{n}", None) + base)
         return descs
     if family == "demo":
-        p = cfg.p if cfg.p is not None else 61
+        p = ns.p if ns.p is not None else 61
         for n in (4, 6, 8):
-            descs.append(("sigma", p, f"ap:1,1,{n}", f"randomh:{2 * n},{cfg.seed + n}", None) + base)
-            descs.append(("mk", p, f"random:{n},{cfg.seed + n}", None, 3) + base)
+            descs.append(("sigma", p, f"ap:1,1,{n}", f"randomh:{2 * n},{ns.seed + n}", None) + base)
+            descs.append(("mk", p, f"random:{n},{ns.seed + n}", None, 3) + base)
         return descs
     if family.startswith("file:"):
         path = family[5:]
@@ -364,7 +356,7 @@ def _scan_descs(cfg: ExperimentConfig, quantity: str, family: str):
             except ValueError as e:
                 raise InvalidSpec(f"{path}:{ln}: bad modulus {parts[0]!r}") from e
             h_spec = parts[2] if len(parts) == 3 else None
-            descs.append((quantity, p, parts[1], h_spec, cfg.k) + base)
+            descs.append((quantity, p, parts[1], h_spec, ns.k) + base)
         return descs
     raise InvalidSpec(f"unknown scan family {family!r}; use ap-main, demo, or file:PATH")
 
@@ -377,10 +369,7 @@ def _scan_row(desc) -> tuple:
         F = Fp(p)
         A = _resolve_scalar(a_spec, F, seed) if a_spec else None
         H = _resolve_translates(h_spec, F, seed) if h_spec else None
-        cfg = ExperimentConfig(
-            p=p, lam=lam, A=A, H=H, B=None, C=None, h_spec=h_spec, k=k,
-            seed=seed, trials=None, workers=1, out=None, fmt="csv",
-        )
+        cfg = ExperimentConfig(p=p, lam=lam, A=A, H=H, h_spec=h_spec, k=k)
         if quantity not in _COMPUTE:
             raise InvalidArgument(f"unknown quantity {quantity!r}")
         if quantity in _GROUP_QUANTITIES:
@@ -404,35 +393,41 @@ def _scan_row(desc) -> tuple:
         return (",".join(csv_cells), obj)
 
 
-def cmd_scan(cfg: ExperimentConfig, quantity: str, family: str) -> int:
-    descs = _scan_descs(cfg, quantity, family)
-    if cfg.workers == 1 or len(descs) <= 1:
+def cmd_scan(ns) -> int:
+    if ns.workers < 1:
+        raise InvalidArgument(f"--workers must be >= 1, got {ns.workers}")
+    descs = _scan_descs(ns)
+    if ns.workers == 1 or len(descs) <= 1:
         rows = [_scan_row(d) for d in descs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=ns.workers) as pool:
             rows = list(pool.map(_scan_row, descs))
-    if cfg.fmt == "json":
+    if ns.format == "json":
         text = json.dumps([obj for _, obj in rows], indent=2) + "\n"
     else:
         text = "\n".join([CSV_HEADER] + [c for c, _ in rows]) + "\n"
-    _write_output(text, cfg.out)
+    _write_output(text, ns.out)
     return 0
 
 
-def _add_common_flags(sp):
-    sp.add_argument("--p", type=int, default=None, help="prime modulus")
-    sp.add_argument("--lambda", dest="lam", type=int, default=-1,
-                    help="curve parameter in (x-b)(y-a) = lambda (default -1)")
-    sp.add_argument("--A", default=None, help="scalar set spec or @file")
-    sp.add_argument("--H", default=None, help="translate set spec or @file")
-    sp.add_argument("--B", default=None, help="scalar set spec or @file")
-    sp.add_argument("--C", default=None, help="scalar set spec or @file")
-    sp.add_argument("--k", type=int, default=None, help="richness threshold")
-    sp.add_argument("--seed", type=int, default=0, help="seed for random: specs and suites")
-    sp.add_argument("--trials", type=int, default=None, help="suite corpus size override")
-    sp.add_argument("--workers", type=int, default=1, help="scan worker processes")
-    sp.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+_FLAGS = {
+    "--p": dict(type=int, default=None, help="prime modulus"),
+    "--lambda": dict(dest="lam", type=int, default=-1,
+                     help="curve parameter in (x-b)(y-a) = lambda (default -1)"),
+    "--A": dict(default=None, help="scalar set spec or @file"),
+    "--H": dict(default=None, help="translate set spec or @file"),
+    "--k": dict(type=int, default=None, help="richness threshold"),
+    "--seed": dict(type=int, default=0, help="seed for random: specs and suites"),
+    "--trials": dict(type=int, default=None, help="suite corpus size override"),
+    "--workers": dict(type=int, default=1, help="scan worker processes"),
+    "--out": dict(default=None, help="write the report here instead of stdout"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+}
+
+
+def _add_flags(sp, *flags):
+    for flag in flags:
+        sp.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("compute", help="one quantity on one instance")
     sp.add_argument("quantity", choices=QUANTITIES)
-    _add_common_flags(sp)
+    _add_flags(sp, "--p", "--lambda", "--A", "--H", "--k", "--seed", "--out", "--format")
     sp = sub.add_parser("verify", help="run an assertion suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    _add_common_flags(sp)
+    _add_flags(sp, "--p", "--seed", "--trials", "--out")
     sp = sub.add_parser("scan", help="one report row per family instance")
     sp.add_argument("quantity", nargs="?", default="sigma", choices=QUANTITIES)
     sp.add_argument("--family", required=True, help="ap-main, demo, or file:PATH")
-    _add_common_flags(sp)
+    _add_flags(sp, "--p", "--lambda", "--k", "--seed", "--workers", "--out", "--format")
     return parser
 
 
@@ -461,12 +456,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        cfg = _build_config(ns)
+        F = Fp(ns.p) if ns.p is not None else None  # checks --p for every subcommand
         if ns.command == "compute":
-            return cmd_compute(cfg, ns.quantity)
+            return cmd_compute(ns, F)
         if ns.command == "verify":
-            return cmd_verify(cfg, ns.suite)
-        return cmd_scan(cfg, ns.quantity, ns.family)
+            return cmd_verify(ns)
+        return cmd_scan(ns)
     except HyperlabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

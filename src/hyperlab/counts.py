@@ -21,7 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,8 +61,10 @@ def _elementwise(fn):
     return lambda x: ufunc(x).astype(x.dtype)
 
 
+@lru_cache(maxsize=8)
 def _inv_vec(p: int):
-    """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p."""
+    """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p,
+    built once per prime."""
     if p <= _INV_TABLE_MAX:
         return np.array(_inv_table(p)).__getitem__
     inv = check_prime(p).inv
@@ -109,32 +111,12 @@ def _item_bytes(p: int) -> int:
 
 
 @dataclass(frozen=True)
-class CountHistogram:
-    """key -> positive count; total mass equals the number of enumerated tuples."""
+class QuotientHistogram:
+    """Entry columns (a, b, c, d) of each distinct quotient u, in key order,
+    and the counts r(u), as arrays; len() is the support."""
 
-    entries: dict
-
-    @property
-    def total_mass(self) -> int:
-        return sum(self.entries.values())
-
-    def __getitem__(self, key) -> int:
-        return self.entries.get(key, 0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-class _Sl2Histogram(CountHistogram):
-    """Entry columns of each distinct SL2 element, in key order, and their
-    counts, as arrays; the entry-tuple dict is built when read."""
-
-    def __init__(self, columns: tuple, counts):
-        self.__dict__.update(columns=columns, counts=counts)
-
-    @cached_property
-    def entries(self) -> dict:
-        return dict(zip(zip(*(c.tolist() for c in self.columns)), self.counts.tolist()))
+    columns: tuple
+    counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -245,7 +227,7 @@ def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
     return total
 
 
-def quotient_histogram(H: TranslateSet) -> CountHistogram:
+def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs, keyed by the SL2
     entry tuple of the pair quotient."""
     # 12 arrays of |H|^2 items at the tally (96 B per pair at int64, measured)
@@ -253,7 +235,7 @@ def quotient_histogram(H: TranslateSet) -> CountHistogram:
     a, b = _columns(H)
     cols = [e.ravel() for e in pair_quotient_entries(H.p, a[:, None], b[:, None], a, b)]
     first, counts = _tally(_key(H.p, *cols), np.ones(len(cols[0]), dtype=np.int64))
-    return _Sl2Histogram(tuple(e[first] for e in cols), counts)
+    return QuotientHistogram(tuple(e[first] for e in cols), counts)
 
 
 def _t3_keys(H: TranslateSet):
@@ -297,7 +279,7 @@ def t_k(H: TranslateSet, k: int) -> int:
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
-def d_histogram(H: TranslateSet) -> CountHistogram:
+def d_histogram(H: TranslateSet) -> Counter:
     """d -> number of ordered pairs with D(h, h') = (a-a')(b-b') = d."""
     p = H.p
     hh = H.elements
@@ -305,12 +287,12 @@ def d_histogram(H: TranslateSet) -> CountHistogram:
     for a1, b1 in hh:
         for a2, b2 in hh:
             acc[(a1 - a2) * (b1 - b2) % p] += 1
-    return CountHistogram(dict(acc))
+    return acc
 
 
 def q_rect(H: TranslateSet) -> int:
     """Rectangular quadruples Q(H): pairs of pairs at equal D, as squared masses."""
-    return sum(v * v for v in d_histogram(H).entries.values())
+    return sum(v * v for v in d_histogram(H).values())
 
 
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
@@ -348,9 +330,10 @@ def _point_pairs(p: int, xs, ys):
 
 def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     """(keys a p + b ascending, richness) of every translate holding >= 2
-    points of A x A, in O(p |A|^2 log |A|): (x, y) with x != b lies on (a, b)
-    exactly when a = y - lam/(x - b), so the runs of the sorted |A|^2 keys
-    of column b are its translates' richness.  Columns go in blocks."""
+    points of A x A, in O(p |A|^2 log |A|): (x, y) with y != a lies on (a, b)
+    exactly when b = x - lam/(y - a), so the runs of the sorted |A|^2 keys
+    of row a are its translates' richness.  Rows go in blocks of ascending a,
+    so the blocks' keys join in ascending order."""
     p, n = A.p, len(A)
     rows = max(1, _CHUNK // max(1, n * n))
     # 9 int64 items per element of a block, two arrays per block, and 5 items per
@@ -360,16 +343,15 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     xs = _array(A)
     inv = _inv_vec(p)
     keys, rich = [], []
-    for b0 in range(0, p, rows):
-        b = np.arange(b0, min(p, b0 + rows))[:, None]
-        u = (xs - b) % p
-        a = (xs - (lam * inv(u) % p)[:, :, None]) % p  # over (b, x, y)
-        found, t = _runs((a * p + b[:, :, None])[u != 0].ravel())
+    for a0 in range(0, p, rows):
+        a = np.arange(a0, min(p, a0 + rows))[:, None]
+        u = (xs - a) % p
+        b = (xs - (lam * inv(u) % p)[:, :, None]) % p  # over (a, y, x)
+        found, t = _runs((a[:, :, None] * p + b)[u != 0].ravel())
         keys.append(found[t >= 2])
         rich.append(t[t >= 2])
-    keys, rich = np.concatenate(keys), np.concatenate(rich)
-    order = np.argsort(keys)
-    return keys[order], rich[order]
+    keys = np.concatenate(keys)  # frees the key blocks before joining the rest
+    return keys, np.concatenate(rich)
 
 
 def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
@@ -452,7 +434,7 @@ def additive_energy(B: ScalarSet) -> int:
     return sum(v * v for v in r.values())
 
 
-def product_rep_histogram(B: ScalarSet) -> CountHistogram:
+def product_rep_histogram(B: ScalarSet) -> Counter:
     """x -> r_{(B-B)(B-B)}(x), products of differences with multiplicity."""
     p = B.p
     r = Counter((x - y) % p for x in B for y in B)
@@ -461,12 +443,12 @@ def product_rep_histogram(B: ScalarSet) -> CountHistogram:
     for d1, c1 in items:
         for d2, c2 in items:
             acc[d1 * d2 % p] += c1 * c2
-    return CountHistogram(dict(acc))
+    return acc
 
 
 def product_rep_energy(B: ScalarSet) -> int:
     """sum_x r^2_{(B-B)(B-B)}(x)."""
-    return sum(v * v for v in product_rep_histogram(B).entries.values())
+    return sum(v * v for v in product_rep_histogram(B).values())
 
 
 # the four equations share the shape (a1 + f(a2,a4)) * (a3 + g(a2,a4)) = 1
@@ -498,7 +480,7 @@ def sumprod_quadruples(A: ScalarSet, variant: int) -> int:
     return total
 
 
-def borel_coset_mass(H: TranslateSet) -> tuple[CountHistogram, int]:
+def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     """Bucket squared quotient masses by left Borel coset.
 
     Returns (label -> sum of r^2 over the coset, max over finite labels).
@@ -509,8 +491,8 @@ def borel_coset_mass(H: TranslateSet) -> tuple[CountHistogram, int]:
     # label a/c, or p for oo (c = 0 inverts to 0); a mass is <= E(H) <= |H|^3
     labels = np.where(c == 0, H.p, a * _inv_vec(H.p)(c) % H.p)
     first, mass = _tally(labels, hist.counts * hist.counts)
-    masses = {INFINITY if k == H.p else k: v for k, v in zip(labels[first].tolist(), mass.tolist())}
-    return CountHistogram(masses), max((v for k, v in masses.items() if k is not INFINITY), default=0)
+    masses = Counter({INFINITY if k == H.p else k: v for k, v in zip(labels[first].tolist(), mass.tolist())})
+    return masses, max((v for k, v in masses.items() if k is not INFINITY), default=0)
 
 
 def borel_t3_mass(H: TranslateSet) -> int:
@@ -518,30 +500,6 @@ def borel_t3_mass(H: TranslateSet) -> int:
     if len(H) == 0:
         return 0
     return _sorted_square_sum(_t3_keys(H), H.p, borel=True)
-
-
-def energy_borel_split(H: TranslateSet) -> tuple[int, int]:
-    """E(H) split into (Borel-supported, rest) by quotient key."""
-    hist = quotient_histogram(H)
-    borel = hist.columns[2] == 0
-    return tuple(sum(v * v for v in hist.counts[part].tolist()) for part in (borel, ~borel))
-
-
-def energy_system_counts(H: TranslateSet) -> tuple[int, int]:
-    """Solution counts of the two coordinate systems associated with E(H).
-
-    N1 keys pairs by (a1, a2, b1-b2), N2 by (b1, b2, a1-a2).  Neither is
-    asserted equal to E(H); they are reported side by side.
-    """
-    p = H.p
-    hh = H.elements
-    n1 = Counter()
-    n2 = Counter()
-    for a1, b1 in hh:
-        for a2, b2 in hh:
-            n1[(a1, a2, (b1 - b2) % p)] += 1
-            n2[(b1, b2, (a1 - a2) % p)] += 1
-    return (sum(v * v for v in n1.values()), sum(v * v for v in n2.values()))
 
 
 def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainReport:

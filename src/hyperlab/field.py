@@ -56,16 +56,6 @@ class Fp:
     def __repr__(self) -> str:
         return f"Fp({self.p})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fp) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.p))
-
-    def normalize(self, n: int) -> int:
-        """Canonical residue in [0, p) of an arbitrary-sign integer."""
-        return n % self.p
-
     def inv(self, x: int) -> int:
         """Inverse by extended Euclid; x = 0 raises DivisionByZero."""
         x %= self.p
@@ -80,13 +70,6 @@ class Fp:
             old_s, s = s, old_s - q * s
         assert old_r == 1
         return old_s % self.p
-
-    def is_square(self, x: int) -> bool:
-        """Euler criterion; zero reports True."""
-        x %= self.p
-        if x == 0:
-            return True
-        return pow(x, (self.p - 1) // 2, self.p) == 1
 
     def sqrt(self, x: int) -> int | None:
         """A square root of x, or None when x is a non-residue (Tonelli-Shanks)."""

@@ -1,15 +1,16 @@
 """Moebius transformations over F_p and the translate family h(x) = a + 1/(b - x).
 
-Two equality notions coexist on purpose.  Energy counts compare raw SL2
-entries (no rescaling), because the explicit-constant lemmas are proved at
-matrix level; geometric questions (same map? same Borel coset?) go through
-the projective canonical form, which scales the first nonzero entry to 1.
-Collapsing the two would silently change every counted quantity.
+Maps are equal here when their SL2 entries are, with no rescaling: the
+explicit-constant lemmas are proved at matrix level, so every energy count
+keys a product by its exact entries.  Scalar multiples of one matrix are the
+same map on the projective line yet count as distinct.  The one projective
+notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
+c = 0), which counts.borel_coset_mass computes on entry arrays.
 """
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, InvalidSpec, ModulusMismatch
+from .errors import InvalidArgument, ModulusMismatch
 from .field import Fp, check_prime
 
 
@@ -71,11 +72,7 @@ class MoebiusMap:
         return (self.a, self.b, self.c, self.d)
 
     def __repr__(self) -> str:
-        return render_map(self)
-
-
-def identity_map(F: Fp) -> MoebiusMap:
-    return MoebiusMap(F.p, 1, 0, 0, 1)
+        return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.p}"
 
 
 def embed_translate(F: Fp, h: Translate) -> MoebiusMap:
@@ -97,19 +94,6 @@ def invert(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m.p, m.d, -m.b, -m.c, m.a)
 
 
-def canonicalize(m: MoebiusMap) -> MoebiusMap:
-    """Scale so the first nonzero entry in reading order (a,b,c,d) is 1.
-
-    Entry-equal canonical forms characterize equality as Moebius maps.
-    """
-    F = check_prime(m.p)
-    for e in (m.a, m.b, m.c, m.d):
-        if e != 0:
-            s = F.inv(e)
-            return MoebiusMap(m.p, m.a * s, m.b * s, m.c * s, m.d * s)
-    raise AssertionError("unreachable: zero matrix passed determinant check")
-
-
 def evaluate(m: MoebiusMap, x: ProjectiveValue) -> ProjectiveValue:
     """Action on the projective line, infinity handled by its own chart."""
     F = check_prime(m.p)
@@ -122,25 +106,6 @@ def evaluate(m: MoebiusMap, x: ProjectiveValue) -> ProjectiveValue:
     if den == 0:
         return INFINITY
     return (m.a * x + m.b) * F.inv(den) % m.p
-
-
-def apply_translate(F: Fp, h: Translate, x: ProjectiveValue, lam_prime: int = 1) -> ProjectiveValue:
-    """Evaluate h(x) = a + lam_prime/(b - x) without the matrix embedding.
-
-    The matrix route only exists for lam_prime = 1 (the SL2 case); this
-    scalar route serves any nonzero lam_prime.
-    """
-    p = F.p
-    lam_prime %= p
-    if lam_prime == 0:
-        raise InvalidArgument("lam_prime must be nonzero")
-    a, b = h
-    if isinstance(x, _AtInfinity):
-        return a % p
-    den = (b - x) % p
-    if den == 0:
-        return INFINITY
-    return (a + lam_prime * F.inv(den)) % p
 
 
 def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
@@ -200,41 +165,3 @@ def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
 def triple_product(F: Fp, h1: Translate, h2: Translate, h3: Translate) -> MoebiusMap:
     """h1 h2^-1 h3 by the closed form of triple_product_entries."""
     return MoebiusMap(F.p, *triple_product_entries(F.p, *h1, *h2, *h3))
-
-
-def is_borel(m: MoebiusMap) -> bool:
-    """Upper-triangular in the projective sense; rescaling keeps zeros."""
-    return m.c == 0
-
-
-def coset_label(m: MoebiusMap) -> ProjectiveValue:
-    """Label of the left coset m*B of the Borel subgroup, namely m(oo).
-
-    B stabilizes oo, so the label is constant on cosets and distinct
-    across them; Borel elements themselves map to oo.
-    """
-    return evaluate(m, INFINITY)
-
-
-def render_map(m: MoebiusMap) -> str:
-    return f"[[{m.a},{m.b}],[{m.c},{m.d}]] mod {m.p}"
-
-
-def parse_map(text: str) -> MoebiusMap:
-    """Inverse of render_map; raises InvalidSpec on malformed input."""
-    s = text.strip()
-    try:
-        mat, mod = s.split(" mod ")
-        p = int(mod)
-        inner = mat.strip()
-        if not (inner.startswith("[[") and inner.endswith("]]")):
-            raise ValueError
-        rows = inner[2:-2].split("],[")
-        if len(rows) != 2:
-            raise ValueError
-        a, b = (int(t) for t in rows[0].split(","))
-        c, d = (int(t) for t in rows[1].split(","))
-    except ValueError:
-        raise InvalidSpec(f"expected '[[a,b],[c,d]] mod p', got {text!r}") from None
-    check_prime(p)
-    return MoebiusMap(p, a, b, c, d)

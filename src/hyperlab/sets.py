@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EmptyInput, InvalidArgument, InvalidSpec, ModulusMismatch
+from .errors import EmptyInput, InvalidSpec, ModulusMismatch
 from .field import Fp
 from .moebius import Translate
 
@@ -50,9 +50,6 @@ class ScalarSet:
     def __contains__(self, x) -> bool:
         return x in self.members
 
-    def render(self) -> str:
-        return "list:" + ",".join(str(e) for e in self.elements)
-
 
 @dataclass(frozen=True)
 class TranslateSet:
@@ -79,9 +76,6 @@ class TranslateSet:
 
     def __contains__(self, h) -> bool:
         return h in self.members
-
-    def render(self) -> str:
-        return "listh:" + ";".join(f"{a},{b}" for a, b in self.elements)
 
 
 _INT_CHARS = set("0123456789+-")
@@ -260,42 +254,6 @@ def max_line_multiplicity(H: TranslateSet) -> int:
     rows = Counter(a for a, _ in H)
     cols = Counter(b for _, b in H)
     return max(max(rows.values()), max(cols.values()))
-
-
-def prune_rich_lines(H: TranslateSet, threshold: int) -> tuple[TranslateSet, TranslateSet]:
-    """Split H into (kept, removed) around vertical/horizontal line richness.
-
-    removed collects every translate on a line carrying >= threshold
-    translates of H.  One simultaneous pass suffices: a line of kept is a
-    subset of the same line of H, so kept's multiplicities stay below the
-    threshold without iteration.
-    """
-    if threshold < 1:
-        raise InvalidArgument(f"threshold must be >= 1, got {threshold}")
-    rows = Counter(a for a, _ in H)
-    cols = Counter(b for _, b in H)
-    kept, removed = [], []
-    for a, b in H:
-        if rows[a] >= threshold or cols[b] >= threshold:
-            removed.append((a, b))
-        else:
-            kept.append((a, b))
-    return TranslateSet(H.p, tuple(kept)), TranslateSet(H.p, tuple(removed))
-
-
-def rotate_coordinates(H: TranslateSet) -> TranslateSet:
-    """Bijection (a, b) -> ((a+b)/2, (a-b)/2); p odd makes 2 invertible."""
-    p = H.p
-    half = (p + 1) // 2  # inverse of 2 mod p
-    return TranslateSet(
-        p, tuple(((a + b) * half % p, (a - b) * half % p) for a, b in H)
-    )
-
-
-def unrotate_coordinates(H: TranslateSet) -> TranslateSet:
-    """Inverse of rotate_coordinates: (u, v) -> (u+v, u-v)."""
-    p = H.p
-    return TranslateSet(p, tuple(((u + v) % p, (u - v) % p) for u, v in H))
 
 
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counts, oracle
+from .bounds import charsum_holds, eval_charsum
 from .field import Fp
 from .moebius import (
     INFINITY,
@@ -90,8 +91,8 @@ def _np_eval_table(p: int, A, B, C, D, inv):
     x = np.arange(p, dtype=np.int64)
     den = (C[:, None] * x[None, :] + D[:, None]) % p
     num = (A[:, None] * x[None, :] + B[:, None]) % p
-    fin = np.where(den == 0, p, num * inv[den] % p)
-    at_inf = np.where(C == 0, p, A * inv[C % p] % p)
+    fin = np.where(den == 0, p, num * inv(den) % p)
+    at_inf = np.where(C == 0, p, A * inv(C % p) % p)
     return np.concatenate([fin, at_inf[:, None]], axis=1)
 
 
@@ -132,7 +133,7 @@ def algebraic_identities(seed=0, trials=None, p=None) -> SuiteResult:
     small = [q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if p is None or q == p]
     for q in small:
         F = Fp(q)
-        inv = np.array(counts._inv_table(q), dtype=np.int64)
+        inv = counts._inv_vec(q)
         grid_a = np.repeat(np.arange(q, dtype=np.int64), q)
         grid_b = np.tile(np.arange(q, dtype=np.int64), q)
         Ah, Bh = (-grid_a) % q, (grid_a * grid_b + 1) % q
@@ -226,7 +227,7 @@ def borel(seed=0, trials=None, p=None) -> SuiteResult:
         table, max_nb = counts.borel_coset_mass(H)
         e = counts.t_k(H, 2)
         res.check(max_nb <= len(H) ** 2, f"coset-mass p={q} |H|={len(H)} X_B={max_nb} cap={len(H) ** 2}")
-        res.check(table.total_mass == e, f"coset-partition p={q} |H|={len(H)} sum={table.total_mass} E={e}")
+        res.check(table.total() == e, f"coset-partition p={q} |H|={len(H)} sum={table.total()} E={e}")
         yb = counts.borel_t3_mass(H)
         t3 = counts.t_k(H, 3)
         res.check(yb <= len(H) ** 4, f"t3-borel p={q} |H|={len(H)} Y_B={yb} cap={len(H) ** 4}")
@@ -248,8 +249,9 @@ def charsum(seed=0, trials=None, p=None) -> SuiteResult:
             A = _scalar(rng, q, q - 1)
         H = _translates(rng, q, 32)
         s = counts.sigma(A, H)
-        bound = len(A) ** 2 * len(H) / q + 2 * len(A) * (q * len(H)) ** 0.5
-        res.check(s <= bound, f"p={q} |A|={len(A)} |H|={len(H)} sigma={s} bound={bound:.3f}")
+        bound = eval_charsum(len(A), len(H), q).value
+        ok = charsum_holds(s, len(A), len(H), q)
+        res.check(ok, f"p={q} |A|={len(A)} |H|={len(H)} sigma={s} bound={bound:.3f}")
     return res
 
 

@@ -18,6 +18,7 @@ from hyperlab import (
     report_to_csv_row,
     report_to_json_obj,
 )
+from hyperlab.bounds import charsum_holds
 
 
 def test_main_theorem_unit_pin():
@@ -132,8 +133,29 @@ def test_make_report_ratio_and_violation():
     assert r.ratio == 0.0 and not r.violated
     r = make_report("t", {"p": 7}, 1, 0.0, EXACT, "x")
     assert r.ratio == float("inf") and r.violated
-    with pytest.raises(InvalidArgument):
-        make_report("t", {}, 1 << 53, 1.0, EXACT, "x")
+
+
+def test_exact_verdicts_in_integers():
+    # 2^53 + 1 rounds to 2^53 as a float, so the ratio reads exactly 1.0
+    r = make_report("t", {}, (1 << 53) + 1, 1 << 53, EXACT, "x")
+    assert r.ratio == 1.0 and r.bound == 2.0**53
+    assert r.violated
+    assert not make_report("t", {}, 1 << 53, 1 << 53, EXACT, "x").violated
+    assert not make_report("t", {}, (1 << 53) + 1, 1 << 53, ASYMPTOTIC, "x").violated
+
+
+@pytest.mark.parametrize("a, p", [(1, 7), (3, 101), (40, 1009)])
+def test_charsum_verdict_at_the_bound(a, p):
+    # with |H| = p the bound |A|^2 + 2|A|p is an integer: it holds at the
+    # bound and fails one above it
+    bound = a * a + 2 * a * p
+    assert eval_charsum(a, p, p).value == pytest.approx(bound)
+    assert charsum_holds(bound, a, p, p)
+    assert not charsum_holds(bound + 1, a, p, p)
+    assert charsum_holds(0, a, p, p)
+    for s, violated in ((bound, False), (bound + 1, True)):
+        r = make_report("sigma", {}, s, bound, EXACT, "char-sum", holds=charsum_holds(s, a, p, p))
+        assert r.violated is violated
 
 
 def test_csv_schema():

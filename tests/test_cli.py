@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from hyperlab import bounds, counts
 from hyperlab.bounds import CSV_HEADER
-from hyperlab.cli import QUANTITIES, main
+from hyperlab.cli import QUANTITIES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,3 +202,51 @@ def test_scan_json_format(capsys):
     objs = json.loads(out)
     assert len(objs) == 6
     assert {o["quantity"] for o in objs} == {"sigma", "mk"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "sigma", "--p", "7", "--A", "list:1,6", "--H", "listh:0,0", "--trials", "2"),
+        ("compute", "sigma", "--p", "7", "--A", "list:1,6", "--H", "listh:0,0", "--workers", "2"),
+        ("verify", "lemma-t3", "--trials", "2", "--format", "json"),
+        ("scan", "--family", "demo", "--A", "ap:1,1,4"),
+    ],
+    ids=["compute-trials", "compute-workers", "verify-format", "scan-A"],
+)
+def test_flag_a_subcommand_does_not_read_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: hyperlab")
+
+
+def test_flags_per_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.choices and "compute" in a.choices)
+    flags = {
+        name: sorted(s for a in sp._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, sp in sub.choices.items()
+    }
+    assert flags == {
+        "compute": sorted(["--p", "--lambda", "--A", "--H", "--k", "--seed", "--out", "--format"]),
+        "verify": sorted(["--p", "--seed", "--trials", "--out"]),
+        "scan": sorted(["--family", "--p", "--lambda", "--k", "--seed", "--workers", "--out", "--format"]),
+    }
+
+
+@pytest.mark.parametrize("sigma, code", [(15, 0), (16, 1)])
+def test_compute_charsum_row_decided_in_integers(capsys, monkeypatch, sigma, code):
+    # |A| = 1 and |H| = p = 7 make the char-sum bound |A|^2 + 2|A|p = 15 exact
+    monkeypatch.setattr(counts, "sigma", lambda A, H, lam: sigma)
+    got, out, err = run(capsys, "compute", "sigma", "--p", "7", "--A", "list:1", "--H", "randomh:7,1")
+    assert got == code
+    row = out.splitlines()[1].split(",")
+    assert row[9] == "char-sum" and float(row[7]) == 15.0
+    assert ("violation: sigma empirical 16" in err) == (code == 1)
+
+
+def test_compute_charsum_verdict_is_charsum_holds(capsys, monkeypatch):
+    # far below the float bound, yet a violation once charsum_holds says so
+    monkeypatch.setattr(bounds, "charsum_holds", lambda s, card_a, card_h, p: False)
+    code, _, err = run(capsys, "compute", "sigma", "--p", "7", "--A", "list:1,6", "--H", "listh:0,0")
+    assert code == 1 and "(char-sum)" in err

@@ -28,8 +28,6 @@ from hyperlab import (
     d_histogram,
     difference_set,
     embed_translate,
-    energy_borel_split,
-    energy_system_counts,
     evaluate,
     gen_cartesian,
     invert,
@@ -57,6 +55,11 @@ B01 = ScalarSet(7, (0, 1))
 
 def rand_translates(rng, p, n):
     return TranslateSet(p, tuple(divmod(v, p) for v in rng.sample(range(p * p), n)))
+
+
+def _entries(hist):
+    """entry tuple -> r(u) of a quotient histogram."""
+    return dict(zip(zip(*(c.tolist() for c in hist.columns)), hist.counts.tolist()))
 
 
 # ------------------------------------------------------------ sigma
@@ -108,9 +111,7 @@ def test_sigma_brute_force_small():
 
 def test_quotient_histogram_pin():
     hist = quotient_histogram(H2)
-    assert hist.entries == {(1, 0, 0, 1): 2, (1, 6, 0, 1): 1, (1, 1, 0, 1): 1}
-    assert hist.total_mass == 4
-    assert hist[(9, 9, 9, 9)] == 0
+    assert _entries(hist) == {(1, 0, 0, 1): 2, (1, 6, 0, 1): 1, (1, 1, 0, 1): 1}
     assert len(hist) == 3
 
 
@@ -164,7 +165,7 @@ def test_group_histograms_match_generic_chain(H):
     F = Fp(P_BIG)
     mats = [embed_translate(F, h) for h in H]
     quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
-    assert quotient_histogram(H).entries == Counter(u.entries for u in quotients)
+    assert _entries(quotient_histogram(H)) == Counter(u.entries for u in quotients)
     triples = Counter(compose(u, m3).entries for u in quotients for m3 in mats)
     assert t_k(H, 3) == sum(v * v for v in triples.values())
 
@@ -197,7 +198,7 @@ def _check_group_kernels(A, H):
     """Every group kernel against the generic chain and scalar evaluate, and
     every value it returns a Python int (or INFINITY / Fraction)."""
     q2, q3, q4 = _generic_group_counts(H)
-    assert quotient_histogram(H).entries == q2
+    assert _entries(quotient_histogram(H)) == q2
     values = [t_k(H, k) for k in (2, 3, 4)]
     assert values == [sum(v * v for v in q.values()) for q in (q2, q3, q4)]
     yb = borel_t3_mass(H)
@@ -206,10 +207,10 @@ def _check_group_kernels(A, H):
     fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
     assert fields == _scalar_cs_chain(A, H)
     table, max_nb = borel_coset_mass(H)
-    values += [yb, max_nb, *energy_borel_split(H), *table.entries.values()]
+    values += [yb, max_nb, *table.values()]
     values += [rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.omega_size]
     assert all(type(v) is int for v in values)
-    assert all(type(lbl) is int or lbl is INFINITY for lbl in table.entries)
+    assert all(type(lbl) is int or lbl is INFINITY for lbl in table)
     for frac in (rep.delta, rep.omega_incidence_share):
         assert type(frac) is Fraction
         assert type(frac.numerator) is int and type(frac.denominator) is int
@@ -387,11 +388,26 @@ def test_reserved_bytes_bound_the_peak(monkeypatch, kernel):
     assert peak <= estimate <= 4 * peak + (1 << 20)
 
 
+def test_inv_vec_built_once_per_prime():
+    p = 65537
+    inv = counts._inv_vec(p)
+    x = np.arange(1, p)
+    assert np.all(x * inv(x) % p == 1) and inv(np.array([0]))[0] == 0
+    tracemalloc.start()
+    try:
+        assert counts._inv_vec(p) is inv
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p  # no new int64 table
+
+
 # ------------------------------------------------------------ rectangular quadruples
 
 def test_d_histogram_and_q_pin():
     hist = d_histogram(HD)
-    assert hist.entries == {0: 2, 1: 2}
+    assert hist == {0: 2, 1: 2}
+    assert hist[5] == 0 and hist.total() == len(HD) ** 2
     assert q_rect(HD) == 8
 
 
@@ -619,9 +635,25 @@ def test_sumprod_brute_force_variant2():
 def test_borel_masses_pin():
     hist, max_nb = borel_coset_mass(H2)
     assert max_nb == 0
-    assert hist.total_mass == 6
-    (label,) = hist.entries
+    assert hist.total() == 6
+    (label,) = hist
     assert str(label) == "oo"
+
+
+def test_borel_coset_mass_labels():
+    # the label of the left Borel coset of a quotient u is u(oo): a/c, or oo
+    # on the Borel subgroup itself (c = 0)
+    F = Fp(7)
+    assert evaluate(embed_translate(F, (3, 5)), INFINITY) == 3  # a/c = (-3)/(-1)
+    H = TranslateSet(7, ((0, 0), (1, 0), (3, 5), (2, 6)))
+    mats = [embed_translate(F, h) for h in H]
+    r = Counter(compose(m1, invert(m2)).entries for m1 in mats for m2 in mats)
+    want = Counter()
+    for entries, n in r.items():
+        want[evaluate(MoebiusMap(7, *entries), INFINITY)] += n * n
+    table, max_nb = borel_coset_mass(H)
+    assert table == want and len(want) > 1
+    assert max_nb == max(v for label, v in want.items() if label is not INFINITY)
 
 
 def test_borel_masses_generic():
@@ -629,23 +661,9 @@ def test_borel_masses_generic():
     for _ in range(10):
         H = rand_translates(rng, 13, 9)
         hist, max_nb = borel_coset_mass(H)
-        assert hist.total_mass == t_k(H, 2)
+        assert hist.total() == t_k(H, 2)
         assert max_nb <= len(H) ** 2
-        bor, rest = energy_borel_split(H)
-        assert bor + rest == t_k(H, 2)
         assert borel_t3_mass(H) <= t_k(H, 3)
-
-
-def test_energy_system_counts():
-    rng = random.Random(11)
-    for _ in range(10):
-        H = rand_translates(rng, 13, 8)
-        n1, n2 = energy_system_counts(H)
-        e = t_k(H, 2)
-        assert len(H) ** 2 <= n1 <= len(H) ** 3
-        assert n1 <= e  # its key refines the quotient key
-        swapped = TranslateSet(13, tuple((b, a) for a, b in H))
-        assert energy_system_counts(swapped) == (n2, n1)
 
 
 # ------------------------------------------------------------ cauchy-schwarz chain
@@ -697,8 +715,9 @@ def test_cartesian_energy_exact_identity():
         e = t_k(H, 2)
         eplus = additive_energy(B)
         assert e == 2 * len(B) ** 2 * eplus - len(B) ** 4
-        bor, rest = energy_borel_split(H)
-        assert rest == len(B) ** 2 * (eplus - len(B) ** 2)
+        # the part of E(BxB) off the Borel subgroup
+        table, _ = borel_coset_mass(H)
+        assert e - table[INFINITY] == len(B) ** 2 * (eplus - len(B) ** 2)
     H = gen_cartesian(B01, B01)
     assert t_k(H, 2) == 32
     assert 32 > len(B01) ** 2 * additive_energy(B01)
@@ -720,4 +739,4 @@ def test_q_of_cartesian_square(flip):
         for db, cb in r.items():
             key = da * db % 7
             expected[key] = expected.get(key, 0) + ca * cb
-    assert diff.entries == expected
+    assert diff == expected

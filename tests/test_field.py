@@ -36,11 +36,6 @@ def test_check_prime_returns_context():
     assert isinstance(F, Fp) and F.p == 101
 
 
-def test_arith_and_normalize():
-    F = Fp(7)
-    assert F.normalize(-1) == 6
-
-
 def test_inverse_pin():
     assert Fp(7).inv(3) == 5
     with pytest.raises(DivisionByZero):
@@ -61,10 +56,10 @@ def test_inverse_property(p, x):
 
 def test_square_classification():
     F = Fp(7)
-    assert F.is_square(0) is True  # 0 = 0^2 counts as a square here
+    assert F.sqrt(0) == 0  # 0 = 0^2 counts as a square here
     squares = {x * x % 7 for x in range(7)}
     for x in range(7):
-        assert F.is_square(x) == (x in squares)
+        assert (F.sqrt(x) is not None) == (x in squares)
 
 
 @given(st.sampled_from(PRIMES), st.integers(min_value=0, max_value=1 << 61))
@@ -73,7 +68,7 @@ def test_sqrt_roundtrip(p, x):
     F = Fp(p)
     x %= p
     r = F.sqrt(x)
-    if F.is_square(x):
+    if x == 0 or pow(x, (p - 1) // 2, p) == 1:  # Euler's criterion
         assert r is not None and r * r % p == x
     else:
         assert r is None

@@ -1,11 +1,8 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyperlab import (
     EmptyInput,
     Fp,
-    InvalidArgument,
     InvalidSpec,
     ModulusMismatch,
     ScalarSet,
@@ -14,12 +11,9 @@ from hyperlab import (
     gen_cartesian,
     max_line_multiplicity,
     parse_setspec,
-    prune_rich_lines,
     read_scalar_file,
     read_translate_file,
-    rotate_coordinates,
     sumset,
-    unrotate_coordinates,
 )
 
 F7 = Fp(7)
@@ -107,13 +101,6 @@ def test_rejection_reports_position():
     assert "position" in str(err.value)
 
 
-def test_render_roundtrip():
-    s = parse_setspec("ap:1,1,3", F7)
-    assert tuple(parse_setspec(s.render(), F7)) == tuple(s)
-    h = parse_setspec("listh:0,0;1,1", F7)
-    assert tuple(parse_setspec(h.render(), F7)) == tuple(h)
-
-
 def test_scalar_file_reader(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("1\n-1\n\n9\n")
@@ -148,33 +135,6 @@ def test_max_line_multiplicity():
     assert max_line_multiplicity(H) == 3  # the a = 0 row
     with pytest.raises(EmptyInput):
         max_line_multiplicity(TranslateSet(7, ()))
-
-
-def test_prune_rich_lines():
-    H = TranslateSet(7, ((0, 0), (0, 1), (0, 2), (1, 3)))
-    kept, removed = prune_rich_lines(H, 3)
-    assert tuple(kept) == ((1, 3),)
-    assert tuple(removed) == ((0, 0), (0, 1), (0, 2))
-    with pytest.raises(InvalidArgument):
-        prune_rich_lines(H, 0)
-
-
-def test_prune_is_one_simultaneous_pass():
-    # after removing the heavy row, a column drops below threshold; the
-    # pass must not cascade
-    H = TranslateSet(7, ((0, 0), (0, 1), (1, 1), (2, 1)))
-    kept, removed = prune_rich_lines(H, 3)
-    assert tuple(removed) == ((0, 1), (1, 1), (2, 1))
-    assert tuple(kept) == ((0, 0),)
-
-
-@given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), min_size=1, max_size=12))
-@settings(max_examples=200, deadline=None)
-def test_rotation_roundtrip(pairs):
-    H = TranslateSet(101, tuple(pairs))
-    assert tuple(unrotate_coordinates(rotate_coordinates(H))) == tuple(H)
-    expect = {(((a + b) * 51) % 101, ((a - b) * 51) % 101) for a, b in H}
-    assert set(rotate_coordinates(H).members) == expect  # 51 = (p+1)/2 halves
 
 
 def test_sumset_difference_set():
