@@ -37,11 +37,12 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 from . import bounds, counts
 from .bounds import ASYMPTOTIC, EXACT, CSV_HEADER, make_report, report_to_csv_row, report_to_json_obj
 from .errors import HyperlabError, InvalidArgument, InvalidSpec
-from .field import Fp
+from .field import Fp, check_prime
 from .sets import (
     ScalarSet,
     TranslateSet,
@@ -366,7 +367,7 @@ def _scan_row(desc) -> tuple:
     scan continues.  Returns (csv_row, json_obj)."""
     quantity, p, a_spec, h_spec, k, lam, seed = desc
     try:
-        F = Fp(p)
+        F = check_prime(p)
         A = _resolve_scalar(a_spec, F, seed) if a_spec else None
         H = _resolve_translates(h_spec, F, seed) if h_spec else None
         cfg = ExperimentConfig(p=p, lam=lam, A=A, H=H, h_spec=h_spec, k=k)
@@ -430,7 +431,10 @@ def _add_flags(sp, *flags):
         sp.add_argument(flag, **_FLAGS[flag])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parse keeps no state
+    in it."""
     parser = argparse.ArgumentParser(
         prog="hyperlab",
         description="exact counting for points of a Cartesian grid on hyperbola translates",
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        F = Fp(ns.p) if ns.p is not None else None  # checks --p for every subcommand
+        F = check_prime(ns.p) if ns.p is not None else None  # checks --p for every subcommand
         if ns.command == "compute":
             return cmd_compute(ns, F)
         if ns.command == "verify":

@@ -11,9 +11,10 @@ as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
-Inverses come from extended Euclid (or the O(p) table recurrence); the
-brute-force reference loops in the oracle module use Fermat powers
-instead, so the two routes share no arithmetic shortcuts.
+Inverses come from extended Euclid (or, for small p, a table read off the
+powers of a primitive root); the brute-force reference loops in the oracle
+module use Fermat powers instead, so the two routes share no arithmetic
+shortcuts.
 """
 
 import os
@@ -38,20 +39,33 @@ _WITNESS = 200  # bytes per witness: its tuple and ints, a slot, and its key as 
 
 
 @lru_cache(maxsize=8)
-def _inv_table(p: int) -> list:
-    # inv[i] via the classic recurrence; index 0 unused.
-    inv = [0] * p
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    return inv
+def _inv_table(p: int) -> tuple:
+    """x^-1 mod p for x in [0, p), 0 -> 0, as an int64 array and as a list of
+    Python ints: inv[g^i] = g^(p-1-i) over the powers of a primitive root g,
+    which doubling fills in O(log p) array passes."""
+    m, factors, d = p - 1, set(), 2
+    while d * d <= m:  # the prime factors of p - 1; m keeps the largest
+        if m % d:
+            d += 1
+        else:
+            factors.add(d)
+            m //= d
+    factors.add(m)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
+    powers = np.ones(p - 1, dtype=np.int64)
+    n, step = 1, g  # step = g^n
+    while n < p - 1:
+        powers[n : 2 * n] = powers[: min(n, p - 1 - n)] * step % p
+        n, step = 2 * n, step * step % p
+    inv = np.zeros(p, dtype=np.int64)
+    inv[powers] = powers[-np.arange(p - 1)]
+    return inv, inv.tolist()
 
 
 def _inv_fn(p: int):
     """Callable x -> x^-1 mod p for nonzero x; table-backed for small p."""
     if p <= _INV_TABLE_MAX:
-        table = _inv_table(p)
-        return table.__getitem__
+        return _inv_table(p)[1].__getitem__
     return check_prime(p).inv
 
 
@@ -66,14 +80,15 @@ def _inv_vec(p: int):
     """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p,
     built once per prime."""
     if p <= _INV_TABLE_MAX:
-        return np.array(_inv_table(p)).__getitem__
+        return _inv_table(p)[0].__getitem__
     inv = check_prime(p).inv
     return _elementwise(lambda x: inv(x) if x else 0)
 
 
+@lru_cache(maxsize=8)
 def _sqrt_vec(p: int):
     """Elementwise square root mod p of an array, -1 for non-residues;
-    table-backed for small p."""
+    table-backed for small p, built once per prime."""
     if p <= _INV_TABLE_MAX:
         roots = np.arange((p + 1) // 2)  # their squares are distinct
         table = np.full(p, -1)

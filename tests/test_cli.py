@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperlab
 from hyperlab import bounds, counts
 from hyperlab.bounds import CSV_HEADER
 from hyperlab.cli import QUANTITIES, build_parser, main
@@ -112,6 +117,25 @@ def test_bad_spec_and_bad_prime_exit_2(capsys):
     assert code == 2 and "position" in err
 
 
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (1, "modulus must be an odd prime >= 3, got 1"),
+        (9, "modulus must be an odd prime >= 3, got 9"),
+        (10, "modulus must be an odd prime >= 3, got 10"),
+        ((1 << 61) + 1, f"modulus {(1 << 61) + 1} exceeds 2**61 - 1"),
+    ],
+)
+def test_bad_prime_message_every_time(capsys, p, message):
+    # the cached prime check refuses a bad --p on every call, not only the first
+    for argv in (
+        ("compute", "sigma", "--p", str(p), "--A", "list:1", "--H", "listh:0,0"),
+        ("verify", "lemma-t3", "--p", str(p), "--trials", "1"),
+        ("compute", "sigma", "--p", str(p), "--A", "list:1", "--H", "listh:0,0"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_missing_required_set_exit_2(capsys):
     code, _, err = run(capsys, "compute", "sigma", "--p", "7")
     assert code == 2 and "--A" in err
@@ -218,6 +242,22 @@ def test_flag_a_subcommand_does_not_read_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage: hyperlab")
+
+
+def test_parser_shared_and_stateless(capsys):
+    assert build_parser() is build_parser()
+    argv = ("compute", "sigma", "--p", "101", "--A", "ap:1,1,8", "--H", "randomh:20,42")
+    code, json_out, _ = run(capsys, *argv, "--format", "json", "--lambda", "5")
+    assert code == 0 and json_out.startswith("[")
+    code, out, err = run(capsys, "compute", "sigma", "--workers", "2")
+    assert code == 2 and out == "" and err.startswith("usage: hyperlab")
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(hyperlab.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "hyperlab.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert code == 0 and out == fresh.stdout and out != json_out
 
 
 def test_flags_per_subcommand():

@@ -45,6 +45,7 @@ from hyperlab import (
     sumset,
     t_k,
 )
+from hyperlab.field import check_prime, is_prime
 
 A16 = ScalarSet(7, (1, 6))
 H00 = TranslateSet(7, ((0, 0),))
@@ -400,6 +401,39 @@ def test_inv_vec_built_once_per_prime():
     finally:
         tracemalloc.stop()
     assert peak < 8 * p  # no new int64 table
+
+
+def test_sqrt_vec_built_once_per_prime():
+    p = 65537
+    sqrt = counts._sqrt_vec(p)
+    x = np.arange(p)
+    s = sqrt(x)
+    residue = s >= 0
+    assert np.all(s[residue] * s[residue] % p == x[residue])
+    assert residue.sum() == (p + 1) // 2 and np.all(s[~residue] == -1)
+    tracemalloc.start()
+    try:
+        assert counts._sqrt_vec(p) is sqrt
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p  # no new int64 table
+
+
+_LARGEST_TABLE_PRIME = next(q for q in range(counts._INV_TABLE_MAX, 2, -1) if is_prime(q))
+
+
+@pytest.mark.parametrize("p", [3, 5, 61, 1009, 4099, 65537, _LARGEST_TABLE_PRIME])
+def test_inv_table_every_residue(p):
+    F = check_prime(p)
+    scalar, vec = counts._inv_fn(p), counts._inv_vec(p)
+    x = np.arange(p)
+    inv = vec(x)
+    assert inv.dtype == np.int64 and inv[0] == 0
+    assert np.all(x[1:] * inv[1:] % p == 1)
+    values = [scalar(i) for i in range(1, p)]
+    assert all(type(v) is int for v in values)
+    assert values == [F.inv(i) for i in range(1, p)] == inv[1:].tolist()
 
 
 # ------------------------------------------------------------ rectangular quadruples
