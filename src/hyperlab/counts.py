@@ -11,10 +11,12 @@ as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
-Inverses come from extended Euclid (or, for small p, a table read off the
-powers of a primitive root); the brute-force reference loops in the oracle
-module use Fermat powers instead, so the two routes share no arithmetic
-shortcuts.
+Incidences between points and Moebius maps (sigma, the sumprod quadruples,
+sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
+entry columns.  Its inverses come from one array route, _inv_vec: a table
+read off the powers of a primitive root for small p, extended Euclid per
+element above.  The brute-force reference loops in the oracle module use
+Fermat powers instead, so the two routes share no arithmetic shortcuts.
 """
 
 import os
@@ -39,10 +41,10 @@ _WITNESS = 200  # bytes per witness: its tuple and ints, a slot, and its key as 
 
 
 @lru_cache(maxsize=8)
-def _inv_table(p: int) -> tuple:
-    """x^-1 mod p for x in [0, p), 0 -> 0, as an int64 array and as a list of
-    Python ints: inv[g^i] = g^(p-1-i) over the powers of a primitive root g,
-    which doubling fills in O(log p) array passes."""
+def _inv_table(p: int) -> np.ndarray:
+    """x^-1 mod p for x in [0, p), 0 -> 0, as an int64 array: inv[g^i] =
+    g^(p-1-i) over the powers of a primitive root g, which doubling fills in
+    O(log p) array passes."""
     m, factors, d = p - 1, set(), 2
     while d * d <= m:  # the prime factors of p - 1; m keeps the largest
         if m % d:
@@ -59,14 +61,7 @@ def _inv_table(p: int) -> tuple:
         n, step = 2 * n, step * step % p
     inv = np.zeros(p, dtype=np.int64)
     inv[powers] = powers[-np.arange(p - 1)]
-    return inv, inv.tolist()
-
-
-def _inv_fn(p: int):
-    """Callable x -> x^-1 mod p for nonzero x; table-backed for small p."""
-    if p <= _INV_TABLE_MAX:
-        return _inv_table(p)[1].__getitem__
-    return check_prime(p).inv
+    return inv
 
 
 def _elementwise(fn):
@@ -80,7 +75,7 @@ def _inv_vec(p: int):
     """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p,
     built once per prime."""
     if p <= _INV_TABLE_MAX:
-        return _inv_table(p)[0].__getitem__
+        return _inv_table(p).__getitem__
     inv = check_prime(p).inv
     return _elementwise(lambda x: inv(x) if x else 0)
 
@@ -98,9 +93,11 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, tables: int) -> int:
-    """Peak bytes of building lookup tables: 1 for _inv_vec, 3 for _sqrt_vec."""
-    return 8 * p * tables if p <= _INV_TABLE_MAX else 0
+def _table_bytes(p: int, sqrt: bool = False) -> int:
+    """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
+    table, the index and the gather) plus, if asked, of the square-root table
+    built next to it (20 p); tracemalloc peaks, 0 where no table is built."""
+    return (32 + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
 
 
 def _reserve(what: str, nbytes: int) -> None:
@@ -168,6 +165,26 @@ def _require_group_lambda(p: int, lam: int):
         )
 
 
+def _hits(p: int, a, b, c, d, xs, targets) -> np.ndarray:
+    """For each map (a b; c d) of the entry columns, the number of x in xs
+    with c x + d != 0 and (a x + b) / (c x + d) in targets, as int64; the
+    maps go in blocks of about _CHUNK points."""
+    rows = max(1, _CHUNK // max(1, len(xs)))
+    # 8 items per point of a block (as measured for sigma_u) and 8 per map:
+    # the entry columns and inputs a caller holds, and the output
+    cells = min(rows, len(a)) * len(xs)
+    _reserve("Moebius hits", 8 * _item_bytes(p) * (cells + len(a)) + _table_bytes(p))
+    inv = _inv_vec(p)
+    out = np.empty(len(a), dtype=np.int64)
+    for i in range(0, len(a), rows):
+        s = slice(i, i + rows)
+        den = (c[s, None] * xs + d[s, None]) % p
+        y = (a[s, None] * xs + b[s, None]) % p * inv(den) % p
+        # den = 0 puts the image at oo, never a target (y reads 0 there)
+        out[s] = ((den != 0) & np.isin(y, targets)).sum(axis=1)
+    return out
+
+
 def sigma_rect(B: ScalarSet, C: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     """Incidences (h, x) with x in B and h(x) in C, poles contributing 0."""
     if not (B.p == C.p == H.p):
@@ -176,18 +193,9 @@ def sigma_rect(B: ScalarSet, C: ScalarSet, H: TranslateSet, lam: int = -1) -> in
     lam = _check_lambda(p, lam)
     if len(B) == 0 or len(C) == 0 or len(H) == 0:
         return 0
-    inv = _inv_fn(p)
-    members = C.members
-    xs = B.elements
-    total = 0
-    for a, b in H:
-        for x in xs:
-            if x == b:
-                continue
-            # curve form: (x - b)(y - a) = lam
-            if (a + lam * inv((x - b) % p)) % p in members:
-                total += 1
-    return total
+    # the curve (x - b)(y - a) = lam is y = a + lam/(x - b) = (a x + lam - a b)/(x - b)
+    a, b = _columns(H)
+    return int(_hits(p, a, (lam - a * b) % p, np.ones_like(a), (-b) % p, _array(B), _array(C)).sum())
 
 
 def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
@@ -310,6 +318,12 @@ def q_rect(H: TranslateSet) -> int:
     return sum(v * v for v in d_histogram(H).values())
 
 
+def _differences(B: ScalarSet) -> Counter:
+    """d -> number of ordered pairs (x, y) of B x B with x - y = d."""
+    p = B.p
+    return Counter((x - y) % p for x in B for y in B)
+
+
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
     """The 45-degree image {(x+y, x-y): (x,y) in A x A}; D on it is the
     Minkowski distance on A x A."""
@@ -325,7 +339,7 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     """
     p = A.p
     lam = _check_lambda(p, lam)
-    r = Counter((x - y) % p for x in A for y in A)
+    r = _differences(A)
     dx = np.array(list(r), dtype=np.int64 if p <= _INT64_P else object)
     # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 marks a non-residue
     terms = zip(r.values(), _sqrt_vec(p)((dx * dx - lam) % p).tolist())
@@ -354,7 +368,7 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     # 9 int64 items per element of a block, two arrays per block, and 5 items per
     # translate with >= 2 points (at most min(p^2, |A|^2 (|A|-1)^2), see _mk_pairs)
     translates, cells = min(p * p, n * n * (n - 1) ** 2), min(p, rows) * n * n
-    _reserve("m_k column pass", 72 * cells + 256 * (p // rows + 1) + 40 * translates + _table_bytes(p, 1))
+    _reserve("m_k column pass", 72 * cells + 256 * (p // rows + 1) + 40 * translates + _table_bytes(p))
     xs = _array(A)
     inv = _inv_vec(p)
     keys, rich = [], []
@@ -379,7 +393,7 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
     # 12 items per element of a block (n^2 y-pairs per x-pair) and 3 per root
     block = min(n**3 * (n - 1) // 2, max(n * n, _CHUNK))
-    _reserve("m_k pair pass", _item_bytes(p) * (12 * block + 3 * roots) + _table_bytes(p, 4))
+    _reserve("m_k pair pass", _item_bytes(p) * (12 * block + 3 * roots) + _table_bytes(p, sqrt=True))
     xs = _array(A)
     inv, sqrt = _inv_vec(p), _sqrt_vec(p)
     keys = []
@@ -427,7 +441,7 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> RichCount:
     pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
     # 5 items per pair of a block (|C|^2 y-pairs per x-pair) and 4 per pair
     block = min(pairs, max(len(C) ** 2, _CHUNK))
-    _reserve("rich-line table", _item_bytes(p) * (5 * block + 4 * pairs) + _table_bytes(p, 1))
+    _reserve("rich-line table", _item_bytes(p) * (5 * block + 4 * pairs) + _table_bytes(p))
     inv = _inv_vec(p)
     keys = []
     for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
@@ -437,23 +451,20 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> RichCount:
     keys = keys[hits >= k * (k - 1) // 2]
     verticals = sorted(B.elements) if len(C) >= k else []
     nbytes = 3 * _item_bytes(p) * len(hits) + _WITNESS * (len(keys) + len(verticals))
-    _reserve("l_k witnesses", nbytes + _table_bytes(p, 1))
+    _reserve("l_k witnesses", nbytes + _table_bytes(p))
     wits = tuple(("s", *divmod(key, p)) for key in keys.tolist()) + tuple(("v", x) for x in verticals)
     return RichCount(k=k, count=len(wits), witnesses=wits)
 
 
 def additive_energy(B: ScalarSet) -> int:
     """E_+(B): quadruples with b1 - b2 = b3 - b4."""
-    p = B.p
-    r = Counter((x - y) % p for x in B for y in B)
-    return sum(v * v for v in r.values())
+    return sum(v * v for v in _differences(B).values())
 
 
 def product_rep_histogram(B: ScalarSet) -> Counter:
     """x -> r_{(B-B)(B-B)}(x), products of differences with multiplicity."""
     p = B.p
-    r = Counter((x - y) % p for x in B for y in B)
-    items = list(r.items())
+    items = list(_differences(B).items())
     acc = Counter()
     for d1, c1 in items:
         for d2, c2 in items:
@@ -479,20 +490,11 @@ def sumprod_quadruples(A: ScalarSet, variant: int) -> int:
     """Solutions in A^4 of the selected quadruple equation."""
     if variant not in _SUMPROD_FACTORS:
         raise InvalidArgument(f"variant must be 1..4, got {variant}")
-    shape = _SUMPROD_FACTORS[variant]
     p = A.p
-    inv = _inv_fn(p)
-    members = A.members
-    xs = A.elements
-    total = 0
-    for a2 in xs:
-        for a4 in xs:
-            c1, c2 = shape(a2, a4, p)
-            for a1 in xs:
-                u = (a1 + c1) % p
-                if u and (inv(u) - c2) % p in members:
-                    total += 1
-    return total
+    xs = _array(A)
+    # a3 = 1/(a1 + f) - g = (-g a1 + 1 - f g)/(a1 + f), one map per (a2, a4)
+    f, g = _SUMPROD_FACTORS[variant](np.repeat(xs, len(xs)), np.tile(xs, len(xs)), p)
+    return int(_hits(p, (-g) % p, (1 - f * g) % p, np.ones_like(f), f, xs, xs).sum())
 
 
 def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
@@ -529,21 +531,8 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainRepo
     _require_group_lambda(p, lam)
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
-    a, b, c, d = (col[:, None] for col in hist.columns)
-    rows = max(1, _CHUNK // len(A))
-    # 8 items per element of a block of quotients on A, and the histogram's
-    # 5 columns with su per quotient
-    cells = min(rows, len(hist)) * len(A)
-    _reserve("Cauchy-Schwarz blocks", _item_bytes(p) * (8 * cells + 6 * len(hist)) + _table_bytes(p, 1))
     xs = _array(A)
-    inv = _inv_vec(p)
-    su = np.empty(len(hist), dtype=np.int64)
-    for i in range(0, len(su), rows):
-        s = slice(i, i + rows)
-        den = (c[s] * xs + d[s]) % p
-        y = (a[s] * xs + b[s]) % p * inv(den) % p
-        # den = 0 puts u(x) at oo, never in A (y reads 0 there)
-        su[s] = ((den != 0) & np.isin(y, xs)).sum(axis=1)
+    su = _hits(p, *hist.columns, xs, xs)
     rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
     total_rs = sum(rs.tolist())
     rhs = len(A) * total_rs

@@ -292,8 +292,8 @@ def t4_chain(seed=0, trials=None, p=None) -> SuiteResult:
 
 
 def cross_algorithm_mk(seed=0, trials=None, p=None) -> SuiteResult:
-    """The pair and column (exhaustive=, all p^2 translates) m_k arms give equal
-    richness maps, and at each k their counts and witnesses match the oracle scan."""
+    """The pair and column (all p^2 translates) m_k arms give equal richness
+    maps, and at each k their counts and witnesses match the oracle scan."""
     trials = 20 if trials is None else trials
     primes = [p] if p else [7, 13, 31, 61]
     res = SuiteResult("cross-algorithm-mk")

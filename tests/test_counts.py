@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperlab.counts as counts
+import hyperlab.oracle as oracle
 from hyperlab import (
     EmptyInput,
     INFINITY,
@@ -76,6 +78,17 @@ def test_sigma_rect_asymmetric():
     assert sigma_rect(B, C, H00) == 1
     assert sigma_rect(C, B, H00) == 1
     assert sigma_rect(B, B, H00) == 0
+
+
+def test_sigma_rect_across_blocks():
+    # |B| = 900 makes blocks of 291 maps, so 300 translates take two
+    p, lam = 1009, 5
+    rng = random.Random(3)
+    B, C = ScalarSet(p, tuple(rng.sample(range(p), 900))), ScalarSet(p, tuple(rng.sample(range(p), 500)))
+    H = rand_translates(rng, p, 300)
+    assert len(H) > counts._CHUNK // len(B)
+    want = sum((a + lam * pow(x - b, -1, p)) % p in C for a, b in H for x in B if x != b)
+    assert sigma_rect(B, C, H, lam) == want
 
 
 def test_sigma_other_lambda():
@@ -345,43 +358,52 @@ P61 = (1 << 61) - 1
 
 # each table-building kernel at two small sizes; p >= 2097169 runs on Python ints
 _PEAK_CASES = {
-    "quotient-64": lambda: quotient_histogram(_rand_h(1009, 64)),
-    "quotient-256": lambda: quotient_histogram(_rand_h(1009, 256)),
-    "quotient-p61": lambda: quotient_histogram(_rand_h(P61, 64)),
-    "t3-24": lambda: t_k(_rand_h(1009, 24), 3),
-    "t3-80": lambda: t_k(_rand_h(1009, 80), 3),
-    "borel-t3-2097169": lambda: borel_t3_mass(_rand_h(2097169, 24)),
-    "borel-t3-p61": lambda: borel_t3_mass(_rand_h(P61, 16)),
-    "t4-12": lambda: t_k(_rand_h(1009, 12), 4),
-    "t4-24": lambda: t_k(_rand_h(1009, 24), 4),
-    "t4-p61": lambda: t_k(_rand_h(P61, 10), 4),
+    "quotient-64": lambda: (quotient_histogram, _rand_h(1009, 64)),
+    "quotient-256": lambda: (quotient_histogram, _rand_h(1009, 256)),
+    "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
+    "t3-24": lambda: (t_k, _rand_h(1009, 24), 3),
+    "t3-80": lambda: (t_k, _rand_h(1009, 80), 3),
+    "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
+    "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),
+    "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
+    "t4-24": lambda: (t_k, _rand_h(1009, 24), 4),
+    "t4-p61": lambda: (t_k, _rand_h(P61, 10), 4),
     # m_k at k = 2, where every translate found is a witness: the column
     # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
-    "mk-exhaustive-61": lambda: rich_hyperbolae(_rand_a(61, 8), 2),
-    "mk-exhaustive-101": lambda: rich_hyperbolae(_rand_a(101, 12), 2),
-    "mk-pairs-10": lambda: rich_hyperbolae(_rand_a(1009, 10), 2),
-    "mk-pairs-12": lambda: rich_hyperbolae(_rand_a(1009, 12), 2),
-    "mk-pairs-p61": lambda: rich_hyperbolae(_rand_a(P61, 6), 2),
-    "lk-8": lambda: rich_lines(_rand_a(65537, 8), _rand_a(65537, 8), 2),
-    "lk-12": lambda: rich_lines(_rand_a(65537, 12), _rand_a(65537, 12), 2),
-    "lk-p61": lambda: rich_lines(_rand_a(P61, 8), _rand_a(P61, 8), 2),
-    "cschain-1000": lambda: cs_chain_report(parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
-    "cschain-p61": lambda: cs_chain_report(_rand_a(P61, 20), _rand_h(P61, 12)),
+    "mk-exhaustive-61": lambda: (rich_hyperbolae, _rand_a(61, 8), 2),
+    "mk-exhaustive-101": lambda: (rich_hyperbolae, _rand_a(101, 12), 2),
+    "mk-pairs-10": lambda: (rich_hyperbolae, _rand_a(1009, 10), 2),
+    "mk-pairs-12": lambda: (rich_hyperbolae, _rand_a(1009, 12), 2),
+    "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
+    "lk-8": lambda: (rich_lines, _rand_a(65537, 8), _rand_a(65537, 8), 2),
+    "lk-12": lambda: (rich_lines, _rand_a(65537, 12), _rand_a(65537, 12), 2),
+    "lk-p61": lambda: (rich_lines, _rand_a(P61, 8), _rand_a(P61, 8), 2),
+    "sigma-40": lambda: (sigma, _rand_a(1009, 40), _rand_h(1009, 40)),
+    "sigma-300": lambda: (sigma, _rand_a(1009, 300), _rand_h(1009, 2000)),
+    "sigma-p61": lambda: (sigma, _rand_a(P61, 20), _rand_h(P61, 30)),
+    # one point and 200 000 maps: the per-map columns, not the block, dominate
+    "sigma-maps": lambda: (sigma_rect, _rand_a(1009, 1), _rand_a(1009, 1009), _rand_h(1009, 200000)),
+    "sumprod-20": lambda: (sumprod_quadruples, _rand_a(1009, 20), 2),
+    "sumprod-64": lambda: (sumprod_quadruples, _rand_a(1009, 64), 4),
+    "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
+    "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
+    "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
 }
 
 
-@pytest.mark.parametrize("kernel", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
-def test_reserved_bytes_bound_the_peak(monkeypatch, kernel):
+@pytest.mark.parametrize("case", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
+def test_reserved_bytes_bound_the_peak(monkeypatch, case):
     """Each kernel's estimate is at least tracemalloc's peak of the call, and
     at most 4 peaks + 1 MiB (a gate that is not vacuous)."""
+    fn, *args = case()  # the inputs, built before the measured call
     reserved = []
     real = counts._reserve
     monkeypatch.setattr(counts, "_reserve", lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes)))
-    kernel()  # warm the inverse and square-root tables
-    reserved.clear()
+    for table in (counts._inv_table, counts._inv_vec, counts._sqrt_vec):
+        table.cache_clear()  # the call builds its lookup tables cold
     tracemalloc.start()
     try:
-        kernel()
+        fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,14 +448,11 @@ _LARGEST_TABLE_PRIME = next(q for q in range(counts._INV_TABLE_MAX, 2, -1) if is
 @pytest.mark.parametrize("p", [3, 5, 61, 1009, 4099, 65537, _LARGEST_TABLE_PRIME])
 def test_inv_table_every_residue(p):
     F = check_prime(p)
-    scalar, vec = counts._inv_fn(p), counts._inv_vec(p)
     x = np.arange(p)
-    inv = vec(x)
+    inv = counts._inv_vec(p)(x)
     assert inv.dtype == np.int64 and inv[0] == 0
     assert np.all(x[1:] * inv[1:] % p == 1)
-    values = [scalar(i) for i in range(1, p)]
-    assert all(type(v) is int for v in values)
-    assert values == [F.inv(i) for i in range(1, p)] == inv[1:].tolist()
+    assert inv[1:].tolist() == [F.inv(i) for i in range(1, p)]
 
 
 # ------------------------------------------------------------ rectangular quadruples
@@ -662,6 +681,42 @@ def test_sumprod_brute_force_variant2():
                     if (a1 + a2 - a4) * (a3 + a2 + a4) % p == 1:
                         expected += 1
     assert sumprod_quadruples(A, 2) == expected
+
+
+# the four sumprod equations, each = 1, written out for a quadruple scan
+_SUMPROD_EQUATIONS = {
+    1: lambda a1, a2, a3, a4: (a1 + a2) * (a3 + a4),
+    2: lambda a1, a2, a3, a4: (a1 + a2 - a4) * (a3 + a2 + a4),
+    3: lambda a1, a2, a3, a4: (a1 + a2) * (a3 + a2 * a4),
+    4: lambda a1, a2, a3, a4: (a1 + a2 + a4) * (a3 + a2 * a4),
+}
+
+
+@pytest.mark.parametrize("p", [1000003, 2097169, P61])
+def test_incidence_kernels_at_large_primes(p):
+    # no inverse table above 2^18: 1000003 inverts by Euclid on int64
+    # arrays, 2097169 and 2^61 - 1 on arrays of Python ints
+    assert p > counts._INV_TABLE_MAX
+    rng = random.Random(p)
+    lam = rng.randrange(1, p - 1)  # not -1
+    A = ScalarSet(p, (0, 1, 2, (p + 1) // 2, p - 1, *rng.sample(range(p), 3)))
+    xs = A.elements
+    # translates through points of A x A, one with its pole at 0 in A, and random ones
+    through = [(x, y, rng.randrange(p)) for x, y in zip(rng.choices(xs, k=6), rng.choices(xs, k=6))]
+    H = TranslateSet(
+        p,
+        (
+            *(((y - lam * pow(x - b, -1, p)) % p, b) for x, y, b in through if x != b),
+            (1, 0),
+            *((rng.randrange(p), rng.randrange(p)) for _ in range(4)),
+        ),
+    )
+    got = sigma_rect(A, A, H, lam)
+    assert type(got) is int and got == oracle.sigma_naive(A, H, lam) >= 6
+    for variant, form in _SUMPROD_EQUATIONS.items():
+        got = sumprod_quadruples(A, variant)
+        want = sum(form(*q) % p == 1 for q in itertools.product(xs, repeat=4))
+        assert type(got) is int and got == want > 0
 
 
 # ------------------------------------------------------------ borel structure
