@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .counts import (
     CsChainReport,
-    RichCount,
     additive_energy,
     borel_coset_mass,
     borel_t3_mass,

@@ -11,6 +11,10 @@ as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
+m_k and l_k are threshold counts over a richness map: the sorted keys of
+every translate (or non-vertical line) through two or more points, with
+the number of points (or point pairs) on each.
+
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
 entry columns.  Its inverses come from one array route, _inv_vec: a table
@@ -37,7 +41,7 @@ _INV_TABLE_MAX = 1 << 18
 _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 _INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
 _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
-_WITNESS = 200  # bytes per witness: its tuple and ints, a slot, and its key as a Python int
+_ENTRY = 160  # bytes per Counter entry: its slot at the worst growth step, key and count ints
 
 
 @lru_cache(maxsize=8)
@@ -93,11 +97,11 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, sqrt: bool = False) -> int:
+def _table_bytes(p: int, inv: bool = True, sqrt: bool = False) -> int:
     """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather) plus, if asked, of the square-root table
-    built next to it (20 p); tracemalloc peaks, 0 where no table is built."""
-    return (32 + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
+    table, the index and the gather) and of a square-root table build (20 p),
+    as asked; tracemalloc peaks, 0 where no table is built."""
+    return (32 * inv + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
 
 
 def _reserve(what: str, nbytes: int) -> None:
@@ -132,13 +136,6 @@ class QuotientHistogram:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class RichCount:
-    k: int
-    count: int
-    witnesses: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -304,7 +301,9 @@ def t_k(H: TranslateSet, k: int) -> int:
 
 def d_histogram(H: TranslateSet) -> Counter:
     """d -> number of ordered pairs with D(h, h') = (a-a')(b-b') = d."""
-    p = H.p
+    p, n = H.p, len(H)
+    # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
+    _reserve("D histogram", _ENTRY * min(p, n * (n - 1) // 2 + 1))
     hh = H.elements
     acc = Counter()
     for a1, b1 in hh:
@@ -318,10 +317,17 @@ def q_rect(H: TranslateSet) -> int:
     return sum(v * v for v in d_histogram(H).values())
 
 
-def _differences(B: ScalarSet) -> Counter:
-    """d -> number of ordered pairs (x, y) of B x B with x - y = d."""
+def _differences(B: ScalarSet, extra: int = 0) -> Counter:
+    """d -> number of ordered pairs (x, y) of B x B with x - y = d, reserved
+    with the extra bytes its caller allocates while holding it."""
     p = B.p
+    _reserve("difference histogram", _ENTRY * _difference_bound(B) + extra)
     return Counter((x - y) % p for x in B for y in B)
+
+
+def _difference_bound(B: ScalarSet) -> int:
+    """At most this many distinct differences: 0 and n (n - 1) ordered pairs."""
+    return min(B.p, len(B) * (len(B) - 1) + 1)
 
 
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
@@ -339,7 +345,9 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     """
     p = A.p
     lam = _check_lambda(p, lam)
-    r = _differences(A)
+    # per difference: the arrays and lists below, and the cold square-root table
+    extra = 8 * _item_bytes(p) * _difference_bound(A) + _table_bytes(p, inv=False, sqrt=True)
+    r = _differences(A, extra)
     dx = np.array(list(r), dtype=np.int64 if p <= _INT64_P else object)
     # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 marks a non-residue
     terms = zip(r.values(), _sqrt_vec(p)((dx * dx - lam) % p).tolist())
@@ -409,34 +417,25 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
 
 
-def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> RichCount:
-    """m_k: translates (a, b) whose curve (x-b)(y-a) = lam holds >= k points of
-    A x A, with the translates as witnesses in order.  Two arms give the same
-    map of every translate's richness: the column arm (all p^2 translates,
-    O(p |A|^2 log |A|)) runs when p <= |A|^2 and p <= 2^21, the pair arm (the
-    translates through each point pair, O(|A|^4 log |A|)) otherwise."""
+def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
+    """m_k: the number of translates (a, b) whose curve (x-b)(y-a) = lam holds
+    >= k points of A x A.  Two arms give the same map of every translate's
+    richness: the column arm (all p^2 translates, O(p |A|^2 log |A|)) runs
+    when p <= |A|^2 and p <= 2^21, the pair arm (the translates through each
+    point pair, O(|A|^4 log |A|)) otherwise."""
     p = A.p
     lam = _check_lambda(p, lam)
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     arm = _mk_columns if p <= min(len(A) ** 2, _INT64_P) else _mk_pairs
-    keys, rich = arm(A, lam)
-    rich = rich >= k
-    _reserve("m_k witnesses", 4 * _item_bytes(p) * len(keys) + _WITNESS * int(np.count_nonzero(rich)))
-    wits = tuple(divmod(key, p) for key in keys[rich].tolist())
-    return RichCount(k=k, count=len(wits), witnesses=wits)
+    _, rich = arm(A, lam)
+    return int(np.count_nonzero(rich >= k))
 
 
-def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> RichCount:
-    """l_k: affine lines holding >= k points of B x C, with witnesses
-    ("s", m, c) for y = m x + c and ("v", x) for a vertical line, in order.
-
-    Each point pair with distinct x keys its line m p + c, so a t-rich line
-    shows up C(t, 2) times; each vertical line holds the |C| points of its x."""
-    if B.p != C.p:
-        raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}")
-    if k < 2:
-        raise InvalidArgument(f"k must be >= 2, got {k}")
+def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
+    """(keys m p + c ascending, hits) of every line y = m x + c through >= 2
+    points of B x C: each point pair with distinct x keys its line, so a
+    t-rich line has C(t, 2) hits."""
     p = B.p
     pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
     # 5 items per pair of a block (|C|^2 y-pairs per x-pair) and 4 per pair
@@ -447,13 +446,18 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> RichCount:
     for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
         m = f * inv(e) % p
         keys.append((m * p + (y1 - m * x1) % p).ravel())
-    keys, hits = _runs(np.concatenate(keys))
-    keys = keys[hits >= k * (k - 1) // 2]
-    verticals = sorted(B.elements) if len(C) >= k else []
-    nbytes = 3 * _item_bytes(p) * len(hits) + _WITNESS * (len(keys) + len(verticals))
-    _reserve("l_k witnesses", nbytes + _table_bytes(p))
-    wits = tuple(("s", *divmod(key, p)) for key in keys.tolist()) + tuple(("v", x) for x in verticals)
-    return RichCount(k=k, count=len(wits), witnesses=wits)
+    return _runs(np.concatenate(keys))
+
+
+def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
+    """l_k: the number of affine lines holding >= k points of B x C; each
+    vertical line holds the |C| points of its x."""
+    if B.p != C.p:
+        raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}")
+    if k < 2:
+        raise InvalidArgument(f"k must be >= 2, got {k}")
+    _, hits = _lines(B, C)
+    return int(np.count_nonzero(hits >= k * (k - 1) // 2)) + (len(B) if len(C) >= k else 0)
 
 
 def additive_energy(B: ScalarSet) -> int:
@@ -463,8 +467,10 @@ def additive_energy(B: ScalarSet) -> int:
 
 def product_rep_histogram(B: ScalarSet) -> Counter:
     """x -> r_{(B-B)(B-B)}(x), products of differences with multiplicity."""
-    p = B.p
-    items = list(_differences(B).items())
+    p, d = B.p, _difference_bound(B)
+    # the (difference, count) pairs, 64 bytes each, and the distinct products:
+    # 0 and the differences +-x make (+-x)(+-y) two values per pair {x, y}
+    items = list(_differences(B, 64 * d + _ENTRY * min(p, (d * d + 3) // 4)).items())
     acc = Counter()
     for d1, c1 in items:
         for d2, c2 in items:

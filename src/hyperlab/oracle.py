@@ -8,7 +8,6 @@ a linear scan.  Shared code with the kernels would defeat the purpose.
 Budgets are hard errors, never silent skips.
 """
 
-from .counts import RichCount
 from .errors import ResourceLimit
 from .sets import ScalarSet, TranslateSet
 
@@ -112,8 +111,9 @@ def q_naive(H: TranslateSet) -> int:
     return total
 
 
-def mk_exhaustive(A: ScalarSet, k: int, lam: int = -1) -> RichCount:
-    """m_k by scanning every translate of F_p x F_p."""
+def mk_exhaustive(A: ScalarSet, k: int, lam: int = -1) -> tuple:
+    """The translates (a, b) counted by m_k, in order, by scanning every
+    translate of F_p x F_p."""
     p = A.p
     if p > _MK_MAX_P:
         raise ResourceLimit("mk_exhaustive", required=p, budget=_MK_MAX_P)
@@ -133,4 +133,4 @@ def mk_exhaustive(A: ScalarSet, k: int, lam: int = -1) -> RichCount:
                         break
             if t >= k:
                 wits.append((a, b))
-    return RichCount(k=k, count=len(wits), witnesses=tuple(wits))
+    return tuple(wits)

@@ -19,7 +19,6 @@ spec, seed) triple always names the same set.
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EmptyInput, InvalidSpec, ModulusMismatch
 from .field import Fp
@@ -37,18 +36,11 @@ class ScalarSet:
         p = self.p
         object.__setattr__(self, "elements", tuple(sorted({e % p for e in self.elements})))
 
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.members
 
 
 @dataclass(frozen=True)
@@ -64,18 +56,11 @@ class TranslateSet:
             self, "elements", tuple(sorted({(a % p, b % p) for a, b in self.elements}))
         )
 
-    @cached_property
-    def members(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, h) -> bool:
-        return h in self.members
 
 
 _INT_CHARS = set("0123456789+-")

@@ -311,10 +311,10 @@ def cross_algorithm_mk(seed=0, trials=None, p=None) -> SuiteResult:
             wits = {divmod(key, q) for key in pk[pr >= k].tolist()}
             me = int(np.count_nonzero(cr >= k))
             mo = oracle.mk_exhaustive(A, k, lam)
-            ok = same and len(wits) == me == mo.count and wits == set(mo.witnesses)
+            ok = same and len(wits) == me == len(mo) and wits == set(mo)
             res.check(
                 ok,
-                f"p={q} |A|={len(A)} lam={lam} k={k} pairs={len(wits)} exhaustive={me} oracle={mo.count}",
+                f"p={q} |A|={len(A)} lam={lam} k={k} pairs={len(wits)} exhaustive={me} oracle={len(mo)}",
             )
     return res
 

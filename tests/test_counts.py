@@ -37,6 +37,7 @@ from hyperlab import (
     minkowski_realisations,
     parse_setspec,
     product_rep_energy,
+    product_rep_histogram,
     q_rect,
     quotient_histogram,
     rich_hyperbolae,
@@ -87,7 +88,8 @@ def test_sigma_rect_across_blocks():
     B, C = ScalarSet(p, tuple(rng.sample(range(p), 900))), ScalarSet(p, tuple(rng.sample(range(p), 500)))
     H = rand_translates(rng, p, 300)
     assert len(H) > counts._CHUNK // len(B)
-    want = sum((a + lam * pow(x - b, -1, p)) % p in C for a, b in H for x in B if x != b)
+    members = set(C)
+    want = sum((a + lam * pow(x - b, -1, p)) % p in members for a, b in H for x in B if x != b)
     assert sigma_rect(B, C, H, lam) == want
 
 
@@ -197,10 +199,11 @@ def _generic_group_counts(H):
 def _scalar_cs_chain(A, H):
     """cs_chain_report's fields, with sigma_u by a scalar evaluate loop."""
     sig = sigma(A, H)
+    members = set(A)
     rs = []
     for entries, r in _generic_group_counts(H)[0].items():
         u = MoebiusMap(H.p, *entries)
-        rs.append((r, sum(1 for x in A if evaluate(u, x) in A.members)))
+        rs.append((r, sum(1 for x in A if evaluate(u, x) in members)))
     total = sum(r * su for r, su in rs)
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
     omega = [(r, su) for r, su in rs if su >= delta]
@@ -368,7 +371,7 @@ _PEAK_CASES = {
     "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
     "t4-24": lambda: (t_k, _rand_h(1009, 24), 4),
     "t4-p61": lambda: (t_k, _rand_h(P61, 10), 4),
-    # m_k at k = 2, where every translate found is a witness: the column
+    # m_k at k = 2, where every translate found is counted: the column
     # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
     "mk-exhaustive-61": lambda: (rich_hyperbolae, _rand_a(61, 8), 2),
     "mk-exhaustive-101": lambda: (rich_hyperbolae, _rand_a(101, 12), 2),
@@ -388,6 +391,18 @@ _PEAK_CASES = {
     "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
     "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
     "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
+    # the Counter histograms: about n^2 distinct differences (or n^2 / 2
+    # distinct D values) of a random set while n^2 < p, and p of them above
+    "eplus-300": lambda: (additive_energy, _rand_a(1000003, 300)),
+    "eplus-dense": lambda: (additive_energy, _rand_a(4099, 400)),
+    "eplus-p61": lambda: (additive_energy, _rand_a(P61, 100)),
+    "product-rep-16": lambda: (product_rep_histogram, _rand_a(65537, 16)),
+    "product-rep-p61": lambda: (product_rep_histogram, _rand_a(P61, 12)),
+    "minkowski-200": lambda: (minkowski_realisations, _rand_a(65537, 200), 5),
+    "minkowski-cold-262139": lambda: (minkowski_realisations, _rand_a(262139, 8), 5),
+    "minkowski-p61": lambda: (minkowski_realisations, _rand_a(P61, 40), 5),
+    "d-hist-300": lambda: (d_histogram, _rand_h(1000003, 300)),
+    "q-p61": lambda: (q_rect, _rand_h(P61, 60)),
 }
 
 
@@ -509,11 +524,25 @@ def test_minkowski_rect_cover_is_one_sided():
 
 # ------------------------------------------------------------ rich curves
 
+def _mk_witnesses(A, k, lam=-1):
+    """The translates (a, b) counted by m_k, in order, read off the richness map."""
+    arm = counts._mk_columns if A.p <= min(len(A) ** 2, counts._INT64_P) else counts._mk_pairs
+    keys, rich = arm(A, lam % A.p)
+    return tuple(divmod(key, A.p) for key in keys[rich >= k].tolist())
+
+
+def _lk_witnesses(B, C, k):
+    """The lines counted by l_k, in order: ("s", m, c) for y = m x + c off the
+    line map, then ("v", x) for each vertical line."""
+    keys, hits = counts._lines(B, C)
+    slopes = tuple(("s", *divmod(key, B.p)) for key in keys[hits >= k * (k - 1) // 2].tolist())
+    return slopes + tuple(("v", x) for x in (B.elements if len(C) >= k else ()))
+
+
 def test_rich_hyperbolae_pins():
-    rc = rich_hyperbolae(A16, 2)
-    assert rc.count == 3
-    assert rc.witnesses == ((0, 0), (3, 4), (4, 3))
-    assert rich_hyperbolae(A16, 3).count == 0
+    assert rich_hyperbolae(A16, 2) == 3
+    assert _mk_witnesses(A16, 2) == ((0, 0), (3, 4), (4, 3))
+    assert rich_hyperbolae(A16, 3) == 0
 
 
 def test_rich_hyperbolae_ap_pin():
@@ -521,7 +550,7 @@ def test_rich_hyperbolae_ap_pin():
     A = ScalarSet(61, tuple(range(1, 9)))
     keys, rich = counts._mk_pairs(A, 60)
     for k, expected in ((2, 1140), (3, 320), (4, 42)):
-        assert rich_hyperbolae(A, k).count == expected
+        assert rich_hyperbolae(A, k) == expected
         assert np.count_nonzero(rich >= k) == expected
 
 
@@ -557,7 +586,7 @@ def test_rich_hyperbolae_arm_selection(monkeypatch):
         (2097169, 1449, "_mk_pairs"),  # above 2^21 the pair arm runs at any size
     ):
         ran.clear()
-        assert rich_hyperbolae(ScalarSet(p, tuple(range(n))), 3).count == 0
+        assert rich_hyperbolae(ScalarSet(p, tuple(range(n))), 3) == 0
         assert ran == [arm], (p, n)
 
 
@@ -589,10 +618,11 @@ def test_rich_counts_at_large_primes(p):
     # x and -1/x for x = 1..4: the translate (0, 0) holds all 8 points
     A = ScalarSet(p, tuple({x for x in range(1, 5)} | {-pow(x, -1, p) % p for x in range(1, 5)}))
     for (quantity, k), (count, digest) in _LARGE_P_RICH[p].items():
-        rc = rich_hyperbolae(A, k) if quantity == "mk" else rich_lines(A, A, k)
-        assert (rc.count, _digest(rc.witnesses)) == (count, digest), (quantity, k)
-        assert all(type(v) is int for w in rc.witnesses for v in w if v not in ("s", "v"))
-    assert rich_hyperbolae(A, 8).witnesses == ((0, 0),)
+        found = rich_hyperbolae(A, k) if quantity == "mk" else rich_lines(A, A, k)
+        wits = _mk_witnesses(A, k) if quantity == "mk" else _lk_witnesses(A, A, k)
+        assert (found, len(wits), _digest(wits)) == (count, count, digest), (quantity, k)
+        assert type(found) is int
+    assert _mk_witnesses(A, 8) == ((0, 0),) and rich_hyperbolae(A, 8) == 1
 
 
 def test_rich_hyperbolae_domain(monkeypatch):
@@ -600,22 +630,23 @@ def test_rich_hyperbolae_domain(monkeypatch):
         rich_hyperbolae(A16, 1)
     with pytest.raises(InvalidArgument, match="lambda"):
         rich_hyperbolae(A16, 2, 7)
-    assert rich_hyperbolae(ScalarSet(7, ()), 2).count == 0
-    assert rich_hyperbolae(ScalarSet(7, (3,)), 2).count == 0
+    assert rich_hyperbolae(ScalarSet(7, ()), 2) == 0
+    assert rich_hyperbolae(ScalarSet(7, (3,)), 2) == 0
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="m_k column pass"):
         rich_hyperbolae(_rand_a(1009, 40), 3)
     with pytest.raises(ResourceLimit, match="m_k pair pass"):
         rich_hyperbolae(_rand_a(65537, 30), 3)
-    assert rich_hyperbolae(_rand_a(1009, 10), 3).count >= 0
+    assert rich_hyperbolae(_rand_a(1009, 10), 3) >= 0
 
 
 def test_rich_lines_pins():
-    rc = rich_lines(B01, B01, 2)
-    assert rc.count == 6
-    assert rc.witnesses == (("s", 0, 0), ("s", 0, 1), ("s", 1, 0), ("s", 6, 1), ("v", 0), ("v", 1))
-    assert rich_lines(B01, B01, 3).count == 0
-    assert rich_lines(B01, ScalarSet(7, (0, 1, 2)), 3).witnesses == (("v", 0), ("v", 1))
+    assert rich_lines(B01, B01, 2) == 6
+    lines = (("s", 0, 0), ("s", 0, 1), ("s", 1, 0), ("s", 6, 1), ("v", 0), ("v", 1))
+    assert _lk_witnesses(B01, B01, 2) == lines
+    assert rich_lines(B01, B01, 3) == 0
+    assert rich_lines(B01, ScalarSet(7, (0, 1, 2)), 3) == 2
+    assert _lk_witnesses(B01, ScalarSet(7, (0, 1, 2)), 3) == (("v", 0), ("v", 1))
     with pytest.raises(InvalidArgument):
         rich_lines(B01, B01, 1)
 
@@ -645,7 +676,7 @@ def test_rich_lines_brute_force_small():
             on = sum(1 for x, y in pts if (line[1] * x + line[2]) % p == y)
         if on >= k:
             expected += 1
-    assert rich_lines(B, C, k).count == expected
+    assert rich_lines(B, C, k) == expected
 
 
 # ------------------------------------------------------------ scalar-set counts

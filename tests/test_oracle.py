@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import hyperlab.counts as counts
+import hyperlab.moebius as moebius
 import hyperlab.oracle as oracle
 from hyperlab import ResourceLimit, ScalarSet, TranslateSet
 
@@ -29,9 +31,9 @@ def test_q_naive_pin():
 
 
 def test_mk_exhaustive_pin():
-    rc = oracle.mk_exhaustive(ScalarSet(7, (1, 6)), 2, -1)
-    assert rc.count == 3
-    assert sorted(rc.witnesses) == [(0, 0), (3, 4), (4, 3)]
+    wits = oracle.mk_exhaustive(ScalarSet(7, (1, 6)), 2, -1)
+    assert len(wits) == 3
+    assert sorted(wits) == [(0, 0), (3, 4), (4, 3)]
 
 
 def test_hard_budgets():
@@ -45,6 +47,13 @@ def test_hard_budgets():
         oracle.t3_naive(rand_translates(rng, 101, 11))
     with pytest.raises(ResourceLimit):
         oracle.mk_exhaustive(ScalarSet(67, (1, 2)), 2, -1)
+
+
+def test_oracle_binds_nothing_from_the_kernels():
+    """The oracles certify counts and moebius, so they hold no object of either."""
+    for name, value in vars(oracle).items():
+        assert value is not counts and value is not moebius, name
+        assert getattr(value, "__module__", None) not in (counts.__name__, moebius.__name__), name
 
 
 def test_oracles_use_fermat_inversion_not_tables():

@@ -5,7 +5,7 @@ PUBLIC = [
     "ASYMPTOTIC", "BoundReport", "CSV_HEADER", "CsChainReport", "DivisionByZero", "EXACT",
     "EmptyInput", "EvalResult", "Fp", "HyperlabError", "INFINITY", "InvalidArgument",
     "InvalidSpec", "MAX_MODULUS", "ModulusMismatch", "MoebiusMap", "NotAPrime", "ResourceLimit",
-    "RichCount", "SUITES", "ScalarSet", "SuiteResult", "TranslateSet", "additive_energy",
+    "SUITES", "ScalarSet", "SuiteResult", "TranslateSet", "additive_energy",
     "borel_coset_mass", "borel_t3_mass", "bounds", "check_prime", "compose", "counts",
     "cs_chain_report", "d_histogram", "difference_set", "embed_translate", "errors",
     "eval_charsum", "eval_fp_extras", "eval_incidence_hb", "eval_lines", "eval_main_theorem",
@@ -21,4 +21,4 @@ PUBLIC = [
 
 def test_public_api_pinned():
     assert sorted(hyperlab.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == len(set(PUBLIC)) == 73
+    assert len(PUBLIC) == len(set(PUBLIC)) == 72
