@@ -15,6 +15,11 @@ m_k and l_k are threshold counts over a richness map: the sorted keys of
 every translate (or non-vertical line) through two or more points, with
 the number of points (or point pairs) on each.
 
+The histograms over element pairs (differences for eplus, minkowski and the
+product histogram, D(h, h') for q and t3) sort and count one block of int64
+residues at a time and merge the blocks' runs (_sort_count); d_histogram and
+product_rep_histogram turn the arrays into a Counter only on return.
+
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
 entry columns.  Its inverses come from one array route, _inv_vec: a table
@@ -41,7 +46,7 @@ _INV_TABLE_MAX = 1 << 18
 _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 _INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
 _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
-_ENTRY = 160  # bytes per Counter entry: its slot at the worst growth step, key and count ints
+_COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
 
 
 @lru_cache(maxsize=8)
@@ -299,17 +304,40 @@ def t_k(H: TranslateSet, k: int) -> int:
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
+def _sort_count(what: str, p: int, n: int, key, weight=None, item: int = 8, extra: int = 0) -> tuple:
+    """(values ascending, total weights) of the residues key(s) mod p, weighted
+    by weight(s) or 1, over row slices s of an n x n outer product.  Blocks of
+    about _CHUNK keys are cast to int64 and counted one at a time, and one
+    _tally merges their runs.  Reserves the extra bytes the caller holds too."""
+    rows = max(1, _CHUNK // max(1, n))
+    blocks = range(0, max(1, n), rows)  # one empty block if n = 0
+    # per key of a block 3 items as key(s) forms them (4 int64 more to weigh),
+    # and 10 int64 items per merged run, at most p runs per block
+    cell = 3 * item + 32 * (weight is not None)
+    _reserve(what, cell * min(n, rows) * n + 80 * min(n * n, len(blocks) * p) + extra)
+    values, counts = [], []
+    for i in blocks:
+        keys = key(slice(i, i + rows)).ravel().astype(np.int64, copy=False)
+        if weight is None:
+            v, c = _runs(keys)
+        else:
+            first, c = _tally(keys, weight(slice(i, i + rows)).ravel())
+            v = keys[first]
+        values.append(v)
+        counts.append(c)
+    values = np.concatenate(values)
+    first, counts = _tally(values, np.concatenate(counts))
+    return values[first], counts
+
+
 def d_histogram(H: TranslateSet) -> Counter:
     """d -> number of ordered pairs with D(h, h') = (a-a')(b-b') = d."""
     p, n = H.p, len(H)
+    a, b = _columns(H)
     # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
-    _reserve("D histogram", _ENTRY * min(p, n * (n - 1) // 2 + 1))
-    hh = H.elements
-    acc = Counter()
-    for a1, b1 in hh:
-        for a2, b2 in hh:
-            acc[(a1 - a2) * (b1 - b2) % p] += 1
-    return acc
+    d, r = _sort_count("D histogram", p, n, lambda s: (a[s, None] - a) * (b[s, None] - b) % p,
+                       item=_item_bytes(p), extra=8 * _COUNTER_ITEMS * min(p, n * (n - 1) // 2 + 1))
+    return Counter(dict(zip(d.tolist(), r.tolist())))
 
 
 def q_rect(H: TranslateSet) -> int:
@@ -317,17 +345,11 @@ def q_rect(H: TranslateSet) -> int:
     return sum(v * v for v in d_histogram(H).values())
 
 
-def _differences(B: ScalarSet, extra: int = 0) -> Counter:
-    """d -> number of ordered pairs (x, y) of B x B with x - y = d, reserved
-    with the extra bytes its caller allocates while holding it."""
-    p = B.p
-    _reserve("difference histogram", _ENTRY * _difference_bound(B) + extra)
-    return Counter((x - y) % p for x in B for y in B)
-
-
-def _difference_bound(B: ScalarSet) -> int:
-    """At most this many distinct differences: 0 and n (n - 1) ordered pairs."""
-    return min(B.p, len(B) * (len(B) - 1) + 1)
+def _differences(B: ScalarSet, extra: int = 0) -> tuple:
+    """(d ascending, number of ordered pairs (x, y) of B x B with x - y = d),
+    reserved with the extra bytes its caller holds with it; int64 at every p."""
+    p, xs = B.p, np.array(B.elements, dtype=np.int64)
+    return _sort_count("difference histogram", p, len(xs), lambda s: (xs[s, None] - xs) % p, extra=extra)
 
 
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
@@ -343,15 +365,17 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     Computed from the difference histogram of A: sum over dx of
     r(dx) * sum_{dy^2 = dx^2 - lam} r(dy).
     """
-    p = A.p
+    p, n = A.p, len(A)
     lam = _check_lambda(p, lam)
-    # per difference: the arrays and lists below, and the cold square-root table
-    extra = 8 * _item_bytes(p) * _difference_bound(A) + _table_bytes(p, inv=False, sqrt=True)
-    r = _differences(A, extra)
-    dx = np.array(list(r), dtype=np.int64 if p <= _INT64_P else object)
-    # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 marks a non-residue
-    terms = zip(r.values(), _sqrt_vec(p)((dx * dx - lam) % p).tolist())
-    return sum(cx * (r.get(s, 0) + (r.get(p - s, 0) if s else 0)) for cx, s in terms if s >= 0)
+    # per difference (at most n^2): the arrays below, and the cold square-root table
+    extra = 8 * _item_bytes(p) * min(p, n * n) + _table_bytes(p, inv=False, sqrt=True)
+    dx, r = _differences(A, extra)
+    wide = dx if p <= _INT64_P else dx.astype(object)
+    # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 (a non-residue) none
+    s = _sqrt_vec(p)((wide * wide - lam) % p).astype(np.int64)
+    i = np.minimum(np.searchsorted(dx, s), len(dx) - 1)
+    rs = np.where(dx[i] == s, r[i], 0)  # r(s) = r(-s), as B - B = -(B - B)
+    return sum((r * rs * (1 + (s > 0))).tolist())  # each term below 2 n^2
 
 
 def _point_pairs(p: int, xs, ys):
@@ -462,20 +486,23 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
 
 def additive_energy(B: ScalarSet) -> int:
     """E_+(B): quadruples with b1 - b2 = b3 - b4."""
-    return sum(v * v for v in _differences(B).values())
+    _, r = _differences(B)
+    return sum((r * r).tolist())  # r(d) <= |B|
 
 
 def product_rep_histogram(B: ScalarSet) -> Counter:
     """x -> r_{(B-B)(B-B)}(x), products of differences with multiplicity."""
-    p, d = B.p, _difference_bound(B)
-    # the (difference, count) pairs, 64 bytes each, and the distinct products:
-    # 0 and the differences +-x make (+-x)(+-y) two values per pair {x, y}
-    items = list(_differences(B, 64 * d + _ENTRY * min(p, (d * d + 3) // 4)).items())
-    acc = Counter()
-    for d1, c1 in items:
-        for d2, c2 in items:
-            acc[d1 * d2 % p] += c1 * c2
-    return acc
+    p = B.p
+    d, r = _differences(B)
+    wide = d if p <= _INT64_P else d.astype(object)
+    # the Counter of at most min(p, (m^2 + 3) / 4) products of m = len(d)
+    # differences, as (+-x)(+-y) takes two values per pair {x, y}.  A weight
+    # sum is at most |B|^4, below 2^63 while |B| < 55109; from there the
+    # m >= min(p, 2|B| - 1) >= 55109 differences reserve over 50 GB of runs.
+    x, w = _sort_count("product histogram", p, len(d), lambda s: wide[s, None] * wide % p,
+                       lambda s: r[s, None] * r, item=_item_bytes(p),
+                       extra=8 * _COUNTER_ITEMS * min(p, (len(d) ** 2 + 3) // 4))
+    return Counter(dict(zip(x.tolist(), w.tolist())))
 
 
 def product_rep_energy(B: ScalarSet) -> int:

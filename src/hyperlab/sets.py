@@ -12,11 +12,12 @@ Set-spec grammar (one line, no whitespace significance):
             | "listh:" pair (";" pair)*        pair := int "," int
 
 Integers are arbitrary-sign decimals reduced mod p.  Random specs draw
-uniformly without replacement via random.Random(seed).sample, so a (p,
-spec, seed) triple always names the same set.
+uniformly without replacement from random.Random(seed) (random_translates
+for randomh:), so a (p, spec, seed) triple always names the same set.
 """
 
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -61,9 +62,6 @@ class TranslateSet:
 
     def __iter__(self):
         return iter(self.elements)
-
-
-_INT_CHARS = set("0123456789+-")
 
 
 def _take_int(text: str, pos: int) -> tuple[int, int]:
@@ -158,8 +156,7 @@ def _parse_hspec(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Transla
             seed, i = _take_int(text, i + 1)
         if n > p * p:
             raise InvalidSpec(f"randomh count {n} exceeds p^2 = {p * p}", position=pos)
-        flat = random.Random(seed).sample(range(p * p), n)
-        return TranslateSet(p, tuple(divmod(v, p) for v in flat)), i
+        return random_translates(random.Random(seed), p, n), i
     if text.startswith("listh:", pos):
         i = pos + 6
         pairs = []
@@ -174,6 +171,19 @@ def _parse_hspec(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Transla
             pairs.append((a, b))
         return TranslateSet(p, tuple(pairs)), i
     raise InvalidSpec("expected one of cart:/randomh:/listh:", position=pos)
+
+
+def random_translates(rng: random.Random, p: int, n: int) -> TranslateSet:
+    """n distinct translates (a, b) drawn by rng as the indices a p + b:
+    rng.sample(range(p^2), n) where len(range(p^2)) fits (p^2 <= sys.maxsize),
+    rng.randrange(p^2) until n distinct indices are drawn above."""
+    if p * p <= sys.maxsize:
+        flat = rng.sample(range(p * p), n)
+    else:
+        flat = set()
+        while len(flat) < n:
+            flat.add(rng.randrange(p * p))
+    return TranslateSet(p, tuple(divmod(v, p) for v in flat))
 
 
 def parse_setspec(text: str, F: Fp, default_seed: int = 0) -> ScalarSet | TranslateSet:

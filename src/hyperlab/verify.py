@@ -26,7 +26,7 @@ from .moebius import (
     product_entries,
     triple_product,
 )
-from .sets import ScalarSet, TranslateSet, difference_set, gen_cartesian, sumset
+from .sets import ScalarSet, TranslateSet, difference_set, gen_cartesian, random_translates, sumset
 
 
 @dataclass
@@ -59,9 +59,7 @@ def _scalar(rng: random.Random, p: int, max_size: int) -> ScalarSet:
 
 
 def _translates(rng: random.Random, p: int, max_size: int) -> TranslateSet:
-    n = rng.randint(1, min(max_size, p * p))
-    flat = rng.sample(range(p * p), n)
-    return TranslateSet(p, tuple(divmod(v, p) for v in flat))
+    return random_translates(rng, p, rng.randint(1, min(max_size, p * p)))
 
 
 def oracle_equivalence(seed=0, trials=None, p=None) -> SuiteResult:

@@ -166,6 +166,18 @@ def test_verify_pass_and_fail(capsys):
     assert "FAIL" in out.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "q", "--p", "2305843009213693951", "--H", "randomh:10,1"),
+        ("verify", "t4-chain", "--p", "2305843009213693951", "--trials", "1"),
+    ],
+)
+def test_random_translates_above_sys_maxsize(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and not err
+
+
 def test_verify_prints_per_case(capsys):
     code, out, _ = run(capsys, "verify", "t4-chain", "--trials", "4")
     assert code == 0

@@ -391,17 +391,23 @@ _PEAK_CASES = {
     "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
     "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
     "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
-    # the Counter histograms: about n^2 distinct differences (or n^2 / 2
-    # distinct D values) of a random set while n^2 < p, and p of them above
+    # the sort-and-count histograms: about n^2 distinct differences (or n^2 / 2
+    # distinct D values) of a random set while n^2 < p, and p of them above;
+    # the -600 cases and product-rep-40 count and merge several blocks;
+    # product-rep-dense has few runs, so its weighted blocks set the peak
     "eplus-300": lambda: (additive_energy, _rand_a(1000003, 300)),
     "eplus-dense": lambda: (additive_energy, _rand_a(4099, 400)),
     "eplus-p61": lambda: (additive_energy, _rand_a(P61, 100)),
+    "eplus-600": lambda: (additive_energy, _rand_a(1000003, 600)),
     "product-rep-16": lambda: (product_rep_histogram, _rand_a(65537, 16)),
+    "product-rep-40": lambda: (product_rep_histogram, _rand_a(65537, 40)),
+    "product-rep-dense": lambda: (product_rep_histogram, _rand_a(1009, 40)),
     "product-rep-p61": lambda: (product_rep_histogram, _rand_a(P61, 12)),
     "minkowski-200": lambda: (minkowski_realisations, _rand_a(65537, 200), 5),
     "minkowski-cold-262139": lambda: (minkowski_realisations, _rand_a(262139, 8), 5),
     "minkowski-p61": lambda: (minkowski_realisations, _rand_a(P61, 40), 5),
     "d-hist-300": lambda: (d_histogram, _rand_h(1000003, 300)),
+    "d-hist-600": lambda: (d_histogram, _rand_h(1000003, 600)),
     "q-p61": lambda: (q_rect, _rand_h(P61, 60)),
 }
 
@@ -688,6 +694,34 @@ def test_additive_energy_pins():
 
 def test_product_rep_energy_pin():
     assert product_rep_energy(B01) == 152
+
+
+@pytest.mark.parametrize("p, n", [(65537, 40), (P61, 12)])
+def test_d_histogram_of_a_square_is_the_product_histogram(p, n):
+    # D((a, b), (a', b')) = (a - a')(b - b'): over B x B the D values are the
+    # products of two differences of B; at p = 65537 both kernels merge
+    # several blocks (2 560 000 pairs of H, 1541^2 pairs of differences)
+    B = _rand_a(p, n)
+    hist = d_histogram(gen_cartesian(B, B))
+    assert hist == product_rep_histogram(B)
+    assert hist.total() == n**4
+    assert all(type(k) is int and type(v) is int for k, v in hist.items())
+
+
+@pytest.mark.parametrize("p", [4099, P61])
+def test_additive_energy_against_a_pair_loop(p):
+    B = _rand_a(p, 600)  # 360 000 differences: two blocks
+    r = Counter((x - y) % p for x in B for y in B)
+    energy = additive_energy(B)
+    assert energy == sum(v * v for v in r.values()) and type(energy) is int
+
+
+@pytest.mark.parametrize("p", [1009, P61])
+def test_histograms_of_empty_sets(p):
+    empty = ScalarSet(p, ())
+    assert additive_energy(empty) == product_rep_energy(empty) == minkowski_realisations(empty, 3) == 0
+    assert product_rep_histogram(empty) == Counter() == d_histogram(TranslateSet(p, ()))
+    assert q_rect(TranslateSet(p, ())) == 0
 
 
 def test_sumprod_pins():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hyperlab import (
@@ -15,6 +17,7 @@ from hyperlab import (
     read_translate_file,
     sumset,
 )
+from hyperlab.sets import random_translates
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -62,6 +65,26 @@ def test_random_translates():
     h = parse_setspec("randomh:6,1", F101)
     assert isinstance(h, TranslateSet) and len(h) == 6
     assert tuple(h) == tuple(parse_setspec("randomh:6,1", F101))
+
+
+@pytest.mark.parametrize("p", [7, 1009, 2147483647])
+def test_random_translates_draw_one_sample(p):
+    # wherever range(p^2) has a length, the draw is one rng.sample of the
+    # indices a p + b, so recorded randomh: sets and verify cases stay put
+    # (at p = 7, 40 of 49 indices, sample draws from a pool, not by randrange)
+    flat = random.Random(5).sample(range(p * p), 40)
+    drawn = TranslateSet(p, tuple(divmod(v, p) for v in flat))
+    assert random_translates(random.Random(5), p, 40) == drawn
+    assert parse_setspec("randomh:40,5", Fp(p)) == drawn
+
+
+def test_random_translates_above_sys_maxsize():
+    p = (1 << 61) - 1  # p^2 > sys.maxsize: range(p^2) has no len()
+    drawn = random_translates(random.Random(5), p, 40)
+    assert len(drawn) == 40 and all(0 <= a < p and 0 <= b < p for a, b in drawn)
+    assert drawn == random_translates(random.Random(5), p, 40)
+    assert drawn != random_translates(random.Random(6), p, 40)
+    assert parse_setspec("randomh:40,5", Fp(p)) == drawn
 
 
 def test_cart_and_listh():
