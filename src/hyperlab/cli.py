@@ -11,11 +11,12 @@ cschain, borel.  All parameters are long flags, and each subcommand takes
 only the flags it reads (any other is a usage error):
 
   compute       --p --lambda --A --H --k --seed --out --format
-  verify        --p --seed --trials --out
+  verify        --p --seed --trials --out          (--trials at least 1)
   scan          --family --p --lambda --k --seed --workers --out --format
 
 The set-valued flags --A and --H accept either a set-spec literal or @path
-to a file with one literal per line.
+to a file with one literal per line; a path that cannot be read or decoded
+as UTF-8 is a spec error.
 
 Scan families (--family):
 
@@ -25,6 +26,13 @@ Scan families (--family):
   demo          a small fast family over p = 61
   file:PATH     whitespace-separated rows "p a_spec [h_spec]"; the scan
                 quantity (positional, default sigma) applies to every row
+
+compute and scan resolve and count an instance on one path.  A scan prints
+one row per instance, the headline of the rows compute prints for it: for
+sigma the sigma1 main estimate, or the Cartesian one when H is a cart: spec;
+for every other quantity the first row.  A row whose instance fails (a bad
+prime or spec, an unreadable @path, a budget refusal) becomes an
+error:<Type> row and the scan continues.
 
 Exit codes: 0 clean, 1 an exact-constant assertion failed, 2 usage,
 spec, or budget errors (a kernel whose table would exceed HYPERLAB_BUDGET_MB
@@ -36,7 +44,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import cache
 
 from . import bounds, counts
@@ -46,6 +53,7 @@ from .field import Fp, check_prime
 from .sets import (
     ScalarSet,
     TranslateSet,
+    _read_lines,
     difference_set,
     max_line_multiplicity,
     parse_setspec,
@@ -58,197 +66,154 @@ from .verify import SUITES
 _GROUP_QUANTITIES = {"energy", "t3", "t4", "cschain", "borel"}
 
 
-@dataclass
-class ExperimentConfig:
-    """One compute instance."""
-
-    p: int | None
-    lam: int
-    A: ScalarSet | None
-    H: TranslateSet | None
-    h_spec: str | None
-    k: int | None
-
-
-def _resolve_scalar(text: str, F: Fp, seed: int) -> ScalarSet:
-    if text.startswith("@"):
-        return read_scalar_file(text[1:], F)
-    s = parse_setspec(text, F, default_seed=seed)
-    if not isinstance(s, ScalarSet):
-        raise InvalidSpec(f"expected a scalar set spec, got a translate spec: {text!r}")
+def _resolve(spec: str | None, F: Fp | None, seed: int, scalar: bool):
+    """The scalar (or translate) set a --A (or --H) value names, a set-spec
+    literal or @path; None when the value is not given."""
+    if not spec:
+        return None
+    if F is None:
+        raise InvalidArgument("--p is required when set specs are given")
+    if spec.startswith("@"):
+        return read_scalar_file(spec[1:], F) if scalar else read_translate_file(spec[1:], F)
+    s = parse_setspec(spec, F, default_seed=seed)
+    if isinstance(s, ScalarSet) != scalar:
+        want, got = ("scalar", "translate") if scalar else ("translate", "scalar")
+        raise InvalidSpec(f"expected a {want} set spec, got a {got} spec: {spec!r}")
     return s
-
-
-def _resolve_translates(text: str, F: Fp, seed: int) -> TranslateSet:
-    if text.startswith("@"):
-        return read_translate_file(text[1:], F)
-    s = parse_setspec(text, F, default_seed=seed)
-    if not isinstance(s, TranslateSet):
-        raise InvalidSpec(f"expected a translate set spec, got a scalar spec: {text!r}")
-    return s
-
-
-def _build_config(ns, F: Fp | None) -> ExperimentConfig:
-    def need_field():
-        if F is None:
-            raise InvalidArgument("--p is required when set specs are given")
-        return F
-
-    A = _resolve_scalar(ns.A, need_field(), ns.seed) if ns.A else None
-    H = _resolve_translates(ns.H, need_field(), ns.seed) if ns.H else None
-    return ExperimentConfig(p=ns.p, lam=ns.lam, A=A, H=H, h_spec=ns.H, k=ns.k)
-
-
-def _need(cfg: ExperimentConfig, quantity: str, **what):
-    missing = [flag for flag, value in what.items() if value is None]
-    if missing:
-        raise InvalidArgument(f"{quantity} requires {', '.join('--' + m for m in missing)}")
 
 
 def _regime(ev: bounds.EvalResult) -> str:
     return ev.regime if ev.applicable else ev.regime + "-na"
 
 
-def _compute_sigma(cfg: ExperimentConfig):
-    _need(cfg, "sigma", p=cfg.p, A=cfg.A, H=cfg.H)
-    A, H, p = cfg.A, cfg.H, cfg.p
-    emp = counts.sigma(A, H, cfg.lam)
+# Each _compute_* takes the instance as keywords and returns (rows, headline):
+# the report rows in print order and the one row a scan prints.
+
+
+def _compute_sigma(p, A, H, lam, cart, **_):
+    emp = counts.sigma(A, H, lam)
     m = max_line_multiplicity(H)
     inputs = {"p": p, "card_A": len(A), "card_H": len(H), "M": m}
-    rows = []
     ev = bounds.eval_charsum(len(A), len(H), p)
     holds = bounds.charsum_holds(emp, len(A), len(H), p)
-    rows.append(make_report("sigma", inputs, emp, ev.value, EXACT, ev.regime, holds=holds))
-    for which in ("sigma1", "sigma2"):
+    rows = [make_report("sigma", inputs, emp, ev.value, EXACT, ev.regime, holds=holds)]
+    for which in ("sigma1", "sigma2", "sigma2_cartesian") if cart else ("sigma1", "sigma2"):
         ev = bounds.eval_main_theorem(len(A), len(H), m, which)
         rows.append(make_report("sigma", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev)))
-    if cfg.h_spec and cfg.h_spec.startswith("cart:"):
-        ev = bounds.eval_main_theorem(len(A), len(H), m, "sigma2_cartesian")
-        rows.append(make_report("sigma", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev)))
+    # the headline main estimate: the Cartesian one on a grid, sigma1 otherwise
+    headline = rows[-1] if cart else rows[1]
     for which in ("sigma1_ext", "sigma2_ext"):
         ev = bounds.eval_fp_extras(len(A), len(H), p, which)
         if ev.applicable:
             rows.append(make_report("sigma", inputs, emp, ev.value, ASYMPTOTIC, ev.regime))
     ev = bounds.eval_incidence_hb(len(A), len(H), p)
     rows.append(make_report("sigma", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev)))
-    return rows
+    return rows, headline
 
 
-def _compute_energy(cfg: ExperimentConfig):
-    _need(cfg, "energy", p=cfg.p, H=cfg.H)
-    H = cfg.H
+def _compute_energy(p, H, **_):
     emp = counts.t_k(H, 2)
     m = max_line_multiplicity(H)
-    inputs = {"p": cfg.p, "card_H": len(H), "M": m}
-    return [
+    inputs = {"p": p, "card_H": len(H), "M": m}
+    rows = [
         make_report("energy", inputs, emp, len(H) ** 3, EXACT, "trivial-cube"),
         make_report("energy", inputs, emp, float(m * len(H) ** 2), ASYMPTOTIC, "line-mult"),
     ]
+    return rows, rows[0]
 
 
-def _compute_t3(cfg: ExperimentConfig):
-    _need(cfg, "t3", p=cfg.p, H=cfg.H)
-    H = cfg.H
+def _compute_t3(p, H, **_):
     emp = counts.t_k(H, 3)
     q = counts.q_rect(H)
     m = max_line_multiplicity(H)
-    inputs = {"p": cfg.p, "card_H": len(H), "M": m}
+    inputs = {"p": p, "card_H": len(H), "M": m}
     rows = [
         make_report("t3", inputs, emp, 2 * len(H) * q + 2 * len(H) ** 4, EXACT, "quadruple-chain")
     ]
-    ev = bounds.eval_t3_bounds(len(H), m, cfg.p, "lemma_t3bd")
+    ev = bounds.eval_t3_bounds(len(H), m, p, "lemma_t3bd")
     rows.append(make_report("t3", inputs, emp, ev.value, ASYMPTOTIC, ev.regime))
-    return rows
+    return rows, rows[0]
 
 
-def _compute_t4(cfg: ExperimentConfig):
-    _need(cfg, "t4", p=cfg.p, H=cfg.H)
-    H = cfg.H
+def _compute_t4(p, H, **_):
     emp = counts.t_k(H, 4)
     t3 = counts.t_k(H, 3)
-    inputs = {"p": cfg.p, "card_H": len(H)}
-    return [make_report("t4", inputs, emp, len(H) ** 2 * t3, EXACT, "t3-chain")]
+    inputs = {"p": p, "card_H": len(H)}
+    r = make_report("t4", inputs, emp, len(H) ** 2 * t3, EXACT, "t3-chain")
+    return [r], r
 
 
-def _compute_q(cfg: ExperimentConfig):
-    _need(cfg, "q", p=cfg.p, H=cfg.H)
-    H = cfg.H
+def _compute_q(p, H, **_):
     emp = counts.q_rect(H)
     m = max_line_multiplicity(H)
-    inputs = {"p": cfg.p, "card_H": len(H), "M": m}
-    ev = bounds.eval_t3_bounds(len(H), m, cfg.p, "qstar")
-    return [make_report("q", inputs, emp, ev.value, ASYMPTOTIC, ev.regime)]
+    inputs = {"p": p, "card_H": len(H), "M": m}
+    ev = bounds.eval_t3_bounds(len(H), m, p, "qstar")
+    r = make_report("q", inputs, emp, ev.value, ASYMPTOTIC, ev.regime)
+    return [r], r
 
 
-def _compute_mk(cfg: ExperimentConfig):
-    _need(cfg, "mk", p=cfg.p, A=cfg.A, k=cfg.k)
-    A, k = cfg.A, cfg.k
-    emp = counts.rich_hyperbolae(A, k, cfg.lam)
-    inputs = {"p": cfg.p, "card_A": len(A), "k": k}
-    ev = bounds.eval_mk_bb(len(A), k, cfg.p)
-    return [make_report("mk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))]
+def _compute_mk(p, A, k, lam, **_):
+    emp = counts.rich_hyperbolae(A, k, lam)
+    inputs = {"p": p, "card_A": len(A), "k": k}
+    ev = bounds.eval_mk_bb(len(A), k, p)
+    r = make_report("mk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))
+    return [r], r
 
 
-def _compute_lk(cfg: ExperimentConfig):
-    _need(cfg, "lk", p=cfg.p, A=cfg.A, k=cfg.k)
-    A, k = cfg.A, cfg.k
+def _compute_lk(p, A, k, **_):
     emp = counts.rich_lines(A, A, k)
-    inputs = {"p": cfg.p, "card_A": len(A), "k": k}
-    ev = bounds.eval_lines(len(A), k, cfg.p, "lk")
-    return [make_report("lk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))]
+    inputs = {"p": p, "card_A": len(A), "k": k}
+    ev = bounds.eval_lines(len(A), k, p, "lk")
+    r = make_report("lk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))
+    return [r], r
 
 
-def _compute_eplus(cfg: ExperimentConfig):
-    _need(cfg, "eplus", p=cfg.p, A=cfg.A)
-    A = cfg.A
+def _compute_eplus(p, A, **_):
     emp = counts.additive_energy(A)
-    inputs = {"p": cfg.p, "card_A": len(A)}
-    return [make_report("eplus", inputs, emp, len(A) ** 3, EXACT, "trivial-cube")]
+    inputs = {"p": p, "card_A": len(A)}
+    r = make_report("eplus", inputs, emp, len(A) ** 3, EXACT, "trivial-cube")
+    return [r], r
 
 
-def _compute_sumprod(cfg: ExperimentConfig):
-    _need(cfg, "sumprod", p=cfg.p, A=cfg.A)
-    A = cfg.A
-    inputs = {"p": cfg.p, "card_A": len(A)}
+def _compute_sumprod(p, A, **_):
+    inputs = {"p": p, "card_A": len(A)}
     rows = []
     for variant in (1, 2, 3, 4):
         emp = counts.sumprod_quadruples(A, variant)
         rows.append(
             make_report("sumprod", inputs, emp, len(A) ** 2.9, ASYMPTOTIC, f"form-{variant}")
         )
-    return rows
+    return rows, rows[0]
 
 
-def _compute_minkowski(cfg: ExperimentConfig):
-    _need(cfg, "minkowski", p=cfg.p, A=cfg.A)
-    A, p = cfg.A, cfg.p
-    emp = counts.minkowski_realisations(A, cfg.lam)
+def _compute_minkowski(p, A, lam, **_):
+    emp = counts.minkowski_realisations(A, lam)
     growth = max(len(sumset(A, A)), len(difference_set(A, A)))
     doubling = growth / len(A)
     valid = growth * growth < p
     inputs = {"p": p, "card_A": len(A)}
     bound = doubling**1.2 * len(A) ** 2.9
     regime = "doubling" if valid else "doubling-na"
-    return [make_report("minkowski", inputs, emp, bound, ASYMPTOTIC, regime)]
+    r = make_report("minkowski", inputs, emp, bound, ASYMPTOTIC, regime)
+    return [r], r
 
 
-def _compute_cschain(cfg: ExperimentConfig):
-    _need(cfg, "cschain", p=cfg.p, A=cfg.A, H=cfg.H)
-    rep = counts.cs_chain_report(cfg.A, cfg.H, cfg.lam)
-    inputs = {"p": cfg.p, "card_A": len(cfg.A), "card_H": len(cfg.H)}
-    return [make_report("cschain", inputs, rep.lhs_sq, rep.rhs_cs, EXACT, "cauchy-schwarz")]
+def _compute_cschain(p, A, H, lam, **_):
+    rep = counts.cs_chain_report(A, H, lam)
+    inputs = {"p": p, "card_A": len(A), "card_H": len(H)}
+    r = make_report("cschain", inputs, rep.lhs_sq, rep.rhs_cs, EXACT, "cauchy-schwarz")
+    return [r], r
 
 
-def _compute_borel(cfg: ExperimentConfig):
-    _need(cfg, "borel", p=cfg.p, H=cfg.H)
-    H = cfg.H
+def _compute_borel(p, H, **_):
     _, xb = counts.borel_coset_mass(H)
     yb = counts.borel_t3_mass(H)
-    inputs = {"p": cfg.p, "card_H": len(H)}
-    return [
+    inputs = {"p": p, "card_H": len(H)}
+    rows = [
         make_report("borel", inputs, xb, len(H) ** 2, EXACT, "coset-mass"),
         make_report("borel", inputs, yb, len(H) ** 4, EXACT, "t3-mass"),
     ]
+    return rows, rows[0]
 
 
 _COMPUTE = {
@@ -265,13 +230,48 @@ _COMPUTE = {
     "cschain": _compute_cschain,
     "borel": _compute_borel,
 }
+# the flags each quantity requires besides --p
+_NEEDS = {
+    "sigma": ("--A", "--H"),
+    "energy": ("--H",),
+    "t3": ("--H",),
+    "t4": ("--H",),
+    "q": ("--H",),
+    "mk": ("--A", "--k"),
+    "lk": ("--A", "--k"),
+    "eplus": ("--A",),
+    "sumprod": ("--A",),
+    "minkowski": ("--A",),
+    "cschain": ("--A", "--H"),
+    "borel": ("--H",),
+}
 QUANTITIES = tuple(_COMPUTE)
 
 
-def _emit_reports(reports, fmt: str) -> str:
+def _instance(quantity, p, a_spec, h_spec, k, lam, seed):
+    """Resolve and count one instance, for compute and for each scan row:
+    (report rows, headline row)."""
+    F = None if p is None else check_prime(p)
+    given = {
+        "--p": p,
+        "--A": _resolve(a_spec, F, seed, scalar=True),
+        "--H": _resolve(h_spec, F, seed, scalar=False),
+        "--k": k,
+    }
+    if quantity in _GROUP_QUANTITIES and p is not None:
+        counts._require_group_lambda(p, lam)
+    missing = [flag for flag in ("--p",) + _NEEDS[quantity] if given[flag] is None]
+    if missing:
+        raise InvalidArgument(f"{quantity} requires {', '.join(missing)}")
+    cart = bool(h_spec) and h_spec.startswith("cart:")
+    return _COMPUTE[quantity](p=p, A=given["--A"], H=given["--H"], k=k, lam=lam, cart=cart)
+
+
+def _emit(rendered: list, fmt: str) -> str:
+    """A report: the rendered rows as one JSON list, or under the CSV header."""
     if fmt == "json":
-        return json.dumps([report_to_json_obj(r) for r in reports], indent=2) + "\n"
-    return "\n".join([CSV_HEADER] + [report_to_csv_row(r) for r in reports]) + "\n"
+        return json.dumps(rendered, indent=2) + "\n"
+    return "\n".join([CSV_HEADER] + rendered) + "\n"
 
 
 def _write_output(text: str, out: str | None):
@@ -285,13 +285,10 @@ def _write_output(text: str, out: str | None):
         raise HyperlabError(f"cannot write {out}: {e}") from e
 
 
-def cmd_compute(ns, F: Fp | None) -> int:
-    cfg = _build_config(ns, F)
-    quantity = ns.quantity
-    if quantity in _GROUP_QUANTITIES and cfg.p is not None:
-        counts._require_group_lambda(cfg.p, cfg.lam)
-    reports = _COMPUTE[quantity](cfg)
-    _write_output(_emit_reports(reports, ns.format), ns.out)
+def cmd_compute(ns) -> int:
+    reports, _ = _instance(ns.quantity, ns.p, ns.A, ns.H, ns.k, ns.lam, ns.seed)
+    render = report_to_json_obj if ns.format == "json" else report_to_csv_row
+    _write_output(_emit([render(r) for r in reports], ns.format), ns.out)
     bad = [r for r in reports if r.violated]
     for r in bad:
         print(
@@ -303,7 +300,10 @@ def cmd_compute(ns, F: Fp | None) -> int:
 
 
 def cmd_verify(ns) -> int:
-    result = SUITES[ns.suite](seed=ns.seed, trials=ns.trials, p=ns.p)
+    if ns.trials is not None and ns.trials < 1:
+        raise InvalidArgument(f"--trials must be >= 1, got {ns.trials}")
+    size = {} if ns.trials is None else {"trials": ns.trials}  # unset: the suite's own default
+    result = SUITES[ns.suite](seed=ns.seed, p=ns.p, **size)
     lines = list(result.case_lines)
     verdict = "PASS" if result.passed else "FAIL"
     lines.append(f"suite {result.name}: {result.cases} checks, {len(result.failures)} failures -> {verdict}")
@@ -316,73 +316,61 @@ def cmd_verify(ns) -> int:
 
 # ---------------------------------------------------------------- scan
 
+def _ap_main(seed):
+    for n in (8, 16, 32, 64):
+        yield "mk", f"ap:1,1,{n}", None, math.ceil(n**0.75)
+        yield "sigma", f"ap:1,1,{n}", f"cart:ap:1,1,{n};ap:1,1,{n}", None
+
+
+def _demo(seed):
+    for n in (4, 6, 8):
+        yield "sigma", f"ap:1,1,{n}", f"randomh:{2 * n},{seed + n}", None
+        yield "mk", f"random:{n},{seed + n}", None, 3
+
+
+# The built-in scan families: name -> (default p, the rows of a scan seed),
+# each row (quantity, a_spec, h_spec, k).
+_FAMILIES = {"ap-main": (1009, _ap_main), "demo": (61, _demo)}
+
+
 def _scan_descs(ns):
-    """Deterministic list of row descriptors for a family.  Each desc is a
-    tuple of primitives so worker processes can receive it unchanged."""
-    quantity, family = ns.quantity, ns.family
+    """Deterministic list of row descriptors for a family: the argument
+    tuples of _instance, primitives only, so worker processes can receive
+    them unchanged."""
     base = (ns.lam, ns.seed)
+    if ns.family in _FAMILIES:
+        default_p, rows = _FAMILIES[ns.family]
+        p = default_p if ns.p is None else ns.p
+        return [(quantity, p, a_spec, h_spec, k) + base for quantity, a_spec, h_spec, k in rows(ns.seed)]
+    if not ns.family.startswith("file:"):
+        raise InvalidSpec(f"unknown scan family {ns.family!r}; use {', '.join(_FAMILIES)}, or file:PATH")
+    path = ns.family[5:]
     descs = []
-    if family == "ap-main":
-        p = ns.p if ns.p is not None else 1009
-        for n in (8, 16, 32, 64):
-            k = math.ceil(n**0.75)
-            descs.append(("mk", p, f"ap:1,1,{n}", None, k) + base)
-            descs.append(("sigma", p, f"ap:1,1,{n}", f"cart:ap:1,1,{n};ap:1,1,{n}", None) + base)
-        return descs
-    if family == "demo":
-        p = ns.p if ns.p is not None else 61
-        for n in (4, 6, 8):
-            descs.append(("sigma", p, f"ap:1,1,{n}", f"randomh:{2 * n},{ns.seed + n}", None) + base)
-            descs.append(("mk", p, f"random:{n},{ns.seed + n}", None, 3) + base)
-        return descs
-    if family.startswith("file:"):
-        path = family[5:]
+    for ln, line in _read_lines(path):
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise InvalidSpec(f"{path}:{ln}: expected 'p a_spec [h_spec]', got {line!r}")
         try:
-            with open(path) as fh:
-                raw = fh.read()
-        except OSError as e:
-            raise InvalidSpec(f"cannot read family file {path}: {e}") from e
-        for ln, line in enumerate(raw.splitlines(), start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) not in (2, 3):
-                raise InvalidSpec(f"{path}:{ln}: expected 'p a_spec [h_spec]', got {line!r}")
-            try:
-                p = int(parts[0])
-            except ValueError as e:
-                raise InvalidSpec(f"{path}:{ln}: bad modulus {parts[0]!r}") from e
-            h_spec = parts[2] if len(parts) == 3 else None
-            descs.append((quantity, p, parts[1], h_spec, ns.k) + base)
-        return descs
-    raise InvalidSpec(f"unknown scan family {family!r}; use ap-main, demo, or file:PATH")
+            p = int(parts[0])
+        except ValueError as e:
+            raise InvalidSpec(f"{path}:{ln}: bad modulus {parts[0]!r}") from e
+        h_spec = parts[2] if len(parts) == 3 else None
+        descs.append((ns.quantity, p, parts[1], h_spec, ns.k) + base)
+    return descs
 
 
 def _scan_row(desc) -> tuple:
-    """Compute one scan row; any package error becomes an error row so the
-    scan continues.  Returns (csv_row, json_obj)."""
-    quantity, p, a_spec, h_spec, k, lam, seed = desc
+    """The headline row of one instance as (csv_row, json_obj); a package
+    error becomes an error row, so the scan continues."""
     try:
-        F = check_prime(p)
-        A = _resolve_scalar(a_spec, F, seed) if a_spec else None
-        H = _resolve_translates(h_spec, F, seed) if h_spec else None
-        cfg = ExperimentConfig(p=p, lam=lam, A=A, H=H, h_spec=h_spec, k=k)
-        if quantity in _GROUP_QUANTITIES:
-            counts._require_group_lambda(p, lam)
-        reports = _COMPUTE[quantity](cfg)
-        r = reports[0]
-        if quantity == "sigma":
-            # a scan wants one row per instance: the headline main estimate,
-            # which _compute_sigma puts at index 3 (sigma2_cartesian) when H
-            # is a grid and at index 1 (sigma1) otherwise
-            r = reports[3] if h_spec.startswith("cart:") else reports[1]
+        _, r = _instance(*desc)
         return (report_to_csv_row(r), report_to_json_obj(r))
     except HyperlabError as e:
-        inputs = {"p": p}
+        quantity, p, _, _, k, _, _ = desc
         tag = f"error:{type(e).__name__}"
         csv_cells = [quantity, str(p), "", "", "", "" if k is None else str(k), "", "", "", tag, ""]
         obj = {
-            "quantity": quantity, "inputs": inputs, "empirical": None, "bound": None,
+            "quantity": quantity, "inputs": {"p": p}, "empirical": None, "bound": None,
             "ratio": None, "regime": tag, "exactness": None, "detail": str(e),
         }
         return (",".join(csv_cells), obj)
@@ -397,11 +385,7 @@ def cmd_scan(ns) -> int:
     else:
         with ProcessPoolExecutor(max_workers=ns.workers) as pool:
             rows = list(pool.map(_scan_row, descs))
-    if ns.format == "json":
-        text = json.dumps([obj for _, obj in rows], indent=2) + "\n"
-    else:
-        text = "\n".join([CSV_HEADER] + [c for c, _ in rows]) + "\n"
-    _write_output(text, ns.out)
+    _write_output(_emit([obj if ns.format == "json" else csv for csv, obj in rows], ns.format), ns.out)
     return 0
 
 
@@ -454,9 +438,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        F = check_prime(ns.p) if ns.p is not None else None  # checks --p for every subcommand
+        if ns.p is not None:
+            check_prime(ns.p)  # checks --p for every subcommand
         if ns.command == "compute":
-            return cmd_compute(ns, F)
+            return cmd_compute(ns)
         if ns.command == "verify":
             return cmd_verify(ns)
         return cmd_scan(ns)

@@ -198,18 +198,25 @@ def parse_setspec(text: str, F: Fp, default_seed: int = 0) -> ScalarSet | Transl
     return out
 
 
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of a UTF-8 file;
+    a file that cannot be read or decoded is an InvalidSpec."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidSpec(f"cannot read {path}: {e}") from e
+    return [(ln, s) for ln, line in enumerate(text.split("\n"), start=1) if (s := line.strip())]
+
+
 def read_scalar_file(path: str, F: Fp) -> ScalarSet:
     """One integer literal per line; blank lines ignored."""
     elems = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                elems.append(int(s))
-            except ValueError:
-                raise InvalidSpec(f"{path}:{ln}: expected an integer, got {s!r}") from None
+    for ln, s in _read_lines(path):
+        try:
+            elems.append(int(s))
+        except ValueError:
+            raise InvalidSpec(f"{path}:{ln}: expected an integer, got {s!r}") from None
     if not elems:
         raise InvalidSpec(f"{path}: no elements")
     return ScalarSet(F.p, tuple(elems))
@@ -218,18 +225,14 @@ def read_scalar_file(path: str, F: Fp) -> ScalarSet:
 def read_translate_file(path: str, F: Fp) -> TranslateSet:
     """One 'a,b' pair per line; blank lines ignored."""
     pairs = []
-    with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s:
-                continue
-            parts = s.split(",")
-            try:
-                if len(parts) != 2:
-                    raise ValueError
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise InvalidSpec(f"{path}:{ln}: expected 'a,b', got {s!r}") from None
+    for ln, s in _read_lines(path):
+        parts = s.split(",")
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise InvalidSpec(f"{path}:{ln}: expected 'a,b', got {s!r}") from None
     if not pairs:
         raise InvalidSpec(f"{path}: no pairs")
     return TranslateSet(F.p, tuple(pairs))

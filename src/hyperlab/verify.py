@@ -1,11 +1,12 @@
 """Seeded verification suites: every exact-constant statement in scope,
 kernel-vs-oracle equivalence, and the cross-algorithm checks.
 
-Corpus schedule: each suite draws its instances from a fixed prime list
-(subsets of {61, 101, 499, 1009}, or the small primes <= 61 where a scan
-budget demands it) crossed with a size grid, using random.Random seeded
-by "{seed}:{suite}:{index}".  The same (seed, suite) pair therefore
-always names the same corpus, and a pass is a reproducible claim.
+Corpus schedule (_corpus): instance i of a suite runs at the i-th prime of
+a fixed cycle (subsets of {61, 101, 499, 1009}, or the small primes <= 61
+where a scan budget demands it; --p replaces the cycle) and draws its sizes
+and sets from random.Random seeded by "{seed}:{suite}:{i}".  The same
+(seed, suite) pair therefore always names the same corpus, and a pass is a
+reproducible claim.
 """
 
 import random
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import counts, oracle
 from .bounds import charsum_holds, eval_charsum
-from .field import Fp
+from .field import Fp, check_prime
 from .moebius import (
     INFINITY,
     compose,
@@ -53,6 +54,13 @@ def _rng(seed, suite: str, i) -> random.Random:
     return random.Random(f"{seed}:{suite}:{i}")
 
 
+def _corpus(seed, suite: str, trials: int, primes, p=None):
+    """The corpus schedule: (i, prime, rng) for each instance i < trials."""
+    primes = [p] if p else primes
+    for i in range(trials):
+        yield i, primes[i % len(primes)], _rng(seed, suite, i)
+
+
 def _scalar(rng: random.Random, p: int, max_size: int) -> ScalarSet:
     n = rng.randint(1, min(max_size, p))
     return ScalarSet(p, tuple(rng.sample(range(p), n)))
@@ -62,14 +70,10 @@ def _translates(rng: random.Random, p: int, max_size: int) -> TranslateSet:
     return random_translates(rng, p, rng.randint(1, min(max_size, p * p)))
 
 
-def oracle_equivalence(seed=0, trials=None, p=None) -> SuiteResult:
+def oracle_equivalence(seed=0, trials=100, p=None) -> SuiteResult:
     """sigma / T2 / T3 / Q kernels against the brute-force loops."""
-    trials = 100 if trials is None else trials
-    primes = [p] if p else [61, 101]
     res = SuiteResult("oracle-equivalence")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "oracle-equivalence", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [61, 101], p):
         A = _scalar(rng, q, 12)
         H = _translates(rng, q, 32)
         H3 = _translates(rng, q, 10)
@@ -94,21 +98,16 @@ def _np_eval_table(p: int, A, B, C, D, inv):
     return np.concatenate([fin, at_inf[:, None]], axis=1)
 
 
-def algebraic_identities(seed=0, trials=None, p=None) -> SuiteResult:
+def algebraic_identities(seed=0, trials=100_000, p=None) -> SuiteResult:
     """Closed product formulas vs generic chains; exhaustive action
     homomorphism and det checks for p <= 31."""
-    trials = 100_000 if trials is None else trials
     res = SuiteResult("algebraic-identities")
     pool = [61, 101, 499, 1009, (1 << 31) - 1, (1 << 61) - 1]
-    if p:
-        pool = [p]
-    ctxs = [Fp(q) for q in pool]
 
     bad = 0
     half = trials // 2
-    for i in range(half):
-        rng = _rng(seed, "algebraic-identities:pq", i)
-        F = ctxs[i % len(ctxs)]
+    for _, q, rng in _corpus(seed, "algebraic-identities:pq", half, pool, p):
+        F = check_prime(q)
         h1 = (rng.randrange(F.p), rng.randrange(F.p))
         h2 = (rng.randrange(F.p), rng.randrange(F.p))
         lhs = pair_quotient(F, h1, h2)
@@ -118,9 +117,8 @@ def algebraic_identities(seed=0, trials=None, p=None) -> SuiteResult:
     res.check(bad == 0, f"pair_quotient vs generic chain: {half} samples, {bad} mismatches")
 
     bad = 0
-    for i in range(trials - half):
-        rng = _rng(seed, "algebraic-identities:tp", i)
-        F = ctxs[i % len(ctxs)]
+    for _, q, rng in _corpus(seed, "algebraic-identities:tp", trials - half, pool, p):
+        F = check_prime(q)
         hs = [(rng.randrange(F.p), rng.randrange(F.p)) for _ in range(3)]
         lhs = triple_product(F, *hs)
         rhs = compose(pair_quotient(F, hs[0], hs[1]), embed_translate(F, hs[2]))
@@ -166,22 +164,15 @@ def algebraic_identities(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def lemma_t3(seed=0, trials=None, p=None) -> SuiteResult:
+def lemma_t3(seed=0, trials=200, p=None) -> SuiteResult:
     """T3(H) <= 2|H| Q(H) + 2|H|^4 with the stated constants."""
-    trials = 200 if trials is None else trials
-    primes = [p] if p else [101, 499]
     res = SuiteResult("lemma-t3")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "lemma-t3", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         H = _translates(rng, q, 24)
         t3 = counts.t_k(H, 3)
         rhs = 2 * len(H) * counts.q_rect(H) + 2 * len(H) ** 4
         res.check(t3 <= rhs, f"random p={q} |H|={len(H)} T3={t3} rhs={rhs}")
-    cart = max(1, trials // 4)
-    for i in range(cart):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "lemma-t3-cartesian", i)
+    for _, q, rng in _corpus(seed, "lemma-t3-cartesian", max(1, trials // 4), [101, 499], p):
         B = _scalar(rng, q, 5)
         H = gen_cartesian(B, B)
         t3 = counts.t_k(H, 3)
@@ -190,15 +181,11 @@ def lemma_t3(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def lemma_sh_cartesian(seed=0, trials=None, p=None) -> SuiteResult:
+def lemma_sh_cartesian(seed=0, trials=100, p=None) -> SuiteResult:
     """The two Cartesian estimates with constant 1, as stated:
     E(BxB) <= |B|^2 E_+(B) and T3(BxB) <= |B|^2 PRE(B) + |B|^8."""
-    trials = 100 if trials is None else trials
-    primes = [p] if p else [101, 499]
     res = SuiteResult("lemma-sh-cartesian")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "lemma-sh-cartesian", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         B = _scalar(rng, q, 8)
         H = gen_cartesian(B, B)
         e = counts.t_k(H, 2)
@@ -213,14 +200,10 @@ def lemma_sh_cartesian(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def borel(seed=0, trials=None, p=None) -> SuiteResult:
+def borel(seed=0, trials=200, p=None) -> SuiteResult:
     """Coset-mass bounds X_B <= |H|^2, Y_B <= |H|^4, and the partitions."""
-    trials = 200 if trials is None else trials
-    primes = [p] if p else [101, 499]
     res = SuiteResult("borel")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "borel", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         H = _translates(rng, q, 24)
         table, max_nb = counts.borel_coset_mass(H)
         e = counts.t_k(H, 2)
@@ -233,14 +216,10 @@ def borel(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def charsum(seed=0, trials=None, p=None) -> SuiteResult:
+def charsum(seed=0, trials=200, p=None) -> SuiteResult:
     """sigma(A,H) <= |A|^2|H|/p + 2|A| sqrt(p|H|), exact constants."""
-    trials = 200 if trials is None else trials
-    primes = [p] if p else [101, 499, 1009]
     res = SuiteResult("charsum")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "charsum", i)
+    for i, q, rng in _corpus(seed, res.name, trials, [101, 499, 1009], p):
         if i % 10 == 0:
             A = ScalarSet(q, tuple(range(1, q)))  # the extreme |A| = p - 1
         else:
@@ -253,15 +232,11 @@ def charsum(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def minkowski_rotation(seed=0, trials=None, p=None) -> SuiteResult:
+def minkowski_rotation(seed=0, trials=50, p=None) -> SuiteResult:
     """Realisation count vs the rotated-pair route, plus the one-sided
     rectangle incidence comparison."""
-    trials = 50 if trials is None else trials
-    primes = [p] if p else [101, 499]
     res = SuiteResult("minkowski-rotation")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "minkowski-rotation", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         A = _scalar(rng, q, 10)
         lam = rng.randrange(1, q)
         direct = counts.minkowski_realisations(A, lam)
@@ -274,14 +249,10 @@ def minkowski_rotation(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def t4_chain(seed=0, trials=None, p=None) -> SuiteResult:
+def t4_chain(seed=0, trials=50, p=None) -> SuiteResult:
     """T4(H) <= |H|^2 T3(H)."""
-    trials = 50 if trials is None else trials
-    primes = [p] if p else [101, 499]
     res = SuiteResult("t4-chain")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "t4-chain", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         H = _translates(rng, q, 16)
         t3 = counts.t_k(H, 3)
         t4 = counts.t_k(H, 4)
@@ -289,15 +260,11 @@ def t4_chain(seed=0, trials=None, p=None) -> SuiteResult:
     return res
 
 
-def cross_algorithm_mk(seed=0, trials=None, p=None) -> SuiteResult:
+def cross_algorithm_mk(seed=0, trials=20, p=None) -> SuiteResult:
     """The pair and column (all p^2 translates) m_k arms give equal richness
     maps, and at each k their counts and witnesses match the oracle scan."""
-    trials = 20 if trials is None else trials
-    primes = [p] if p else [7, 13, 31, 61]
     res = SuiteResult("cross-algorithm-mk")
-    for i in range(trials):
-        q = primes[i % len(primes)]
-        rng = _rng(seed, "cross-algorithm-mk", i)
+    for _, q, rng in _corpus(seed, res.name, trials, [7, 13, 31, 61], p):
         A = _scalar(rng, q, min(8, q - 1))
         if len(A) < 2:
             A = ScalarSet(q, tuple(rng.sample(range(q), 2)))

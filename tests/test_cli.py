@@ -151,6 +151,32 @@ def test_at_file_ingestion(tmp_path, capsys):
     assert out.splitlines()[1].split(",")[6] == "2"
 
 
+@pytest.mark.parametrize("flag", ["--A", "--H"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_at_path_exit_2(tmp_path, capsys, kind, flag):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"1\n\xff\n")
+    sets = {"--A": "list:1", "--H": "listh:0,0", flag: f"@{path}"}
+    code, out, err = run(capsys, "compute", "sigma", "--p", "7", *(x for kv in sets.items() for x in kv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_scan_continues_past_an_unreadable_row(tmp_path, capsys):
+    fam = tmp_path / "rows.txt"
+    fam.write_text(f"7 @{tmp_path / 'nonexistent'} listh:0,0\n7 list:1,6 listh:0,0\n")
+    code, out, _ = run(capsys, "scan", "sigma", "--family", f"file:{fam}")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[1].split(",")[9] == "error:InvalidSpec"
+    assert lines[2].split(",")[6] == "2"
+    code, out, _ = run(capsys, "scan", "sigma", "--family", f"file:{fam}", "--format", "json")
+    assert json.loads(out)[0]["detail"].startswith(f"cannot read {tmp_path / 'nonexistent'}: ")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["compute", "nosuchquantity", "--p", "7"]) == 2
     assert main([]) == 2
@@ -164,6 +190,12 @@ def test_verify_pass_and_fail(capsys):
     code, out, _ = run(capsys, "verify", "lemma-sh-cartesian", "--trials", "6", "--seed", "0")
     assert code == 1
     assert "FAIL" in out.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "verify", "oracle-equivalence", "--trials", trials)
+    assert (code, out, err) == (2, "", f"error: --trials must be >= 1, got {trials}\n")
 
 
 @pytest.mark.parametrize(
@@ -225,6 +257,40 @@ def test_scan_file_family_and_row_errors(tmp_path, capsys):
     assert lines[1].split(",")[9] == "M1-direct-na"
     assert "error:NotAPrime" in lines[2]
     assert lines[3].split(",")[9] == "cartesian"
+
+
+_CROSS_ROWS = (
+    "101 ap:1,1,6 randomh:12,3",
+    "61 random:8,2 cart:ap:1,1,4;ap:1,1,4",
+    "1009 gp:3,5,7 listh:1,2;3,4;5,6",
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_scan_row_is_the_compute_headline(tmp_path, capsys, quantity, fmt):
+    # a scan prints, per instance, the headline of the rows compute prints:
+    # for sigma the sigma1 estimate, or the Cartesian one when H is a cart:
+    # spec; for every other quantity the first row
+    fam = tmp_path / "rows.txt"
+    fam.write_text("\n".join(_CROSS_ROWS) + "\n")
+    code, out, _ = run(capsys, "scan", quantity, "--family", f"file:{fam}", "--k", "2", "--format", fmt)
+    assert code == 0
+    scanned = json.loads(out) if fmt == "json" else out.splitlines()[1:]
+    assert len(scanned) == len(_CROSS_ROWS)
+    for line, got in zip(_CROSS_ROWS, scanned):
+        p, a_spec, h_spec = line.split()
+        code, out, _ = run(
+            capsys, "compute", quantity, "--p", p, "--A", a_spec, "--H", h_spec, "--k", "2", "--format", fmt
+        )
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else out.splitlines()[1:]
+        regimes = [r["regime"] if fmt == "json" else r.split(",")[9] for r in rows]
+        want = rows[0]
+        if quantity == "sigma":
+            headline = "cartesian" if h_spec.startswith("cart:") else "M1-"
+            want = next(r for r, regime in zip(rows, regimes) if regime.startswith(headline))
+        assert got == want
 
 
 def test_scan_unknown_family_exit_2(capsys):
