@@ -130,24 +130,15 @@ def eval_mk_bb(card_a: int, k: int, p: int) -> EvalResult:
     return EvalResult(min(first, second), regime, k * k > card_a)
 
 
-def eval_lines(card_a: int, k: int, p: int, which: str, card_l: int | None = None) -> EvalResult:
-    """sdz: |A|^{5/4}|L|^{3/4} + |L| + |A|^2 under |A||L| < p^2;
-    lk: min(p|A|^2/k^2, |A|^5/k^4) on the window 2|A|^2/p <= k <= |A|."""
-    if which == "sdz":
-        if card_l is None:
-            raise InvalidArgument("sdz needs the line count card_l")
-        valid = card_a * card_l < p**2
-        value = card_a**1.25 * card_l**0.75 + card_l + card_a**2
-        return EvalResult(value, "sdz", valid)
-    if which == "lk":
-        if k < 1:
-            raise InvalidArgument(f"k must be >= 1, got {k}")
-        first = p * card_a**2 / k**2
-        second = card_a**5 / k**4
-        regime = "branch-pA2k2" if first <= second else "branch-A5k4"
-        valid = k > 1 and k <= card_a and k * p >= 2 * card_a**2
-        return EvalResult(min(first, second), regime, valid)
-    raise InvalidArgument(f"unknown line-bound variant {which!r}")
+def eval_lines(card_a: int, k: int, p: int) -> EvalResult:
+    """k-rich lines: min(p|A|^2/k^2, |A|^5/k^4) on the window 2|A|^2/p <= k <= |A|."""
+    if k < 1:
+        raise InvalidArgument(f"k must be >= 1, got {k}")
+    first = p * card_a**2 / k**2
+    second = card_a**5 / k**4
+    regime = "branch-pA2k2" if first <= second else "branch-A5k4"
+    valid = k > 1 and k <= card_a and k * p >= 2 * card_a**2
+    return EvalResult(min(first, second), regime, valid)
 
 
 def eval_t3_bounds(card_h: int, m: int, p: int, which: str) -> EvalResult:

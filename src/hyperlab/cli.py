@@ -163,7 +163,7 @@ def _compute_mk(p, A, k, lam, **_):
 def _compute_lk(p, A, k, **_):
     emp = counts.rich_lines(A, A, k)
     inputs = {"p": p, "card_A": len(A), "k": k}
-    ev = bounds.eval_lines(len(A), k, p, "lk")
+    ev = bounds.eval_lines(len(A), k, p)
     r = make_report("lk", inputs, emp, ev.value, ASYMPTOTIC, _regime(ev))
     return [r], r
 
@@ -198,8 +198,8 @@ def _compute_minkowski(p, A, lam, **_):
     return [r], r
 
 
-def _compute_cschain(p, A, H, lam, **_):
-    rep = counts.cs_chain_report(A, H, lam)
+def _compute_cschain(p, A, H, **_):
+    rep = counts.cs_chain_report(A, H)
     inputs = {"p": p, "card_A": len(A), "card_H": len(H)}
     r = make_report("cschain", inputs, rep.lhs_sq, rep.rhs_cs, EXACT, "cauchy-schwarz")
     return [r], r
@@ -258,8 +258,10 @@ def _instance(quantity, p, a_spec, h_spec, k, lam, seed):
         "--H": _resolve(h_spec, F, seed, scalar=False),
         "--k": k,
     }
-    if quantity in _GROUP_QUANTITIES and p is not None:
-        counts._require_group_lambda(p, lam)
+    if quantity in _GROUP_QUANTITIES and p is not None and lam % p != p - 1:
+        raise InvalidArgument(
+            "group-structured counts require lambda = -1 (translates embed into SL2 only there)"
+        )
     missing = [flag for flag in ("--p",) + _NEEDS[quantity] if given[flag] is None]
     if missing:
         raise InvalidArgument(f"{quantity} requires {', '.join(missing)}")

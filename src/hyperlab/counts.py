@@ -4,10 +4,15 @@ Minkowski realisations, rich curves and lines, and the Cauchy-Schwarz chain.
 Every count here is an exact integer; no floating point enters.  Group
 quantities (anything built from HH^-1 products) exist only for the curve
 constant lambda = -1, where translates embed into SL2.  The moebius column
-forms, the only copy of each SL2 closed form, give their entries as arrays;
-sorting the packed keys (a p + b) p + (c if a else d), injective on SL2 as
-det = 1 makes a != 0 fix d and a = 0 force bc = -1 (b fixes c), counts them
-as runs.  Keys stay below p^3: int64 for p <= 2^21, Python ints above.
+forms, the only copy of each SL2 closed form, give their entries as arrays.
+A product is keyed (a p + b) p + (c if a else d), injective on SL2 as det = 1
+makes a != 0 fix d and a = 0 force bc = -1 (b fixes c).  A pair quotient
+h1 h2^-1 is keyed by the arguments of its closed form, w = b1 - b2, a1 and
+a2: (w p + a1) p + a2, or (a1 - a2) p when w = 0.  That key is injective on
+quotients, as for w != 0 the entries c = w, a = 1 + a1 w and d = 1 - a2 w
+give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  One
+counter, _tally, sorts keys and reads off the runs of equal ones.  Keys stay
+below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
@@ -17,8 +22,9 @@ the number of points (or point pairs) on each.
 
 The histograms over element pairs (differences for eplus, minkowski and the
 product histogram, D(h, h') for q and t3) sort and count one block of int64
-residues at a time and merge the blocks' runs (_sort_count); d_histogram and
-product_rep_histogram turn the arrays into a Counter only on return.
+residues at a time and merge the blocks' runs when there are several
+(_sort_count); d_histogram and product_rep_histogram turn the arrays into a
+Counter only on return.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
@@ -49,11 +55,20 @@ _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kern
 _COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
 
 
+def _elementwise(fn):
+    """fn over each element of an array, returned in the array's dtype."""
+    ufunc = np.frompyfunc(lambda x: fn(int(x)), 1, 1)
+    return lambda x: ufunc(x).astype(x.dtype)
+
+
 @lru_cache(maxsize=8)
-def _inv_table(p: int) -> np.ndarray:
-    """x^-1 mod p for x in [0, p), 0 -> 0, as an int64 array: inv[g^i] =
-    g^(p-1-i) over the powers of a primitive root g, which doubling fills in
-    O(log p) array passes."""
+def _inv_vec(p: int):
+    """Elementwise x^-1 mod p of an array, 0 -> 0, built once per prime.  For
+    small p it reads an int64 table: inv[g^i] = g^(p-1-i) over the powers of
+    a primitive root g, which doubling fills in O(log p) array passes."""
+    if p > _INV_TABLE_MAX:
+        inv = check_prime(p).inv
+        return _elementwise(lambda x: inv(x) if x else 0)
     m, factors, d = p - 1, set(), 2
     while d * d <= m:  # the prime factors of p - 1; m keeps the largest
         if m % d:
@@ -68,25 +83,12 @@ def _inv_table(p: int) -> np.ndarray:
     while n < p - 1:
         powers[n : 2 * n] = powers[: min(n, p - 1 - n)] * step % p
         n, step = 2 * n, step * step % p
-    inv = np.zeros(p, dtype=np.int64)
-    inv[powers] = powers[-np.arange(p - 1)]
-    return inv
+    table = np.zeros(p, dtype=np.int64)
+    table[powers] = powers[-np.arange(p - 1)]
+    return table.__getitem__
 
 
-def _elementwise(fn):
-    """fn over each element of an array, returned in the array's dtype."""
-    ufunc = np.frompyfunc(lambda x: fn(int(x)), 1, 1)
-    return lambda x: ufunc(x).astype(x.dtype)
-
-
-@lru_cache(maxsize=8)
-def _inv_vec(p: int):
-    """Elementwise x^-1 mod p of an array, 0 -> 0; table-backed for small p,
-    built once per prime."""
-    if p <= _INV_TABLE_MAX:
-        return _inv_table(p).__getitem__
-    inv = check_prime(p).inv
-    return _elementwise(lambda x: inv(x) if x else 0)
+_inv_table = _inv_vec  # the name perfbench/worker.py reads cache_info() from
 
 
 @lru_cache(maxsize=8)
@@ -133,8 +135,9 @@ def _item_bytes(p: int) -> int:
 
 @dataclass(frozen=True)
 class QuotientHistogram:
-    """Entry columns (a, b, c, d) of each distinct quotient u, in key order,
-    and the counts r(u), as arrays; len() is the support."""
+    """Entry columns (a, b, c, d) of each distinct quotient u, in ascending
+    order of its key (w p + a1) p + a2 (see the module docstring), and the
+    counts r(u), as arrays; len() is the support."""
 
     columns: tuple
     counts: np.ndarray
@@ -158,13 +161,6 @@ def _check_lambda(p: int, lam: int) -> int:
     if lam == 0:
         raise InvalidArgument("lambda must be nonzero")
     return lam
-
-
-def _require_group_lambda(p: int, lam: int):
-    if lam % p != p - 1:
-        raise InvalidArgument(
-            "group-structured counts require lambda = -1 (translates embed into SL2 only there)"
-        )
 
 
 def _hits(p: int, a, b, c, d, xs, targets) -> np.ndarray:
@@ -220,19 +216,21 @@ def _key(p: int, a, b, c, d):
     return (a * p + b) * p + np.where(a == 0, d, c)
 
 
-def _tally(keys, weights):
-    """(index of one occurrence, total weight) of each distinct key, in key order."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], ordered[1:] != ordered[:-1])))
-    return order[starts], np.add.reduceat(weights[order], starts)
-
-
-def _runs(keys):
-    """Each distinct key, ascending, and its multiplicity; sorts keys in place."""
-    keys.sort()
-    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
-    return keys[starts], np.diff(starts, append=len(keys))
+def _tally(keys, weights=None):
+    """Each distinct key, ascending, and its total weight, or its multiplicity
+    when no weights are given (then keys are sorted in place)."""
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    # runs start at 0 and where the key changes; the edge at len(keys) closes the last
+    edges = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    if weights is None:
+        return keys[edges[:-1]], np.diff(edges)
+    return keys[edges[:-1]], np.add.reduceat(weights, edges[:-1])
 
 
 def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
@@ -253,14 +251,22 @@ def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
 
 
 def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
-    """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs, keyed by the SL2
-    entry tuple of the pair quotient."""
-    # 12 arrays of |H|^2 items at the tally (96 B per pair at int64, measured)
-    _reserve("quotient histogram", 13 * len(H) ** 2 * _item_bytes(H.p))
+    """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs h1 h2^-1, keyed by the
+    arguments of its closed form (see the module docstring)."""
+    p = H.p
+    # at most 10 arrays of |H|^2 items at once, at the entry columns of a
+    # support close to |H|^2 (80 B per pair at int64, measured)
+    _reserve("quotient histogram", 13 * len(H) ** 2 * _item_bytes(p))
     a, b = _columns(H)
-    cols = [e.ravel() for e in pair_quotient_entries(H.p, a[:, None], b[:, None], a, b)]
-    first, counts = _tally(_key(H.p, *cols), np.ones(len(cols[0]), dtype=np.int64))
-    return QuotientHistogram(tuple(e[first] for e in cols), counts)
+    w = (b[:, None] - b) % p
+    keys = np.where(w == 0, (a[:, None] - a) % p * p, (w * p + a[:, None]) * p + a).ravel()
+    del w  # the tally and the entry columns peak without it
+    keys, counts = _tally(keys)
+    a2 = keys % p
+    keys //= p  # w p + a1
+    a1 = keys % p
+    keys //= p  # w
+    return QuotientHistogram(pair_quotient_entries(p, a1, keys, a2, 0), counts)
 
 
 def _t3_keys(H: TranslateSet):
@@ -308,26 +314,22 @@ def _sort_count(what: str, p: int, n: int, key, weight=None, item: int = 8, extr
     """(values ascending, total weights) of the residues key(s) mod p, weighted
     by weight(s) or 1, over row slices s of an n x n outer product.  Blocks of
     about _CHUNK keys are cast to int64 and counted one at a time, and one
-    _tally merges their runs.  Reserves the extra bytes the caller holds too."""
+    _tally merges their runs if there are several blocks.  Reserves the extra
+    bytes the caller holds too."""
     rows = max(1, _CHUNK // max(1, n))
-    blocks = range(0, max(1, n), rows)  # one empty block if n = 0
+    blocks = [slice(i, i + rows) for i in range(0, max(1, n), rows)]  # one empty block if n = 0
     # per key of a block 3 items as key(s) forms them (4 int64 more to weigh),
     # and 10 int64 items per merged run, at most p runs per block
     cell = 3 * item + 32 * (weight is not None)
     _reserve(what, cell * min(n, rows) * n + 80 * min(n * n, len(blocks) * p) + extra)
-    values, counts = [], []
-    for i in blocks:
-        keys = key(slice(i, i + rows)).ravel().astype(np.int64, copy=False)
-        if weight is None:
-            v, c = _runs(keys)
-        else:
-            first, c = _tally(keys, weight(slice(i, i + rows)).ravel())
-            v = keys[first]
-        values.append(v)
-        counts.append(c)
-    values = np.concatenate(values)
-    first, counts = _tally(values, np.concatenate(counts))
-    return values[first], counts
+    runs = [
+        _tally(key(s).ravel().astype(np.int64, copy=False), None if weight is None else weight(s).ravel())
+        for s in blocks
+    ]
+    if len(runs) == 1:
+        return runs[0]
+    values, counts = zip(*runs)
+    return _tally(np.concatenate(values), np.concatenate(counts))
 
 
 def d_histogram(H: TranslateSet) -> Counter:
@@ -408,7 +410,7 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
         a = np.arange(a0, min(p, a0 + rows))[:, None]
         u = (xs - a) % p
         b = (xs - (lam * inv(u) % p)[:, :, None]) % p  # over (a, y, x)
-        found, t = _runs((a[:, :, None] * p + b)[u != 0].ravel())
+        found, t = _tally((a[:, :, None] * p + b)[u != 0].ravel())
         keys.append(found[t >= 2])
         rich.append(t[t >= 2])
     keys = np.concatenate(keys)  # frees the key blocks before joining the rest
@@ -436,7 +438,7 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
         for root, hit in ((s, s >= 0), (-s, s > 0)):  # a double root counts once
             u = (ef + root) % p * inv2f % p  # nonzero: the roots multiply to lam e / f
             keys.append(((y1 - lam * inv(u)) % p * p + (x1 - u) % p)[hit & (f != 0)])
-    keys, hits = _runs(np.concatenate(keys))
+    keys, hits = _tally(np.concatenate(keys))
     # 1 + 8 C(t, 2) = (2t - 1)^2 is an exact square below 2^53, so its float root is exact
     return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
 
@@ -470,7 +472,7 @@ def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
         m = f * inv(e) % p
         keys.append((m * p + (y1 - m * x1) % p).ravel())
-    return _runs(np.concatenate(keys))
+    return _tally(np.concatenate(keys))
 
 
 def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
@@ -540,8 +542,8 @@ def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     a, _, c, _ = hist.columns
     # label a/c, or p for oo (c = 0 inverts to 0); a mass is <= E(H) <= |H|^3
     labels = np.where(c == 0, H.p, a * _inv_vec(H.p)(c) % H.p)
-    first, mass = _tally(labels, hist.counts * hist.counts)
-    masses = Counter({INFINITY if k == H.p else k: v for k, v in zip(labels[first].tolist(), mass.tolist())})
+    labels, mass = _tally(labels, hist.counts * hist.counts)
+    masses = Counter({INFINITY if k == H.p else k: v for k, v in zip(labels.tolist(), mass.tolist())})
     return masses, max((v for k, v in masses.items() if k is not INFINITY), default=0)
 
 
@@ -552,7 +554,7 @@ def borel_t3_mass(H: TranslateSet) -> int:
     return _sorted_square_sum(_t3_keys(H), H.p, borel=True)
 
 
-def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainReport:
+def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     """Replay of the first Cauchy-Schwarz step: sigma^2 <= |A| sum_u r(u) sigma_u,
     the pigeonhole level Delta = sigma^2 / (3|A||H|^2), and the share of
     the right-hand side carried by Omega = {u: sigma_u >= Delta}."""
@@ -561,7 +563,6 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet, lam: int = -1) -> CsChainRepo
     if len(A) == 0 or len(H) == 0:
         raise EmptyInput("cs_chain_report needs nonempty A and H")
     p = A.p
-    _require_group_lambda(p, lam)
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
     xs = _array(A)

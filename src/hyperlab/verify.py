@@ -105,7 +105,7 @@ def algebraic_identities(seed=0, trials=100_000, p=None) -> SuiteResult:
     pool = [61, 101, 499, 1009, (1 << 31) - 1, (1 << 61) - 1]
 
     bad = 0
-    half = trials // 2
+    half = max(1, trials // 2)  # each check gets at least one sample
     for _, q, rng in _corpus(seed, "algebraic-identities:pq", half, pool, p):
         F = check_prime(q)
         h1 = (rng.randrange(F.p), rng.randrange(F.p))
@@ -117,14 +117,15 @@ def algebraic_identities(seed=0, trials=100_000, p=None) -> SuiteResult:
     res.check(bad == 0, f"pair_quotient vs generic chain: {half} samples, {bad} mismatches")
 
     bad = 0
-    for _, q, rng in _corpus(seed, "algebraic-identities:tp", trials - half, pool, p):
+    rest = max(1, trials - half)
+    for _, q, rng in _corpus(seed, "algebraic-identities:tp", rest, pool, p):
         F = check_prime(q)
         hs = [(rng.randrange(F.p), rng.randrange(F.p)) for _ in range(3)]
         lhs = triple_product(F, *hs)
         rhs = compose(pair_quotient(F, hs[0], hs[1]), embed_translate(F, hs[2]))
         if lhs.entries != rhs.entries:
             bad += 1
-    res.check(bad == 0, f"triple_product vs generic chain: {trials - half} samples, {bad} mismatches")
+    res.check(bad == 0, f"triple_product vs generic chain: {rest} samples, {bad} mismatches")
 
     small = [q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if p is None or q == p]
     for q in small:

@@ -86,22 +86,13 @@ def test_mk_bb():
         eval_mk_bb(8, 0, 1009)
 
 
-def test_lines_sdz_pin():
-    ev = eval_lines(1, 2, 101, "sdz", card_l=1)
-    assert ev.value == 3.0  # 1 + 1 + 1
-    assert ev.applicable
-    assert not eval_lines(101, 101, 101, "sdz", card_l=101).applicable  # |A||L| = p^2
-    with pytest.raises(InvalidArgument):
-        eval_lines(1, 2, 101, "sdz")
-
-
 def test_lines_lk_window():
-    ev = eval_lines(10, 5, 101, "lk")
+    ev = eval_lines(10, 5, 101)
     assert ev.value == pytest.approx(min(101 * 100 / 25, 10**5 / 5**4))
     assert ev.applicable  # 1 < 5 <= 10 and 5*101 >= 200
-    assert not eval_lines(10, 1, 101, "lk").applicable
-    assert not eval_lines(10, 11, 101, "lk").applicable
-    assert not eval_lines(100, 2, 101, "lk").applicable  # 2*101 < 2*100^2
+    assert not eval_lines(10, 1, 101).applicable
+    assert not eval_lines(10, 11, 101).applicable
+    assert not eval_lines(100, 2, 101).applicable  # 2*101 < 2*100^2
 
 
 def test_t3_bounds_cases():

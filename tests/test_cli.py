@@ -100,9 +100,11 @@ def test_default_budget_refuses_large_energy(capsys):
 
 
 def test_group_lambda_refused(capsys):
-    code, _, err = run(capsys, "compute", "energy", "--p", "101", "--H", "randomh:5,1", "--lambda", "3")
-    assert code == 2
-    assert "lambda" in err
+    for quantity, sets in (("energy", ()), ("cschain", ("--A", "list:1,2"))):
+        argv = ("compute", quantity, "--p", "101", *sets, "--H", "randomh:5,1", "--lambda", "3")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "lambda" in err
     # sigma is defined for every nonzero lambda
     code, _, _ = run(
         capsys, "compute", "sigma", "--p", "101", "--A", "list:1,2", "--H", "randomh:5,1", "--lambda", "3"
@@ -216,6 +218,13 @@ def test_verify_prints_per_case(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 5  # four cases + aggregate
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+def test_verify_one_trial_samples_every_check(capsys):
+    code, out, _ = run(capsys, "verify", "algebraic-identities", "--p", "7", "--trials", "1")
+    assert code == 0
+    assert out.count(": 1 samples") == 2
+    assert not [line for line in out.splitlines() if ": 0 samples" in line]
 
 
 def test_scan_demo_and_out(tmp_path, capsys):
