@@ -16,6 +16,15 @@ below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
+The array loops reduce mod p with moebius._mod, x - (x // p) p formed in
+place: numpy divides an int64 array by a scalar through libdivide, several
+times faster than its x % p (which is slower still on negative x), and the
+in-place steps hold no more temporaries than x % p.  E(H) = T_2 (at most
+|H|^3) and sum_u r(u) sigma_u (at most |H|^2 |A|) are summed in int64, as
+no budget below 200 GiB admits inputs that take them to 2^63; T_4 (at most
+|H|^7) is summed in int64 while |H|^7 < 2^63 and over Python ints from
+|H| = 512.
+
 m_k and l_k are threshold counts over a richness map: the sorted keys of
 every translate (or non-vertical line) through two or more points, with
 the number of points (or point pairs) on each.
@@ -30,8 +39,10 @@ Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
 entry columns.  Its inverses come from one array route, _inv_vec: a table
 read off the powers of a primitive root for small p, extended Euclid per
-element above.  The brute-force reference loops in the oracle module use
-Fermat powers instead, so the two routes share no arithmetic shortcuts.
+element above.  Up to the same p its membership test reads a p-long boolean
+table of the targets, and above it np.isin.  The brute-force reference loops
+in the oracle module use Fermat powers instead, so the two routes share no
+arithmetic shortcuts.
 """
 
 import os
@@ -45,7 +56,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit
 from .field import check_prime
-from .moebius import INFINITY, pair_quotient_entries, product_entries, triple_product_entries
+from .moebius import INFINITY, _mod, pair_quotient_entries, product_entries, triple_product_entries
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
@@ -104,11 +115,12 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, inv: bool = True, sqrt: bool = False) -> int:
+def _table_bytes(p: int, inv: bool = True, sqrt: bool = False, member: bool = False) -> int:
     """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather) and of a square-root table build (20 p),
-    as asked; tracemalloc peaks, 0 where no table is built."""
-    return (32 * inv + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
+    table, the index and the gather), of a square-root table build (20 p)
+    and of _hits' boolean membership table (p), as asked; tracemalloc peaks,
+    0 where no table is built."""
+    return (32 * inv + 20 * sqrt + member) * p if p <= _INV_TABLE_MAX else 0
 
 
 def _reserve(what: str, nbytes: int) -> None:
@@ -164,22 +176,32 @@ def _check_lambda(p: int, lam: int) -> int:
 
 
 def _hits(p: int, a, b, c, d, xs, targets) -> np.ndarray:
-    """For each map (a b; c d) of the entry columns, the number of x in xs
-    with c x + d != 0 and (a x + b) / (c x + d) in targets, as int64; the
-    maps go in blocks of about _CHUNK points."""
+    """For each map (a b; c d) of the entry columns (residues), the number
+    of x in xs with c x + d != 0 and (a x + b) / (c x + d) in targets, as
+    int64; the maps go in blocks of about _CHUNK points.  Membership in
+    targets is a read of a p-long boolean table where p <= _INV_TABLE_MAX,
+    as the inverses are, and np.isin above, where the per-element Python
+    inverses cost more than the test."""
     rows = max(1, _CHUNK // max(1, len(xs)))
     # 8 items per point of a block (as measured for sigma_u) and 8 per map:
     # the entry columns and inputs a caller holds, and the output
     cells = min(rows, len(a)) * len(xs)
-    _reserve("Moebius hits", 8 * _item_bytes(p) * (cells + len(a)) + _table_bytes(p))
+    _reserve("Moebius hits", 8 * _item_bytes(p) * (cells + len(a)) + _table_bytes(p, member=True))
     inv = _inv_vec(p)
+    if p <= _INV_TABLE_MAX:
+        member = np.zeros(p, dtype=bool)
+        member[targets] = True
+        is_target = member.__getitem__
+    else:
+        is_target = lambda y: np.isin(y, targets)
     out = np.empty(len(a), dtype=np.int64)
     for i in range(0, len(a), rows):
         s = slice(i, i + rows)
-        den = (c[s, None] * xs + d[s, None]) % p
-        y = (a[s, None] * xs + b[s, None]) % p * inv(den) % p
+        den = _mod(c[s, None] * xs + d[s, None], p)
+        # (a x + b) inv(den) < p^3: int64 up to _INT64_P, Python ints above
+        y = _mod((a[s, None] * xs + b[s, None]) * inv(den), p)
         # den = 0 puts the image at oo, never a target (y reads 0 there)
-        out[s] = ((den != 0) & np.isin(y, targets)).sum(axis=1)
+        out[s] = ((den != 0) & is_target(y)).sum(axis=1)
     return out
 
 
@@ -255,16 +277,16 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     arguments of its closed form (see the module docstring)."""
     p = H.p
     # at most 10 arrays of |H|^2 items at once, at the entry columns of a
-    # support close to |H|^2 (80 B per pair at int64, measured)
-    _reserve("quotient histogram", 13 * len(H) ** 2 * _item_bytes(p))
+    # support close to |H|^2 (79.9 B per pair at int64, measured)
+    _reserve("quotient histogram", 10 * len(H) ** 2 * _item_bytes(p))
     a, b = _columns(H)
-    w = (b[:, None] - b) % p
-    keys = np.where(w == 0, (a[:, None] - a) % p * p, (w * p + a[:, None]) * p + a).ravel()
+    w = _mod(b[:, None] - b, p)
+    keys = np.where(w == 0, _mod(a[:, None] - a, p) * p, (w * p + a[:, None]) * p + a).ravel()
     del w  # the tally and the entry columns peak without it
     keys, counts = _tally(keys)
-    a2 = keys % p
+    a2 = _mod(keys, p)
     keys //= p  # w p + a1
-    a1 = keys % p
+    a1 = _mod(keys, p)
     keys //= p  # w
     return QuotientHistogram(pair_quotient_entries(p, a1, keys, a2, 0), counts)
 
@@ -294,7 +316,10 @@ def t_k(H: TranslateSet, k: int) -> int:
     if len(H) == 0:
         return 0
     if k == 2:
-        return sum(v * v for v in quotient_histogram(H).counts.tolist())
+        r = quotient_histogram(H).counts
+        # E(H) <= |H|^3 < 2^63 unless |H| >= 2^21, which the reservation
+        # admits only on a budget of 2^42 * 80 B (320 TiB) or more
+        return int(np.dot(r, r))
     if k == 3:
         return _sorted_square_sum(_t3_keys(H), H.p)
     if k == 4:
@@ -306,6 +331,9 @@ def t_k(H: TranslateSet, k: int) -> int:
         # least |H|, so the reservation admits |H|^4 >= 2^63 only on a budget
         # of 2^31.5 * 72 B (about 204 GiB) or more
         _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
+        # T_4 <= |H|^7, as a product's count is at most |H|^3 and they sum to |H|^4
+        if len(H) ** 7 < 1 << 63:
+            return int(np.dot(sums, sums))
         return sum(v * v for v in sums.tolist())
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
@@ -337,7 +365,7 @@ def d_histogram(H: TranslateSet) -> Counter:
     p, n = H.p, len(H)
     a, b = _columns(H)
     # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
-    d, r = _sort_count("D histogram", p, n, lambda s: (a[s, None] - a) * (b[s, None] - b) % p,
+    d, r = _sort_count("D histogram", p, n, lambda s: _mod((a[s, None] - a) * (b[s, None] - b), p),
                        item=_item_bytes(p), extra=8 * _COUNTER_ITEMS * min(p, n * (n - 1) // 2 + 1))
     return Counter(dict(zip(d.tolist(), r.tolist())))
 
@@ -351,7 +379,7 @@ def _differences(B: ScalarSet, extra: int = 0) -> tuple:
     """(d ascending, number of ordered pairs (x, y) of B x B with x - y = d),
     reserved with the extra bytes its caller holds with it; int64 at every p."""
     p, xs = B.p, np.array(B.elements, dtype=np.int64)
-    return _sort_count("difference histogram", p, len(xs), lambda s: (xs[s, None] - xs) % p, extra=extra)
+    return _sort_count("difference histogram", p, len(xs), lambda s: _mod(xs[s, None] - xs, p), extra=extra)
 
 
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
@@ -408,8 +436,8 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     keys, rich = [], []
     for a0 in range(0, p, rows):
         a = np.arange(a0, min(p, a0 + rows))[:, None]
-        u = (xs - a) % p
-        b = (xs - (lam * inv(u) % p)[:, :, None]) % p  # over (a, y, x)
+        u = _mod(xs - a, p)
+        b = _mod(xs - (lam * inv(u))[:, :, None], p)  # over (a, y, x), above -p^2
         found, t = _tally((a[:, :, None] * p + b)[u != 0].ravel())
         keys.append(found[t >= 2])
         rich.append(t[t >= 2])
@@ -432,12 +460,12 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     inv, sqrt = _inv_vec(p), _sqrt_vec(p)
     keys = []
     for x1, e, y1, f in _point_pairs(p, xs, xs):
-        ef = e * f % p
-        s = sqrt(ef * ((ef - 4 * lam) % p) % p)
-        inv2f = inv(2 * f % p)
+        ef = _mod(e * f, p)
+        s = sqrt(_mod(ef * (ef - 4 * lam), p))  # above -4 p^2
+        inv2f = inv(_mod(2 * f, p))
         for root, hit in ((s, s >= 0), (-s, s > 0)):  # a double root counts once
-            u = (ef + root) % p * inv2f % p  # nonzero: the roots multiply to lam e / f
-            keys.append(((y1 - lam * inv(u)) % p * p + (x1 - u) % p)[hit & (f != 0)])
+            u = _mod((ef + root) * inv2f, p)  # nonzero: the roots multiply to lam e / f
+            keys.append((_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)])
     keys, hits = _tally(np.concatenate(keys))
     # 1 + 8 C(t, 2) = (2t - 1)^2 is an exact square below 2^53, so its float root is exact
     return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
@@ -470,8 +498,8 @@ def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     inv = _inv_vec(p)
     keys = []
     for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
-        m = f * inv(e) % p
-        keys.append((m * p + (y1 - m * x1) % p).ravel())
+        m = _mod(f * inv(e), p)
+        keys.append((m * p + _mod(y1 - m * x1, p)).ravel())
     return _tally(np.concatenate(keys))
 
 
@@ -501,7 +529,7 @@ def product_rep_histogram(B: ScalarSet) -> Counter:
     # differences, as (+-x)(+-y) takes two values per pair {x, y}.  A weight
     # sum is at most |B|^4, below 2^63 while |B| < 55109; from there the
     # m >= min(p, 2|B| - 1) >= 55109 differences reserve over 50 GB of runs.
-    x, w = _sort_count("product histogram", p, len(d), lambda s: wide[s, None] * wide % p,
+    x, w = _sort_count("product histogram", p, len(d), lambda s: _mod(wide[s, None] * wide, p),
                        lambda s: r[s, None] * r, item=_item_bytes(p),
                        extra=8 * _COUNTER_ITEMS * min(p, (len(d) ** 2 + 3) // 4))
     return Counter(dict(zip(x.tolist(), w.tolist())))
@@ -568,13 +596,15 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     xs = _array(A)
     su = _hits(p, *hist.columns, xs, xs)
     rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
-    total_rs = sum(rs.tolist())
+    # sum_u r(u) sigma_u <= |H|^2 |A|, which the quotient (80 B a pair) and
+    # hits (64 B a point) reservations keep below 2^63 on budgets under 200 GiB
+    total_rs = int(rs.sum())
     rhs = len(A) * total_rs
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
     omega = su >= -(-delta.numerator // delta.denominator)  # sigma_u >= ceil(delta)
-    share = Fraction(sum(rs[omega].tolist()), total_rs) if total_rs else Fraction(1)
+    share = Fraction(int(rs[omega].sum()), total_rs) if total_rs else Fraction(1)
     return CsChainReport(
         sigma=sig,
         lhs_sq=sig * sig,

@@ -108,15 +108,27 @@ def evaluate(m: MoebiusMap, x: ProjectiveValue) -> ProjectiveValue:
     return (m.a * x + m.b) * F.inv(den) % m.p
 
 
+def _mod(x, p: int):
+    """x mod p in [0, p) for a Python int, an int64 array or an object array.
+
+    Written x - (x // p) p in place: numpy's x // p by a scalar divides
+    through libdivide, several times cheaper than x % p on int64 (more so
+    for negative x), and the in-place steps hold no third temporary."""
+    r = x // p
+    r *= -p
+    r += x
+    return r
+
+
 def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
     """Entries of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, in column form: only
-    + - * % enter, so the arguments may be Python ints or broadcast numpy
-    arrays alike.  From residues, intermediates stay below 2 p^2."""
+    + - * and _mod enter, so the arguments may be Python ints or broadcast
+    numpy arrays alike.  From residues, intermediates stay below 2 p^2."""
     return (
-        (a1 * a2 + b1 * c2) % p,
-        (a1 * b2 + b1 * d2) % p,
-        (c1 * a2 + d1 * c2) % p,
-        (c1 * b2 + d1 * d2) % p,
+        _mod(a1 * a2 + b1 * c2, p),
+        _mod(a1 * b2 + b1 * d2, p),
+        _mod(c1 * a2 + d1 * c2, p),
+        _mod(c1 * b2 + d1 * d2, p),
     )
 
 
@@ -128,10 +140,10 @@ def pair_quotient_entries(p: int, a1, b1, a2, b2):
     """
     w1 = b1 - b2
     return (
-        (1 + a1 * w1) % p,
-        (a1 - a2 - a1 * a2 % p * w1) % p,
-        w1 % p,
-        (1 - a2 * w1) % p,
+        _mod(1 + a1 * w1, p),
+        _mod(a1 - a2 - _mod(a1 * a2, p) * w1, p),
+        _mod(w1, p),
+        _mod(1 - a2 * w1, p),
     )
 
 
@@ -144,13 +156,13 @@ def triple_product_entries(p: int, a1, b1, a2, b2, a3, b3):
     """
     w1 = b1 - b2
     w2 = a3 - a2
-    ct = (1 + w1 * w2) % p
-    act = a1 * ct % p
+    ct = _mod(1 + w1 * w2, p)
+    act = _mod(a1 * ct, p)
     return (
-        (-act - w2) % p,
-        (1 + a1 * w1 + b3 * (w2 + act)) % p,
-        -ct % p,
-        (w1 + b3 * ct) % p,
+        _mod(-act - w2, p),
+        _mod(1 + a1 * w1 + b3 * (w2 + act), p),
+        _mod(-ct, p),
+        _mod(w1 + b3 * ct, p),
     )
 
 

@@ -92,11 +92,11 @@ def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantit
 
 
 def test_default_budget_refuses_large_energy(capsys):
-    # the 8192^2-pair quotient histogram would need about 7 GB
+    # the 8192^2-pair quotient histogram would need about 5.4 GB (80 B per pair)
     code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:8192,1")
     assert code == 2
     required, budget = map(int, _REFUSAL.match(err.strip()).groups())
-    assert budget == 1536 << 20 < 6 * 10**9 < required
+    assert budget == 1536 << 20 < 5 * 10**9 < required
 
 
 def test_group_lambda_refused(capsys):

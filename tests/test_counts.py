@@ -351,14 +351,14 @@ def test_t4_budget_gate(monkeypatch):
 
 
 def test_budget_from_env(monkeypatch):
-    H = rand_translates(random.Random(0), 101, 100)
+    H = rand_translates(random.Random(0), 101, 120)
     with pytest.raises(ResourceLimit) as e:
         counts._reserve("table", 1536 << 20)
     assert e.value.budget == 1536 << 20  # the default, in bytes
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (104 * 100**2 + counts._OVERHEAD, 1 << 20)
+    assert (e.value.required, e.value.budget) == (80 * 120**2 + counts._OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -410,6 +410,7 @@ _PEAK_CASES = {
     "sumprod-64": lambda: (sumprod_quadruples, _rand_a(1009, 64), 4),
     "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
     "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
+    "cschain-262139": lambda: (cs_chain_report, _rand_a(262139, 20), _rand_h(262139, 12)),
     "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
     # the sort-and-count histograms: about n^2 distinct differences (or n^2 / 2
     # distinct D values) of a random set while n^2 < p, and p of them above;
@@ -802,6 +803,53 @@ def test_incidence_kernels_at_large_primes(p):
         got = sumprod_quadruples(A, variant)
         want = sum(form(*q) % p == 1 for q in itertools.product(xs, repeat=4))
         assert type(got) is int and got == want > 0
+
+
+@pytest.mark.parametrize("p", [262139, 262147])
+def test_hits_membership_routes(monkeypatch, p):
+    # 262139 <= 2^18 < 262147: a boolean table of the targets up to
+    # _INV_TABLE_MAX, np.isin above it
+    table = p <= counts._INV_TABLE_MAX
+    assert table is (p == 262139)
+    isin_calls = []
+    real_isin = np.isin
+    monkeypatch.setattr(np, "isin", lambda *args: (isin_calls.append(1), real_isin(*args))[1])
+    rng = random.Random(p)
+    A = ScalarSet(p, (0, 1, 2, p - 1, *rng.sample(range(p), 8)))
+    xs = A.elements
+    # translates through points of A x A on the curve (x - b)(y - a) = -1, and random ones
+    through = [(x, y, rng.randrange(p)) for x, y in zip(rng.choices(xs, k=6), rng.choices(xs, k=6))]
+    H = TranslateSet(
+        p,
+        (
+            *(((y + pow(x - b, -1, p)) % p, b) for x, y, b in through if x != b),
+            (0, 0),
+            *((rng.randrange(p), rng.randrange(p)) for _ in range(4)),
+        ),
+    )
+    got = sigma(A, H)
+    assert type(got) is int and got == oracle.sigma_naive(A, H) >= 6
+    rep = cs_chain_report(A, H)
+    fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
+    assert fields == _scalar_cs_chain(A, H)
+    assert bool(isin_calls) is not table
+
+
+def test_square_sums_past_int64():
+    # H = {(a, 0): 1 <= a <= 600}: every quotient is the translation by a
+    # difference, so T_4 counts pairs of differences by their sum mod p, a
+    # cyclic convolution of the difference histogram; 600^7 > 2^63 > T_4
+    p = 65537
+    H = parse_setspec("cart:ap:1,1,600;ap:0,1,1", Fp(p))
+    r = Counter((a1 - a2) % p for a1, _ in H for a2, _ in H)
+    r4 = Counter()
+    for d1, r1 in r.items():
+        for d2, r2 in r.items():
+            r4[(d1 + d2) % p] += r1 * r2
+    want4 = sum(v * v for v in r4.values())
+    assert want4 == 13419171565747885800 > 1 << 63
+    assert t_k(H, 4) == want4
+    assert t_k(H, 2) == sum(v * v for v in r.values())
 
 
 # ------------------------------------------------------------ borel structure

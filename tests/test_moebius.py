@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hyperlab import (
     pair_quotient,
     triple_product,
 )
+from hyperlab.moebius import _mod
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -103,3 +105,41 @@ def test_action_homomorphism_exhaustive_p7():
 def test_repr_format():
     assert repr(MoebiusMap(101, 3, 5, 7, 11)) == "[[3,5],[7,11]] mod 101"
     assert repr(MoebiusMap(7, -1, 8, 14, 3)) == "[[6,1],[0,3]] mod 7"
+
+
+P61 = (1 << 61) - 1
+
+
+@given(st.integers(), st.integers(1, 1 << 70))
+@settings(max_examples=300, deadline=None)
+def test_mod_matches_python_ints(x, p):
+    got = _mod(x, p)
+    assert type(got) is int and got == x % p
+
+
+@st.composite
+def int64_intermediates(draw):
+    """p up to 2^21 and int64 values over [-3 p^2, 3 p^2], the closed forms'
+    intermediate range, both ends included."""
+    p = draw(st.integers(1, 1 << 21))
+    lo, hi = -3 * p * p, 3 * p * p
+    xs = draw(st.lists(st.integers(lo, hi), max_size=50))
+    return p, np.array([lo, hi, *xs], dtype=np.int64)
+
+
+@given(int64_intermediates())
+@settings(max_examples=300, deadline=None)
+def test_mod_matches_int64_arrays(case):
+    p, x = case
+    before = x.copy()
+    got = _mod(x, p)
+    assert got.dtype == np.int64 and np.array_equal(got, before % p)
+    assert np.array_equal(x, before)  # reduced in a new array, not in x
+
+
+@given(st.lists(st.integers(-3 * P61 * P61, 3 * P61 * P61), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_mod_matches_object_arrays_at_p61(xs):
+    x = np.array(xs, dtype=object)
+    got = _mod(x, P61)
+    assert got.dtype == object and got.tolist() == [v % P61 for v in xs]
