@@ -21,7 +21,7 @@ place: numpy divides an int64 array by a scalar through libdivide, several
 times faster than its x % p (which is slower still on negative x), and the
 in-place steps hold no more temporaries than x % p.  E(H) = T_2 (at most
 |H|^3) and sum_u r(u) sigma_u (at most |H|^2 |A|) are summed in int64, as
-no budget below 200 GiB admits inputs that take them to 2^63; T_4 (at most
+no budget below 180 GiB admits inputs that take them to 2^63; T_4 (at most
 |H|^7) is summed in int64 while |H|^7 < 2^63 and over Python ints from
 |H| = 512.
 
@@ -36,13 +36,21 @@ residues at a time and merge the blocks' runs when there are several
 Counter only on return.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
-sigma_u of the Cauchy-Schwarz step) are all counted by _hits over the maps'
-entry columns.  Its inverses come from one array route, _inv_vec: a table
-read off the powers of a primitive root for small p, extended Euclid per
-element above.  Up to the same p its membership test reads a p-long boolean
-table of the targets, and above it np.isin.  The brute-force reference loops
-in the oracle module use Fermat powers instead, so the two routes share no
-arithmetic shortcuts.
+sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
+form: each map is x -> a + lam/(x - b) tested against a set of targets.
+sigma_rect's translates have this form, a sumprod map is a = -g, b = -f,
+lam = 1, and a quotient with w = b1 - b2 != 0 maps x != a2 to
+a1 + 1/(w + 1/(x - a2)) and a2 to a1, so an x != a2 hits A exactly when
+w + inv(x - a2) = inv(y - a1) for a y != a1 in A; a quotient with w = 0
+is the translation by a1 - a2, the map with pole oo.  _pole_rows inverts
+once per distinct pole and point, for a block of poles of bounded bytes at
+a time, and a cell is then a row read, an add and a membership read, with
+no reduction and no inverse.  The inverses come from one array route,
+_inv_vec: a table read off the powers of a primitive root for small p,
+extended Euclid per element above.  Up to the same p the membership test
+reads a boolean table of the targets, and above it np.isin.  The
+brute-force reference loops in the oracle module use Fermat powers
+instead, so the two routes share no arithmetic shortcuts.
 """
 
 import os
@@ -61,6 +69,9 @@ from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
 _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
+_HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 was slower)
+_HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
+_FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
 _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
 _COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
@@ -115,12 +126,11 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, inv: bool = True, sqrt: bool = False, member: bool = False) -> int:
+def _table_bytes(p: int, inv: bool = True, sqrt: bool = False) -> int:
     """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather), of a square-root table build (20 p)
-    and of _hits' boolean membership table (p), as asked; tracemalloc peaks,
-    0 where no table is built."""
-    return (32 * inv + 20 * sqrt + member) * p if p <= _INV_TABLE_MAX else 0
+    table, the index and the gather) and of a square-root table build (20 p),
+    as asked; tracemalloc peaks, 0 where no table is built."""
+    return (32 * inv + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
 
 
 def _reserve(what: str, nbytes: int) -> None:
@@ -147,15 +157,23 @@ def _item_bytes(p: int) -> int:
 
 @dataclass(frozen=True)
 class QuotientHistogram:
-    """Entry columns (a, b, c, d) of each distinct quotient u, in ascending
-    order of its key (w p + a1) p + a2 (see the module docstring), and the
-    counts r(u), as arrays; len() is the support."""
+    """The arguments (w, a1, a2) of each distinct quotient u, in ascending
+    order of its key (w p + a1) p + a2 (see the module docstring), with
+    (0, a1 - a2, 0) for a translation (w = 0), and the counts r(u), as
+    arrays of the group kernels' items; len() is the support."""
 
-    columns: tuple
+    p: int
+    args: tuple
     counts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    @property
+    def columns(self) -> tuple:
+        """The entry columns (a, b, c, d) of the quotients, formed on each read."""
+        w, a1, a2 = self.args
+        return pair_quotient_entries(self.p, a1, w, a2, 0)
 
 
 @dataclass(frozen=True)
@@ -175,33 +193,109 @@ def _check_lambda(p: int, lam: int) -> int:
     return lam
 
 
-def _hits(p: int, a, b, c, d, xs, targets) -> np.ndarray:
-    """For each map (a b; c d) of the entry columns (residues), the number
-    of x in xs with c x + d != 0 and (a x + b) / (c x + d) in targets, as
-    int64; the maps go in blocks of about _CHUNK points.  Membership in
-    targets is a read of a p-long boolean table where p <= _INV_TABLE_MAX,
-    as the inverses are, and np.isin above, where the per-element Python
-    inverses cost more than the test."""
-    rows = max(1, _CHUNK // max(1, len(xs)))
-    # 8 items per point of a block (as measured for sigma_u) and 8 per map:
-    # the entry columns and inputs a caller holds, and the output
-    cells = min(rows, len(a)) * len(xs)
-    _reserve("Moebius hits", 8 * _item_bytes(p) * (cells + len(a)) + _table_bytes(p, member=True))
-    inv = _inv_vec(p)
-    if p <= _INV_TABLE_MAX:
-        member = np.zeros(p, dtype=bool)
-        member[targets] = True
-        is_target = member.__getitem__
-    else:
-        is_target = lambda y: np.isin(y, targets)
-    out = np.empty(len(a), dtype=np.int64)
-    for i in range(0, len(a), rows):
-        s = slice(i, i + rows)
-        den = _mod(c[s, None] * xs + d[s, None], p)
-        # (a x + b) inv(den) < p^3: int64 up to _INT64_P, Python ints above
-        y = _mod((a[s, None] * xs + b[s, None]) * inv(den), p)
-        # den = 0 puts the image at oo, never a target (y reads 0 there)
-        out[s] = ((den != 0) & is_target(y)).sum(axis=1)
+def _pole_rows(p: int, poles, xs, lam: int):
+    """rows[i, j] = lam inv(xs[j] - poles[i]) mod p as int64, one inverse per
+    (pole, point), and 2p where xs[j] = poles[i] (the image is oo); the row
+    of the pole oo, written p and only as the last pole, is xs itself.
+    poles and xs are int64."""
+    # lam = -1 (sigma's curve) needs no product: -inv(x - b) = inv(b - x)
+    den = _mod(poles[:, None] - xs if lam == p - 1 else xs - poles[:, None], p)
+    oo = len(poles) > 0 and poles[-1] == p
+    if oo:
+        den[-1] = 0  # takes no inverse
+    rows = _inv_vec(p)(den)
+    if lam not in (1, p - 1):
+        rows = _mod(lam * (rows if p <= _INT64_P else rows.astype(object)), p).astype(np.int64, copy=False)
+    rows[den == 0] = 2 * p
+    if oo:
+        rows[-1] = xs
+    return rows
+
+
+def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> np.ndarray:
+    """For each map i, x -> shift[i] + row(x), where row is the row of
+    poles[pole[i]] (see _pole_rows), the number of points x of xs whose image
+    lies in targets, or where targets is None in the row of poles[key[i]], as
+    int64.  xs, shifts and targets are int64 residues, so a cell lies in
+    [0, 3p) and 2p never hits.
+
+    The rows are formed for a block of poles within _HIT_ROW_BYTES at a time,
+    all at once where they fit; a cell is then a row gather, an add and a
+    membership read, in chunks of about _HIT_CELLS cells.  Target rows go in
+    blocks k0.. of few enough rows that the keys (k - k0) 3p + t, and t + p
+    for the wrap, stay in int64: up to _INV_TABLE_MAX a boolean table over
+    those keys within _HIT_ROW_BYTES, cleared by resetting what was set, and
+    np.isin above.  The maps are sorted by (target block, pole block) where
+    there are several blocks, and where there are several pole blocks each
+    pole's row is formed once per target block."""
+    width, maps, stride, table = len(xs), len(pole), 3 * p, p <= _INV_TABLE_MAX
+    per_pole = max(1, _HIT_ROW_BYTES // (8 * max(1, width)))  # poles per block
+    pole_blocks = -(-len(poles) // per_pole)
+    per = max(1, (_HIT_ROW_BYTES if table else 1 << 62) // stride)  # target rows per block
+    if targets is None:  # target rows formed apart take a pole block's bytes
+        per = min(per, per_pole)
+    ntargets = len(poles) if targets is None else 1
+    groups = -(-ntargets // per) * pole_blocks
+    chunk = max(1, _HIT_CELLS // max(1, width))
+    # per (pole, point) 5 int64 items as the rows and the target keys form,
+    # and the Python ints of a Euclid inversion or of a product by lam, for
+    # the pole rows and, where they are formed apart, the target rows; per
+    # map 8 items and 8 int64 (the columns a caller holds: a quotient
+    # histogram's arguments and counts, sumprod's factors, and the kernel's
+    # offsets and output) and 6 int64 more as the maps sort; per cell of a
+    # chunk 17 bytes reading a membership table (3p bytes per target row) or
+    # 72 as np.isin sorts the cells
+    row = 40 + (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p)) + (lam not in (1, p - 1)) * 3 * _item_bytes(p)
+    row *= min(len(poles), per_pole) * width * (1 + (targets is None and pole_blocks > 1))
+    member_bytes = min(ntargets, per) * stride * table
+    cells = min(maps, chunk) * width * (17 if table else 72)
+    maps_bytes = (8 * _item_bytes(p) + 64 + 48 * (groups > 1)) * maps
+    _reserve("Moebius hits", row + maps_bytes + cells + member_bytes + _table_bytes(p))
+    order, bounds = None, [0, maps]
+    if groups > 1:
+        group = pole // per_pole
+        if key is not None:
+            group += key // per * pole_blocks
+        order = np.argsort(group, kind="stable")
+        pole, shift, key = pole[order], shift[order], None if key is None else key[order]
+        bounds = np.searchsorted(group[order], np.arange(groups + 1))
+    rows = _pole_rows(p, poles, xs, lam) if pole_blocks == 1 else None
+    member = np.zeros(member_bytes, dtype=bool)
+    count = np.min_scalar_type(width)  # a count is at most the row width
+    out = np.empty(maps, dtype=np.int64)
+    k0 = None
+    for g in range(groups):
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo == hi:
+            continue
+        b0 = g % pole_blocks * per_pole
+        if k0 != g // pole_blocks * per:  # the membership of the next target rows
+            if table and k0 is not None:
+                member[found] = False
+            k0 = g // pole_blocks * per
+            if targets is not None:
+                found = targets
+            else:
+                t = rows[k0 : k0 + per] if rows is not None else _pole_rows(p, poles[k0 : k0 + per], xs, lam)
+                found = (t + np.arange(0, len(t) * stride, stride)[:, None])[t < p]
+            found = np.concatenate((found, found + p))
+            if table:
+                member[found] = True
+        block = rows if rows is not None else _pole_rows(p, poles[b0 : b0 + per_pole], xs, lam)
+        at = pole[lo:hi] - b0 if b0 else pole[lo:hi]
+        off = shift[lo:hi] if key is None else (key[lo:hi] - k0) * stride + shift[lo:hi]
+        for i in range(0, hi - lo, chunk):
+            j = min(i + chunk, hi - lo)
+            cells = block[at[i:j]]
+            cells += off[i:j, None]
+            if table:
+                hit = member[cells]
+            else:  # found is unique by construction: isin the distinct cells only
+                cells, back = np.unique(cells, return_inverse=True)
+                hit = np.isin(cells, found, assume_unique=True)[back.reshape(-1, width)]
+            out[lo + i : lo + j] = hit.view(np.uint8).sum(axis=1, dtype=count)
+    if order is not None:
+        out[order] = out.copy()
     return out
 
 
@@ -213,9 +307,9 @@ def sigma_rect(B: ScalarSet, C: ScalarSet, H: TranslateSet, lam: int = -1) -> in
     lam = _check_lambda(p, lam)
     if len(B) == 0 or len(C) == 0 or len(H) == 0:
         return 0
-    # the curve (x - b)(y - a) = lam is y = a + lam/(x - b) = (a x + lam - a b)/(x - b)
-    a, b = _columns(H)
-    return int(_hits(p, a, (lam - a * b) % p, np.ones_like(a), (-b) % p, _array(B), _array(C)).sum())
+    # the curve (x - b)(y - a) = lam is y = a + lam/(x - b): pole b, shift a
+    a, b = _columns(H, np.int64)
+    return int(_hits(p, _array(B, np.int64), lam, *_distinct(p, b, len(B)), a, _array(C, np.int64)).sum())
 
 
 def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
@@ -223,13 +317,25 @@ def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return sigma_rect(A, A, H, lam)
 
 
-def _array(S):
-    """The elements of a scalar or translate set as an array, int64 up to _INT64_P."""
-    return np.array(S.elements, dtype=np.int64 if S.p <= _INT64_P else object)
+def _array(S, dtype=None):
+    """The elements of a scalar or translate set as an array: int64 up to
+    _INT64_P and Python ints above, unless a dtype is given (residues fit int64)."""
+    return np.array(S.elements, dtype=dtype or (np.int64 if S.p <= _INT64_P else object))
 
 
-def _columns(H: TranslateSet) -> tuple:
-    hh = _array(H).reshape(-1, 2)
+def _distinct(p: int, v, width: int):
+    """The distinct values of an array of poles and the index of each among
+    them, so that _hits forms one row of width cells per distinct pole.
+    Where a row per element takes at most _FEW_CELLS cells and no Euclid
+    inverse, each element is its own pole: forming the rows then costs less
+    than finding the distinct values."""
+    if p <= _INV_TABLE_MAX and len(v) * width <= _FEW_CELLS:
+        return v, np.arange(len(v))
+    return np.unique(v, return_inverse=True)
+
+
+def _columns(H: TranslateSet, dtype=None) -> tuple:
+    hh = _array(H, dtype).reshape(-1, 2)
     return hh[:, 0], hh[:, 1]
 
 
@@ -267,7 +373,7 @@ def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
         start = int(starts[-1])
         terms = 2 * (idx - starts) + 1
         if borel:  # c = 0 needs a != 0, so the key ends in c
-            terms = terms[(block % p == 0) & (block >= p * p)]
+            terms = terms[(_mod(block, p) == 0) & (block >= p * p)]
         total += int(terms.sum())  # below 2 _CHUNK len(keys) within a block
     return total
 
@@ -276,19 +382,18 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs h1 h2^-1, keyed by the
     arguments of its closed form (see the module docstring)."""
     p = H.p
-    # at most 10 arrays of |H|^2 items at once, at the entry columns of a
-    # support close to |H|^2 (79.9 B per pair at int64, measured)
+    # at most 10 arrays of |H|^2 items at once, as the keys form
     _reserve("quotient histogram", 10 * len(H) ** 2 * _item_bytes(p))
     a, b = _columns(H)
     w = _mod(b[:, None] - b, p)
     keys = np.where(w == 0, _mod(a[:, None] - a, p) * p, (w * p + a[:, None]) * p + a).ravel()
-    del w  # the tally and the entry columns peak without it
+    del w  # the tally peaks without it
     keys, counts = _tally(keys)
     a2 = _mod(keys, p)
     keys //= p  # w p + a1
     a1 = _mod(keys, p)
     keys //= p  # w
-    return QuotientHistogram(pair_quotient_entries(p, a1, keys, a2, 0), counts)
+    return QuotientHistogram(p, (keys, a1, a2), counts)
 
 
 def _t3_keys(H: TranslateSet):
@@ -326,7 +431,8 @@ def t_k(H: TranslateSet, k: int) -> int:
         q2 = quotient_histogram(H)
         # 9 items per product of the support (63 B at int64, measured)
         _reserve("T4 self-convolution", 9 * len(q2) ** 2 * _item_bytes(H.p))
-        keys = _key(H.p, *product_entries(H.p, *(e[:, None] for e in q2.columns), *q2.columns))
+        columns = q2.columns
+        keys = _key(H.p, *product_entries(H.p, *(e[:, None] for e in columns), *columns))
         # a weight sum is at most |H|^4; r(u) <= |H| makes the support at
         # least |H|, so the reservation admits |H|^4 >= 2^63 only on a budget
         # of 2^31.5 * 72 B (about 204 GiB) or more
@@ -555,9 +661,11 @@ def sumprod_quadruples(A: ScalarSet, variant: int) -> int:
         raise InvalidArgument(f"variant must be 1..4, got {variant}")
     p = A.p
     xs = _array(A)
-    # a3 = 1/(a1 + f) - g = (-g a1 + 1 - f g)/(a1 + f), one map per (a2, a4)
+    # a3 = 1/(a1 + f) - g: a translate with pole -f and shift -g, one per (a2, a4)
     f, g = _SUMPROD_FACTORS[variant](np.repeat(xs, len(xs)), np.tile(xs, len(xs)), p)
-    return int(_hits(p, (-g) % p, (1 - f * g) % p, np.ones_like(f), f, xs, xs).sum())
+    poles, pole = _distinct(p, ((-f) % p).astype(np.int64, copy=False), len(xs))
+    xs = xs.astype(np.int64, copy=False)
+    return int(_hits(p, xs, 1, poles, pole, ((-g) % p).astype(np.int64, copy=False), xs).sum())
 
 
 def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
@@ -567,9 +675,11 @@ def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     The label is u(oo); Borel elements collect under the INFINITY key.
     """
     hist = quotient_histogram(H)
-    a, _, c, _ = hist.columns
-    # label a/c, or p for oo (c = 0 inverts to 0); a mass is <= E(H) <= |H|^3
-    labels = np.where(c == 0, H.p, a * _inv_vec(H.p)(c) % H.p)
+    w, a1, _ = hist.args
+    # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
+    # inverts to 0), read off the arguments with no entry columns formed;
+    # a mass is <= E(H) <= |H|^3
+    labels = np.where(w == 0, H.p, _mod(a1 + _inv_vec(H.p)(w), H.p))
     labels, mass = _tally(labels, hist.counts * hist.counts)
     masses = Counter({INFINITY if k == H.p else k: v for k, v in zip(labels.tolist(), mass.tolist())})
     return masses, max((v for k, v in masses.items() if k is not INFINITY), default=0)
@@ -593,11 +703,30 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     p = A.p
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
-    xs = _array(A)
-    su = _hits(p, *hist.columns, xs, xs)
+    w, a1, a2 = (v.astype(np.int64, copy=False) for v in hist.args)
+    xs = _array(A, np.int64)
+    # u = h1 h2^-1 maps a2 to a1 and x != a2 to a1 + 1/(w + inv(x - a2)), which
+    # is y != a1 in A exactly when w + inv(x - a2) = inv(y - a1) (0 is no
+    # inverse, so u(x) = oo never counts).  So the rows of inverses of the
+    # distinct a of H serve as poles a2 and as target rows a1, and the pole
+    # oo (p), whose row is A itself, as pole and target row of the translations
+    ha = np.array([*sorted({a for a, _ in H}), p], dtype=np.int64)
+    if p <= len(w):  # a's rank by a p-long table, faster than a binary search per quotient
+        rank = np.zeros(p, dtype=np.int64)
+        rank[ha[:-1]] = np.arange(len(ha) - 1)
+        rank = rank.__getitem__
+    else:
+        rank = lambda v: np.searchsorted(ha, v)  # noqa: E731
+    z = w == 0
+    pole = np.where(z, len(ha) - 1, rank(a2))
+    key = np.where(z, len(ha) - 1, rank(a1))
+    su = _hits(p, xs, 1, ha, pole, np.where(z, a1, w), None, key)
+    in_a = xs[np.searchsorted(xs[:-1], ha)] == ha  # a pole lies in A (oo does not)
+    su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
     rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
     # sum_u r(u) sigma_u <= |H|^2 |A|, which the quotient (80 B a pair) and
-    # hits (64 B a point) reservations keep below 2^63 on budgets under 200 GiB
+    # hits (57 B or more a point) reservations keep below 2^63 on budgets
+    # under 180 GiB
     total_rs = int(rs.sum())
     rhs = len(A) * total_rs
     if sig * sig > rhs:

@@ -5,7 +5,8 @@ explicit-constant lemmas are proved at matrix level, so every energy count
 keys a product by its exact entries.  Scalar multiples of one matrix are the
 same map on the projective line yet count as distinct.  The one projective
 notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
-c = 0), which counts.borel_coset_mass computes on entry arrays.
+c = 0), which counts.borel_coset_mass computes on arrays of the pair
+quotients' closed-form arguments (a1 + 1/w).
 """
 
 from dataclasses import dataclass

@@ -83,12 +83,12 @@ def test_sigma_rect_asymmetric():
 
 
 def test_sigma_rect_across_blocks():
-    # |B| = 900 makes blocks of 291 maps, so 300 translates take two
+    # |B| = 900 makes chunks of 36 maps, so 300 translates take nine
     p, lam = 1009, 5
     rng = random.Random(3)
     B, C = ScalarSet(p, tuple(rng.sample(range(p), 900))), ScalarSet(p, tuple(rng.sample(range(p), 500)))
     H = rand_translates(rng, p, 300)
-    assert len(H) > counts._CHUNK // len(B)
+    assert len(H) > counts._HIT_CELLS // len(B)
     members = set(C)
     want = sum((a + lam * pow(x - b, -1, p)) % p in members for a, b in H for x in B if x != b)
     assert sigma_rect(B, C, H, lam) == want
@@ -256,9 +256,14 @@ def test_group_kernels_at_large_primes(p, wide):
     assert (counts._columns(TranslateSet(p, ((0, 0),)))[0].dtype == object) is wide
     rng = random.Random(p)
     # (0,0), (5,1), (p-1,7) give Borel triples, as (b1 - b2)(a3 - a2) = -1
-    # there; A holds incidences of (0,0), which maps 1 -> -1 and -1 -> 1
-    H = TranslateSet(p, ((0, 0), (5, 1), (p - 1, 7), *((rng.randrange(p), rng.randrange(p)) for _ in range(3))))
-    A = ScalarSet(p, (0, 1, 2, p - 1, *rng.sample(range(p), 4)))
+    # there; A holds incidences of (0,0), which maps 1 -> -1 and -1 -> 1.
+    # (1,1) and (5,1) share b, so their quotients are translations by -+4,
+    # and (1,1), (0,0), (p-1,7) give quotients with a1, a2 in A (w != 0),
+    # whose point a2 maps to a1
+    H = TranslateSet(
+        p, ((0, 0), (1, 1), (5, 1), (p - 1, 7), *((rng.randrange(p), rng.randrange(p)) for _ in range(3)))
+    )
+    A = ScalarSet(p, (0, 1, 2, 4, 5, p - 4, p - 1, *rng.sample(range(p), 4)))
     _check_group_kernels(A, H)
 
 
@@ -285,7 +290,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     assert len(H) == 24
 
     def all_counts():
-        return (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H),
+        return (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3), sumprod_quadruples(A, 2),
                 d_histogram(H), additive_energy(A), product_rep_histogram(A))
 
     want = all_counts()
@@ -293,9 +298,15 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # |H|^2 = 576 keys per h1 row: 2900 fills five rows a chunk, four in the
     # last.  The pair histograms merge several blocks at 7 (d_histogram and
     # product_rep_histogram at 100 too) and count one lone block at 2900, as
-    # at the default chunk
+    # at the default chunk.  The Moebius hits take one map (7), 20 maps (100)
+    # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
+    # of the 40-byte pole rows per block, and one (7, 100) or all five
+    # (2900) of the 303-byte membership rows of A's a values and the
+    # translations per table block; the poles of sigma (24 maps x 5 points)
+    # and sumprod (25 x 5) are reduced to their distinct values at 7 and 100
     for chunk in (7, 100, 2900):
-        monkeypatch.setattr(counts, "_CHUNK", chunk)
+        for name in ("_CHUNK", "_HIT_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
+            monkeypatch.setattr(counts, name, chunk)
         assert all_counts() == want
 
 
@@ -336,6 +347,28 @@ def test_t3_budget_gate(monkeypatch):
         t_k(rand_translates(rng, 1009, 512), 3)
     with pytest.raises(ResourceLimit):
         t_k(rand_translates(rng, 1009, 600), 3)
+
+
+def test_hits_reserve_one_block_of_pole_rows(monkeypatch):
+    # 19.3k distinct b of H against 5000 points, and about 195k values
+    # a2 - a4 against 600 points: GBs of rows at once, so they are formed
+    # a block at a time and the default budget admits both
+    F = Fp(262139)
+    reserved = []
+    real = counts._reserve
+
+    def reserve(what, nbytes):
+        real(what, nbytes)
+        if what == "Moebius hits":
+            reserved.append(nbytes)
+            raise _Admitted(what)
+
+    monkeypatch.setattr(counts, "_reserve", reserve)
+    with pytest.raises(_Admitted):
+        sigma(parse_setspec("random:5000,1", F), parse_setspec("randomh:20000,1", F))
+    with pytest.raises(_Admitted):
+        sumprod_quadruples(parse_setspec("random:600,1", F), 2)
+    assert max(reserved) < 100 << 20
 
 
 def test_t4_budget_gate(monkeypatch):
@@ -386,6 +419,9 @@ _PEAK_CASES = {
     "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
     "t3-24": lambda: (t_k, _rand_h(1009, 24), 3),
     "t3-80": lambda: (t_k, _rand_h(1009, 80), 3),
+    # the coset labels on top of the quotient histogram's reservation
+    "borel-256": lambda: (borel_coset_mass, _rand_h(1009, 256)),
+    "borel-p61": lambda: (borel_coset_mass, _rand_h(P61, 64)),
     "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
     "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),
     "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
@@ -412,6 +448,11 @@ _PEAK_CASES = {
     "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
     "cschain-262139": lambda: (cs_chain_report, _rand_a(262139, 20), _rand_h(262139, 12)),
     "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
+    # more distinct poles than a block of rows holds: sigma's b, sumprod's
+    # a2 - a4 and the a of H (whose rows are also cs_chain's target rows)
+    "sigma-poles": lambda: (sigma, _rand_a(65537, 2000), _rand_h(65537, 3000)),
+    "sumprod-poles": lambda: (sumprod_quadruples, _rand_a(65537, 200), 2),
+    "cschain-poles": lambda: (cs_chain_report, _rand_a(65537, 20000), _rand_h(65537, 40)),
     # the sort-and-count histograms: about n^2 distinct differences (or n^2 / 2
     # distinct D values) of a random set while n^2 < p, and p of them above;
     # the -600 cases and product-rep-40 count and merge several blocks;
@@ -813,26 +854,86 @@ def test_hits_membership_routes(monkeypatch, p):
     assert table is (p == 262139)
     isin_calls = []
     real_isin = np.isin
-    monkeypatch.setattr(np, "isin", lambda *args: (isin_calls.append(1), real_isin(*args))[1])
+    monkeypatch.setattr(np, "isin", lambda *args, **kw: (isin_calls.append(1), real_isin(*args, **kw))[1])
     rng = random.Random(p)
     A = ScalarSet(p, (0, 1, 2, p - 1, *rng.sample(range(p), 8)))
     xs = A.elements
-    # translates through points of A x A on the curve (x - b)(y - a) = -1, and random ones
+    # translates through points of A x A on the curve (x - b)(y - a) = -1,
+    # (0,0), (1,0), (2,0) (translations by differences of A as quotients),
+    # (p-1,3) (with them, quotients with a1, a2 in A and w != 0), and random ones
     through = [(x, y, rng.randrange(p)) for x, y in zip(rng.choices(xs, k=6), rng.choices(xs, k=6))]
     H = TranslateSet(
         p,
         (
             *(((y + pow(x - b, -1, p)) % p, b) for x, y, b in through if x != b),
             (0, 0),
+            (1, 0),
+            (2, 0),
+            (p - 1, 3),
             *((rng.randrange(p), rng.randrange(p)) for _ in range(4)),
         ),
     )
-    got = sigma(A, H)
-    assert type(got) is int and got == oracle.sigma_naive(A, H) >= 6
-    rep = cs_chain_report(A, H)
-    fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
-    assert fields == _scalar_cs_chain(A, H)
+    want = _scalar_cs_chain(A, H)
+    # by default every row fits in one block; at 200 bytes a block holds the
+    # rows of two poles (and one target row of the table), and every pole
+    # array is reduced to its distinct values
+    for row_bytes, few_cells in ((counts._HIT_ROW_BYTES, counts._FEW_CELLS), (200, 0)):
+        monkeypatch.setattr(counts, "_HIT_ROW_BYTES", row_bytes)
+        monkeypatch.setattr(counts, "_FEW_CELLS", few_cells)
+        got = sigma(A, H)
+        assert type(got) is int and got == oracle.sigma_naive(A, H) >= 6
+        rep = cs_chain_report(A, H)
+        fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
+        assert fields == want
     assert bool(isin_calls) is not table
+
+
+def _preimage_square_sum(A, H):
+    """sum over z in P^1 of c(z)^2, c(z) the number of (h, x) in H x A with
+    h^-1(x) = z: h^-1(x) = b - 1/(x - a), and oo where x = a."""
+    p = A.p
+    c = Counter((b - pow(x - a, -1, p)) % p if x != a else INFINITY for a, b in H for x in A)
+    return sum(v * v for v in c.values())
+
+
+@pytest.mark.parametrize(
+    "p, a_spec, h_spec",
+    [
+        (1009, "ap:1,1,64", "randomh:512,1"),  # the benchmark's cschain job
+        (1009, "random:40,2", "cart:ap:1,1,20;gp:1,3,20"),
+        (65537, "random:50,3", "randomh:300,3"),
+        (2097169, "random:20,4", "randomh:120,4"),
+        # a grid shares each a among several translates and holds A's points;
+        # small residues in target rows past the first, whose keys k 3p + t
+        # stay in int64 at this p only within a block of one row
+        (P61, "ap:0,1,8", "cart:ap:0,1,6;ap:1,1,4"),
+        (P61, "list:1", "listh:1,1"),
+        (P61, "list:1,2,3", "listh:1,1;2,1;5,7;3,2"),
+    ],
+)
+def test_cs_chain_sum_is_a_preimage_square_sum(p, a_spec, h_spec):
+    # sum_u r(u) sigma_u counts (h1, h2, x, y) in H^2 x A^2 with
+    # h1 h2^-1 x = y, that is h2^-1 x = h1^-1 y on P^1: a sum of squared
+    # preimage counts, far past the reach of the scalar evaluate loop
+    F = Fp(p)
+    A, H = parse_setspec(a_spec, F), parse_setspec(h_spec, F)
+    rep = cs_chain_report(A, H)
+    assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
+
+
+def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
+    # above 2^18 each inverse is a Euclid call: one per distinct pole (a b of
+    # H for sigma, an a of H for sigma_u) and point, not one per quotient and point
+    p = 1000003
+    F = Fp(p)
+    A, H = parse_setspec("random:12,1", F), parse_setspec("randomh:100,1", F)
+    calls = []
+    real = Fp.inv
+    monkeypatch.setattr(Fp, "inv", lambda self, x: (calls.append(x), real(self, x))[1])
+    counts._inv_vec.cache_clear()
+    rep = cs_chain_report(A, H)
+    assert 0 < len(calls) <= (len({a for a, _ in H}) + len({b for _, b in H})) * len(A)
+    assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
 
 
 def test_square_sums_past_int64():
