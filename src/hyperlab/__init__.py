@@ -57,7 +57,6 @@ from .moebius import (
     evaluate,
     invert,
     pair_quotient,
-    triple_product,
 )
 from .sets import (
     ScalarSet,

@@ -21,7 +21,7 @@ place: numpy divides an int64 array by a scalar through libdivide, several
 times faster than its x % p (which is slower still on negative x), and the
 in-place steps hold no more temporaries than x % p.  E(H) = T_2 (at most
 |H|^3) and sum_u r(u) sigma_u (at most |H|^2 |A|) are summed in int64, as
-no budget below 180 GiB admits inputs that take them to 2^63; T_4 (at most
+no budget below 130 GiB admits inputs that take them to 2^63; T_4 (at most
 |H|^7) is summed in int64 while |H|^7 < 2^63 and over Python ints from
 |H| = 512.
 
@@ -47,10 +47,10 @@ once per distinct pole and point, for a block of poles of bounded bytes at
 a time, and a cell is then a row read, an add and a membership read, with
 no reduction and no inverse.  The inverses come from one array route,
 _inv_vec: a table read off the powers of a primitive root for small p,
-extended Euclid per element above.  Up to the same p the membership test
-reads a boolean table of the targets, and above it np.isin.  The
-brute-force reference loops in the oracle module use Fermat powers
-instead, so the two routes share no arithmetic shortcuts.
+and above it one Python Fp.inv call per element, not an array Euclid.  Up
+to the same p the membership test reads a boolean table of the targets,
+and above it np.isin.  The brute-force reference loops in the oracle module
+use Fermat powers instead, so the two routes share no arithmetic shortcuts.
 """
 
 import os
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit
 from .field import check_prime
-from .moebius import INFINITY, _mod, pair_quotient_entries, product_entries, triple_product_entries
+from .moebius import INFINITY, _mod, embed_entries, pair_quotient_entries, product_entries
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
@@ -72,7 +72,7 @@ _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 _HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 was slower)
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
-_INT64_P = 1 << 21  # largest p whose keys (< p^3) and intermediates (< 3 p^2) fit int64
+_INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 _OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
 _COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
 
@@ -382,8 +382,9 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs h1 h2^-1, keyed by the
     arguments of its closed form (see the module docstring)."""
     p = H.p
-    # at most 10 arrays of |H|^2 items at once, as the keys form
-    _reserve("quotient histogram", 10 * len(H) ** 2 * _item_bytes(p))
+    # at most 5 arrays of |H|^2 items at once, as the keys form (33 B a pair
+    # at int64 and 233 B at 2^61 - 1, measured)
+    _reserve("quotient histogram", 5 * len(H) ** 2 * _item_bytes(p))
     a, b = _columns(H)
     w = _mod(b[:, None] - b, p)
     keys = np.where(w == 0, _mod(a[:, None] - a, p) * p, (w * p + a[:, None]) * p + a).ravel()
@@ -397,20 +398,21 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
 
 
 def _t3_keys(H: TranslateSet):
-    """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1."""
-    n = len(H)
+    """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1
+    as the products of the chunk's pair quotients with the embedded h3."""
+    p, n = H.p, len(H)
     # the keys, plus 8 items per element of the larger of a fill chunk
-    # (57 B at int64, measured) and a _sorted_square_sum block (34 B)
+    # (49 B at int64, measured) and a _sorted_square_sum block (34 B)
     chunk = max(n * n, min(n**3, _CHUNK))
-    _reserve("T3 key array", (n**3 + 8 * chunk) * _item_bytes(H.p))
+    _reserve("T3 key array", (n**3 + 8 * chunk) * _item_bytes(p))
     a, b = _columns(H)
+    h3 = embed_entries(p, a, b)
     keys = np.empty(n**3, dtype=a.dtype)
     rows = max(1, _CHUNK // (n * n))
     for i in range(0, n, rows):
         h1 = (a[i : i + rows, None, None], b[i : i + rows, None, None])
-        keys.reshape(n, n, n)[i : i + rows] = _key(
-            H.p, *triple_product_entries(H.p, *h1, a[:, None], b[:, None], a, b)
-        )
+        u = pair_quotient_entries(p, *h1, a[:, None], b[:, None])
+        keys.reshape(n, n, n)[i : i + rows] = _key(p, *product_entries(p, *u, *h3))
     keys.sort()
     return keys
 
@@ -423,7 +425,7 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 2:
         r = quotient_histogram(H).counts
         # E(H) <= |H|^3 < 2^63 unless |H| >= 2^21, which the reservation
-        # admits only on a budget of 2^42 * 80 B (320 TiB) or more
+        # admits only on a budget of 2^42 * 40 B (160 TiB) or more
         return int(np.dot(r, r))
     if k == 3:
         return _sorted_square_sum(_t3_keys(H), H.p)
@@ -674,14 +676,21 @@ def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     Returns (label -> sum of r^2 over the coset, max over finite labels).
     The label is u(oo); Borel elements collect under the INFINITY key.
     """
-    hist = quotient_histogram(H)
+    p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
+    # per quotient the histogram's 4 columns, and 6 items as the labels form
+    # and sort (the inverses, the labels, the weights, their order and both
+    # sorted), a Python int per inverse above the table range, and a Counter
+    # entry per label, at most p + 1 of them
+    n, ints = len(hist), (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p))
+    _reserve("Borel coset labels",
+             (10 * _item_bytes(p) + ints) * n + 8 * _COUNTER_ITEMS * min(p + 1, n) + _table_bytes(p))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3
-    labels = np.where(w == 0, H.p, _mod(a1 + _inv_vec(H.p)(w), H.p))
+    labels = np.where(w == 0, p, _mod(a1 + _inv_vec(p)(w), p))
     labels, mass = _tally(labels, hist.counts * hist.counts)
-    masses = Counter({INFINITY if k == H.p else k: v for k, v in zip(labels.tolist(), mass.tolist())})
+    masses = Counter({INFINITY if k == p else k: v for k, v in zip(labels.tolist(), mass.tolist())})
     return masses, max((v for k, v in masses.items() if k is not INFINITY), default=0)
 
 
@@ -724,9 +733,9 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     in_a = xs[np.searchsorted(xs[:-1], ha)] == ha  # a pole lies in A (oo does not)
     su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
     rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
-    # sum_u r(u) sigma_u <= |H|^2 |A|, which the quotient (80 B a pair) and
+    # sum_u r(u) sigma_u <= |H|^2 |A|, which the quotient (40 B a pair) and
     # hits (57 B or more a point) reservations keep below 2^63 on budgets
-    # under 180 GiB
+    # under 130 GiB
     total_rs = int(rs.sum())
     rhs = len(A) * total_rs
     if sig * sig > rhs:

@@ -7,6 +7,13 @@ same map on the projective line yet count as distinct.  The one projective
 notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
 c = 0), which counts.borel_coset_mass computes on arrays of the pair
 quotients' closed-form arguments (a1 + 1/w).
+
+The SL2 closed forms are three column forms: the generic product
+(product_entries), the translate embedding (embed_entries) and the pair
+quotient h1 h2^-1 (pair_quotient_entries).  Each takes Python ints or
+broadcast numpy arrays alike, so the scalar maps here and the array kernels
+of counts share one copy of each; a triple h1 h2^-1 h3 is the product of a
+pair quotient and an embedding.
 """
 
 from dataclasses import dataclass
@@ -78,8 +85,7 @@ class MoebiusMap:
 
 def embed_translate(F: Fp, h: Translate) -> MoebiusMap:
     """SL2 matrix ((-a, ab+1), (-1, b)) acting as x -> a + 1/(b - x)."""
-    a, b = h
-    return MoebiusMap(F.p, -a, a * b + 1, -1, b)
+    return MoebiusMap(F.p, *embed_entries(F.p, *h))
 
 
 def compose(g: MoebiusMap, h: MoebiusMap) -> MoebiusMap:
@@ -133,6 +139,12 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
     )
 
 
+def embed_entries(p: int, a, b):
+    """Entries (-a, ab + 1, -1, b) mod p of the translate (a, b), in column
+    form; c = p - 1 is a scalar, which broadcasts against the other columns."""
+    return _mod(-a, p), _mod(a * b + 1, p), p - 1, _mod(b, p)
+
+
 def pair_quotient_entries(p: int, a1, b1, a2, b2):
     """Entries of h1 h2^-1, h1 = (a1, b1) and h2 = (a2, b2), in column form.
 
@@ -148,25 +160,6 @@ def pair_quotient_entries(p: int, a1, b1, a2, b2):
     )
 
 
-def triple_product_entries(p: int, a1, b1, a2, b2, a3, b3):
-    """Entries of h1 h2^-1 h3, in column form.
-
-    Closed form with w1 = b1 - b2, w2 = a3 - a2, ct = 1 + w1 w2:
-    ((-a1 ct - w2, 1 + a1 w1 + b3 (w2 + a1 ct)), (-ct, w1 + b3 ct)); ct
-    and a1 ct are reduced as they form, keeping intermediates below 3 p^2.
-    """
-    w1 = b1 - b2
-    w2 = a3 - a2
-    ct = _mod(1 + w1 * w2, p)
-    act = _mod(a1 * ct, p)
-    return (
-        _mod(-act - w2, p),
-        _mod(1 + a1 * w1 + b3 * (w2 + act), p),
-        _mod(-ct, p),
-        _mod(w1 + b3 * ct, p),
-    )
-
-
 def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
     """h1 h2^-1 by the closed form of pair_quotient_entries.
 
@@ -174,7 +167,3 @@ def pair_quotient(F: Fp, h1: Translate, h2: Translate) -> MoebiusMap:
     """
     return MoebiusMap(F.p, *pair_quotient_entries(F.p, *h1, *h2))
 
-
-def triple_product(F: Fp, h1: Translate, h2: Translate, h3: Translate) -> MoebiusMap:
-    """h1 h2^-1 h3 by the closed form of triple_product_entries."""
-    return MoebiusMap(F.p, *triple_product_entries(F.p, *h1, *h2, *h3))

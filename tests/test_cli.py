@@ -92,11 +92,11 @@ def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantit
 
 
 def test_default_budget_refuses_large_energy(capsys):
-    # the 8192^2-pair quotient histogram would need about 5.4 GB (80 B per pair)
+    # the 8192^2-pair quotient histogram would need about 2.7 GB (40 B per pair)
     code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:8192,1")
     assert code == 2
     required, budget = map(int, _REFUSAL.match(err.strip()).groups())
-    assert budget == 1536 << 20 < 5 * 10**9 < required
+    assert budget == 1536 << 20 < 2.5 * 10**9 < required
 
 
 def test_group_lambda_refused(capsys):
@@ -223,7 +223,7 @@ def test_verify_prints_per_case(capsys):
 def test_verify_one_trial_samples_every_check(capsys):
     code, out, _ = run(capsys, "verify", "algebraic-identities", "--p", "7", "--trials", "1")
     assert code == 0
-    assert out.count(": 1 samples") == 2
+    assert out.count(": 1 samples") == 1
     assert not [line for line in out.splitlines() if ": 0 samples" in line]
 
 

@@ -310,6 +310,21 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
         assert all_counts() == want
 
 
+def test_t3_fill_chunks_at_p61(monkeypatch):
+    # above 2^21 the pair-quotient entries of each fill chunk are object
+    # arrays, broadcast against the embedded h3; at 7 and 100 every h1 row is
+    # a chunk of its own and at 2900 five rows are, as in the test above
+    p = (1 << 61) - 1
+    H = gen_cartesian(ScalarSet(p, (1, 2, 3, 4)), ScalarSet(p, (1, 2, 3, 4, 5, 6)))
+    mats = [embed_translate(Fp(p), h) for h in H]
+    triples = Counter(compose(compose(m1, invert(m2)), m3).entries for m1 in mats for m2 in mats for m3 in mats)
+    want = (sum(v * v for v in triples.values()), sum(v * v for key, v in triples.items() if key[2] == 0))
+    assert want[1] > 0
+    for chunk in (7, 100, 2900, counts._CHUNK):
+        monkeypatch.setattr(counts, "_CHUNK", chunk)
+        assert (t_k(H, 3), borel_t3_mass(H)) == want
+
+
 def test_t_k_domain():
     assert t_k(TranslateSet(7, ()), 2) == 0
     with pytest.raises(InvalidArgument):
@@ -384,14 +399,14 @@ def test_t4_budget_gate(monkeypatch):
 
 
 def test_budget_from_env(monkeypatch):
-    H = rand_translates(random.Random(0), 101, 120)
+    H = rand_translates(random.Random(0), 101, 170)
     with pytest.raises(ResourceLimit) as e:
         counts._reserve("table", 1536 << 20)
     assert e.value.budget == 1536 << 20  # the default, in bytes
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (80 * 120**2 + counts._OVERHEAD, 1 << 20)
+    assert (e.value.required, e.value.budget) == (40 * 170**2 + counts._OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -419,8 +434,11 @@ _PEAK_CASES = {
     "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
     "t3-24": lambda: (t_k, _rand_h(1009, 24), 3),
     "t3-80": lambda: (t_k, _rand_h(1009, 80), 3),
-    # the coset labels on top of the quotient histogram's reservation
+    # the coset labels on top of the quotient histogram: a table read, a
+    # cold table build, and a Python int per inverse above 2^18
     "borel-256": lambda: (borel_coset_mass, _rand_h(1009, 256)),
+    "borel-262139": lambda: (borel_coset_mass, _rand_h(262139, 256)),
+    "borel-1000003": lambda: (borel_coset_mass, _rand_h(1000003, 256)),
     "borel-p61": lambda: (borel_coset_mass, _rand_h(P61, 64)),
     "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
     "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),

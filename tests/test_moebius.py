@@ -14,7 +14,6 @@ from hyperlab import (
     evaluate,
     invert,
     pair_quotient,
-    triple_product,
 )
 from hyperlab.moebius import _mod
 
@@ -61,14 +60,6 @@ def test_pair_quotient_pin():
 def test_pair_quotient_matches_chain(h1, h2):
     lhs = pair_quotient(F101, h1, h2)
     rhs = compose(embed_translate(F101, h1), invert(embed_translate(F101, h2)))
-    assert lhs.entries == rhs.entries
-
-
-@given(translates, translates, translates)
-@settings(max_examples=300, deadline=None)
-def test_triple_product_matches_chain(h1, h2, h3):
-    lhs = triple_product(F101, h1, h2, h3)
-    rhs = compose(pair_quotient(F101, h1, h2), embed_translate(F101, h3))
     assert lhs.entries == rhs.entries
 
 
