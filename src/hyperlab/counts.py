@@ -11,7 +11,10 @@ h1 h2^-1 is keyed by the arguments of its closed form, w = b1 - b2, a1 and
 a2: (w p + a1) p + a2, or (a1 - a2) p when w = 0.  That key is injective on
 quotients, as for w != 0 the entries c = w, a = 1 + a1 w and d = 1 - a2 w
 give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  One
-counter, _tally, sorts keys and reads off the runs of equal ones.  Keys stay
+counter, _tally, sorts keys and reads off the runs of equal ones, except
+where every key of a block lies in a range no longer than the block: there
+one array indexed by key counts them (np.bincount, or np.add.at where the
+keys carry weights, as a weighted bincount sums in float64).  Keys stay
 below p^3: int64 for p <= 2^21, Python ints above.
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
@@ -25,15 +28,17 @@ no budget below 130 GiB admits inputs that take them to 2^63; T_4 (at most
 |H|^7) is summed in int64 while |H|^7 < 2^63 and over Python ints from
 |H| = 512.
 
-m_k and l_k are threshold counts over a richness map: the sorted keys of
+m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
 the number of points (or point pairs) on each.
 
 The histograms over element pairs (differences for eplus, minkowski and the
-product histogram, D(h, h') for q and t3) sort and count one block of int64
-residues at a time and merge the blocks' runs when there are several
-(_sort_count); d_histogram and product_rep_histogram turn the arrays into a
-Counter only on return.
+product histogram, D(h, h') for q and t3) form blocks of about _CHUNK int64
+residues mod p (_sort_count).  Where p is at most a block's keys, every
+block adds into one p-long int64 total by index; otherwise each block is
+sorted and counted, and the blocks' runs merge when there are several.
+d_histogram and product_rep_histogram turn the arrays into a Counter only
+on return.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -448,16 +453,29 @@ def t_k(H: TranslateSet, k: int) -> int:
 
 def _sort_count(what: str, p: int, n: int, key, weight=None, item: int = 8, extra: int = 0) -> tuple:
     """(values ascending, total weights) of the residues key(s) mod p, weighted
-    by weight(s) or 1, over row slices s of an n x n outer product.  Blocks of
-    about _CHUNK keys are cast to int64 and counted one at a time, and one
-    _tally merges their runs if there are several blocks.  Reserves the extra
-    bytes the caller holds too."""
+    by weight(s) or 1, over row slices s of an n x n outer product, in blocks
+    of about _CHUNK keys cast to int64.  Where p is at most a block's keys,
+    every block is added into one p-long int64 total by index and the values
+    are its nonzero cells; otherwise each block is sorted and counted by
+    _tally, and one more _tally merges their runs if there are several.
+    Reserves the extra bytes the caller holds too."""
     rows = max(1, _CHUNK // max(1, n))
     blocks = [slice(i, i + rows) for i in range(0, max(1, n), rows)]  # one empty block if n = 0
-    # per key of a block 3 items as key(s) forms them (4 int64 more to weigh),
-    # and 10 int64 items per merged run, at most p runs per block
-    cell = 3 * item + 32 * (weight is not None)
-    _reserve(what, cell * min(n, rows) * n + 80 * min(n * n, len(blocks) * p) + extra)
+    keys = min(n, rows) * n  # per block
+    index = p <= keys
+    # per key of a block 3 items as key(s) forms them and, to weigh, 1 int64
+    # more indexed or 4 sorted; indexed, the 8p-byte total and two int64 per
+    # value; sorted, 10 int64 items per merged run, at most p runs per block
+    cell = 3 * item + (8 if index else 32) * (weight is not None)
+    runs = 24 * p if index else 80 * min(n * n, len(blocks) * p)
+    _reserve(what, cell * keys + runs + extra)
+    if index:
+        total = np.zeros(p, dtype=np.int64)
+        for s in blocks:
+            w = 1 if weight is None else weight(s).ravel()
+            np.add.at(total, key(s).ravel().astype(np.int64, copy=False), w)
+        values = np.flatnonzero(total)  # every weight is positive
+        return values, total[values]
     runs = [
         _tally(key(s).ravel().astype(np.int64, copy=False), None if weight is None else weight(s).ravel())
         for s in blocks
@@ -529,26 +547,45 @@ def _point_pairs(p: int, xs, ys):
 
 def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     """(keys a p + b ascending, richness) of every translate holding >= 2
-    points of A x A, in O(p |A|^2 log |A|): (x, y) with y != a lies on (a, b)
-    exactly when b = x - lam/(y - a), so the runs of the sorted |A|^2 keys
-    of row a are its translates' richness.  Rows go in blocks of ascending a,
-    so the blocks' keys join in ascending order."""
+    points of A x A, in O(p |A|^2): (x, y) with y != a lies on (a, b)
+    exactly when b = x + c mod p, c = -lam/(y - a), so the counts of the
+    |A|^2 keys of row a are its translates' richness.  Rows go in blocks of
+    ascending a.  Where p <= |A|^2 (the only inputs rich_hyperbolae sends
+    here) a block's rows of p cells are no more than its keys: one bincount
+    over rows of 2p cells counts x + c < 2p by index, and folding each row's
+    upper half onto its lower reduces x + c mod p.  Above that each block is
+    sorted and counted by _tally.  Either way the keys come out ascending."""
     p, n = A.p, len(A)
     rows = max(1, _CHUNK // max(1, n * n))
-    # 9 int64 items per element of a block, two arrays per block, and 5 items per
-    # translate with >= 2 points (at most min(p^2, |A|^2 (|A|-1)^2), see _mk_pairs)
-    translates, cells = min(p * p, n * n * (n - 1) ** 2), min(p, rows) * n * n
-    _reserve("m_k column pass", 72 * cells + 256 * (p // rows + 1) + 40 * translates + _table_bytes(p))
+    index = p <= n * n
+    # per key of a block 4 int64 items as the keys form and count (9 to
+    # sort), two arrays per block, and 4 int64 per translate with >= 2
+    # points: at most min(p^2, |A|^2 (|A|-1)^2) (see _mk_pairs) and half
+    # the p |A|^2 keys
+    translates = min(p * p, n * n * (n - 1) ** 2, p * n * n // 2)
+    cells = (32 if index else 72) * min(p, rows) * n * n
+    _reserve("m_k column pass", cells + 256 * (p // rows + 1) + 32 * translates + _table_bytes(p))
     xs = _array(A)
     inv = _inv_vec(p)
     keys, rich = [], []
     for a0 in range(0, p, rows):
         a = np.arange(a0, min(p, a0 + rows))[:, None]
         u = _mod(xs - a, p)
-        b = _mod(xs - (lam * inv(u))[:, :, None], p)  # over (a, y, x), above -p^2
-        found, t = _tally((a[:, :, None] * p + b)[u != 0].ravel())
-        keys.append(found[t >= 2])
-        rich.append(t[t >= 2])
+        c = _mod(-lam * inv(u), p)  # over (a, y); inv(0) = 0 gives c = 0 where y = a
+        if index:
+            t = np.bincount(((c + (a - a0) * 2 * p)[:, :, None] + xs).ravel(), minlength=2 * p * len(a))
+            t = t.reshape(-1, 2, p)  # (row, x + c >= p, x + c mod p)
+            t = (t[:, 0] + t[:, 1]).ravel()
+            # y = a put (a, x) on each x of A: take them off
+            ya = xs[(xs >= a0) & (xs < a0 + len(a))] - a0
+            t[(ya[:, None] * p + xs).ravel()] -= 1
+            found = np.flatnonzero(t >= 2)
+            t = t[found]
+        else:
+            found, t = _tally((_mod(c[:, :, None] + xs, p) + (a - a0)[:, :, None] * p)[u != 0].ravel())
+            found, t = found[t >= 2], t[t >= 2]
+        keys.append(found + a0 * p)
+        rich.append(t)
     keys = np.concatenate(keys)  # frees the key blocks before joining the rest
     return keys, np.concatenate(rich)
 
@@ -582,7 +619,7 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
 def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
     """m_k: the number of translates (a, b) whose curve (x-b)(y-a) = lam holds
     >= k points of A x A.  Two arms give the same map of every translate's
-    richness: the column arm (all p^2 translates, O(p |A|^2 log |A|)) runs
+    richness: the column arm (all p^2 translates, O(p |A|^2)) runs
     when p <= |A|^2 and p <= 2^21, the pair arm (the translates through each
     point pair, O(|A|^4 log |A|)) otherwise."""
     p = A.p
@@ -680,11 +717,12 @@ def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     w, a1, _ = hist.args
     # per quotient the histogram's 4 columns, and 6 items as the labels form
     # and sort (the inverses, the labels, the weights, their order and both
-    # sorted), a Python int per inverse above the table range, and a Counter
-    # entry per label, at most p + 1 of them
-    n, ints = len(hist), (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p))
-    _reserve("Borel coset labels",
-             (10 * _item_bytes(p) + ints) * n + 8 * _COUNTER_ITEMS * min(p + 1, n) + _table_bytes(p))
+    # sorted), 8 bytes each; above the table range a Python int below p per
+    # inverse (and its pointer as it forms), above 2^21 one per argument and
+    # label too; and a Counter entry per label, at most p + 1 of them
+    n, big = len(hist), sys.getsizeof(p)
+    per = 80 + (p > _INV_TABLE_MAX) * (8 + big) + (p > _INT64_P) * 4 * big
+    _reserve("Borel coset labels", per * n + 8 * _COUNTER_ITEMS * min(p + 1, n) + _table_bytes(p))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3

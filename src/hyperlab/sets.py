@@ -257,10 +257,12 @@ def max_line_multiplicity(H: TranslateSet) -> int:
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     if A.p != B.p:
         raise ModulusMismatch(f"sumset across moduli {A.p} and {B.p}")
-    return ScalarSet(A.p, tuple((a + b) % A.p for a in A for b in B))
+    p = A.p
+    return ScalarSet(p, tuple({(a + b) % p for a in A for b in B}))
 
 
 def difference_set(A: ScalarSet, B: ScalarSet) -> ScalarSet:
     if A.p != B.p:
         raise ModulusMismatch(f"difference set across moduli {A.p} and {B.p}")
-    return ScalarSet(A.p, tuple((a - b) % A.p for a in A for b in B))
+    p = A.p
+    return ScalarSet(p, tuple({(a - b) % p for a in A for b in B}))

@@ -297,8 +297,9 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     assert want[1] > 0
     # |H|^2 = 576 keys per h1 row: 2900 fills five rows a chunk, four in the
     # last.  The pair histograms merge several blocks at 7 (d_histogram and
-    # product_rep_histogram at 100 too) and count one lone block at 2900, as
-    # at the default chunk.  The Moebius hits take one map (7), 20 maps (100)
+    # product_rep_histogram at 100 too) and count by index at 2900, as at
+    # the default chunk (additive_energy's 25 keys, fewer than p, sort in one
+    # block).  The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
     # of the 40-byte pole rows per block, and one (7, 100) or all five
     # (2900) of the 303-byte membership rows of A's a values and the
@@ -308,6 +309,27 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
         for name in ("_CHUNK", "_HIT_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
             monkeypatch.setattr(counts, name, chunk)
         assert all_counts() == want
+
+
+def test_pair_histogram_routes_agree(monkeypatch):
+    """Each pair histogram gives the same arrays counted by index (a block
+    holds at least p keys, as at the default chunk) and sorted (at 100)."""
+    p = 1009
+    A, H = _rand_a(p, 40), _rand_h(p, 40)  # 1600 keys each; 805 differences
+    tallies = []
+    real = counts._tally
+    monkeypatch.setattr(counts, "_tally", lambda *args: tallies.append(1) or real(*args))
+
+    def histograms():
+        d, r = counts._differences(A)
+        assert np.all(d[1:] > d[:-1]) and d.dtype == r.dtype == np.int64
+        return d.tolist(), r.tolist(), product_rep_histogram(A), d_histogram(H)
+
+    want = histograms()
+    assert tallies == []  # every block indexed
+    monkeypatch.setattr(counts, "_CHUNK", 100)  # blocks of 80 or 805 keys, fewer than p
+    assert histograms() == want
+    assert len(tallies) > 3
 
 
 def test_t3_fill_chunks_at_p61(monkeypatch):
@@ -449,6 +471,7 @@ _PEAK_CASES = {
     # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
     "mk-exhaustive-61": lambda: (rich_hyperbolae, _rand_a(61, 8), 2),
     "mk-exhaustive-101": lambda: (rich_hyperbolae, _rand_a(101, 12), 2),
+    "mk-columns-40": lambda: (rich_hyperbolae, _rand_a(1009, 40), 2),
     "mk-pairs-10": lambda: (rich_hyperbolae, _rand_a(1009, 10), 2),
     "mk-pairs-12": lambda: (rich_hyperbolae, _rand_a(1009, 12), 2),
     "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
@@ -471,12 +494,15 @@ _PEAK_CASES = {
     "sigma-poles": lambda: (sigma, _rand_a(65537, 2000), _rand_h(65537, 3000)),
     "sumprod-poles": lambda: (sumprod_quadruples, _rand_a(65537, 200), 2),
     "cschain-poles": lambda: (cs_chain_report, _rand_a(65537, 20000), _rand_h(65537, 40)),
-    # the sort-and-count histograms: about n^2 distinct differences (or n^2 / 2
-    # distinct D values) of a random set while n^2 < p, and p of them above;
-    # the -600 cases and product-rep-40 count and merge several blocks;
-    # product-rep-dense has few runs, so its weighted blocks set the peak
+    # the pair histograms: about n^2 distinct differences (or n^2 / 2 distinct
+    # D values) of a random set while n^2 < p, and p of them above; the -600
+    # cases sort and merge several blocks; the -dense, -index and -40 cases
+    # hold p or fewer cells against a block's keys, so they count by index
+    # (product-rep-40 over 10 blocks), and the weighted blocks of
+    # product-rep-dense set its peak
     "eplus-300": lambda: (additive_energy, _rand_a(1000003, 300)),
     "eplus-dense": lambda: (additive_energy, _rand_a(4099, 400)),
+    "eplus-index": lambda: (additive_energy, _rand_a(4099, 2000)),
     "eplus-p61": lambda: (additive_energy, _rand_a(P61, 100)),
     "eplus-600": lambda: (additive_energy, _rand_a(1000003, 600)),
     "product-rep-16": lambda: (product_rep_histogram, _rand_a(65537, 16)),
@@ -484,18 +510,18 @@ _PEAK_CASES = {
     "product-rep-dense": lambda: (product_rep_histogram, _rand_a(1009, 40)),
     "product-rep-p61": lambda: (product_rep_histogram, _rand_a(P61, 12)),
     "minkowski-200": lambda: (minkowski_realisations, _rand_a(65537, 200), 5),
+    "minkowski-index": lambda: (minkowski_realisations, _rand_a(1009, 512), 5),
     "minkowski-cold-262139": lambda: (minkowski_realisations, _rand_a(262139, 8), 5),
     "minkowski-p61": lambda: (minkowski_realisations, _rand_a(P61, 40), 5),
     "d-hist-300": lambda: (d_histogram, _rand_h(1000003, 300)),
     "d-hist-600": lambda: (d_histogram, _rand_h(1000003, 600)),
+    "d-hist-index": lambda: (d_histogram, _rand_h(65537, 300)),
     "q-p61": lambda: (q_rect, _rand_h(P61, 60)),
 }
 
 
-@pytest.mark.parametrize("case", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
-def test_reserved_bytes_bound_the_peak(monkeypatch, case):
-    """Each kernel's estimate is at least tracemalloc's peak of the call, and
-    at most 4 peaks + 1 MiB (a gate that is not vacuous)."""
+def _peak_and_estimate(monkeypatch, case):
+    """tracemalloc's peak of a cold call and the largest estimate it reserved."""
     fn, *args = case()  # the inputs, built before the measured call
     reserved = []
     real = counts._reserve
@@ -508,8 +534,22 @@ def test_reserved_bytes_bound_the_peak(monkeypatch, case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    estimate = max(reserved) + counts._OVERHEAD
+    return peak, max(reserved) + counts._OVERHEAD
+
+
+@pytest.mark.parametrize("case", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
+def test_reserved_bytes_bound_the_peak(monkeypatch, case):
+    """Each kernel's estimate is at least tracemalloc's peak of the call, and
+    at most 4 peaks + 1 MiB (a gate that is not vacuous)."""
+    peak, estimate = _peak_and_estimate(monkeypatch, case)
     assert peak <= estimate <= 4 * peak + (1 << 20)
+
+
+def test_borel_estimate_counts_python_ints_where_they_are(monkeypatch):
+    """At 2^61 - 1 the Borel labels reserve within 2 peaks + 1 MiB: the
+    arguments and labels are Python ints below p, the sorted arrays int64."""
+    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES["borel-p61"])
+    assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
 def test_inv_vec_built_once_per_prime():
@@ -642,10 +682,13 @@ def test_rich_hyperbolae_ap_pin():
 
 @pytest.mark.parametrize(
     "p, spec",
-    [(1009, "random:40,1"), (1009, "ap:1,1,32"), (65537, "random:8,1"), (65537, "gp:3,5,8")],
+    [(1009, "random:40,1"), (1009, "ap:1,1,32"), (65537, "random:8,1"), (65537, "gp:3,5,8"),
+     (61, "random:8,1"), (61, "ap:1,1,8"), (61, "gp:2,3,8"), (101, "random:12,1"), (101, "ap:3,5,11"),
+     (101, "gp:2,3,11"), (1009, "gp:3,5,32")],
 )
 def test_mk_arms_agree(p, spec):
-    """The column and pair arms give the same translate -> richness map."""
+    """The column and pair arms give the same translate -> richness map, the
+    column arm counting by index where p <= |A|^2 and sorting above."""
     A = parse_setspec(spec, Fp(p))
     for lam in (-1, 5):
         lam %= p
