@@ -216,34 +216,20 @@ def _compute_borel(p, H, **_):
     return rows, rows[0]
 
 
+# name -> (_compute_*, the flags the quantity requires besides --p)
 _COMPUTE = {
-    "sigma": _compute_sigma,
-    "energy": _compute_energy,
-    "t3": _compute_t3,
-    "t4": _compute_t4,
-    "q": _compute_q,
-    "mk": _compute_mk,
-    "lk": _compute_lk,
-    "eplus": _compute_eplus,
-    "sumprod": _compute_sumprod,
-    "minkowski": _compute_minkowski,
-    "cschain": _compute_cschain,
-    "borel": _compute_borel,
-}
-# the flags each quantity requires besides --p
-_NEEDS = {
-    "sigma": ("--A", "--H"),
-    "energy": ("--H",),
-    "t3": ("--H",),
-    "t4": ("--H",),
-    "q": ("--H",),
-    "mk": ("--A", "--k"),
-    "lk": ("--A", "--k"),
-    "eplus": ("--A",),
-    "sumprod": ("--A",),
-    "minkowski": ("--A",),
-    "cschain": ("--A", "--H"),
-    "borel": ("--H",),
+    "sigma": (_compute_sigma, ("--A", "--H")),
+    "energy": (_compute_energy, ("--H",)),
+    "t3": (_compute_t3, ("--H",)),
+    "t4": (_compute_t4, ("--H",)),
+    "q": (_compute_q, ("--H",)),
+    "mk": (_compute_mk, ("--A", "--k")),
+    "lk": (_compute_lk, ("--A", "--k")),
+    "eplus": (_compute_eplus, ("--A",)),
+    "sumprod": (_compute_sumprod, ("--A",)),
+    "minkowski": (_compute_minkowski, ("--A",)),
+    "cschain": (_compute_cschain, ("--A", "--H")),
+    "borel": (_compute_borel, ("--H",)),
 }
 QUANTITIES = tuple(_COMPUTE)
 
@@ -262,11 +248,12 @@ def _instance(quantity, p, a_spec, h_spec, k, lam, seed):
         raise InvalidArgument(
             "group-structured counts require lambda = -1 (translates embed into SL2 only there)"
         )
-    missing = [flag for flag in ("--p",) + _NEEDS[quantity] if given[flag] is None]
+    compute, needs = _COMPUTE[quantity]
+    missing = [flag for flag in ("--p",) + needs if given[flag] is None]
     if missing:
         raise InvalidArgument(f"{quantity} requires {', '.join(missing)}")
     cart = bool(h_spec) and h_spec.startswith("cart:")
-    return _COMPUTE[quantity](p=p, A=given["--A"], H=given["--H"], k=k, lam=lam, cart=cart)
+    return compute(p=p, A=given["--A"], H=given["--H"], k=k, lam=lam, cart=cart)
 
 
 def _emit(rendered: list, fmt: str) -> str:

@@ -52,13 +52,12 @@ once per distinct pole and point, for a block of poles of bounded bytes at
 a time, and a cell is then a row read, an add and a membership read, with
 no reduction and no inverse.  The inverses come from one array route,
 _inv_vec: a table read off the powers of a primitive root for small p,
-and above it one Python Fp.inv call per element, not an array Euclid.  Up
+and above it one Fp.inv call (the built-in pow(x, -1, p)) per element.  Up
 to the same p the membership test reads a boolean table of the targets,
 and above it np.isin.  The brute-force reference loops in the oracle module
 use Fermat powers instead, so the two routes share no arithmetic shortcuts.
 """
 
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit
+from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, _reserve
 from .field import check_prime
 from .moebius import INFINITY, _mod, embed_entries, pair_quotient_entries, product_entries
 from .sets import ScalarSet, TranslateSet
@@ -78,7 +77,6 @@ _HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
-_OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
 _COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
 
 
@@ -131,27 +129,11 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, inv: bool = True, sqrt: bool = False) -> int:
+def _table_bytes(p: int, sqrt: bool = False) -> int:
     """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather) and of a square-root table build (20 p),
-    as asked; tracemalloc peaks, 0 where no table is built."""
-    return (32 * inv + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
-
-
-def _reserve(what: str, nbytes: int) -> None:
-    """Refuse a table whose estimated peak, nbytes plus a fixed overhead,
-    exceeds HYPERLAB_BUDGET_MB MiB (default 1536); call before allocating."""
-    raw = os.environ.get("HYPERLAB_BUDGET_MB", "1536")
-    try:
-        mb = int(raw)
-    except ValueError:
-        mb = 0
-    if mb < 1:
-        raise InvalidArgument(f"HYPERLAB_BUDGET_MB must be an integer >= 1, got {raw!r}")
-    if nbytes + _OVERHEAD > mb << 20:
-        raise ResourceLimit(
-            f"{what} in bytes (HYPERLAB_BUDGET_MB={mb})", required=nbytes + _OVERHEAD, budget=mb << 20
-        )
+    table, the index and the gather) and, if asked, of a square-root table
+    build (20 p); tracemalloc peaks, 0 where no table is built."""
+    return (32 + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
 
 
 def _item_bytes(p: int) -> int:
@@ -243,7 +225,7 @@ def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> n
     groups = -(-ntargets // per) * pole_blocks
     chunk = max(1, _HIT_CELLS // max(1, width))
     # per (pole, point) 5 int64 items as the rows and the target keys form,
-    # and the Python ints of a Euclid inversion or of a product by lam, for
+    # and the Python ints of a pow inversion or of a product by lam, for
     # the pole rows and, where they are formed apart, the target rows; per
     # map 8 items and 8 int64 (the columns a caller holds: a quotient
     # histogram's arguments and counts, sumprod's factors, and the kernel's
@@ -331,9 +313,9 @@ def _array(S, dtype=None):
 def _distinct(p: int, v, width: int):
     """The distinct values of an array of poles and the index of each among
     them, so that _hits forms one row of width cells per distinct pole.
-    Where a row per element takes at most _FEW_CELLS cells and no Euclid
-    inverse, each element is its own pole: forming the rows then costs less
-    than finding the distinct values."""
+    Where a row per element takes at most _FEW_CELLS cells, each read off
+    the inverse table, each element is its own pole: forming the rows then
+    costs less than finding the distinct values."""
     if p <= _INV_TABLE_MAX and len(v) * width <= _FEW_CELLS:
         return v, np.arange(len(v))
     return np.unique(v, return_inverse=True)
@@ -518,20 +500,18 @@ def minkowski_grid(A: ScalarSet) -> TranslateSet:
 def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     """Ordered pairs of A x A at Minkowski distance (x-x')^2 - (y-y')^2 = lam.
 
-    Computed from the difference histogram of A: sum over dx of
-    r(dx) * sum_{dy^2 = dx^2 - lam} r(dy).
+    Computed from the difference histogram r of A, summed over squares:
+    with S(s) = sum_{d^2 = s} r(d), the count is sum_s S(s) S(s - lam).
     """
     p, n = A.p, len(A)
     lam = _check_lambda(p, lam)
-    # per difference (at most n^2): the arrays below, and the cold square-root table
-    extra = 8 * _item_bytes(p) * min(p, n * n) + _table_bytes(p, inv=False, sqrt=True)
-    dx, r = _differences(A, extra)
-    wide = dx if p <= _INT64_P else dx.astype(object)
-    # dy = +-s: s = 0 (dx^2 = lam) is one root, s = -1 (a non-residue) none
-    s = _sqrt_vec(p)((wide * wide - lam) % p).astype(np.int64)
-    i = np.minimum(np.searchsorted(dx, s), len(dx) - 1)
-    rs = np.where(dx[i] == s, r[i], 0)  # r(s) = r(-s), as B - B = -(B - B)
-    return sum((r * rs * (1 + (s > 0))).tolist())  # each term below 2 n^2
+    # per difference (at most n^2): the arrays below
+    d, r = _differences(A, 8 * _item_bytes(p) * min(p, n * n))
+    wide = d if p <= _INT64_P else d.astype(object)
+    s, S = _tally(_mod(wide * wide, p).astype(np.int64, copy=False), r)
+    t = _mod(s - lam, p)
+    i = np.minimum(np.searchsorted(s, t), len(s) - 1)
+    return sum((S * np.where(s[i] == t, S[i], 0)).tolist())  # each term below 4 n^2
 
 
 def _point_pairs(p: int, xs, ys):

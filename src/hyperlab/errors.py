@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the budget check that raises ResourceLimit."""
+
+import os
+
+_OVERHEAD = 1 << 16  # bytes of frames, array headers and small objects per kernel call
 
 
 class HyperlabError(Exception):
@@ -44,3 +48,19 @@ class ResourceLimit(HyperlabError, RuntimeError):
         if required is not None and budget is not None:
             message = f"{message}: requires {required}, budget {budget}"
         super().__init__(message)
+
+
+def _reserve(what: str, nbytes: int) -> None:
+    """Refuse a table whose estimated peak, nbytes plus a fixed overhead,
+    exceeds HYPERLAB_BUDGET_MB MiB (default 1536); call before allocating."""
+    raw = os.environ.get("HYPERLAB_BUDGET_MB", "1536")
+    try:
+        mb = int(raw)
+    except ValueError:
+        mb = 0
+    if mb < 1:
+        raise InvalidArgument(f"HYPERLAB_BUDGET_MB must be an integer >= 1, got {raw!r}")
+    if nbytes + _OVERHEAD > mb << 20:
+        raise ResourceLimit(
+            f"{what} in bytes (HYPERLAB_BUDGET_MB={mb})", required=nbytes + _OVERHEAD, budget=mb << 20
+        )

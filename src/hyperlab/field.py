@@ -2,6 +2,8 @@
 
 Elements are canonical Python ints in [0, p) handled through an Fp context;
 Python's arbitrary-precision integers keep every intermediate product exact.
+Inverses come from the built-in pow(x, -1, p) and square roots from
+Tonelli-Shanks; the brute-force oracle inverts by Fermat powers instead.
 """
 
 from functools import lru_cache
@@ -57,19 +59,11 @@ class Fp:
         return f"Fp({self.p})"
 
     def inv(self, x: int) -> int:
-        """Inverse by extended Euclid; x = 0 raises DivisionByZero."""
+        """Inverse by the built-in pow(x, -1, p); x = 0 mod p raises DivisionByZero."""
         x %= self.p
         if x == 0:
             raise DivisionByZero(f"inverse of 0 mod {self.p}")
-        # Invariant: old_r = old_s * x (mod p); terminates with old_r = gcd = 1.
-        old_r, r = x, self.p
-        old_s, s = 1, 0
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        assert old_r == 1
-        return old_s % self.p
+        return pow(x, -1, self.p)
 
     def sqrt(self, x: int) -> int | None:
         """A square root of x, or None when x is a non-residue (Tonelli-Shanks)."""

@@ -11,17 +11,20 @@ Set-spec grammar (one line, no whitespace significance):
             | "randomh:" count ["," seed]
             | "listh:" pair (";" pair)*        pair := int "," int
 
-Integers are arbitrary-sign decimals reduced mod p.  Random specs draw
-uniformly without replacement from random.Random(seed) (random_translates
-for randomh:), so a (p, spec, seed) triple always names the same set.
+Integers are arbitrary-sign decimals (ASCII digits) reduced mod p.  Random
+specs draw uniformly without replacement from random.Random(seed)
+(random_translates for randomh:), so a (p, spec, seed) triple always names
+the same set.  ap: and gp: stop where their sequence repeats, and every
+spec that generates elements reserves their bytes (_reserve) first.
 """
 
+import math
 import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import EmptyInput, InvalidSpec, ModulusMismatch
+from .errors import EmptyInput, InvalidSpec, ModulusMismatch, _reserve
 from .field import Fp
 from .moebius import Translate
 
@@ -64,13 +67,25 @@ class TranslateSet:
         return iter(self.elements)
 
 
+# tracemalloc peak bytes per residue of a scalar spec and per translate of a
+# translate spec (212 and 498 measured, where a set's hash table has just grown)
+_RESIDUE_BYTES, _TRANSLATE_BYTES = 256, 576
+
+
+def _sample_bytes(population: int, k: int, per: int) -> int:
+    """per bytes for each of k elements random.sample draws from range(population),
+    and 36 for each of the population where sample copies it to a list, as it
+    does when that is at most 21 + 4^ceil(log4 3k)."""
+    return per * k + 36 * population * (population <= 21 + 4 ** math.ceil(math.log(3 * k, 4)))
+
+
 def _take_int(text: str, pos: int) -> tuple[int, int]:
     # Longest arbitrary-sign decimal starting at pos; InvalidSpec otherwise.
     j = pos
     if j < len(text) and text[j] in "+-":
         j += 1
     k = j
-    while k < len(text) and text[k].isdigit():
+    while k < len(text) and "0" <= text[k] <= "9":
         k += 1
     if k == j:
         raise InvalidSpec("expected an integer", position=pos)
@@ -105,14 +120,14 @@ def _parse_scalar(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Scalar
         if step == 0:
             word = "step" if kind == "ap" else "ratio"
             raise InvalidSpec(f"{kind} {word} is 0 mod {p}", position=step_pos)
-        if kind == "ap":
-            elems = [(start + j * step) % p for j in range(n)]
-        else:
-            x = start % p
-            elems = []
-            for _ in range(n):
-                elems.append(x)
-                x = x * step % p
+        # x repeats once back at its start: after p terms (ap:), the ratio's order (gp:)
+        _reserve(f"{kind}: set spec", _RESIDUE_BYTES * min(n, p))
+        x, elems = start % p, []
+        for _ in range(n):
+            elems.append(x)
+            x = (x + step if kind == "ap" else x * step) % p
+            if x == elems[0]:
+                break
         return ScalarSet(p, tuple(elems)), i
     if text.startswith("random:", pos):
         i = pos + 7
@@ -122,6 +137,7 @@ def _parse_scalar(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Scalar
             seed, i = _take_int(text, i + 1)
         if n > p:
             raise InvalidSpec(f"random count {n} exceeds field size {p}", position=pos)
+        _reserve("random: set spec", _sample_bytes(p, n, _RESIDUE_BYTES))
         elems = random.Random(seed).sample(range(p), n)
         return ScalarSet(p, tuple(elems)), i
     if text.startswith("list:", pos):
@@ -147,6 +163,7 @@ def _parse_hspec(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Transla
         first, i = _parse_scalar(text, pos + 5, F, default_seed)
         i = _expect(text, i, ";")
         second, i = _parse_scalar(text, i, F, default_seed)
+        _reserve("cart: set spec", _TRANSLATE_BYTES * len(first) * len(second))
         return gen_cartesian(first, second), i
     if text.startswith("randomh:", pos):
         i = pos + 8
@@ -156,6 +173,7 @@ def _parse_hspec(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Transla
             seed, i = _take_int(text, i + 1)
         if n > p * p:
             raise InvalidSpec(f"randomh count {n} exceeds p^2 = {p * p}", position=pos)
+        _reserve("randomh: set spec", _sample_bytes(p * p, n, _TRANSLATE_BYTES))
         return random_translates(random.Random(seed), p, n), i
     if text.startswith("listh:", pos):
         i = pos + 6

@@ -119,6 +119,30 @@ def test_bad_spec_and_bad_prime_exit_2(capsys):
     assert code == 2 and "position" in err
 
 
+def test_spec_errors_and_oversized_specs_exit_2(capsys):
+    # a non-ASCII digit is a spec error, not a ValueError traceback (exit 1)
+    for spec in ("list:\u00b2", "ap:1,1,\u00b3", "list:\u0663"):
+        code, out, err = run(capsys, "compute", "eplus", "--p", "7", "--A", spec)
+        assert (code, out) == (2, "") and "position" in err
+    # an ap: past its period names the period; one past the budget is refused
+    code, out, _ = run(capsys, "compute", "eplus", "--p", "7", "--A", "ap:1,1,1000000000000", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["inputs"]["card_A"] == 7
+    code, out, err = run(capsys, "compute", "eplus", "--p", str((1 << 61) - 1), "--A", "ap:1,1,100000000000")
+    assert (code, out) == (2, "") and _REFUSAL.match(err.strip())
+
+
+_NEEDED = {
+    "sigma": "--p, --A, --H", "energy": "--p, --H", "t3": "--p, --H", "t4": "--p, --H", "q": "--p, --H",
+    "mk": "--p, --A, --k", "lk": "--p, --A, --k", "eplus": "--p, --A", "sumprod": "--p, --A",
+    "minkowski": "--p, --A", "cschain": "--p, --A, --H", "borel": "--p, --H",
+}
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_missing_flags_named_in_order(capsys, quantity):
+    assert run(capsys, "compute", quantity) == (2, "", f"error: {quantity} requires {_NEEDED[quantity]}\n")
+
+
 @pytest.mark.parametrize(
     "p, message",
     [

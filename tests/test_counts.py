@@ -635,6 +635,28 @@ def test_minkowski_brute_force_small():
         assert d_histogram(minkowski_grid(A))[lam] == expected
 
 
+@pytest.mark.parametrize("p", [(1 << 31) - 1, P61])
+def test_minkowski_at_word_size_primes(p):
+    # squares of differences past int64 at 2^61 - 1; lam = d^2 for a
+    # difference d brings in S(0) = |A|, the pairs at dy = 0
+    A = parse_setspec("random:12,1", Fp(p))
+    d = (A.elements[3] - A.elements[7]) % p
+    grid = d_histogram(minkowski_grid(A))
+    for lam in (1, 5, p - 1, d * d % p, random.Random(p).randrange(1, p)):
+        assert minkowski_realisations(A, lam) == grid[lam]
+    assert grid[d * d % p] > 0
+
+
+def test_minkowski_takes_no_square_root(monkeypatch):
+    def no_root(p):
+        raise AssertionError("square root taken")
+
+    monkeypatch.setattr(counts, "_sqrt_vec", no_root)
+    for p in (1009, 1000003, P61):
+        A = parse_setspec("random:20,1", Fp(p))
+        assert minkowski_realisations(A, 5) == d_histogram(minkowski_grid(A))[5]
+
+
 def test_minkowski_rect_cover_is_one_sided():
     # the rectangle reformulation over A+A and A-A covers every
     # realisation pair but can strictly overcount
@@ -882,7 +904,7 @@ _SUMPROD_EQUATIONS = {
 
 @pytest.mark.parametrize("p", [1000003, 2097169, P61])
 def test_incidence_kernels_at_large_primes(p):
-    # no inverse table above 2^18: 1000003 inverts by Euclid on int64
+    # no inverse table above 2^18: 1000003 inverts by pow(x, -1, p) on int64
     # arrays, 2097169 and 2^61 - 1 on arrays of Python ints
     assert p > counts._INV_TABLE_MAX
     rng = random.Random(p)
@@ -983,7 +1005,7 @@ def test_cs_chain_sum_is_a_preimage_square_sum(p, a_spec, h_spec):
 
 
 def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
-    # above 2^18 each inverse is a Euclid call: one per distinct pole (a b of
+    # above 2^18 each inverse is an Fp.inv call: one per distinct pole (a b of
     # H for sigma, an a of H for sigma_u) and point, not one per quotient and point
     p = 1000003
     F = Fp(p)

@@ -44,6 +44,17 @@ def test_inverse_pin():
         Fp(7).inv(14)
 
 
+@pytest.mark.parametrize("p", [7, 1009, (1 << 61) - 1])
+def test_inverse_of_negatives_and_multiples_of_p(p):
+    F = Fp(p)
+    for x in (-1, -2, -p - 3, 3 - 5 * p):
+        assert F.inv(x) == F.inv(x % p) and x * F.inv(x) % p == 1
+    assert F.inv(-1) == p - 1
+    for x in (p, -p, 7 * p, -(p * p)):
+        with pytest.raises(DivisionByZero):
+            F.inv(x)
+
+
 @given(st.sampled_from(PRIMES), st.integers(min_value=1, max_value=1 << 61))
 @settings(max_examples=200, deadline=None)
 def test_inverse_property(p, x):

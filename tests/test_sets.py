@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
+import hyperlab.sets as sets
 from hyperlab import (
     EmptyInput,
     Fp,
     InvalidSpec,
     ModulusMismatch,
+    ResourceLimit,
     ScalarSet,
     TranslateSet,
     difference_set,
@@ -17,6 +20,7 @@ from hyperlab import (
     read_translate_file,
     sumset,
 )
+from hyperlab.errors import _OVERHEAD
 from hyperlab.sets import random_translates
 
 F7 = Fp(7)
@@ -122,6 +126,82 @@ def test_rejection_reports_position():
     with pytest.raises(InvalidSpec) as err:
         parse_setspec("ap:1,0,3", F7)
     assert "position" in str(err.value)
+
+
+@pytest.mark.parametrize("spec, position", [("list:\u00b2", 5), ("ap:1,1,\u00b3", 7), ("list:\u0663", 5),
+                                            ("list:1\u00b2", 6), ("listh:1,\uff12", 8)])
+def test_integers_are_ascii_digits(spec, position):
+    # str.isdigit accepts superscripts and other scripts' digits, which int()
+    # rejects or reads; a spec takes 0-9 only and rejects the rest in place
+    with pytest.raises(InvalidSpec) as err:
+        parse_setspec(spec, F7)
+    assert err.value.position == position
+
+
+def test_progressions_stop_where_they_repeat():
+    # past its period a progression repeats, so the set is the period's
+    assert tuple(parse_setspec("ap:1,1,1000000000000", F7)) == tuple(range(7))
+    assert tuple(parse_setspec("ap:5,3,10", F7)) == tuple(range(7))
+    assert tuple(parse_setspec("gp:2,2,1000000000000", F7)) == (1, 2, 4)
+    assert tuple(parse_setspec("gp:1,6,10", F7)) == (1, 6)
+    assert tuple(parse_setspec("gp:0,3,10", F7)) == (0,)
+    assert tuple(parse_setspec("gp:3,3,1000000000000", F7)) == (1, 2, 3, 4, 5, 6)
+
+
+P61 = (1 << 61) - 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["ap:1,1,100000000000", "gp:3,5,100000000000", "random:1000000000", "randomh:100000000,1",
+     "cart:random:100000;random:100000", "cart:ap:1,1,2;random:1000000000", "invunion:ap:0,1,100000000000"],
+)
+def test_oversized_specs_refused_before_they_generate(spec):
+    with pytest.raises(ResourceLimit, match="set spec"):
+        parse_setspec(spec, Fp(P61))
+
+
+def test_spec_budget_from_env(monkeypatch):
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit) as err:
+        parse_setspec("ap:1,1,10000", Fp(65537))
+    assert (err.value.required, err.value.budget) == (sets._RESIDUE_BYTES * 10000 + _OVERHEAD, 1 << 20)
+    assert len(parse_setspec("ap:1,1,3000", Fp(65537))) == 3000
+    assert len(parse_setspec("ap:1,1,10000", F101)) == 101  # the period, not the count, is reserved
+
+
+# each generating spec, most at a size where a set's hash table has just
+# grown (the largest peak per element), ap: past its period, and
+# random.sample on both of its routes: a set of drawn indices (p far above
+# the count) and a copy of the population as a list (p near it)
+_SPEC_PEAK_CASES = {
+    "ap": (1000003, "ap:1,7,20000"),
+    "ap-period": (65537, "ap:1,1,1000000"),
+    "gp": (1000003, "gp:3,3,22000"),
+    "random-set": (P61, "random:20000,1"),
+    "random-list": (65537, "random:20000,1"),
+    "randomh-set": (P61, "randomh:20000,1"),
+    "randomh-list": (509, "randomh:22000,1"),
+    "cart": (65537, "cart:random:140,1;random:140,2"),
+}
+
+
+@pytest.mark.parametrize("p, spec", _SPEC_PEAK_CASES.values(), ids=_SPEC_PEAK_CASES.keys())
+def test_spec_reserve_bounds_the_peak(monkeypatch, p, spec):
+    """The reserved bytes are at least tracemalloc's peak of the parse and at
+    most 4 peaks + 1 MiB, as for the counting kernels."""
+    F = Fp(p)
+    reserved = []
+    real = sets._reserve
+    monkeypatch.setattr(sets, "_reserve", lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes)))
+    tracemalloc.start()
+    try:
+        parse_setspec(spec, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = max(reserved) + _OVERHEAD
+    assert peak <= estimate <= 4 * peak + (1 << 20)
 
 
 def test_scalar_file_reader(tmp_path):
