@@ -53,6 +53,7 @@ from .field import Fp, check_prime
 from .sets import (
     ScalarSet,
     TranslateSet,
+    _file_int,
     _read_lines,
     difference_set,
     max_line_multiplicity,
@@ -206,7 +207,7 @@ def _compute_cschain(p, A, H, **_):
 
 
 def _compute_borel(p, H, **_):
-    _, xb = counts.borel_coset_mass(H)
+    *_, xb = counts.borel_coset_mass(H)
     yb = counts.borel_t3_mass(H)
     inputs = {"p": p, "card_H": len(H)}
     rows = [
@@ -340,9 +341,9 @@ def _scan_descs(ns):
         if len(parts) not in (2, 3):
             raise InvalidSpec(f"{path}:{ln}: expected 'p a_spec [h_spec]', got {line!r}")
         try:
-            p = int(parts[0])
-        except ValueError as e:
-            raise InvalidSpec(f"{path}:{ln}: bad modulus {parts[0]!r}") from e
+            p = _file_int(parts[0])
+        except InvalidSpec:
+            raise InvalidSpec(f"{path}:{ln}: bad modulus {parts[0]!r}") from None
         h_spec = parts[2] if len(parts) == 3 else None
         descs.append((ns.quantity, p, parts[1], h_spec, ns.k) + base)
     return descs

@@ -37,8 +37,7 @@ product histogram, D(h, h') for q and t3) form blocks of about _CHUNK int64
 residues mod p (_sort_count).  Where p is at most a block's keys, every
 block adds into one p-long int64 total by index; otherwise each block is
 sorted and counted, and the blocks' runs merge when there are several.
-d_histogram and product_rep_histogram turn the arrays into a Counter only
-on return.
+Every histogram leaves the module as arrays, its values ascending.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -59,7 +58,6 @@ use Fermat powers instead, so the two routes share no arithmetic shortcuts.
 """
 
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,7 +66,7 @@ import numpy as np
 
 from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, _reserve
 from .field import check_prime
-from .moebius import INFINITY, _mod, embed_entries, pair_quotient_entries, product_entries
+from .moebius import _mod, embed_entries, pair_quotient_entries, product_entries
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
@@ -77,7 +75,6 @@ _HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
-_COUNTER_ITEMS = 20  # int64 items' bytes per entry of a Counter built from arrays (149 B measured)
 
 
 def _elementwise(fn):
@@ -433,24 +430,25 @@ def t_k(H: TranslateSet, k: int) -> int:
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
-def _sort_count(what: str, p: int, n: int, key, weight=None, item: int = 8, extra: int = 0) -> tuple:
-    """(values ascending, total weights) of the residues key(s) mod p, weighted
-    by weight(s) or 1, over row slices s of an n x n outer product, in blocks
-    of about _CHUNK keys cast to int64.  Where p is at most a block's keys,
-    every block is added into one p-long int64 total by index and the values
-    are its nonzero cells; otherwise each block is sorted and counted by
-    _tally, and one more _tally merges their runs if there are several.
-    Reserves the extra bytes the caller holds too."""
+def _sort_count(what: str, p: int, n: int, distinct: int, key, weight=None, item: int = 8, extra: int = 0) -> tuple:
+    """(values ascending, total weights) of the at most distinct residues
+    key(s) mod p, weighted by weight(s) or 1, over row slices s of an n x n
+    outer product, in blocks of about _CHUNK keys cast to int64.  Where p is
+    at most a block's keys, every block is added into one p-long int64 total
+    by index; otherwise each block is sorted and counted by _tally, and one
+    more _tally merges their runs if there are several.  Reserves the extra
+    bytes the caller holds too."""
     rows = max(1, _CHUNK // max(1, n))
     blocks = [slice(i, i + rows) for i in range(0, max(1, n), rows)]  # one empty block if n = 0
     keys = min(n, rows) * n  # per block
     index = p <= keys
     # per key of a block 3 items as key(s) forms them and, to weigh, 1 int64
     # more indexed or 4 sorted; indexed, the 8p-byte total and two int64 per
-    # value; sorted, 10 int64 items per merged run, at most p runs per block
+    # value; sorted, 3 int64 per run of one block, or 9 per run as several
+    # merge, at most min(p, distinct) runs per block
     cell = 3 * item + (8 if index else 32) * (weight is not None)
-    runs = 24 * p if index else 80 * min(n * n, len(blocks) * p)
-    _reserve(what, cell * keys + runs + extra)
+    runs = sum(min(p, distinct, n * len(range(n)[s])) for s in blocks)
+    _reserve(what, cell * keys + (24 * p if index else (24 if len(blocks) == 1 else 72) * runs) + extra)
     if index:
         total = np.zeros(p, dtype=np.int64)
         for s in blocks:
@@ -464,30 +462,33 @@ def _sort_count(what: str, p: int, n: int, key, weight=None, item: int = 8, extr
     ]
     if len(runs) == 1:
         return runs[0]
-    values, counts = zip(*runs)
-    return _tally(np.concatenate(values), np.concatenate(counts))
+    values, counts = map(np.concatenate, zip(*runs))
+    del runs  # the merge peaks without the blocks' runs
+    return _tally(values, counts)
 
 
-def d_histogram(H: TranslateSet) -> Counter:
-    """d -> number of ordered pairs with D(h, h') = (a-a')(b-b') = d."""
+def d_histogram(H: TranslateSet) -> tuple:
+    """(d ascending, number of ordered pairs with D(h, h') = (a-a')(b-b') = d)."""
     p, n = H.p, len(H)
     a, b = _columns(H)
     # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
-    d, r = _sort_count("D histogram", p, n, lambda s: _mod((a[s, None] - a) * (b[s, None] - b), p),
-                       item=_item_bytes(p), extra=8 * _COUNTER_ITEMS * min(p, n * (n - 1) // 2 + 1))
-    return Counter(dict(zip(d.tolist(), r.tolist())))
+    return _sort_count("D histogram", p, n, n * (n - 1) // 2 + 1,
+                       lambda s: _mod((a[s, None] - a) * (b[s, None] - b), p), item=_item_bytes(p))
 
 
 def q_rect(H: TranslateSet) -> int:
     """Rectangular quadruples Q(H): pairs of pairs at equal D, as squared masses."""
-    return sum(v * v for v in d_histogram(H).values())
+    _, r = d_histogram(H)
+    # Q <= |H|^2 max r(d) <= |H|^4, which int64 holds while |H| < 55109
+    return int(np.dot(r, r)) if len(H) < 55109 else sum(v * v for v in r.tolist())
 
 
 def _differences(B: ScalarSet, extra: int = 0) -> tuple:
     """(d ascending, number of ordered pairs (x, y) of B x B with x - y = d),
     reserved with the extra bytes its caller holds with it; int64 at every p."""
     p, xs = B.p, np.array(B.elements, dtype=np.int64)
-    return _sort_count("difference histogram", p, len(xs), lambda s: _mod(xs[s, None] - xs, p), extra=extra)
+    n = len(xs)  # x - y takes at most n (n - 1) + 1 values
+    return _sort_count("difference histogram", p, n, n * (n - 1) + 1, lambda s: _mod(xs[s, None] - xs, p), extra=extra)
 
 
 def minkowski_grid(A: ScalarSet) -> TranslateSet:
@@ -505,8 +506,9 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     """
     p, n = A.p, len(A)
     lam = _check_lambda(p, lam)
-    # per difference (at most n^2): the arrays below
-    d, r = _differences(A, 8 * _item_bytes(p) * min(p, n * n))
+    # per difference (at most n^2) 5 int64 as its square forms and sorts (36 B
+    # measured), or above 2^21 3 items of Python ints (148 B at 2^61 - 1)
+    d, r = _differences(A, (40 if p <= _INT64_P else 3 * _item_bytes(p)) * min(p, n * n))
     wide = d if p <= _INT64_P else d.astype(object)
     s, S = _tally(_mod(wide * wide, p).astype(np.int64, copy=False), r)
     t = _mod(s - lam, p)
@@ -645,24 +647,23 @@ def additive_energy(B: ScalarSet) -> int:
     return sum((r * r).tolist())  # r(d) <= |B|
 
 
-def product_rep_histogram(B: ScalarSet) -> Counter:
-    """x -> r_{(B-B)(B-B)}(x), products of differences with multiplicity."""
+def product_rep_histogram(B: ScalarSet) -> tuple:
+    """(x ascending, r_{(B-B)(B-B)}(x)): products of differences with multiplicity."""
     p = B.p
     d, r = _differences(B)
     wide = d if p <= _INT64_P else d.astype(object)
-    # the Counter of at most min(p, (m^2 + 3) / 4) products of m = len(d)
-    # differences, as (+-x)(+-y) takes two values per pair {x, y}.  A weight
-    # sum is at most |B|^4, below 2^63 while |B| < 55109; from there the
-    # m >= min(p, 2|B| - 1) >= 55109 differences reserve over 50 GB of runs.
-    x, w = _sort_count("product histogram", p, len(d), lambda s: _mod(wide[s, None] * wide, p),
-                       lambda s: r[s, None] * r, item=_item_bytes(p),
-                       extra=8 * _COUNTER_ITEMS * min(p, (len(d) ** 2 + 3) // 4))
-    return Counter(dict(zip(x.tolist(), w.tolist())))
+    # at most (m^2 + 3) / 4 products of m = len(d) differences, as (+-x)(+-y)
+    # takes two values per pair {x, y}.  As r(d) <= |B|, a weight sum is at
+    # most |B|^3 at x != 0 (d2 = x / d1) and 2|B|^3 at 0, below 2^63 while
+    # |B| <= 1664510.
+    return _sort_count("product histogram", p, len(d), (len(d) ** 2 + 3) // 4,
+                       lambda s: _mod(wide[s, None] * wide, p), lambda s: r[s, None] * r, item=_item_bytes(p))
 
 
 def product_rep_energy(B: ScalarSet) -> int:
     """sum_x r^2_{(B-B)(B-B)}(x)."""
-    return sum(v * v for v in product_rep_histogram(B).values())
+    _, w = product_rep_histogram(B)
+    return sum(v * v for v in w.tolist())
 
 
 # the four equations share the shape (a1 + f(a2,a4)) * (a3 + g(a2,a4)) = 1
@@ -687,11 +688,11 @@ def sumprod_quadruples(A: ScalarSet, variant: int) -> int:
     return int(_hits(p, xs, 1, poles, pole, ((-g) % p).astype(np.int64, copy=False), xs).sum())
 
 
-def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
+def borel_coset_mass(H: TranslateSet) -> tuple:
     """Bucket squared quotient masses by left Borel coset.
 
-    Returns (label -> sum of r^2 over the coset, max over finite labels).
-    The label is u(oo); Borel elements collect under the INFINITY key.
+    Returns (labels ascending, sum of r^2 over each coset, max over finite
+    labels).  The int64 label is u(oo), with p for oo (the Borel subgroup).
     """
     p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
@@ -699,17 +700,16 @@ def borel_coset_mass(H: TranslateSet) -> tuple[Counter, int]:
     # and sort (the inverses, the labels, the weights, their order and both
     # sorted), 8 bytes each; above the table range a Python int below p per
     # inverse (and its pointer as it forms), above 2^21 one per argument and
-    # label too; and a Counter entry per label, at most p + 1 of them
+    # label too
     n, big = len(hist), sys.getsizeof(p)
     per = 80 + (p > _INV_TABLE_MAX) * (8 + big) + (p > _INT64_P) * 4 * big
-    _reserve("Borel coset labels", per * n + 8 * _COUNTER_ITEMS * min(p + 1, n) + _table_bytes(p))
+    _reserve("Borel coset labels", per * n + _table_bytes(p))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3
-    labels = np.where(w == 0, p, _mod(a1 + _inv_vec(p)(w), p))
-    labels, mass = _tally(labels, hist.counts * hist.counts)
-    masses = Counter({INFINITY if k == p else k: v for k, v in zip(labels.tolist(), mass.tolist())})
-    return masses, max((v for k, v in masses.items() if k is not INFINITY), default=0)
+    labels = np.where(w == 0, p, _mod(a1 + _inv_vec(p)(w), p)).astype(np.int64, copy=False)
+    labels, masses = _tally(labels, hist.counts * hist.counts)
+    return labels, masses, int(masses[labels != p].max(initial=0))
 
 
 def borel_t3_mass(H: TranslateSet) -> int:

@@ -151,6 +151,7 @@ def _parse_scalar(text: str, pos: int, F: Fp, default_seed: int) -> tuple[Scalar
         return ScalarSet(p, tuple(elems)), i
     if text.startswith("invunion:", pos):
         inner, i = _parse_scalar(text, pos + 9, F, default_seed)
+        _reserve("invunion: set spec", _RESIDUE_BYTES * 2 * len(inner))  # the inverses join the set
         # 0 has no inverse and contributes only itself.
         elems = list(inner.elements) + [F.inv(e) for e in inner.elements if e != 0]
         return ScalarSet(p, tuple(elems)), i
@@ -227,13 +228,23 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
     return [(ln, s) for ln, line in enumerate(text.split("\n"), start=1) if (s := line.strip())]
 
 
+def _file_int(field: str) -> int:
+    """An integer field of an @path file or a scan row, read as a spec reads
+    one (_take_int), blanks around it allowed; InvalidSpec otherwise."""
+    s = field.strip()
+    v, end = _take_int(s, 0)
+    if end != len(s):
+        raise InvalidSpec("trailing characters after an integer", position=end)
+    return v
+
+
 def read_scalar_file(path: str, F: Fp) -> ScalarSet:
     """One integer literal per line; blank lines ignored."""
     elems = []
     for ln, s in _read_lines(path):
         try:
-            elems.append(int(s))
-        except ValueError:
+            elems.append(_file_int(s))
+        except InvalidSpec:
             raise InvalidSpec(f"{path}:{ln}: expected an integer, got {s!r}") from None
     if not elems:
         raise InvalidSpec(f"{path}: no elements")
@@ -244,13 +255,11 @@ def read_translate_file(path: str, F: Fp) -> TranslateSet:
     """One 'a,b' pair per line; blank lines ignored."""
     pairs = []
     for ln, s in _read_lines(path):
-        parts = s.split(",")
         try:
-            if len(parts) != 2:
-                raise ValueError
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
+            a, b = map(_file_int, s.split(","))  # ValueError unless two fields
+        except (InvalidSpec, ValueError):
             raise InvalidSpec(f"{path}:{ln}: expected 'a,b', got {s!r}") from None
+        pairs.append((a, b))
     if not pairs:
         raise InvalidSpec(f"{path}: no pairs")
     return TranslateSet(F.p, tuple(pairs))

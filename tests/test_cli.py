@@ -191,6 +191,27 @@ def test_unreadable_at_path_exit_2(tmp_path, capsys, kind, flag):
     assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, text", [("--A", "1\n\u0663\n"), ("--A", "1\n1_000\n"), ("--H", "0,0\n0,\u0663\n")])
+def test_at_path_integers_are_ascii_decimals_exit_2(tmp_path, capsys, flag, text):
+    # int() would read the Arabic-Indic digit as 3 and 1_000 as 1000, while
+    # the literal list:\u0663 is a spec error: so is the same line of a file
+    path = tmp_path / "set.txt"
+    path.write_text(text, encoding="utf-8")
+    sets = {"--A": "list:1", "--H": "listh:0,0", flag: f"@{path}"}
+    code, out, err = run(capsys, "compute", "sigma", "--p", "7", *(x for kv in sets.items() for x in kv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:2: expected ")
+
+
+@pytest.mark.parametrize("modulus", ["1_009", "\u0661\u0660\u0660\u0669"])
+def test_scan_file_modulus_is_an_ascii_decimal(tmp_path, capsys, modulus):
+    fam = tmp_path / "rows.txt"
+    fam.write_text(f"7 list:1,6 listh:0,0\n{modulus} list:1,6 listh:0,0\n", encoding="utf-8")
+    code, out, err = run(capsys, "scan", "sigma", "--family", f"file:{fam}")
+    assert code == 2 and out == ""
+    assert err == f"error: {fam}:2: bad modulus {modulus!r}\n"
+
+
 def test_scan_continues_past_an_unreadable_row(tmp_path, capsys):
     fam = tmp_path / "rows.txt"
     fam.write_text(f"7 @{tmp_path / 'nonexistent'} listh:0,0\n7 list:1,6 listh:0,0\n")

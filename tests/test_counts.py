@@ -67,6 +67,21 @@ def _entries(hist):
     return dict(zip(zip(*(c.tolist() for c in hist.columns)), hist.counts.tolist()))
 
 
+def _table(hist):
+    """value -> count of a histogram's (values, counts) arrays, which are
+    int64 and strictly ascending."""
+    values, weights = hist
+    assert values.dtype == weights.dtype == np.int64 and np.all(values[1:] > values[:-1])
+    return dict(zip(values.tolist(), weights.tolist()))
+
+
+def _cosets(H):
+    """(label -> coset mass, X_B) of borel_coset_mass(H), INFINITY for its label p."""
+    labels, masses, max_nb = borel_coset_mass(H)
+    assert type(max_nb) is int
+    return {INFINITY if k == H.p else k: v for k, v in _table((labels, masses)).items()}, max_nb
+
+
 # ------------------------------------------------------------ sigma
 
 def test_sigma_pin():
@@ -224,7 +239,7 @@ def _scalar_cs_chain(A, H):
 
 def _check_group_kernels(A, H):
     """Every group kernel against the generic chain and scalar evaluate, and
-    every value it returns a Python int (or INFINITY / Fraction)."""
+    every value it returns a Python int (or Fraction), every histogram int64."""
     q2, q3, q4 = _generic_group_counts(H)
     assert _entries(quotient_histogram(H)) == q2
     values = [t_k(H, k) for k in (2, 3, 4)]
@@ -234,11 +249,15 @@ def _check_group_kernels(A, H):
     rep = cs_chain_report(A, H)
     fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
     assert fields == _scalar_cs_chain(A, H)
-    table, max_nb = borel_coset_mass(H)
-    values += [yb, max_nb, *table.values()]
+    # the coset label of u = (a b; c d) is u(oo) = a/c, or oo where c = 0
+    want = Counter()
+    for (a, _, c, _), r in q2.items():
+        want[a * pow(c, -1, H.p) % H.p if c else INFINITY] += r * r
+    table, max_nb = _cosets(H)
+    assert table == want
+    values += [yb, max_nb]
     values += [rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.omega_size]
     assert all(type(v) is int for v in values)
-    assert all(type(lbl) is int or lbl is INFINITY for lbl in table)
     for frac in (rep.delta, rep.omega_incidence_share):
         assert type(frac) is Fraction
         assert type(frac.numerator) is int and type(frac.denominator) is int
@@ -291,7 +310,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
 
     def all_counts():
         return (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3), sumprod_quadruples(A, 2),
-                d_histogram(H), additive_energy(A), product_rep_histogram(A))
+                _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)))
 
     want = all_counts()
     assert want[1] > 0
@@ -323,7 +342,7 @@ def test_pair_histogram_routes_agree(monkeypatch):
     def histograms():
         d, r = counts._differences(A)
         assert np.all(d[1:] > d[:-1]) and d.dtype == r.dtype == np.int64
-        return d.tolist(), r.tolist(), product_rep_histogram(A), d_histogram(H)
+        return d.tolist(), r.tolist(), _table(product_rep_histogram(A)), _table(d_histogram(H))
 
     want = histograms()
     assert tallies == []  # every block indexed
@@ -545,10 +564,23 @@ def test_reserved_bytes_bound_the_peak(monkeypatch, case):
     assert peak <= estimate <= 4 * peak + (1 << 20)
 
 
-def test_borel_estimate_counts_python_ints_where_they_are(monkeypatch):
-    """At 2^61 - 1 the Borel labels reserve within 2 peaks + 1 MiB: the
-    arguments and labels are Python ints below p, the sorted arrays int64."""
-    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES["borel-p61"])
+# the histograms and their readers: the coset labels (whose arguments and
+# labels are Python ints below p at 2^61 - 1), the pair histograms and Q and
+# the Minkowski count on top of them
+_HISTOGRAM_CASES = [
+    *(f"borel-{p}" for p in ("256", "262139", "1000003", "p61")),
+    *(f"eplus-{s}" for s in ("300", "dense", "index", "p61", "600")),
+    *(f"product-rep-{s}" for s in ("16", "40", "dense", "p61")),
+    *(f"minkowski-{s}" for s in ("200", "index", "cold-262139", "p61")),
+    *(f"d-hist-{s}" for s in ("300", "600", "index")),
+    "q-p61",
+]
+
+
+@pytest.mark.parametrize("name", _HISTOGRAM_CASES)
+def test_histogram_estimates_within_two_peaks(monkeypatch, name):
+    """The histogram kernels return arrays, so they reserve within 2 peaks + 1 MiB."""
+    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
@@ -599,9 +631,9 @@ def test_inv_table_every_residue(p):
 # ------------------------------------------------------------ rectangular quadruples
 
 def test_d_histogram_and_q_pin():
-    hist = d_histogram(HD)
-    assert hist == {0: 2, 1: 2}
-    assert hist[5] == 0 and hist.total() == len(HD) ** 2
+    hist = _table(d_histogram(HD))
+    assert hist == {0: 2, 1: 2}  # no pair at any other value
+    assert sum(hist.values()) == len(HD) ** 2
     assert q_rect(HD) == 8
 
 
@@ -632,7 +664,7 @@ def test_minkowski_brute_force_small():
                             expected += 1
         assert minkowski_realisations(A, lam) == expected
         # the 45-degree image turns Minkowski distance into D
-        assert d_histogram(minkowski_grid(A))[lam] == expected
+        assert _table(d_histogram(minkowski_grid(A))).get(lam, 0) == expected
 
 
 @pytest.mark.parametrize("p", [(1 << 31) - 1, P61])
@@ -641,9 +673,9 @@ def test_minkowski_at_word_size_primes(p):
     # difference d brings in S(0) = |A|, the pairs at dy = 0
     A = parse_setspec("random:12,1", Fp(p))
     d = (A.elements[3] - A.elements[7]) % p
-    grid = d_histogram(minkowski_grid(A))
+    grid = _table(d_histogram(minkowski_grid(A)))
     for lam in (1, 5, p - 1, d * d % p, random.Random(p).randrange(1, p)):
-        assert minkowski_realisations(A, lam) == grid[lam]
+        assert minkowski_realisations(A, lam) == grid.get(lam, 0)
     assert grid[d * d % p] > 0
 
 
@@ -654,7 +686,7 @@ def test_minkowski_takes_no_square_root(monkeypatch):
     monkeypatch.setattr(counts, "_sqrt_vec", no_root)
     for p in (1009, 1000003, P61):
         A = parse_setspec("random:20,1", Fp(p))
-        assert minkowski_realisations(A, 5) == d_histogram(minkowski_grid(A))[5]
+        assert minkowski_realisations(A, 5) == _table(d_histogram(minkowski_grid(A))).get(5, 0)
 
 
 def test_minkowski_rect_cover_is_one_sided():
@@ -791,6 +823,24 @@ def test_rich_hyperbolae_domain(monkeypatch):
     assert rich_hyperbolae(_rand_a(1009, 10), 3) >= 0
 
 
+@pytest.mark.parametrize(
+    "p, spec",
+    [(1009, "ap:1,1,16"), (1009, "gp:3,5,16"), (1009, "random:16,1"), (65537, "random:24,2"), (7, "ap:0,1,7"),
+     (13, "ap:0,1,13")],
+)
+def test_mk_is_at_most_four_times_its_bound(p, spec):
+    """A t-rich translate holds C(t, 2) pairs of points with distinct
+    coordinates, and such a pair lies on at most 2 translates, so
+    m_k <= 2|A|^4 / (k(k-1)): at most 4 times either branch of eval_mk_bb,
+    min(|A|^7/k^5, p|A|^4/k^3), for every 2 <= k <= |A| (A = F_p included)."""
+    A = parse_setspec(spec, Fp(p))
+    n = len(A)
+    found = [rich_hyperbolae(A, k) for k in range(2, n + 1)]
+    assert found[0] > 0
+    for k, m in enumerate(found, start=2):
+        assert m * k**5 <= 4 * n**7 and m * k**3 <= 4 * p * n**4, k
+
+
 def test_rich_lines_pins():
     assert rich_lines(B01, B01, 2) == 6
     lines = (("s", 0, 0), ("s", 0, 1), ("s", 1, 0), ("s", 6, 1), ("v", 0), ("v", 1))
@@ -847,10 +897,9 @@ def test_d_histogram_of_a_square_is_the_product_histogram(p, n):
     # products of two differences of B; at p = 65537 both kernels merge
     # several blocks (2 560 000 pairs of H, 1541^2 pairs of differences)
     B = _rand_a(p, n)
-    hist = d_histogram(gen_cartesian(B, B))
-    assert hist == product_rep_histogram(B)
-    assert hist.total() == n**4
-    assert all(type(k) is int and type(v) is int for k, v in hist.items())
+    hist = _table(d_histogram(gen_cartesian(B, B)))
+    assert hist == _table(product_rep_histogram(B))
+    assert sum(hist.values()) == n**4
 
 
 @pytest.mark.parametrize("p", [4099, P61])
@@ -865,7 +914,7 @@ def test_additive_energy_against_a_pair_loop(p):
 def test_histograms_of_empty_sets(p):
     empty = ScalarSet(p, ())
     assert additive_energy(empty) == product_rep_energy(empty) == minkowski_realisations(empty, 3) == 0
-    assert product_rep_histogram(empty) == Counter() == d_histogram(TranslateSet(p, ()))
+    assert _table(product_rep_histogram(empty)) == {} == _table(d_histogram(TranslateSet(p, ())))
     assert q_rect(TranslateSet(p, ())) == 0
 
 
@@ -1039,11 +1088,10 @@ def test_square_sums_past_int64():
 # ------------------------------------------------------------ borel structure
 
 def test_borel_masses_pin():
-    hist, max_nb = borel_coset_mass(H2)
+    labels, masses, max_nb = borel_coset_mass(H2)
     assert max_nb == 0
-    assert hist.total() == 6
-    (label,) = hist
-    assert str(label) == "oo"
+    # every quotient is a translation, so all of E(H) = 6 sits at oo (label p)
+    assert (labels.tolist(), masses.tolist()) == ([7], [6])
 
 
 def test_borel_coset_mass_labels():
@@ -1057,7 +1105,7 @@ def test_borel_coset_mass_labels():
     want = Counter()
     for entries, n in r.items():
         want[evaluate(MoebiusMap(7, *entries), INFINITY)] += n * n
-    table, max_nb = borel_coset_mass(H)
+    table, max_nb = _cosets(H)
     assert table == want and len(want) > 1
     assert max_nb == max(v for label, v in want.items() if label is not INFINITY)
 
@@ -1066,8 +1114,8 @@ def test_borel_masses_generic():
     rng = random.Random(7)
     for _ in range(10):
         H = rand_translates(rng, 13, 9)
-        hist, max_nb = borel_coset_mass(H)
-        assert hist.total() == t_k(H, 2)
+        _, masses, max_nb = borel_coset_mass(H)
+        assert int(masses.sum()) == t_k(H, 2)
         assert max_nb <= len(H) ** 2
         assert borel_t3_mass(H) <= t_k(H, 3)
 
@@ -1120,7 +1168,7 @@ def test_cartesian_energy_exact_identity():
         eplus = additive_energy(B)
         assert e == 2 * len(B) ** 2 * eplus - len(B) ** 4
         # the part of E(BxB) off the Borel subgroup
-        table, _ = borel_coset_mass(H)
+        table, _ = _cosets(H)
         assert e - table[INFINITY] == len(B) ** 2 * (eplus - len(B) ** 2)
     H = gen_cartesian(B01, B01)
     assert t_k(H, 2) == 32
@@ -1133,7 +1181,7 @@ def test_q_of_cartesian_square(flip):
     # D-histogram of B x B factors through the difference set squared
     B = ScalarSet(7, (0, 1, 3) if flip else (2, 5))
     H = gen_cartesian(B, B)
-    diff = d_histogram(H)
+    diff = _table(d_histogram(H))
     r = {}
     for x in B:
         for y in B:

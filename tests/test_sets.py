@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -183,6 +184,8 @@ _SPEC_PEAK_CASES = {
     "randomh-set": (P61, "randomh:20000,1"),
     "randomh-list": (509, "randomh:22000,1"),
     "cart": (65537, "cart:random:140,1;random:140,2"),
+    # the inverses join the inner set: Python ints at 2^61 - 1
+    "invunion": (P61, "invunion:random:20000,1"),
 }
 
 
@@ -209,6 +212,8 @@ def test_scalar_file_reader(tmp_path):
     f.write_text("1\n-1\n\n9\n")
     s = read_scalar_file(str(f), F7)
     assert tuple(s) == (1, 2, 6)
+    f.write_text(" 1 \n\t-1\n+9\n")  # blanks around a field are allowed
+    assert tuple(read_scalar_file(str(f), F7)) == (1, 2, 6)
     f.write_text("1\nbogus\n")
     with pytest.raises(InvalidSpec) as err:
         read_scalar_file(str(f), F7)
@@ -223,6 +228,22 @@ def test_translate_file_reader(tmp_path):
     f.write_text("0,0\n1,-1\n")
     h = read_translate_file(str(f), F7)
     assert tuple(h) == ((0, 0), (1, 6))
+    f.write_text(" 0 , 0\n1,\t-1 \n")
+    assert tuple(read_translate_file(str(f), F7)) == ((0, 0), (1, 6))
+
+
+@pytest.mark.parametrize("reader, line", [
+    (read_scalar_file, "\u0663"), (read_scalar_file, "1_000"), (read_scalar_file, "\u00b2"),
+    (read_scalar_file, "1 2"), (read_translate_file, "0,\u0663"), (read_translate_file, "1_0,0"),
+    (read_translate_file, "0,0,0"), (read_translate_file, "0"),
+])
+def test_file_integers_read_as_spec_integers(tmp_path, reader, line):
+    # int() reads other scripts' digits and '_' separators, which a spec
+    # literal rejects: a file's integers take the spec's ASCII decimals only
+    f = tmp_path / "set.txt"
+    f.write_text(("1,1" if reader is read_translate_file else "1") + f"\n{line}\n", encoding="utf-8")
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(str(f))}:2: "):
+        reader(str(f), F7)
 
 
 def test_gen_cartesian():
