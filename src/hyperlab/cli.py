@@ -379,16 +379,24 @@ def cmd_scan(ns) -> int:
     return 0
 
 
+def _flag_int(text: str) -> int:
+    """An integer flag, read as a spec reads one: a usage error otherwise."""
+    try:
+        return _file_int(text)
+    except InvalidSpec:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 _FLAGS = {
-    "--p": dict(type=int, default=None, help="prime modulus"),
-    "--lambda": dict(dest="lam", type=int, default=-1,
+    "--p": dict(type=_flag_int, default=None, help="prime modulus"),
+    "--lambda": dict(dest="lam", type=_flag_int, default=-1,
                      help="curve parameter in (x-b)(y-a) = lambda (default -1)"),
     "--A": dict(default=None, help="scalar set spec or @file"),
     "--H": dict(default=None, help="translate set spec or @file"),
-    "--k": dict(type=int, default=None, help="richness threshold"),
-    "--seed": dict(type=int, default=0, help="seed for random: specs and suites"),
-    "--trials": dict(type=int, default=None, help="suite corpus size override"),
-    "--workers": dict(type=int, default=1, help="scan worker processes"),
+    "--k": dict(type=_flag_int, default=None, help="richness threshold"),
+    "--seed": dict(type=_flag_int, default=0, help="seed for random: specs and suites"),
+    "--trials": dict(type=_flag_int, default=None, help="suite corpus size override"),
+    "--workers": dict(type=_flag_int, default=1, help="scan worker processes"),
     "--out": dict(default=None, help="write the report here instead of stdout"),
     "--format": dict(choices=("csv", "json"), default="csv"),
 }

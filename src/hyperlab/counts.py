@@ -22,11 +22,9 @@ HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 The array loops reduce mod p with moebius._mod, x - (x // p) p formed in
 place: numpy divides an int64 array by a scalar through libdivide, several
 times faster than its x % p (which is slower still on negative x), and the
-in-place steps hold no more temporaries than x % p.  E(H) = T_2 (at most
-|H|^3) and sum_u r(u) sigma_u (at most |H|^2 |A|) are summed in int64, as
-no budget below 130 GiB admits inputs that take them to 2^63; T_4 (at most
-|H|^7) is summed in int64 while |H|^7 < 2^63 and over Python ints from
-|H| = 512.
+in-place steps hold no more temporaries than x % p.  Every final count
+(a sum of squares or of products of counts) is one _dot: exact, in int64
+where a bound read off its arrays allows and over Python ints otherwise.
 
 m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
@@ -41,20 +39,19 @@ Every histogram leaves the module as arrays, its values ascending.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
-form: each map is x -> a + lam/(x - b) tested against a set of targets.
-sigma_rect's translates have this form, a sumprod map is a = -g, b = -f,
-lam = 1, and a quotient with w = b1 - b2 != 0 maps x != a2 to
-a1 + 1/(w + 1/(x - a2)) and a2 to a1, so an x != a2 hits A exactly when
+form: each map is x -> a + 1/(x - b), its row the bare inverses inv(x - b)
+(one per distinct pole and point), tested against a set of targets.
+sigma_rect's y = a + lam/(x - b) lies in C exactly when a/lam + 1/(x - b)
+lies in C/lam, so it divides lam out of its shifts and targets; a sumprod
+map is a = -g, b = -f, and a quotient with w = b1 - b2 != 0 maps x != a2
+to a1 + 1/(w + 1/(x - a2)) and a2 to a1, so an x != a2 hits A exactly when
 w + inv(x - a2) = inv(y - a1) for a y != a1 in A; a quotient with w = 0
-is the translation by a1 - a2, the map with pole oo.  _pole_rows inverts
-once per distinct pole and point, for a block of poles of bounded bytes at
-a time, and a cell is then a row read, an add and a membership read, with
-no reduction and no inverse.  The inverses come from one array route,
-_inv_vec: a table read off the powers of a primitive root for small p,
-and above it one Fp.inv call (the built-in pow(x, -1, p)) per element.  Up
-to the same p the membership test reads a boolean table of the targets,
-and above it np.isin.  The brute-force reference loops in the oracle module
-use Fermat powers instead, so the two routes share no arithmetic shortcuts.
+is the translation by a1 - a2, the map with pole oo.  The inverses come
+from one array route, _inv_vec: a table read off the powers of a primitive
+root for small p, and above it one Fp.inv call (the built-in
+pow(x, -1, p)) per element.  The brute-force reference loops in the oracle
+module use Fermat powers instead, so the two routes share no arithmetic
+shortcuts.
 """
 
 import sys
@@ -177,26 +174,23 @@ def _check_lambda(p: int, lam: int) -> int:
     return lam
 
 
-def _pole_rows(p: int, poles, xs, lam: int):
-    """rows[i, j] = lam inv(xs[j] - poles[i]) mod p as int64, one inverse per
-    (pole, point), and 2p where xs[j] = poles[i] (the image is oo); the row
-    of the pole oo, written p and only as the last pole, is xs itself.
-    poles and xs are int64."""
-    # lam = -1 (sigma's curve) needs no product: -inv(x - b) = inv(b - x)
-    den = _mod(poles[:, None] - xs if lam == p - 1 else xs - poles[:, None], p)
+def _pole_rows(p: int, poles, xs):
+    """rows[i, j] = inv(xs[j] - poles[i]) mod p as int64, one bare inverse per
+    (pole, point) (sigma_rect divides lambda out of its input), and 2p where
+    xs[j] = poles[i] (the image is oo); the row of the pole oo, written p and
+    only as the last pole, is xs itself.  poles and xs are int64."""
+    den = _mod(xs - poles[:, None], p)
     oo = len(poles) > 0 and poles[-1] == p
     if oo:
         den[-1] = 0  # takes no inverse
     rows = _inv_vec(p)(den)
-    if lam not in (1, p - 1):
-        rows = _mod(lam * (rows if p <= _INT64_P else rows.astype(object)), p).astype(np.int64, copy=False)
     rows[den == 0] = 2 * p
     if oo:
         rows[-1] = xs
     return rows
 
 
-def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> np.ndarray:
+def _hits(p: int, xs, poles, pole, shift, targets=None, key=None) -> np.ndarray:
     """For each map i, x -> shift[i] + row(x), where row is the row of
     poles[pole[i]] (see _pole_rows), the number of points x of xs whose image
     lies in targets, or where targets is None in the row of poles[key[i]], as
@@ -221,19 +215,20 @@ def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> n
     ntargets = len(poles) if targets is None else 1
     groups = -(-ntargets // per) * pole_blocks
     chunk = max(1, _HIT_CELLS // max(1, width))
-    # per (pole, point) 5 int64 items as the rows and the target keys form,
-    # and the Python ints of a pow inversion or of a product by lam, for
-    # the pole rows and, where they are formed apart, the target rows; per
-    # map 8 items and 8 int64 (the columns a caller holds: a quotient
-    # histogram's arguments and counts, sumprod's factors, and the kernel's
-    # offsets and output) and 6 int64 more as the maps sort; per cell of a
-    # chunk 17 bytes reading a membership table (3p bytes per target row) or
-    # 72 as np.isin sorts the cells
-    row = 40 + (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p)) + (lam not in (1, p - 1)) * 3 * _item_bytes(p)
-    row *= min(len(poles), per_pole) * width * (1 + (targets is None and pole_blocks > 1))
+    # per (pole, point) of a block 17 bytes as its row forms (differences,
+    # inverses, zero mask), above the table range a Python int, its pointer
+    # and its conversion per inverse, 8 more where the block before lives on
+    # as the next forms and 32 more where target rows form (keys and wrap,
+    # joined); per map 5 items (a caller's columns: a translate set's,
+    # sumprod's factors, a quotient histogram's arguments) and 7 int64
+    # (poles, shifts, keys, offsets, output), 6 int64 more as the maps sort;
+    # per cell of a chunk 17 bytes reading a membership table (3p bytes per
+    # target row) or 72 as np.isin sorts the cells
+    row = 17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) + 8 * (pole_blocks > 1) + 32 * (targets is None)
+    row *= min(len(poles), per_pole) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
-    maps_bytes = (8 * _item_bytes(p) + 64 + 48 * (groups > 1)) * maps
+    maps_bytes = (5 * _item_bytes(p) + 56 + 48 * (groups > 1)) * maps
     _reserve("Moebius hits", row + maps_bytes + cells + member_bytes + _table_bytes(p))
     order, bounds = None, [0, maps]
     if groups > 1:
@@ -243,7 +238,7 @@ def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> n
         order = np.argsort(group, kind="stable")
         pole, shift, key = pole[order], shift[order], None if key is None else key[order]
         bounds = np.searchsorted(group[order], np.arange(groups + 1))
-    rows = _pole_rows(p, poles, xs, lam) if pole_blocks == 1 else None
+    rows = _pole_rows(p, poles, xs) if pole_blocks == 1 else None
     member = np.zeros(member_bytes, dtype=bool)
     count = np.min_scalar_type(width)  # a count is at most the row width
     out = np.empty(maps, dtype=np.int64)
@@ -260,12 +255,12 @@ def _hits(p: int, xs, lam: int, poles, pole, shift, targets=None, key=None) -> n
             if targets is not None:
                 found = targets
             else:
-                t = rows[k0 : k0 + per] if rows is not None else _pole_rows(p, poles[k0 : k0 + per], xs, lam)
+                t = rows[k0 : k0 + per] if rows is not None else _pole_rows(p, poles[k0 : k0 + per], xs)
                 found = (t + np.arange(0, len(t) * stride, stride)[:, None])[t < p]
             found = np.concatenate((found, found + p))
             if table:
                 member[found] = True
-        block = rows if rows is not None else _pole_rows(p, poles[b0 : b0 + per_pole], xs, lam)
+        block = rows if rows is not None else _pole_rows(p, poles[b0 : b0 + per_pole], xs)
         at = pole[lo:hi] - b0 if b0 else pole[lo:hi]
         off = shift[lo:hi] if key is None else (key[lo:hi] - k0) * stride + shift[lo:hi]
         for i in range(0, hi - lo, chunk):
@@ -288,12 +283,14 @@ def sigma_rect(B: ScalarSet, C: ScalarSet, H: TranslateSet, lam: int = -1) -> in
     if not (B.p == C.p == H.p):
         raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}, {H.p}")
     p = H.p
-    lam = _check_lambda(p, lam)
+    inv = pow(_check_lambda(p, lam), -1, p)
     if len(B) == 0 or len(C) == 0 or len(H) == 0:
         return 0
-    # the curve (x - b)(y - a) = lam is y = a + lam/(x - b): pole b, shift a
-    a, b = _columns(H, np.int64)
-    return int(_hits(p, _array(B, np.int64), lam, *_distinct(p, b, len(B)), a, _array(C, np.int64)).sum())
+    # (x - b)(y - a) = lam: pole b, shift a/lam, targets C/lam
+    a, b = _array(H).reshape(-1, 2).T
+    poles, pole = _distinct(p, b.astype(np.int64, copy=False), len(B))
+    shift, targets = (_mod(v * inv, p).astype(np.int64, copy=False) for v in (a, _array(C)))
+    return int(_hits(p, _array(B, np.int64), poles, pole, shift, targets).sum())
 
 
 def sigma(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
@@ -318,11 +315,6 @@ def _distinct(p: int, v, width: int):
     return np.unique(v, return_inverse=True)
 
 
-def _columns(H: TranslateSet, dtype=None) -> tuple:
-    hh = _array(H, dtype).reshape(-1, 2)
-    return hh[:, 0], hh[:, 1]
-
-
 def _key(p: int, a, b, c, d):
     """Injective packed key of SL2 entry arrays (see the module docstring)."""
     return (a * p + b) * p + np.where(a == 0, d, c)
@@ -343,6 +335,14 @@ def _tally(keys, weights=None):
     if weights is None:
         return keys[edges[:-1]], np.diff(edges)
     return keys[edges[:-1]], np.add.reduceat(weights, edges[:-1])
+
+
+def _dot(u, v) -> int:
+    """The exact sum of u * v over nonnegative int64 count arrays: in int64 where
+    max(u) max(v) len(u) < 2^63 bounds every partial sum, else over Python ints."""
+    if int(u.max(initial=0)) * int(v.max(initial=0)) * len(u) < 1 << 63:
+        return int(np.dot(u, v))
+    return int(np.dot(u.astype(object), v.astype(object)))
 
 
 def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
@@ -369,7 +369,7 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     # at most 5 arrays of |H|^2 items at once, as the keys form (33 B a pair
     # at int64 and 233 B at 2^61 - 1, measured)
     _reserve("quotient histogram", 5 * len(H) ** 2 * _item_bytes(p))
-    a, b = _columns(H)
+    a, b = _array(H).reshape(-1, 2).T
     w = _mod(b[:, None] - b, p)
     keys = np.where(w == 0, _mod(a[:, None] - a, p) * p, (w * p + a[:, None]) * p + a).ravel()
     del w  # the tally peaks without it
@@ -389,7 +389,7 @@ def _t3_keys(H: TranslateSet):
     # (49 B at int64, measured) and a _sorted_square_sum block (34 B)
     chunk = max(n * n, min(n**3, _CHUNK))
     _reserve("T3 key array", (n**3 + 8 * chunk) * _item_bytes(p))
-    a, b = _columns(H)
+    a, b = _array(H).reshape(-1, 2).T
     h3 = embed_entries(p, a, b)
     keys = np.empty(n**3, dtype=a.dtype)
     rows = max(1, _CHUNK // (n * n))
@@ -408,9 +408,7 @@ def t_k(H: TranslateSet, k: int) -> int:
         return 0
     if k == 2:
         r = quotient_histogram(H).counts
-        # E(H) <= |H|^3 < 2^63 unless |H| >= 2^21, which the reservation
-        # admits only on a budget of 2^42 * 40 B (160 TiB) or more
-        return int(np.dot(r, r))
+        return _dot(r, r)
     if k == 3:
         return _sorted_square_sum(_t3_keys(H), H.p)
     if k == 4:
@@ -423,10 +421,7 @@ def t_k(H: TranslateSet, k: int) -> int:
         # least |H|, so the reservation admits |H|^4 >= 2^63 only on a budget
         # of 2^31.5 * 72 B (about 204 GiB) or more
         _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
-        # T_4 <= |H|^7, as a product's count is at most |H|^3 and they sum to |H|^4
-        if len(H) ** 7 < 1 << 63:
-            return int(np.dot(sums, sums))
-        return sum(v * v for v in sums.tolist())
+        return _dot(sums, sums)
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
@@ -470,7 +465,7 @@ def _sort_count(what: str, p: int, n: int, distinct: int, key, weight=None, item
 def d_histogram(H: TranslateSet) -> tuple:
     """(d ascending, number of ordered pairs with D(h, h') = (a-a')(b-b') = d)."""
     p, n = H.p, len(H)
-    a, b = _columns(H)
+    a, b = _array(H).reshape(-1, 2).T
     # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
     return _sort_count("D histogram", p, n, n * (n - 1) // 2 + 1,
                        lambda s: _mod((a[s, None] - a) * (b[s, None] - b), p), item=_item_bytes(p))
@@ -479,8 +474,7 @@ def d_histogram(H: TranslateSet) -> tuple:
 def q_rect(H: TranslateSet) -> int:
     """Rectangular quadruples Q(H): pairs of pairs at equal D, as squared masses."""
     _, r = d_histogram(H)
-    # Q <= |H|^2 max r(d) <= |H|^4, which int64 holds while |H| < 55109
-    return int(np.dot(r, r)) if len(H) < 55109 else sum(v * v for v in r.tolist())
+    return _dot(r, r)
 
 
 def _differences(B: ScalarSet, extra: int = 0) -> tuple:
@@ -513,7 +507,7 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     s, S = _tally(_mod(wide * wide, p).astype(np.int64, copy=False), r)
     t = _mod(s - lam, p)
     i = np.minimum(np.searchsorted(s, t), len(s) - 1)
-    return sum((S * np.where(s[i] == t, S[i], 0)).tolist())  # each term below 4 n^2
+    return _dot(S, np.where(s[i] == t, S[i], 0))
 
 
 def _point_pairs(p: int, xs, ys):
@@ -644,7 +638,7 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
 def additive_energy(B: ScalarSet) -> int:
     """E_+(B): quadruples with b1 - b2 = b3 - b4."""
     _, r = _differences(B)
-    return sum((r * r).tolist())  # r(d) <= |B|
+    return _dot(r, r)
 
 
 def product_rep_histogram(B: ScalarSet) -> tuple:
@@ -663,7 +657,7 @@ def product_rep_histogram(B: ScalarSet) -> tuple:
 def product_rep_energy(B: ScalarSet) -> int:
     """sum_x r^2_{(B-B)(B-B)}(x)."""
     _, w = product_rep_histogram(B)
-    return sum(v * v for v in w.tolist())
+    return _dot(w, w)
 
 
 # the four equations share the shape (a1 + f(a2,a4)) * (a3 + g(a2,a4)) = 1
@@ -685,7 +679,7 @@ def sumprod_quadruples(A: ScalarSet, variant: int) -> int:
     f, g = _SUMPROD_FACTORS[variant](np.repeat(xs, len(xs)), np.tile(xs, len(xs)), p)
     poles, pole = _distinct(p, ((-f) % p).astype(np.int64, copy=False), len(xs))
     xs = xs.astype(np.int64, copy=False)
-    return int(_hits(p, xs, 1, poles, pole, ((-g) % p).astype(np.int64, copy=False), xs).sum())
+    return int(_hits(p, xs, poles, pole, ((-g) % p).astype(np.int64, copy=False), xs).sum())
 
 
 def borel_coset_mass(H: TranslateSet) -> tuple:
@@ -747,20 +741,16 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     z = w == 0
     pole = np.where(z, len(ha) - 1, rank(a2))
     key = np.where(z, len(ha) - 1, rank(a1))
-    su = _hits(p, xs, 1, ha, pole, np.where(z, a1, w), None, key)
+    su = _hits(p, xs, ha, pole, np.where(z, a1, w), None, key)
     in_a = xs[np.searchsorted(xs[:-1], ha)] == ha  # a pole lies in A (oo does not)
     su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
-    rs = hist.counts * su  # r(u) sigma_u <= |H| |A|
-    # sum_u r(u) sigma_u <= |H|^2 |A|, which the quotient (40 B a pair) and
-    # hits (57 B or more a point) reservations keep below 2^63 on budgets
-    # under 130 GiB
-    total_rs = int(rs.sum())
+    total_rs = _dot(hist.counts, su)
     rhs = len(A) * total_rs
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
     omega = su >= -(-delta.numerator // delta.denominator)  # sigma_u >= ceil(delta)
-    share = Fraction(int(rs[omega].sum()), total_rs) if total_rs else Fraction(1)
+    share = Fraction(_dot(hist.counts[omega], su[omega]), total_rs) if total_rs else Fraction(1)
     return CsChainReport(
         sigma=sig,
         lhs_sq=sig * sig,

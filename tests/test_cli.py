@@ -212,6 +212,31 @@ def test_scan_file_modulus_is_an_ascii_decimal(tmp_path, capsys, modulus):
     assert err == f"error: {fam}:2: bad modulus {modulus!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "eplus", "--A", "list:1,2", "--p", "\u0661\u0660\u0660\u0669"),
+        ("compute", "eplus", "--A", "list:1,2", "--p", "1_009"),
+        ("compute", "mk", "--p", "1009", "--A", "list:1,2", "--k", "\u0663"),
+        ("compute", "sigma", "--p", "1009", "--A", "list:1,2", "--H", "listh:0,0", "--lambda", "1_0"),
+        ("compute", "eplus", "--p", "1009", "--A", "random:2", "--seed", "\u0661"),
+        ("verify", "borel", "--trials", "\u0662"),
+        ("scan", "--family", "demo", "--workers", "1_0"),
+    ],
+)
+def test_integer_flags_are_ascii_decimals_exit_2(capsys, argv):
+    # int() would read each of these values, while a spec literal, an @path
+    # file and a scan row reject the same text: so does the flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: argument {argv[-2]}: expected an integer, got {argv[-1]!r}\n" in err
+
+
+def test_integer_flags_take_a_sign():
+    ns = build_parser().parse_args(["compute", "sigma", "--p", "+7", "--lambda", "-1", "--seed", "-3"])
+    assert (ns.p, ns.lam, ns.seed) == (7, -1, -3)
+
+
 def test_scan_continues_past_an_unreadable_row(tmp_path, capsys):
     fam = tmp_path / "rows.txt"
     fam.write_text(f"7 @{tmp_path / 'nonexistent'} listh:0,0\n7 list:1,6 listh:0,0\n")

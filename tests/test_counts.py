@@ -272,7 +272,7 @@ def test_group_kernels_at_large_primes(p, wide):
     # invert per element; 2097143 < 2^21 < 2097169 straddle the switch from
     # int64 to Python ints, where keys (< p^3) stop fitting int64
     assert p > counts._INV_TABLE_MAX
-    assert (counts._columns(TranslateSet(p, ((0, 0),)))[0].dtype == object) is wide
+    assert (counts._array(TranslateSet(p, ((0, 0),))).dtype == object) is wide
     rng = random.Random(p)
     # (0,0), (5,1), (p-1,7) give Borel triples, as (b1 - b2)(a3 - a2) = -1
     # there; A holds incidences of (0,0), which maps 1 -> -1 and -1 -> 1.
@@ -580,6 +580,17 @@ _HISTOGRAM_CASES = [
 @pytest.mark.parametrize("name", _HISTOGRAM_CASES)
 def test_histogram_estimates_within_two_peaks(monkeypatch, name):
     """The histogram kernels return arrays, so they reserve within 2 peaks + 1 MiB."""
+    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
+    assert peak <= estimate <= 2 * peak + (1 << 20)
+
+
+# the Moebius hit kernel's callers, whose bytes per (pole, point) and per
+# map are measured
+_HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "sumprod", "cschain")]
+
+
+@pytest.mark.parametrize("name", _HIT_CASES)
+def test_hit_estimates_within_two_peaks(monkeypatch, name):
     peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
@@ -978,6 +989,27 @@ def test_incidence_kernels_at_large_primes(p):
         assert type(got) is int and got == want > 0
 
 
+@pytest.mark.parametrize("lam", [1, -1, 5, -2])  # -2 is p - 2
+@pytest.mark.parametrize("p", [1009, 262147, 2097169, P61])
+def test_sigma_divides_lambda_out(p, lam):
+    # sigma_rect tests a/lam + inv(x - b) against C/lam: the shifts and
+    # targets are divided by lambda as int64 columns up to 2^21 and as
+    # Python-int columns above
+    rng = random.Random(p + lam)
+    A = ScalarSet(p, (0, 1, p - 1, *rng.sample(range(2, p - 1), 9)))
+    xs = A.elements
+    through = [(x, y, rng.randrange(p)) for x, y in zip(rng.choices(xs, k=8), rng.choices(xs, k=8))]
+    H = TranslateSet(
+        p,
+        (
+            *(((y - lam * pow(x - b, -1, p)) % p, b) for x, y, b in through if x != b),
+            *((rng.randrange(p), rng.randrange(p)) for _ in range(4)),
+        ),
+    )
+    got = sigma(A, H, lam)
+    assert type(got) is int and got == oracle.sigma_naive(A, H, lam) >= 6
+
+
 @pytest.mark.parametrize("p", [262139, 262147])
 def test_hits_membership_routes(monkeypatch, p):
     # 262139 <= 2^18 < 262147: a boolean table of the targets up to
@@ -1066,6 +1098,22 @@ def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
     rep = cs_chain_report(A, H)
     assert 0 < len(calls) <= (len({a for a, _ in H}) + len({b for _, b in H})) * len(A)
     assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
+
+
+def test_dot_exact_on_both_sides_of_int64():
+    top = np.full(4, 1 << 31, dtype=np.int64)
+    assert counts._dot(top, top) == 1 << 64  # its partial sums leave int64
+    assert counts._dot(top[:1], top[:1]) == 1 << 62
+    edge = np.array([3037000499], dtype=np.int64)  # the largest square below 2^63
+    assert counts._dot(edge, edge) == 3037000499**2
+    one = np.array([1 << 31, 0, 0, 0], dtype=np.int64)
+    assert counts._dot(one, top) == 1 << 62  # the bound fails, the sum fits
+    big = np.array([(1 << 62) + 1, 3], dtype=np.int64)
+    assert counts._dot(big, np.array([4, 5], dtype=np.int64)) == (1 << 64) + 19
+    empty = np.zeros(0, dtype=np.int64)
+    for u, v in ((top, top), (edge, edge), (one, top), (empty, empty)):
+        assert type(counts._dot(u, v)) is int
+    assert counts._dot(empty, empty) == 0
 
 
 def test_square_sums_past_int64():
