@@ -14,8 +14,22 @@ give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  One
 counter, _tally, sorts keys and reads off the runs of equal ones, except
 where every key of a block lies in a range no longer than the block: there
 one array indexed by key counts them (np.bincount, or np.add.at where the
-keys carry weights, as a weighted bincount sums in float64).  Keys stay
-below p^3: int64 for p <= 2^21, Python ints above.
+keys carry weights, as a weighted bincount sums in float64).  Weighted
+int64 keys sort packed, key (max weight + 1) + weight, where that fits
+int64, and by argsort otherwise; a weight sum is int64 only where
+len(weights) max(weight) < 2^63.  Keys stay below p^3: int64 for
+p <= 2^21, Python ints above.
+
+T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
+the squared run lengths; the quotient arm weighs the |Q| |H| products u h3
+of the quotient support by r(u), as T_3 = sum_g (sum_{u h3 = g} r(u))^2.
+The quotient arm runs where |Q| <= 2/3 |H|^2 (about where it stops being
+the faster, measured) and its bytes are no more than the fill's; up to
+|H|^3 = 2^12 the fill runs with no support histogram built.  The Borel
+part of T_3 keys only the triples whose product lies in B: u h3 has
+c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
+a3 = a2 - 1/w, and a pair with w = 0 joins none.
+
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
 
@@ -71,6 +85,8 @@ _CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
 _HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 was slower)
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
+_T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
+_T3_QUOTIENTS = 2 / 3  # |Q| / |H|^2 up to which the quotient arm of T_3 takes less time
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
 
@@ -322,18 +338,36 @@ def _key(p: int, a, b, c, d):
 
 def _tally(keys, weights=None):
     """Each distinct key, ascending, and its total weight, or its multiplicity
-    when no weights are given (then keys are sorted in place)."""
+    when no weights are given; keys are nonnegative.  Unweighted, keys are
+    sorted in place.  Weighted int64 keys with (max key + 1)(max weight + 1)
+    <= 2^63 are overwritten: key (max weight + 1) + weight is sorted in place
+    and unpacked, one sort where an argsort and two gathers take about three
+    times as long; other keys (Python ints above 2^21 among them) go by
+    argsort.  A weight sum is int64 where len(weights) max(weight) < 2^63
+    bounds it and a Python int otherwise."""
+    top = 0
     if weights is None:
         keys.sort()
     else:
-        order = np.argsort(keys)
-        keys, weights = keys[order], weights[order]
+        top = int(weights.max(initial=0))
+        span = top + 1  # an int64 scalar; a packed key is below (max key + 1) span
+        if keys.dtype == np.int64 and span < 1 << 63 and (int(keys.max(initial=0)) + 1) * span <= 1 << 63:
+            keys *= span
+            keys += weights
+            keys.sort()
+            weights = _mod(keys, span)
+            keys //= span
+        else:
+            order = np.argsort(keys)
+            keys, weights = keys[order], weights[order]
     # runs start at 0 and where the key changes; the edge at len(keys) closes the last
     edges = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     edges = np.flatnonzero(edges)
     if weights is None:
         return keys[edges[:-1]], np.diff(edges)
+    if len(weights) * top >= 1 << 63:
+        weights = weights.astype(object)
     return keys[edges[:-1]], np.add.reduceat(weights, edges[:-1])
 
 
@@ -345,9 +379,9 @@ def _dot(u, v) -> int:
     return int(np.dot(u.astype(object), v.astype(object)))
 
 
-def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
-    """Sum of squared run lengths of sorted keys, over Borel keys (c = 0)
-    only if asked, block by block: the j-th key of a run adds 2j + 1."""
+def _sorted_square_sum(keys) -> int:
+    """Sum of squared run lengths of sorted keys, block by block: the j-th
+    key of a run adds 2j + 1."""
     total = start = 0
     for i in range(0, len(keys), _CHUNK):
         block = keys[i : i + _CHUNK]
@@ -355,16 +389,20 @@ def _sorted_square_sum(keys, p: int, borel: bool = False) -> int:
         new = np.concatenate(([i == 0 or block[0] != keys[i - 1]], block[1:] != block[:-1]))
         starts = np.maximum.accumulate(np.where(new, idx, start))
         start = int(starts[-1])
-        terms = 2 * (idx - starts) + 1
-        if borel:  # c = 0 needs a != 0, so the key ends in c
-            terms = terms[(_mod(block, p) == 0) & (block >= p * p)]
-        total += int(terms.sum())  # below 2 _CHUNK len(keys) within a block
+        total += int((2 * (idx - starts) + 1).sum())  # below 2 _CHUNK len(keys) within a block
     return total
 
 
 def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     """u -> r_{HH^-1}(u) over all |H|^2 ordered pairs h1 h2^-1, keyed by the
     arguments of its closed form (see the module docstring)."""
+    return _quotient_histogram(H)
+
+
+def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
+    """quotient_histogram's body, which t_k(H, 3) calls directly: the
+    benchmark's trace counts one quotient_histogram call per energy, t4,
+    cschain and borel job."""
     p = H.p
     # at most 5 arrays of |H|^2 items at once, as the keys form (33 B a pair
     # at int64 and 233 B at 2^61 - 1, measured)
@@ -381,14 +419,17 @@ def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     return QuotientHistogram(p, (keys, a1, a2), counts)
 
 
+def _t3_fill_bytes(p: int, n: int) -> int:
+    """The T_3 fill's keys, plus 8 items per element of the larger of a fill
+    chunk (49 B at int64, measured) and a _sorted_square_sum block (34 B)."""
+    return (n**3 + 8 * max(n * n, min(n**3, _CHUNK))) * _item_bytes(p)
+
+
 def _t3_keys(H: TranslateSet):
     """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1
     as the products of the chunk's pair quotients with the embedded h3."""
     p, n = H.p, len(H)
-    # the keys, plus 8 items per element of the larger of a fill chunk
-    # (49 B at int64, measured) and a _sorted_square_sum block (34 B)
-    chunk = max(n * n, min(n**3, _CHUNK))
-    _reserve("T3 key array", (n**3 + 8 * chunk) * _item_bytes(p))
+    _reserve("T3 key array", _t3_fill_bytes(p, n))
     a, b = _array(H).reshape(-1, 2).T
     h3 = embed_entries(p, a, b)
     keys = np.empty(n**3, dtype=a.dtype)
@@ -401,25 +442,59 @@ def _t3_keys(H: TranslateSet):
     return keys
 
 
+def _t3_quotient_bytes(p: int, n: int, hist: QuotientHistogram) -> int:
+    """The quotient arm's |Q| |H| keys as they weigh and tally: per key the
+    key, its weight and the unpacked weight, a run edge and at most one run
+    (1 item and 41 bytes), where keys (< p^3) and weights (<= max r(u))
+    pack, and 2 items more (the order and both gathers) where they sort by
+    argsort; 8 items per element of a fill chunk and 8 per quotient (the
+    histogram's arguments and counts, and its entry columns)."""
+    item, m = _item_bytes(p), len(hist)
+    packs = p**3 * (int(hist.counts.max(initial=0)) + 1) <= 1 << 63
+    return (item + 41 + 2 * item * (not packs)) * m * n + 8 * item * (min(m, max(1, _CHUNK // n)) * n + m)
+
+
+def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
+    """T_3 over the quotient support: the sum over products g of the squared
+    number of triples behind g, the sum of r(u) over the |Q| |H| products
+    g = u h3 of the support with the embedded h3, filled in chunks of
+    quotients."""
+    p, n, m = H.p, len(H), len(hist)
+    _reserve("T3 quotient keys", _t3_quotient_bytes(p, n, hist))
+    a, b = _array(H).reshape(-1, 2).T
+    h3 = embed_entries(p, a, b)
+    u = hist.columns
+    keys = np.empty((m, n), dtype=a.dtype)
+    rows = max(1, _CHUNK // n)
+    for i in range(0, m, rows):
+        keys[i : i + rows] = _key(p, *product_entries(p, *(e[i : i + rows, None] for e in u), *h3))
+    del u
+    _, sums = _tally(keys.reshape(-1), np.repeat(hist.counts, n))
+    return _dot(sums, sums)
+
+
 def t_k(H: TranslateSet, k: int) -> int:
     """T_k(H) = sum of squared representation counts of alternating
     products h1 h2^-1 h3 ... of length k, at SL2-entry equality."""
-    if len(H) == 0:
+    p, n = H.p, len(H)
+    if n == 0:
         return 0
     if k == 2:
         r = quotient_histogram(H).counts
         return _dot(r, r)
     if k == 3:
-        return _sorted_square_sum(_t3_keys(H), H.p)
+        if n**3 > _T3_FEW:
+            hist = _quotient_histogram(H)
+            if len(hist) <= _T3_QUOTIENTS * n * n and _t3_quotient_bytes(p, n, hist) <= _t3_fill_bytes(p, n):
+                return _t3_quotients(H, hist)
+            del hist  # the fill peaks without it
+        return _sorted_square_sum(_t3_keys(H))
     if k == 4:
         q2 = quotient_histogram(H)
         # 9 items per product of the support (63 B at int64, measured)
-        _reserve("T4 self-convolution", 9 * len(q2) ** 2 * _item_bytes(H.p))
+        _reserve("T4 self-convolution", 9 * len(q2) ** 2 * _item_bytes(p))
         columns = q2.columns
-        keys = _key(H.p, *product_entries(H.p, *(e[:, None] for e in columns), *columns))
-        # a weight sum is at most |H|^4; r(u) <= |H| makes the support at
-        # least |H|, so the reservation admits |H|^4 >= 2^63 only on a budget
-        # of 2^31.5 * 72 B (about 204 GiB) or more
+        keys = _key(p, *product_entries(p, *(e[:, None] for e in columns), *columns))
         _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
         return _dot(sums, sums)
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
@@ -439,11 +514,19 @@ def _sort_count(what: str, p: int, n: int, distinct: int, key, weight=None, item
     index = p <= keys
     # per key of a block 3 items as key(s) forms them and, to weigh, 1 int64
     # more indexed or 4 sorted; indexed, the 8p-byte total and two int64 per
-    # value; sorted, 3 int64 per run of one block, or 9 per run as several
-    # merge, at most min(p, distinct) runs per block
+    # value; sorted, 3 int64 per run of a block, 2 more per run of the blocks
+    # before it, and, where several blocks merge, 6 int64 per run as the
+    # joined runs pack, sort, unpack and sum with no block alive; at most
+    # min(p, distinct) runs per block
     cell = 3 * item + (8 if index else 32) * (weight is not None)
     runs = sum(min(p, distinct, n * len(range(n)[s])) for s in blocks)
-    _reserve(what, cell * keys + (24 * p if index else (24 if len(blocks) == 1 else 72) * runs) + extra)
+    if index:
+        nbytes = cell * keys + 24 * p
+    elif len(blocks) == 1:
+        nbytes = cell * keys + 24 * runs
+    else:
+        nbytes = max(cell * keys + 40 * runs, 48 * runs)
+    _reserve(what, nbytes + extra)
     if index:
         total = np.zeros(p, dtype=np.int64)
         for s in blocks:
@@ -706,11 +789,46 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
     return labels, masses, int(masses[labels != p].max(initial=0))
 
 
+def _borel_keys(H: TranslateSet):
+    """The keys of the products h1 h2^-1 h3 that lie in the Borel group B
+    (c = 0), one per such triple.  With w = b1 - b2 the quotient has c = w
+    and d = 1 - a2 w, so the product has c = w (a2 - a3) - 1: zero exactly
+    when w != 0 and a3 = a2 - 1/w.  So each ordered pair with w != 0 joins
+    the h3 of that a, found by binary search in H sorted by a: at most
+    |H|^2 M triples, M the most translates sharing an a."""
+    p, n = H.p, len(H)
+    item = _item_bytes(p)
+    # per pair 4 items and 2 int64 as the a3 form and their runs in by_a
+    # are found (above 2^18 a Python int and its pointer per inverse); per
+    # triple 16 items and 5 int64 as the indices, the entries and the keys
+    # form
+    pair_bytes = (4 * item + 16 + (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p))) * n * n
+    _reserve("Borel T3 join", pair_bytes + _table_bytes(p))
+    a, b = _array(H).reshape(-1, 2).T
+    order = np.argsort(a)
+    by_a = a[order]
+    w = _mod(b[:, None] - b, p).ravel()  # the pair (h1, h2) at index i1 n + i2
+    a3 = _mod(np.tile(a, n) - _inv_vec(p)(w), p)
+    lo = np.searchsorted(by_a, a3)
+    span = np.searchsorted(by_a, a3, side="right") - lo
+    span[w == 0] = 0  # inv(0) = 0 would join a3 = a2
+    del w, a3
+    triples = int(span.sum())
+    _reserve("Borel T3 join", pair_bytes + (16 * item + 40) * triples)
+    pair = np.repeat(np.arange(n * n), span)
+    i3 = order[np.repeat(lo - np.cumsum(span) + span, span) + np.arange(triples)]
+    del lo, span
+    i1, i2 = np.divmod(pair, n)
+    u = pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2])
+    return _key(p, *product_entries(p, *u, *embed_entries(p, a[i3], b[i3])))
+
+
 def borel_t3_mass(H: TranslateSet) -> int:
     """Y_B: the part of T_3 carried by upper-triangular products."""
     if len(H) == 0:
         return 0
-    return _sorted_square_sum(_t3_keys(H), H.p, borel=True)
+    _, r = _tally(_borel_keys(H))
+    return _dot(r, r)
 
 
 def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:

@@ -99,6 +99,17 @@ def test_default_budget_refuses_large_energy(capsys):
     assert budget == 1536 << 20 < 2.5 * 10**9 < required
 
 
+def test_t4_through_the_quotient_support(capsys):
+    # t4's |H|^2 T_3 bound: the T_3 fill of 600^3 keys would reserve 1.75 GB,
+    # but 600 translates (a, 0) have 1199 quotients, so T_3 takes the
+    # quotient arm (T_3 = 42768054000120, as test_square_sums_past_int64 checks)
+    code, out, _ = run(capsys, "compute", "t4", "--p", "65537", "--H", "cart:ap:1,1,600;ap:0,1,1", "--format", "json")
+    assert code == 0
+    row = json.loads(out)[0]
+    assert row["empirical"] == 13419171565747885800
+    assert row["bound"] == float(600**2 * 42768054000120)
+
+
 def test_group_lambda_refused(capsys):
     for quantity, sets in (("energy", ()), ("cschain", ("--A", "list:1,2"))):
         argv = ("compute", quantity, "--p", "101", *sets, "--H", "randomh:5,1", "--lambda", "3")

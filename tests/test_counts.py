@@ -62,6 +62,16 @@ def rand_translates(rng, p, n):
     return TranslateSet(p, tuple(divmod(v, p) for v in rng.sample(range(p * p), n)))
 
 
+def _t3_by_fill(H):
+    """t_k(H, 3) on the fill arm, whatever the quotient support."""
+    return counts._sorted_square_sum(counts._t3_keys(H))
+
+
+def _t3_by_quotients(H):
+    """t_k(H, 3) on the quotient arm, whatever the quotient support."""
+    return counts._t3_quotients(H, counts._quotient_histogram(H))
+
+
 def _entries(hist):
     """entry tuple -> r(u) of a quotient histogram."""
     return dict(zip(zip(*(c.tolist() for c in hist.columns)), hist.counts.tolist()))
@@ -309,14 +319,16 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     assert len(H) == 24
 
     def all_counts():
-        return (t_k(H, 3), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3), sumprod_quadruples(A, 2),
-                _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)))
+        return (t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3),
+                sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)))
 
     want = all_counts()
-    assert want[1] > 0
+    assert want[0] == want[1] == want[2] and want[3] > 0
     # |H|^2 = 576 keys per h1 row: 2900 fills five rows a chunk, four in the
-    # last.  The pair histograms merge several blocks at 7 (d_histogram and
-    # product_rep_histogram at 100 too) and count by index at 2900, as at
+    # last; the quotient arm fills one (7), four (100) or 120 (2900)
+    # quotients of 24 products a chunk.  The pair histograms merge several
+    # blocks at 7 (d_histogram and product_rep_histogram at 100 too) and
+    # count by index at 2900, as at
     # the default chunk (additive_energy's 25 keys, fewer than p, sort in one
     # block).  The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
@@ -364,6 +376,7 @@ def test_t3_fill_chunks_at_p61(monkeypatch):
     for chunk in (7, 100, 2900, counts._CHUNK):
         monkeypatch.setattr(counts, "_CHUNK", chunk)
         assert (t_k(H, 3), borel_t3_mass(H)) == want
+        assert _t3_by_fill(H) == _t3_by_quotients(H) == want[0]
 
 
 def test_t_k_domain():
@@ -380,29 +393,94 @@ class _Admitted(Exception):
 
 def test_t3_budget_gate(monkeypatch):
     rng = random.Random(0)
-    H = rand_translates(rng, 101, 40)
-    want = t_k(H, 3), borel_t3_mass(H)
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")  # 40^3 keys and a chunk: 4.6 MB
+    H, big = rand_translates(rng, 101, 40), rand_translates(rng, 101, 150)
+    grid = parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009))
+    want = t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)
+    # 40^3 keys and a chunk: 4.6 MB; 150^2 pairs and about 150^3 / 101 Borel
+    # triples: 6.7 MB; the grid's 1819 quotients times 100 translates: 22 MB
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T3 key array"):
         t_k(H, 3)
-    with pytest.raises(ResourceLimit, match="T3 key array"):
-        borel_t3_mass(H)
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "8")
-    assert (t_k(H, 3), borel_t3_mass(H)) == want
-    # the default budget admits |H| = 512 (8 * 512^3 B of keys and a chunk);
-    # an admitted call stops before it allocates
+    with pytest.raises(ResourceLimit, match="Borel T3 join"):
+        borel_t3_mass(big)
+    with pytest.raises(ResourceLimit, match="T3 quotient keys"):
+        t_k(grid, 3)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
+    assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
+    # the default budget admits the fill at |H| = 512 (8 * 512^3 B of keys
+    # and a chunk), past the support histogram that chose it; an admitted
+    # fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
 
     def reserve(what, nbytes):
         real(what, nbytes)
-        raise _Admitted(what)
+        if what == "T3 key array":
+            raise _Admitted(what)
 
     monkeypatch.setattr(counts, "_reserve", reserve)
     with pytest.raises(_Admitted):
         t_k(rand_translates(rng, 1009, 512), 3)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match="T3 key array"):
         t_k(rand_translates(rng, 1009, 600), 3)
+
+
+def test_t3_arm_follows_the_support(monkeypatch):
+    """t_k(H, 3) sums over the quotient support where it is small against
+    |H|^2 (a grid), fills where it is not (random translates) and where
+    |H|^3 is at most _T3_FEW, with no support histogram built there."""
+    arms = []
+    for name in ("_t3_keys", "_t3_quotients", "_quotient_histogram"):
+        real = getattr(counts, name)
+        monkeypatch.setattr(counts, name, lambda *args, real=real, name=name: arms.append(name) or real(*args))
+    F = Fp(1009)
+    for spec, want in (
+        ("cart:ap:1,1,10;ap:1,1,10", ["_quotient_histogram", "_t3_quotients"]),
+        ("randomh:64,1", ["_quotient_histogram", "_t3_keys"]),
+        ("cart:ap:1,1,4;ap:1,1,4", ["_t3_keys"]),
+    ):
+        arms.clear()
+        t_k(parse_setspec(spec, F), 3)
+        assert arms == want, spec
+
+
+@pytest.mark.parametrize(
+    "p, spec",
+    [
+        (1009, "randomh:128,1"),
+        (1009, "cart:random:16,1;random:8,2"),
+        (1009, "cart:ap:1,1,16;ap:1,1,16"),
+        (2097169, "randomh:128,1"),
+        (2097169, "cart:ap:1,1,16;ap:1,1,8"),
+    ],
+)
+def test_t3_arms_agree(p, spec):
+    """The fill and the quotient arm, each forced, agree at |H| >= 128 on both
+    sides of 2^21."""
+    H = parse_setspec(spec, Fp(p))
+    assert len(H) >= 128
+    assert _t3_by_quotients(H) == _t3_by_fill(H)
+
+
+@pytest.mark.parametrize(
+    "p, spec",
+    [
+        (1009, "randomh:64,1"),
+        (1009, "cart:ap:1,1,8;ap:1,1,8"),
+        (101, "cart:random:6,3;random:6,4"),
+        (2097169, "randomh:24,1"),
+        (2097169, "cart:ap:1,1,6;ap:1,1,4"),
+    ],
+)
+def test_borel_join_is_the_borel_part_of_the_fill(p, spec):
+    """The joined Borel triples' keys are the fill's keys with c = 0 (and
+    so a != 0: the key ends in c and is at least p^2).  (0, 0), (5, 1) and
+    (p - 1, 7) give Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
+    H = TranslateSet(p, (*parse_setspec(spec, Fp(p)), (0, 0), (5, 1), (p - 1, 7)))
+    keys = counts._t3_keys(H)
+    want = keys[(keys % p == 0) & (keys >= p * p)]
+    assert len(want) > 0
+    assert np.sort(counts._borel_keys(H)).tolist() == want.tolist()
 
 
 def test_hits_reserve_one_block_of_pole_rows(monkeypatch):
@@ -481,6 +559,12 @@ _PEAK_CASES = {
     "borel-262139": lambda: (borel_coset_mass, _rand_h(262139, 256)),
     "borel-1000003": lambda: (borel_coset_mass, _rand_h(1000003, 256)),
     "borel-p61": lambda: (borel_coset_mass, _rand_h(P61, 64)),
+    # the T_3 quotient arm (forced on the random set) and the Borel join
+    "t3-quotient-cart": lambda: (t_k, parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009)), 3),
+    "t3-quotient-random": lambda: (_t3_by_quotients, _rand_h(1009, 48)),
+    "t3-quotient-2097169": lambda: (t_k, parse_setspec("cart:ap:1,1,8;ap:1,1,4", Fp(2097169)), 3),
+    "borel-t3-cart": lambda: (borel_t3_mass, parse_setspec("cart:ap:1,1,12;ap:1,1,12", Fp(1009))),
+    "borel-t3-random": lambda: (borel_t3_mass, _rand_h(1009, 128)),
     "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
     "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),
     "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
@@ -1131,6 +1215,64 @@ def test_square_sums_past_int64():
     assert want4 == 13419171565747885800 > 1 << 63
     assert t_k(H, 4) == want4
     assert t_k(H, 2) == sum(v * v for v in r.values())
+    # a product u h3 of a translation u by d with h3 = (a3, 0) is fixed by
+    # d + a3, so T_3 counts a1 - a2 + a3 = s; the 1199 quotients take the
+    # quotient arm, where the fill would need 1.75 GB
+    ones = np.ones(600, dtype=np.int64)
+    r3 = np.convolve(np.convolve(ones, ones), ones)
+    assert t_k(H, 3) == int(np.dot(r3, r3)) == 42768054000120
+
+
+@pytest.mark.parametrize(
+    "top_key, top_weight, packs",
+    [
+        (2**31 - 1, 2**32 - 1, True),
+        (2**31 - 1, 2**32, False),
+        (2**62 - 1, 1, True),
+        (2**62, 1, False),
+        (1, 2**62 - 1, True),
+    ],
+)
+def test_packed_and_argsort_tallies_agree(top_key, top_weight, packs):
+    """Weighted int64 keys pack, sort and unpack in place where (max key + 1)
+    (max weight + 1) <= 2^63 and go by argsort past it, as Python-int keys
+    always do; either way each key's weights sum exactly."""
+    rng = random.Random(top_key ^ top_weight)
+    pool = [top_key, 0, *rng.sample(range(top_key), 1)]
+    keys = np.array([rng.choice(pool) for _ in range(200)] + [top_key], dtype=np.int64)
+    weights = np.array([rng.randint(1, top_weight) for _ in range(200)] + [top_weight], dtype=np.int64)
+    want = Counter()
+    for k, w in zip(keys.tolist(), weights.tolist()):
+        want[k] += w
+    given = keys.copy()
+    values, sums = counts._tally(given, weights)
+    assert dict(zip(values.tolist(), sums.tolist())) == want and values.tolist() == sorted(want)
+    assert (given.tolist() != keys.tolist()) is packs  # packing overwrote the keys
+    wide = counts._tally(keys.astype(object), weights)
+    assert [v.tolist() for v in wide] == [values.tolist(), sums.tolist()]
+
+
+def test_tally_sums_past_int64():
+    # len(weights) max(weight) >= 2^63: the sums are Python ints, after an
+    # argsort ((7 + 1)(2^62 + 1) > 2^63) and after a packed sort
+    # ((1 + 1)(2^61 + 1) <= 2^63, which overwrites the keys)
+    for keys, weights, packs in (
+        ([5, 5, 5, 7], [1 << 62, 1 << 62, (1 << 62) - 1, 3], False),
+        ([1, 1, 1, 1, 1, 0], [1 << 61] * 5 + [3], True),
+    ):
+        keys, weights = np.array(keys, dtype=np.int64), np.array(weights, dtype=np.int64)
+        given = keys.copy()
+        values, sums = counts._tally(given, weights)
+        assert (given.tolist() != keys.tolist()) is packs
+        want = Counter()
+        for k, w in zip(keys.tolist(), weights.tolist()):
+            want[k] += w
+        assert dict(zip(values.tolist(), sums.tolist())) == want
+        assert max(want.values()) > 1 << 63 and all(type(v) is int for v in sums)
+    # one short of the bound stays int64: 2 (2^62 - 1) < 2^63, packed at
+    # (1 + 1)(2^62 - 1 + 1) = 2^63 exactly
+    values, sums = counts._tally(np.array([1, 1], dtype=np.int64), np.full(2, (1 << 62) - 1, dtype=np.int64))
+    assert sums.dtype == np.int64 and sums.tolist() == [(1 << 63) - 2]
 
 
 # ------------------------------------------------------------ borel structure
