@@ -5,13 +5,15 @@ Every count here is an exact integer; no floating point enters.  Group
 quantities (anything built from HH^-1 products) exist only for the curve
 constant lambda = -1, where translates embed into SL2.  The moebius column
 forms, the only copy of each SL2 closed form, give their entries as arrays.
-A product is keyed (a p + b) p + (c if a else d), injective on SL2 as det = 1
-makes a != 0 fix d and a = 0 force bc = -1 (b fixes c).  A pair quotient
-h1 h2^-1 is keyed by the arguments of its closed form, w = b1 - b2, a1 and
-a2: (w p + a1) p + a2, or (a1 - a2) p when w = 0.  That key is injective on
+A product is keyed (a p + c) p + z by its key entries, z = d or, where
+c = 0, b (moebius.product_key_entries).  A pair quotient h1 h2^-1 is keyed
+by the arguments of its closed form, w = b1 - b2, a1 and a2:
+(w p + a1) p + a2, or (a1 - a2) p when w = 0.  That key is injective on
 quotients, as for w != 0 the entries c = w, a = 1 + a1 w and d = 1 - a2 w
-give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  One
-counter, _tally, sorts keys and reads off the runs of equal ones, except
+give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  Both
+keys form in row blocks of about _CELLS cells, the block size of _hits
+(_write_keys).  One counter, _tally, sorts keys and reads off the runs of
+equal ones, except
 where every key of a block lies in a range no longer than the block: there
 one array indexed by key counts them (np.bincount, or np.add.at where the
 keys carry weights, as a weighted bincount sums in float64).  Weighted
@@ -21,11 +23,12 @@ len(weights) max(weight) < 2^63.  Keys stay below p^3: int64 for
 p <= 2^21, Python ints above.
 
 T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
-the squared run lengths; the quotient arm weighs the |Q| |H| products u h3
-of the quotient support by r(u), as T_3 = sum_g (sum_{u h3 = g} r(u))^2.
-The quotient arm runs where |Q| <= 2/3 |H|^2 (about where it stops being
-the faster, measured) and its bytes are no more than the fill's; up to
-|H|^3 = 2^12 the fill runs with no support histogram built.  The Borel
+the squared run lengths, N + sum L (L + 1) over the stretches of L equal
+neighbours; the quotient arm weighs the |Q| |H| products u h3 of the
+support by r(u), as T_3 = sum_g (sum_{u h3 = g} r(u))^2.  The quotient arm
+runs where |Q| <= 3/5 |H|^2 (about where it stops being the faster,
+measured) and the budget admits it; up to |H|^3 = 2^12 the fill runs with
+no support histogram built.  The Borel
 part of T_3 keys only the triples whose product lies in B: u h3 has
 c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
 a3 = a2 - 1/w, and a pair with w = 0 joins none.
@@ -69,24 +72,25 @@ shortcuts.
 """
 
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, _reserve
+from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
-from .moebius import _mod, embed_entries, pair_quotient_entries, product_entries
+from .moebius import _mod, embed_entries, pair_quotient_entries, product_key_entries
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
-_CHUNK = 1 << 18  # array elements per enumeration chunk and per run block
-_HIT_CELLS = 1 << 15  # cells per block of _hits (2^14 to 2^16 time alike; 2^18 was slower)
+_CHUNK = 1 << 18  # array elements per enumeration chunk and per pair-histogram block
+_CELLS = 1 << 15  # cells per block of _hits and of the SL2 keys (2^14 to 2^16 time alike; 2^18 was slower)
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
-_T3_QUOTIENTS = 2 / 3  # |Q| / |H|^2 up to which the quotient arm of T_3 takes less time
+_T3_QUOTIENTS = 3 / 5  # |Q| / |H|^2 up to which the quotient arm of T_3 takes less time
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
 
@@ -215,7 +219,7 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None) -> np.ndarray:
 
     The rows are formed for a block of poles within _HIT_ROW_BYTES at a time,
     all at once where they fit; a cell is then a row gather, an add and a
-    membership read, in chunks of about _HIT_CELLS cells.  Target rows go in
+    membership read, in chunks of about _CELLS cells.  Target rows go in
     blocks k0.. of few enough rows that the keys (k - k0) 3p + t, and t + p
     for the wrap, stay in int64: up to _INV_TABLE_MAX a boolean table over
     those keys within _HIT_ROW_BYTES, cleared by resetting what was set, and
@@ -230,7 +234,7 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None) -> np.ndarray:
         per = min(per, per_pole)
     ntargets = len(poles) if targets is None else 1
     groups = -(-ntargets // per) * pole_blocks
-    chunk = max(1, _HIT_CELLS // max(1, width))
+    chunk = max(1, _CELLS // max(1, width))
     # per (pole, point) of a block 17 bytes as its row forms (differences,
     # inverses, zero mask), above the table range a Python int, its pointer
     # and its conversion per inverse, 8 more where the block before lives on
@@ -331,9 +335,21 @@ def _distinct(p: int, v, width: int):
     return np.unique(v, return_inverse=True)
 
 
-def _key(p: int, a, b, c, d):
-    """Injective packed key of SL2 entry arrays (see the module docstring)."""
-    return (a * p + b) * p + np.where(a == 0, d, c)
+def _key(p: int, *entries):
+    """The key (a p + c) p + z of the product of two entry-column 4-tuples."""
+    a, c, z = product_key_entries(p, *entries)
+    return (a * p + c) * p + z
+
+
+def _write_keys(p: int, u, v, key=_key):
+    """The keys key(p, *u_i, *v) of each row i of the columns u against the
+    columns v, written into one array of u's dtype in blocks of about _CELLS
+    cells: by default the keys of the products u_i v_j."""
+    out = np.empty((len(u[0]), len(v[0])), dtype=u[0].dtype)
+    rows = max(1, _CELLS // max(1, len(v[0])))
+    for i in range(0, len(out), rows):
+        out[i : i + rows] = key(p, *(e[i : i + rows, None] for e in u), *v)
+    return out.reshape(-1)
 
 
 def _tally(keys, weights=None):
@@ -379,18 +395,18 @@ def _dot(u, v) -> int:
     return int(np.dot(u.astype(object), v.astype(object)))
 
 
-def _sorted_square_sum(keys) -> int:
-    """Sum of squared run lengths of sorted keys, block by block: the j-th
-    key of a run adds 2j + 1."""
-    total = start = 0
-    for i in range(0, len(keys), _CHUNK):
-        block = keys[i : i + _CHUNK]
-        idx = np.arange(i, i + len(block))
-        new = np.concatenate(([i == 0 or block[0] != keys[i - 1]], block[1:] != block[:-1]))
-        starts = np.maximum.accumulate(np.where(new, idx, start))
-        start = int(starts[-1])
-        total += int((2 * (idx - starts) + 1).sum())  # below 2 _CHUNK len(keys) within a block
-    return total
+def _sorted_square_sum(keys, item: int) -> int:
+    """Sum of squared run lengths of N sorted keys of item bytes: a run of r
+    keys holds r - 1 equal neighbours and r^2 = r + (r - 1) r, so the sum is
+    N + sum L (L + 1) over the maximal stretches of L equal neighbours.
+    Reserves the keys, 2 bytes per key and 16 per stretch end once known."""
+    pad = np.zeros(len(keys) + 1, dtype=bool)  # False at both ends
+    np.equal(keys[1:], keys[:-1], out=pad[1:-1])
+    ends = pad[1:] != pad[:-1]
+    _reserve("T3 run count", (item + 2) * len(keys) + 16 * np.count_nonzero(ends))
+    ends = np.flatnonzero(ends)
+    stretch = ends[1::2] - ends[::2]
+    return len(keys) + _dot(stretch, stretch + 1)
 
 
 def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
@@ -404,14 +420,13 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     benchmark's trace counts one quotient_histogram call per energy, t4,
     cschain and borel job."""
     p = H.p
-    # at most 5 arrays of |H|^2 items at once, as the keys form (33 B a pair
-    # at int64 and 233 B at 2^61 - 1, measured)
+    # 5 items per pair, as the keys form, sort and count (32 B a pair at int64
+    # and 241 B at 2^61 - 1, measured)
     _reserve("quotient histogram", 5 * len(H) ** 2 * _item_bytes(p))
     a, b = _array(H).reshape(-1, 2).T
-    w = _mod(b[:, None] - b, p)
-    keys = np.where(w == 0, _mod(a[:, None] - a, p) * p, (w * p + a[:, None]) * p + a).ravel()
-    del w  # the tally peaks without it
-    keys, counts = _tally(keys)
+    key = lambda p, a1, b1, a2, b2: np.where(  # noqa: E731
+        (w := _mod(b1 - b2, p)) == 0, _mod(a1 - a2, p) * p, (w * p + a1) * p + a2)
+    keys, counts = _tally(_write_keys(p, (a, b), (a, b), key))
     a2 = _mod(keys, p)
     keys //= p  # w p + a1
     a1 = _mod(keys, p)
@@ -420,56 +435,41 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
 
 
 def _t3_fill_bytes(p: int, n: int) -> int:
-    """The T_3 fill's keys, plus 8 items per element of the larger of a fill
-    chunk (49 B at int64, measured) and a _sorted_square_sum block (34 B)."""
-    return (n**3 + 8 * max(n * n, min(n**3, _CHUNK))) * _item_bytes(p)
+    """The T_3 fill's keys and the run count's 2 bytes per key, 4 items per
+    pair quotient and 5 items and 8 B per cell of a key block (measured: 10 B
+    a key at |H| = 128, 45 B a block cell at int64, 164 B at 2097169)."""
+    item = _item_bytes(p)
+    return (item + 2) * n**3 + 4 * item * n * n + (5 * item + 8) * min(n**3, max(n, _CELLS))
+
+
+def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
+    """m rows of n keys weighted by at most top, as they form and tally: per
+    key 1 item and 32 B (40 B on random translates, 24 B on grids at int64),
+    2 items more where keys and weights do not pack (argsort); 5 items and
+    8 B per cell of a key block and 8 items per row (histogram, columns)."""
+    item, packs = _item_bytes(p), p**3 * (top + 1) <= 1 << 63
+    return (item + 32 + 2 * item * (not packs)) * m * n + (5 * item + 8) * min(m * n, max(n, _CELLS)) + 8 * item * m
 
 
 def _t3_keys(H: TranslateSet):
-    """Sorted keys of all |H|^3 products h1 h2^-1 h3, filled in chunks over h1
-    as the products of the chunk's pair quotients with the embedded h3."""
+    """Sorted keys of all |H|^3 products h1 h2^-1 h3: the products of the
+    |H|^2 pair quotients with the embedded h3."""
     p, n = H.p, len(H)
     _reserve("T3 key array", _t3_fill_bytes(p, n))
     a, b = _array(H).reshape(-1, 2).T
-    h3 = embed_entries(p, a, b)
-    keys = np.empty(n**3, dtype=a.dtype)
-    rows = max(1, _CHUNK // (n * n))
-    for i in range(0, n, rows):
-        h1 = (a[i : i + rows, None, None], b[i : i + rows, None, None])
-        u = pair_quotient_entries(p, *h1, a[:, None], b[:, None])
-        keys.reshape(n, n, n)[i : i + rows] = _key(p, *product_entries(p, *u, *h3))
+    keys = _write_keys(p, [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)],
+                       embed_entries(p, a, b))
     keys.sort()
     return keys
 
 
-def _t3_quotient_bytes(p: int, n: int, hist: QuotientHistogram) -> int:
-    """The quotient arm's |Q| |H| keys as they weigh and tally: per key the
-    key, its weight and the unpacked weight, a run edge and at most one run
-    (1 item and 41 bytes), where keys (< p^3) and weights (<= max r(u))
-    pack, and 2 items more (the order and both gathers) where they sort by
-    argsort; 8 items per element of a fill chunk and 8 per quotient (the
-    histogram's arguments and counts, and its entry columns)."""
-    item, m = _item_bytes(p), len(hist)
-    packs = p**3 * (int(hist.counts.max(initial=0)) + 1) <= 1 << 63
-    return (item + 41 + 2 * item * (not packs)) * m * n + 8 * item * (min(m, max(1, _CHUNK // n)) * n + m)
-
-
 def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
-    """T_3 over the quotient support: the sum over products g of the squared
-    number of triples behind g, the sum of r(u) over the |Q| |H| products
-    g = u h3 of the support with the embedded h3, filled in chunks of
-    quotients."""
+    """T_3 over the quotient support: the sum over the |Q| |H| products
+    g = u h3 of the support with the embedded h3 of (sum of r(u) behind g)^2."""
     p, n, m = H.p, len(H), len(hist)
-    _reserve("T3 quotient keys", _t3_quotient_bytes(p, n, hist))
+    _reserve("T3 quotient keys", _weighted_key_bytes(p, m, n, int(hist.counts.max(initial=0))))
     a, b = _array(H).reshape(-1, 2).T
-    h3 = embed_entries(p, a, b)
-    u = hist.columns
-    keys = np.empty((m, n), dtype=a.dtype)
-    rows = max(1, _CHUNK // n)
-    for i in range(0, m, rows):
-        keys[i : i + rows] = _key(p, *product_entries(p, *(e[i : i + rows, None] for e in u), *h3))
-    del u
-    _, sums = _tally(keys.reshape(-1), np.repeat(hist.counts, n))
+    _, sums = _tally(_write_keys(p, hist.columns, embed_entries(p, a, b)), np.repeat(hist.counts, n))
     return _dot(sums, sums)
 
 
@@ -485,17 +485,16 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 3:
         if n**3 > _T3_FEW:
             hist = _quotient_histogram(H)
-            if len(hist) <= _T3_QUOTIENTS * n * n and _t3_quotient_bytes(p, n, hist) <= _t3_fill_bytes(p, n):
-                return _t3_quotients(H, hist)
+            if len(hist) <= _T3_QUOTIENTS * n * n:
+                with suppress(ResourceLimit):  # the fill may fit the budget where this arm does not
+                    return _t3_quotients(H, hist)
             del hist  # the fill peaks without it
-        return _sorted_square_sum(_t3_keys(H))
+        return _sorted_square_sum(_t3_keys(H), _item_bytes(p))
     if k == 4:
         q2 = quotient_histogram(H)
-        # 9 items per product of the support (63 B at int64, measured)
-        _reserve("T4 self-convolution", 9 * len(q2) ** 2 * _item_bytes(p))
-        columns = q2.columns
-        keys = _key(p, *product_entries(p, *(e[:, None] for e in columns), *columns))
-        _, sums = _tally(keys.reshape(-1), (q2.counts[:, None] * q2.counts).reshape(-1))
+        m, top = len(q2), int(q2.counts.max(initial=0))
+        _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
+        _, sums = _tally(_write_keys(p, *[q2.columns] * 2), (q2.counts[:, None] * q2.counts).reshape(-1))
         return _dot(sums, sums)
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
@@ -820,7 +819,7 @@ def _borel_keys(H: TranslateSet):
     del lo, span
     i1, i2 = np.divmod(pair, n)
     u = pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2])
-    return _key(p, *product_entries(p, *u, *embed_entries(p, a[i3], b[i3])))
+    return _key(p, *u, *embed_entries(p, a[i3], b[i3]))
 
 
 def borel_t3_mass(H: TranslateSet) -> int:

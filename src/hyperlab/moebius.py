@@ -8,15 +8,18 @@ notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
 c = 0), which counts.borel_coset_mass computes on arrays of the pair
 quotients' closed-form arguments (a1 + 1/w).
 
-The SL2 closed forms are three column forms: the generic product
-(product_entries), the translate embedding (embed_entries) and the pair
-quotient h1 h2^-1 (pair_quotient_entries).  Each takes Python ints or
+The SL2 closed forms are four column forms: the generic product
+(product_entries) and its key entries (product_key_entries), the translate
+embedding (embed_entries) and the pair quotient h1 h2^-1
+(pair_quotient_entries).  All but the key entries take Python ints or
 broadcast numpy arrays alike, so the scalar maps here and the array kernels
 of counts share one copy of each; a triple h1 h2^-1 h3 is the product of a
 pair quotient and an embedding.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidArgument, ModulusMismatch
 from .field import Fp, check_prime
@@ -137,6 +140,19 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
         _mod(c1 * a2 + d1 * c2, p),
         _mod(c1 * b2 + d1 * d2, p),
     )
+
+
+def product_key_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
+    """Key entries (a, c, z) of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p over
+    broadcast arrays: the first column, then z = d, or b where c = 0 (b
+    formed only where some product has c = 0).  Injective on SL2, as det = 1
+    fixes b from (a, c, d) where c != 0, and d = 1/a where c = 0."""
+    a = _mod(a1 * a2 + b1 * c2, p)
+    c = _mod(c1 * a2 + d1 * c2, p)
+    z, zero = c1 * b2 + d1 * d2, c == 0
+    if zero.any():
+        z = np.where(zero, a1 * b2 + b1 * d2, z)
+    return a, c, _mod(z, p)
 
 
 def embed_entries(p: int, a, b):

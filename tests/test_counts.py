@@ -64,7 +64,7 @@ def rand_translates(rng, p, n):
 
 def _t3_by_fill(H):
     """t_k(H, 3) on the fill arm, whatever the quotient support."""
-    return counts._sorted_square_sum(counts._t3_keys(H))
+    return counts._sorted_square_sum(counts._t3_keys(H), counts._item_bytes(H.p))
 
 
 def _t3_by_quotients(H):
@@ -113,7 +113,7 @@ def test_sigma_rect_across_blocks():
     rng = random.Random(3)
     B, C = ScalarSet(p, tuple(rng.sample(range(p), 900))), ScalarSet(p, tuple(rng.sample(range(p), 500)))
     H = rand_translates(rng, p, 300)
-    assert len(H) > counts._HIT_CELLS // len(B)
+    assert len(H) > counts._CELLS // len(B)
     members = set(C)
     want = sum((a + lam * pow(x - b, -1, p)) % p in members for a, b in H for x in B if x != b)
     assert sigma_rect(B, C, H, lam) == want
@@ -305,11 +305,12 @@ def test_key_injective_on_sl2():
         ]
         assert len(elems) == p**3 - p
         a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*elems))
-        keys = counts._key(p, a, b, c, d).tolist()
+        # each element times the identity: its own key entries
+        keys = counts._key(p, a, b, c, d, 1, 0, 0, 1).tolist()
         assert len(set(keys)) == len(elems)
         for key, (a, b, c, d) in zip(keys, elems):
             assert 0 <= key < p**3
-            assert (key // p**2, key // p % p, key % p) == (a, b, c if a else d)
+            assert (key // p**2, key // p % p, key % p) == (a, c, d if c else b)
 
 
 def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
@@ -324,9 +325,10 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
 
     want = all_counts()
     assert want[0] == want[1] == want[2] and want[3] > 0
-    # |H|^2 = 576 keys per h1 row: 2900 fills five rows a chunk, four in the
-    # last; the quotient arm fills one (7), four (100) or 120 (2900)
-    # quotients of 24 products a chunk.  The pair histograms merge several
+    # the SL2 keys go in rows of 24 (a quotient times H, or an h1 times H):
+    # one (7), four (100) or 120 (2900) rows a block, so the fill's 576
+    # pair quotients take 576, 144 or five blocks, the quotient histogram's
+    # 24 rows 24, six or one.  The pair histograms merge several
     # blocks at 7 (d_histogram and product_rep_histogram at 100 too) and
     # count by index at 2900, as at
     # the default chunk (additive_energy's 25 keys, fewer than p, sort in one
@@ -337,7 +339,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # translations per table block; the poles of sigma (24 maps x 5 points)
     # and sumprod (25 x 5) are reduced to their distinct values at 7 and 100
     for chunk in (7, 100, 2900):
-        for name in ("_CHUNK", "_HIT_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
+        for name in ("_CHUNK", "_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
             monkeypatch.setattr(counts, name, chunk)
         assert all_counts() == want
 
@@ -364,17 +366,18 @@ def test_pair_histogram_routes_agree(monkeypatch):
 
 
 def test_t3_fill_chunks_at_p61(monkeypatch):
-    # above 2^21 the pair-quotient entries of each fill chunk are object
-    # arrays, broadcast against the embedded h3; at 7 and 100 every h1 row is
-    # a chunk of its own and at 2900 five rows are, as in the test above
+    # above 2^21 the key entries are object arrays, the pair quotients'
+    # broadcast against the embedded h3; at 7, 100 and 2900 blocks of one,
+    # four and 120 quotients split the 576 x 24 product grid, as in the test
+    # above, and the default block holds it whole
     p = (1 << 61) - 1
     H = gen_cartesian(ScalarSet(p, (1, 2, 3, 4)), ScalarSet(p, (1, 2, 3, 4, 5, 6)))
     mats = [embed_translate(Fp(p), h) for h in H]
     triples = Counter(compose(compose(m1, invert(m2)), m3).entries for m1 in mats for m2 in mats for m3 in mats)
     want = (sum(v * v for v in triples.values()), sum(v * v for key, v in triples.items() if key[2] == 0))
     assert want[1] > 0
-    for chunk in (7, 100, 2900, counts._CHUNK):
-        monkeypatch.setattr(counts, "_CHUNK", chunk)
+    for cells in (7, 100, 2900, counts._CELLS):
+        monkeypatch.setattr(counts, "_CELLS", cells)
         assert (t_k(H, 3), borel_t3_mass(H)) == want
         assert _t3_by_fill(H) == _t3_by_quotients(H) == want[0]
 
@@ -396,19 +399,22 @@ def test_t3_budget_gate(monkeypatch):
     H, big = rand_translates(rng, 101, 40), rand_translates(rng, 101, 150)
     grid = parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009))
     want = t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)
-    # 40^3 keys and a chunk: 4.6 MB; 150^2 pairs and about 150^3 / 101 Borel
-    # triples: 6.7 MB; the grid's 1819 quotients times 100 translates: 22 MB
+    # 40^3 keys and a key block: 2.3 MB; 150^2 pairs and about 150^3 / 101
+    # Borel triples: 6.7 MB; the grid's 1819 quotients times 100 translates:
+    # 9.0 MB
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T3 key array"):
         t_k(H, 3)
     with pytest.raises(ResourceLimit, match="Borel T3 join"):
         borel_t3_mass(big)
     with pytest.raises(ResourceLimit, match="T3 quotient keys"):
+        _t3_by_quotients(grid)
+    with pytest.raises(ResourceLimit, match="T3 key array"):  # the fill, after the quotient arm
         t_k(grid, 3)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
-    # the default budget admits the fill at |H| = 512 (8 * 512^3 B of keys
-    # and a chunk), past the support histogram that chose it; an admitted
+    # the default budget admits the fill at |H| = 512 (10 B per key of
+    # 512^3: 1.35 GB), past the support histogram that chose it; an admitted
     # fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
@@ -427,21 +433,30 @@ def test_t3_budget_gate(monkeypatch):
 
 def test_t3_arm_follows_the_support(monkeypatch):
     """t_k(H, 3) sums over the quotient support where it is small against
-    |H|^2 (a grid), fills where it is not (random translates) and where
-    |H|^3 is at most _T3_FEW, with no support histogram built there."""
+    |H|^2 (grids), fills where it is not (random translates), where |H|^3 is
+    at most _T3_FEW, with no support histogram built there, and where the
+    budget refuses the quotient arm but admits the fill."""
     arms = []
     for name in ("_t3_keys", "_t3_quotients", "_quotient_histogram"):
         real = getattr(counts, name)
         monkeypatch.setattr(counts, name, lambda *args, real=real, name=name: arms.append(name) or real(*args))
     F = Fp(1009)
+    mid = parse_setspec("cart:ap:1,1,32;ap:1,1,4", F)  # |Q| / |H|^2 = 0.38
     for spec, want in (
         ("cart:ap:1,1,10;ap:1,1,10", ["_quotient_histogram", "_t3_quotients"]),
+        ("cart:ap:1,1,32;ap:1,1,4", ["_quotient_histogram", "_t3_quotients"]),
         ("randomh:64,1", ["_quotient_histogram", "_t3_keys"]),
         ("cart:ap:1,1,4;ap:1,1,4", ["_t3_keys"]),
     ):
         arms.clear()
         t_k(parse_setspec(spec, F), 3)
         assert arms == want, spec
+    # the quotient arm reserves 32.2 MiB for mid, the fill 22.0 MiB
+    want = _t3_by_fill(mid)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "28")
+    arms.clear()
+    assert t_k(mid, 3) == want
+    assert arms == ["_quotient_histogram", "_t3_quotients", "_t3_keys"]
 
 
 @pytest.mark.parametrize(
@@ -473,12 +488,12 @@ def test_t3_arms_agree(p, spec):
     ],
 )
 def test_borel_join_is_the_borel_part_of_the_fill(p, spec):
-    """The joined Borel triples' keys are the fill's keys with c = 0 (and
-    so a != 0: the key ends in c and is at least p^2).  (0, 0), (5, 1) and
-    (p - 1, 7) give Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
+    """The joined Borel triples' keys are the fill's keys with c = 0, the
+    middle digit of (a p + c) p + z.  (0, 0), (5, 1) and (p - 1, 7) give
+    Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
     H = TranslateSet(p, (*parse_setspec(spec, Fp(p)), (0, 0), (5, 1), (p - 1, 7)))
     keys = counts._t3_keys(H)
-    want = keys[(keys % p == 0) & (keys >= p * p)]
+    want = keys[keys // p % p == 0]
     assert len(want) > 0
     assert np.sort(counts._borel_keys(H)).tolist() == want.tolist()
 
@@ -509,7 +524,7 @@ def test_t4_budget_gate(monkeypatch):
     rng = random.Random(0)
     H = rand_translates(rng, 101, 30)
     want = t_k(H, 4)
-    # the quotient histogram (94 kB) fits, the support^2 convolution (55 MB) does not
+    # the quotient histogram (94 kB) fits, the support^2 convolution (32 MB) does not
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T4 self-convolution"):
         t_k(H, 4)
@@ -675,6 +690,17 @@ _HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "s
 
 @pytest.mark.parametrize("name", _HIT_CASES)
 def test_hit_estimates_within_two_peaks(monkeypatch, name):
+    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
+    assert peak <= estimate <= 2 * peak + (1 << 20)
+
+
+# the SL2 energy kernels, whose keys form in blocks: the T_3 fill and
+# quotient arm, the Borel join and T_4
+_SL2_CASES = [name for name in _PEAK_CASES if name.startswith(("t3-", "t4-", "borel-t3-"))]
+
+
+@pytest.mark.parametrize("name", _SL2_CASES)
+def test_sl2_estimates_within_two_peaks(monkeypatch, name):
     peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
@@ -1198,6 +1224,25 @@ def test_dot_exact_on_both_sides_of_int64():
     for u, v in ((top, top), (edge, edge), (one, top), (empty, empty)):
         assert type(counts._dot(u, v)) is int
     assert counts._dot(empty, empty) == 0
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [7],
+        [3] * 9,
+        list(range(11)),
+        [0, 0, 0, 1, 2, 2, 3, 5, 5, 5, 5],
+        [],
+        [P61**3, P61**3, 2**70, 2**70 + 1, 2**70 + 1],
+    ],
+    ids=["one-key", "all-equal", "all-distinct", "runs-at-both-ends", "empty", "object"],
+)
+def test_equal_neighbour_sum_matches_counter(keys):
+    """N + sum L (L + 1) over the stretches of L equal neighbours of sorted
+    keys is their sum of squared multiplicities; Python ints as object keys."""
+    array = np.array(sorted(keys), dtype=object if keys and max(keys) >= 1 << 63 else np.int64)
+    assert counts._sorted_square_sum(array, counts._item_bytes(P61)) == sum(v * v for v in Counter(keys).values())
 
 
 def test_square_sums_past_int64():

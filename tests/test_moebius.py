@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hyperlab import (
     invert,
     pair_quotient,
 )
-from hyperlab.moebius import _mod
+from hyperlab.moebius import _mod, product_key_entries
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -61,6 +63,43 @@ def test_pair_quotient_matches_chain(h1, h2):
     lhs = pair_quotient(F101, h1, h2)
     rhs = compose(embed_translate(F101, h1), invert(embed_translate(F101, h2)))
     assert lhs.entries == rhs.entries
+
+
+@pytest.mark.parametrize("p", [1009, 2097169, (1 << 61) - 1])
+def test_product_key_entries_match_compose(p):
+    """The key entries (a, c, then d, or b where c = 0) of u v agree with the
+    generic compose, over broadcast columns and elementwise, on int64
+    columns below 2^21 and Python ints above; u v9..v11 lie in the Borel
+    group (c = 0)."""
+    rng = random.Random(p)
+
+    def sl2():
+        a, b, c = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+        return MoebiusMap(p, a, b, c, (1 + b * c) * pow(a, -1, p))
+
+    def borel(x):
+        return MoebiusMap(p, x, rng.randrange(p), 0, pow(x, -1, p))
+
+    us = [sl2() for _ in range(12)]
+    vs = [sl2() for _ in range(9)] + [compose(invert(u), borel(x)) for u, x in zip(us, (1, 5, p - 1))]
+    dtype = np.int64 if p < 1 << 21 else object
+
+    def columns(maps):
+        return [np.array(col, dtype=dtype) for col in zip(*(m.entries for m in maps))]
+
+    def want(g, h):
+        a, b, c, d = compose(g, h).entries
+        return a, c, d if c else b
+
+    u, v = columns(us), columns(vs)
+    grid = product_key_entries(p, *(e[:, None] for e in u), *v)
+    assert [[tuple(int(e[i, j]) for e in grid) for j in range(len(vs))] for i in range(len(us))] == [
+        [want(g, h) for h in vs] for g in us
+    ]
+    assert sum(want(g, h)[1] == 0 for g in us for h in vs) >= 3
+    pairs = product_key_entries(p, *columns(us[:3]), *columns(vs[9:]))
+    assert list(zip(*(e.tolist() for e in pairs))) == [want(g, h) for g, h in zip(us, vs[9:])]
+    assert pairs[1].tolist() == [0, 0, 0]
 
 
 def test_compose_requires_same_modulus():
