@@ -25,7 +25,6 @@ from .counts import (
     borel_t3_mass,
     cs_chain_report,
     d_histogram,
-    minkowski_grid,
     minkowski_realisations,
     product_rep_energy,
     product_rep_histogram,

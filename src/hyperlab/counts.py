@@ -10,28 +10,34 @@ c = 0, b (moebius.product_key_entries).  A pair quotient h1 h2^-1 is keyed
 by the arguments of its closed form, w = b1 - b2, a1 and a2:
 (w p + a1) p + a2, or (a1 - a2) p when w = 0.  That key is injective on
 quotients, as for w != 0 the entries c = w, a = 1 + a1 w and d = 1 - a2 w
-give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).  Both
-keys form in row blocks of about _CELLS cells, the block size of _hits
-(_write_keys).  One counter, _tally, sorts keys and reads off the runs of
-equal ones, except
-where every key of a block lies in a range no longer than the block: there
-one array indexed by key counts them (np.bincount, or np.add.at where the
-keys carry weights, as a weighted bincount sums in float64).  Weighted
+give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).
+
+Every keyed pass forms its keys in row blocks of about _CELLS cells, the
+one block size (_key_blocks; _hits chunks its cells alike), and
+_write_keys writes the keys that are kept into one array.  One counter,
+_tally, sorts keys and reads off the runs of equal ones, except where the
+keys lie in a range no longer than they are many: there one array indexed
+by key counts them (np.add.at per block, as np.bincount returns an array a
+call and sums weights in float64; the m_k column arm bincounts a block of
+rows).  So the histograms over element pairs (differences for eplus,
+minkowski and the product histogram, D(h, h') for q and t3), residues mod p
+of n^2 pairs (_sort_count), add into one p-long int64 total where p <= n^2
+and otherwise sort all n^2 keys as int64: nothing merges, and every
+histogram leaves the module as arrays, its values ascending.  Weighted
 int64 keys sort packed, key (max weight + 1) + weight, where that fits
 int64, and by argsort otherwise; a weight sum is int64 only where
 len(weights) max(weight) < 2^63.  Keys stay below p^3: int64 for
 p <= 2^21, Python ints above.
 
 T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
-the squared run lengths, N + sum L (L + 1) over the stretches of L equal
-neighbours; the quotient arm weighs the |Q| |H| products u h3 of the
-support by r(u), as T_3 = sum_g (sum_{u h3 = g} r(u))^2.  The quotient arm
-runs where |Q| <= 3/5 |H|^2 (about where it stops being the faster,
-measured) and the budget admits it; up to |H|^3 = 2^12 the fill runs with
-no support histogram built.  The Borel
-part of T_3 keys only the triples whose product lies in B: u h3 has
-c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
-a3 = a2 - 1/w, and a pair with w = 0 joins none.
+the squared run lengths (_sorted_square_sum); the quotient arm weighs the
+|Q| |H| products u h3 of the support by r(u), as
+T_3 = sum_g (sum_{u h3 = g} r(u))^2.  The quotient arm runs where
+|Q| <= 3/5 |H|^2 (about where it stops being the faster, measured) and the
+budget admits it; up to |H|^3 = 2^12 the fill runs with no support
+histogram built.  The Borel part of T_3 keys only the triples whose
+product lies in B: u h3 has c = w (a2 - a3) - 1, so each pair with w != 0
+joins the h3 with a3 = a2 - 1/w, and a pair with w = 0 joins none.
 
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
@@ -46,13 +52,6 @@ where a bound read off its arrays allows and over Python ints otherwise.
 m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
 the number of points (or point pairs) on each.
-
-The histograms over element pairs (differences for eplus, minkowski and the
-product histogram, D(h, h') for q and t3) form blocks of about _CHUNK int64
-residues mod p (_sort_count).  Where p is at most a block's keys, every
-block adds into one p-long int64 total by index; otherwise each block is
-sorted and counted, and the blocks' runs merge when there are several.
-Every histogram leaves the module as arrays, its values ascending.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -85,8 +84,7 @@ from .moebius import _mod, embed_entries, pair_quotient_entries, product_key_ent
 from .sets import ScalarSet, TranslateSet
 
 _INV_TABLE_MAX = 1 << 18
-_CHUNK = 1 << 18  # array elements per enumeration chunk and per pair-histogram block
-_CELLS = 1 << 15  # cells per block of _hits and of the SL2 keys (2^14 to 2^16 time alike; 2^18 was slower)
+_CELLS = 1 << 15  # cells per block of every keyed pass (2^14 to 2^16 time alike; 2^18 was slower)
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
@@ -341,14 +339,21 @@ def _key(p: int, *entries):
     return (a * p + c) * p + z
 
 
-def _write_keys(p: int, u, v, key=_key):
-    """The keys key(p, *u_i, *v) of each row i of the columns u against the
-    columns v, written into one array of u's dtype in blocks of about _CELLS
-    cells: by default the keys of the products u_i v_j."""
-    out = np.empty((len(u[0]), len(v[0])), dtype=u[0].dtype)
+def _key_blocks(p: int, u, v, key):
+    """(rows, keys) of each row block of about _CELLS cells: the keys
+    key(p, *u_i, *v) of the rows i of the columns u against the columns v."""
     rows = max(1, _CELLS // max(1, len(v[0])))
-    for i in range(0, len(out), rows):
-        out[i : i + rows] = key(p, *(e[i : i + rows, None] for e in u), *v)
+    for i in range(0, len(u[0]), rows):
+        yield slice(i, i + rows), key(p, *(e[i : i + rows, None] for e in u), *v)
+
+
+def _write_keys(p: int, u, v, key=_key, dtype=None):
+    """The keys of _key_blocks, by default the products', in one flat array of
+    u's dtype or of dtype (int64 for residues formed as Python ints)."""
+    out = np.empty((len(u[0]), len(v[0])), dtype=dtype or u[0].dtype)
+    for rows, keys in _key_blocks(p, u, v, key):
+        out[rows] = keys
+        del keys  # the next block forms without this one
     return out.reshape(-1)
 
 
@@ -396,17 +401,25 @@ def _dot(u, v) -> int:
 
 
 def _sorted_square_sum(keys, item: int) -> int:
-    """Sum of squared run lengths of N sorted keys of item bytes: a run of r
-    keys holds r - 1 equal neighbours and r^2 = r + (r - 1) r, so the sum is
-    N + sum L (L + 1) over the maximal stretches of L equal neighbours.
-    Reserves the keys, 2 bytes per key and 16 per stretch end once known."""
-    pad = np.zeros(len(keys) + 1, dtype=bool)  # False at both ends
-    np.equal(keys[1:], keys[:-1], out=pad[1:-1])
-    ends = pad[1:] != pad[:-1]
-    _reserve("T3 run count", (item + 2) * len(keys) + 16 * np.count_nonzero(ends))
-    ends = np.flatnonzero(ends)
-    stretch = ends[1::2] - ends[::2]
-    return len(keys) + _dot(stretch, stretch + 1)
+    """Sum of squared run lengths of N sorted keys of item bytes, from the
+    indices of the fewer of the R run starts and the N - R equal neighbours:
+    a run's length is the step to the next start, and a stretch of L
+    adjacent equal neighbours lies in a run of L + 1 keys, where
+    r^2 = r + (r - 1) r.  Reserves 1 byte a key, then 16 per index."""
+    n = len(keys)
+    edges = np.ones(n + 1, dtype=bool)  # runs start at 0 and where the key changes; n closes the last
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    runs = int(np.count_nonzero(edges)) - 1
+    _reserve("T3 run count", (item + 1) * n + 16 * min(runs, n - runs))
+    few = 2 * runs <= n
+    at = np.flatnonzero(edges if few else np.logical_not(edges, out=edges))  # or 1 + each equal neighbour
+    del edges  # the steps peak without the mask
+    if few:
+        steps = np.diff(at)
+        return _dot(steps, steps)
+    at = np.concatenate(([-2], at, [n + 1]))  # a stretch ends where the next one is not adjacent
+    stretch = np.diff(np.flatnonzero(at[1:] - at[:-1] != 1))
+    return n + _dot(stretch, stretch + 1)
 
 
 def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
@@ -435,11 +448,11 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
 
 
 def _t3_fill_bytes(p: int, n: int) -> int:
-    """The T_3 fill's keys and the run count's 2 bytes per key, 4 items per
-    pair quotient and 5 items and 8 B per cell of a key block (measured: 10 B
+    """The T_3 fill's keys and the run count's 1 byte per key, 4 items per
+    pair quotient and 5 items and 8 B per cell of a key block (measured: 9.1 B
     a key at |H| = 128, 45 B a block cell at int64, 164 B at 2097169)."""
     item = _item_bytes(p)
-    return (item + 2) * n**3 + 4 * item * n * n + (5 * item + 8) * min(n**3, max(n, _CELLS))
+    return (item + 1) * n**3 + 4 * item * n * n + (5 * item + 8) * min(n**3, max(n, _CELLS))
 
 
 def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
@@ -499,49 +512,32 @@ def t_k(H: TranslateSet, k: int) -> int:
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
-def _sort_count(what: str, p: int, n: int, distinct: int, key, weight=None, item: int = 8, extra: int = 0) -> tuple:
+def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item: int = 8) -> tuple:
     """(values ascending, total weights) of the at most distinct residues
-    key(s) mod p, weighted by weight(s) or 1, over row slices s of an n x n
-    outer product, in blocks of about _CHUNK keys cast to int64.  Where p is
-    at most a block's keys, every block is added into one p-long int64 total
-    by index; otherwise each block is sorted and counted by _tally, and one
-    more _tally merges their runs if there are several.  Reserves the extra
-    bytes the caller holds too."""
-    rows = max(1, _CHUNK // max(1, n))
-    blocks = [slice(i, i + rows) for i in range(0, max(1, n), rows)]  # one empty block if n = 0
-    keys = min(n, rows) * n  # per block
-    index = p <= keys
-    # per key of a block 3 items as key(s) forms them and, to weigh, 1 int64
-    # more indexed or 4 sorted; indexed, the 8p-byte total and two int64 per
-    # value; sorted, 3 int64 per run of a block, 2 more per run of the blocks
-    # before it, and, where several blocks merge, 6 int64 per run as the
-    # joined runs pack, sort, unpack and sum with no block alive; at most
-    # min(p, distinct) runs per block
-    cell = 3 * item + (8 if index else 32) * (weight is not None)
-    runs = sum(min(p, distinct, n * len(range(n)[s])) for s in blocks)
-    if index:
-        nbytes = cell * keys + 24 * p
-    elif len(blocks) == 1:
-        nbytes = cell * keys + 24 * runs
-    else:
-        nbytes = max(cell * keys + 40 * runs, 48 * runs)
-    _reserve(what, nbytes + extra)
-    if index:
+    key(p, *u_i, *v) mod p of _key_blocks, weighted by the outer product of
+    the weight columns (wu, wv) or by 1: where p is at most the keys, added
+    by index into one p-long int64 total, else written as int64 and counted
+    by one _tally."""
+    n = len(u[0]) * len(v[0])
+    # per cell of a key block 3 items as key() forms them and 1 int64 more
+    # to weigh; indexed, the 8p-byte total next to a block or to two int64
+    # per value; sorted, the int64 keys (and to weigh the weights and their
+    # unpacked copy) next to a block or, as _tally reads the runs, to 1 byte
+    # per key and 3 int64 per run (4 to weigh)
+    weighted, runs = weights is not None, min(p, n, distinct)
+    block = min(n, max(len(v[0]), _CELLS)) * (3 * item + 8 * weighted)
+    if p <= n:
+        _reserve(what, 8 * p + max(block, 16 * runs))
         total = np.zeros(p, dtype=np.int64)
-        for s in blocks:
-            w = 1 if weight is None else weight(s).ravel()
-            np.add.at(total, key(s).ravel().astype(np.int64, copy=False), w)
+        for rows, keys in _key_blocks(p, u, v, key):  # np.add.at takes a slow path on 2-d weights
+            np.add.at(total, keys.reshape(-1).astype(np.int64, copy=False),
+                      1 if weights is None else (weights[0][rows, None] * weights[1]).reshape(-1))
+            del keys  # the next block forms without this one
         values = np.flatnonzero(total)  # every weight is positive
         return values, total[values]
-    runs = [
-        _tally(key(s).ravel().astype(np.int64, copy=False), None if weight is None else weight(s).ravel())
-        for s in blocks
-    ]
-    if len(runs) == 1:
-        return runs[0]
-    values, counts = map(np.concatenate, zip(*runs))
-    del runs  # the merge peaks without the blocks' runs
-    return _tally(values, counts)
+    _reserve(what, (8 + 16 * weighted) * n + max(block, n + (24 + 8 * weighted) * runs))
+    w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
+    return _tally(_write_keys(p, u, v, key, np.int64), w)
 
 
 def d_histogram(H: TranslateSet) -> tuple:
@@ -549,8 +545,8 @@ def d_histogram(H: TranslateSet) -> tuple:
     p, n = H.p, len(H)
     a, b = _array(H).reshape(-1, 2).T
     # D(h, h') = D(h', h) and D(h, h) = 0: at most n (n - 1) / 2 + 1 values
-    return _sort_count("D histogram", p, n, n * (n - 1) // 2 + 1,
-                       lambda s: _mod((a[s, None] - a) * (b[s, None] - b), p), item=_item_bytes(p))
+    return _sort_count("D histogram", p, (a, b), (a, b), lambda p, a1, b1, a2, b2: _mod((a1 - a2) * (b1 - b2), p),
+                       n * (n - 1) // 2 + 1, item=_item_bytes(p))
 
 
 def q_rect(H: TranslateSet) -> int:
@@ -559,19 +555,11 @@ def q_rect(H: TranslateSet) -> int:
     return _dot(r, r)
 
 
-def _differences(B: ScalarSet, extra: int = 0) -> tuple:
-    """(d ascending, number of ordered pairs (x, y) of B x B with x - y = d),
-    reserved with the extra bytes its caller holds with it; int64 at every p."""
+def _differences(B: ScalarSet) -> tuple:
+    """(d ascending, number of ordered pairs (x, y) of B x B with x - y = d); int64 at every p."""
     p, xs = B.p, np.array(B.elements, dtype=np.int64)
     n = len(xs)  # x - y takes at most n (n - 1) + 1 values
-    return _sort_count("difference histogram", p, n, n * (n - 1) + 1, lambda s: _mod(xs[s, None] - xs, p), extra=extra)
-
-
-def minkowski_grid(A: ScalarSet) -> TranslateSet:
-    """The 45-degree image {(x+y, x-y): (x,y) in A x A}; D on it is the
-    Minkowski distance on A x A."""
-    p = A.p
-    return TranslateSet(p, tuple(((x + y) % p, (x - y) % p) for x in A for y in A))
+    return _sort_count("difference histogram", p, (xs,), (xs,), lambda p, x, y: _mod(x - y, p), n * (n - 1) + 1)
 
 
 def minkowski_realisations(A: ScalarSet, lam: int) -> int:
@@ -580,27 +568,17 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     Computed from the difference histogram r of A, summed over squares:
     with S(s) = sum_{d^2 = s} r(d), the count is sum_s S(s) S(s - lam).
     """
-    p, n = A.p, len(A)
+    p = A.p
     lam = _check_lambda(p, lam)
-    # per difference (at most n^2) 5 int64 as its square forms and sorts (36 B
+    d, r = _differences(A)
+    # per difference d and r, and 5 int64 as its square forms and sorts (36 B
     # measured), or above 2^21 3 items of Python ints (148 B at 2^61 - 1)
-    d, r = _differences(A, (40 if p <= _INT64_P else 3 * _item_bytes(p)) * min(p, n * n))
+    _reserve("Minkowski squares", (56 if p <= _INT64_P else 16 + 3 * _item_bytes(p)) * len(d))
     wide = d if p <= _INT64_P else d.astype(object)
     s, S = _tally(_mod(wide * wide, p).astype(np.int64, copy=False), r)
     t = _mod(s - lam, p)
     i = np.minimum(np.searchsorted(s, t), len(s) - 1)
     return _dot(S, np.where(s[i] == t, S[i], 0))
-
-
-def _point_pairs(p: int, xs, ys):
-    """Each unordered pair of points of xs x ys with distinct x once, in blocks of about _CHUNK
-    (one empty if none): (x1, e, y1, f), e = x1 - x2 over (rows, 1), f = y1 - y2 over ys^2."""
-    i, j = np.triu_indices(len(xs), 1)
-    x1, e = xs[i, None], (xs[i, None] - xs[j, None]) % p
-    y1, y2 = np.repeat(ys, len(ys)), np.tile(ys, len(ys))
-    rows = max(1, _CHUNK // max(1, len(y1)))
-    for r in range(0, max(1, len(e)), rows):
-        yield x1[r : r + rows], e[r : r + rows], y1, (y1 - y2) % p
 
 
 def _mk_columns(A: ScalarSet, lam: int) -> tuple:
@@ -614,19 +592,16 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     upper half onto its lower reduces x + c mod p.  Above that each block is
     sorted and counted by _tally.  Either way the keys come out ascending."""
     p, n = A.p, len(A)
-    rows = max(1, _CHUNK // max(1, n * n))
+    rows = max(1, _CELLS // max(1, n * n))
     index = p <= n * n
-    # per key of a block 4 int64 items as the keys form and count (9 to
-    # sort), two arrays per block, and 4 int64 per translate with >= 2
-    # points: at most min(p^2, |A|^2 (|A|-1)^2) (see _mk_pairs) and half
-    # the p |A|^2 keys
-    translates = min(p * p, n * n * (n - 1) ** 2, p * n * n // 2)
-    cells = (32 if index else 72) * min(p, rows) * n * n
-    _reserve("m_k column pass", cells + 256 * (p // rows + 1) + 32 * translates + _table_bytes(p))
-    xs = _array(A)
-    inv = _inv_vec(p)
-    keys, rich = [], []
+    # per key of a block 4 int64 as the keys form and count (9 to sort), and
+    # reserved again before each block and the join, 256 bytes a block and 3
+    # int64 per translate found (>= 2 points): in the lists, then one joined
+    cells = (32 if index else 72) * min(p, rows) * n * n + _table_bytes(p)
+    xs, inv = _array(A), _inv_vec(p)
+    keys, rich, size = [], [], 0
     for a0 in range(0, p, rows):
+        _reserve("m_k column pass", cells + 24 * size + 256 * len(keys))
         a = np.arange(a0, min(p, a0 + rows))[:, None]
         u = _mod(xs - a, p)
         c = _mod(-lam * inv(u), p)  # over (a, y); inv(0) = 0 gives c = 0 where y = a
@@ -644,6 +619,8 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
             found, t = found[t >= 2], t[t >= 2]
         keys.append(found + a0 * p)
         rich.append(t)
+        size += len(t)
+    _reserve("m_k column pass", cells + 24 * size + 256 * len(keys))
     keys = np.concatenate(keys)  # frees the key blocks before joining the rest
     return keys, np.concatenate(rich)
 
@@ -653,23 +630,27 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0, solve
     f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant ef(ef - 4 lam)),
     so a t-rich translate shows up C(t, 2) times.  Any two points of one
-    curve differ in both coordinates, so no translate with t >= 2 is missed."""
+    curve differ in both coordinates, so no translate with t >= 2 is missed.
+    The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks)."""
     p, n = A.p, len(A)
     roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
-    # 12 items per element of a block (n^2 y-pairs per x-pair) and 3 per root
-    block = min(n**3 * (n - 1) // 2, max(n * n, _CHUNK))
+    # 12 items per cell of a block (n^2 y-pairs per x-pair) and 3 per root
+    block = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
     _reserve("m_k pair pass", _item_bytes(p) * (12 * block + 3 * roots) + _table_bytes(p, sqrt=True))
-    xs = _array(A)
-    inv, sqrt = _inv_vec(p), _sqrt_vec(p)
-    keys = []
-    for x1, e, y1, f in _point_pairs(p, xs, xs):
+    xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
+    i, j = np.triu_indices(n, 1)
+    y1 = np.repeat(xs, n)
+
+    def translates(p, x1, e, y1, f):
         ef = _mod(e * f, p)
         s = sqrt(_mod(ef * (ef - 4 * lam), p))  # above -4 p^2
         inv2f = inv(_mod(2 * f, p))
-        for root, hit in ((s, s >= 0), (-s, s > 0)):  # a double root counts once
-            u = _mod((ef + root) * inv2f, p)  # nonzero: the roots multiply to lam e / f
-            keys.append((_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)])
-    keys, hits = _tally(np.concatenate(keys))
+        # a double root counts once; each u is nonzero, as the roots multiply to lam e / f
+        return np.concatenate([(_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)]
+                               for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]])
+
+    blocks = _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates)
+    keys, hits = _tally(np.concatenate([xs[:0], *(keys for _, keys in blocks)]))
     # 1 + 8 C(t, 2) = (2t - 1)^2 is an exact square below 2^53, so its float root is exact
     return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
 
@@ -692,18 +673,19 @@ def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
 def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     """(keys m p + c ascending, hits) of every line y = m x + c through >= 2
     points of B x C: each point pair with distinct x keys its line, so a
-    t-rich line has C(t, 2) hits."""
+    t-rich line has C(t, 2) hits.  The rows are the x-pairs
+    (x1, 1/(x1 - x2)), the columns the y-pairs (y1, y1 - y2) (_write_keys)."""
     p = B.p
     pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
-    # 5 items per pair of a block (|C|^2 y-pairs per x-pair) and 4 per pair
-    block = min(pairs, max(len(C) ** 2, _CHUNK))
-    _reserve("rich-line table", _item_bytes(p) * (5 * block + 4 * pairs) + _table_bytes(p))
-    inv = _inv_vec(p)
-    keys = []
-    for x1, e, y1, f in _point_pairs(p, _array(B), _array(C)):
-        m = _mod(f * inv(e), p)
-        keys.append((m * p + _mod(y1 - m * x1, p)).ravel())
-    return _tally(np.concatenate(keys))
+    # per pair its key and, as _tally reads the runs, 1 byte and 3 int64 a
+    # line (at most p^2), or 4 items per cell of a key block as it forms
+    block, item = min(pairs, max(len(C) ** 2, _CELLS)), _item_bytes(p)
+    _reserve("rich-line table", item * pairs + max(4 * item * block, pairs + 24 * min(pairs, p * p)) + _table_bytes(p))
+    xs, ys = _array(B), _array(C)
+    i, j = np.triu_indices(len(xs), 1)
+    y1 = np.repeat(ys, len(ys))
+    return _tally(_write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
+                              lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p)))
 
 
 def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
@@ -732,8 +714,8 @@ def product_rep_histogram(B: ScalarSet) -> tuple:
     # takes two values per pair {x, y}.  As r(d) <= |B|, a weight sum is at
     # most |B|^3 at x != 0 (d2 = x / d1) and 2|B|^3 at 0, below 2^63 while
     # |B| <= 1664510.
-    return _sort_count("product histogram", p, len(d), (len(d) ** 2 + 3) // 4,
-                       lambda s: _mod(wide[s, None] * wide, p), lambda s: r[s, None] * r, item=_item_bytes(p))
+    return _sort_count("product histogram", p, (wide,), (wide,), lambda p, x, y: _mod(x * y, p), (len(d) ** 2 + 3) // 4,
+                       (r, r), _item_bytes(p))
 
 
 def product_rep_energy(B: ScalarSet) -> int:

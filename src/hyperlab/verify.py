@@ -221,15 +221,14 @@ def charsum(seed=0, trials=200, p=None) -> SuiteResult:
 
 
 def minkowski_rotation(seed=0, trials=50, p=None) -> SuiteResult:
-    """Realisation count vs the rotated-pair route, plus the one-sided
-    rectangle incidence comparison."""
+    """Realisation count vs D on the 45-degree image {(x+y, x-y)} of A x A,
+    plus the one-sided rectangle incidence comparison."""
     res = SuiteResult("minkowski-rotation")
     for _, q, rng in _corpus(seed, res.name, trials, [101, 499], p):
         A = _scalar(rng, q, 10)
         lam = rng.randrange(1, q)
         direct = counts.minkowski_realisations(A, lam)
-        grid = counts.minkowski_grid(A)
-        d, r = counts.d_histogram(grid)
+        d, r = counts.d_histogram(TranslateSet(q, tuple(((x + y) % q, (x - y) % q) for x in A for y in A)))
         rotated = int(r[d == lam].sum())  # 0 where no pair has D = lam
         res.check(direct == rotated, f"p={q} |A|={len(A)} lam={lam} direct={direct} rotated={rotated}")
         swapped = TranslateSet(q, tuple(((x - y) % q, (x + y) % q) for x in A for y in A))

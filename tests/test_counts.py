@@ -33,7 +33,6 @@ from hyperlab import (
     evaluate,
     gen_cartesian,
     invert,
-    minkowski_grid,
     minkowski_realisations,
     parse_setspec,
     product_rep_energy,
@@ -317,52 +316,69 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # a grid has long runs of equal products, so runs straddle block ends
     H = gen_cartesian(ScalarSet(101, (1, 2, 3, 4)), ScalarSet(101, (1, 2, 3, 4, 5, 6)))
     A = ScalarSet(101, (1, 2, 3, 50, 100))
+    R = ScalarSet(101, tuple(range(0, 101, 9)))  # 12 elements: 144 keys a row, more than p
     assert len(H) == 24
 
     def all_counts():
         return (t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3),
-                sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)))
+                sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)),
+                *(v.tolist() for arm in (counts._mk_columns, counts._mk_pairs) for v in arm(R, 100)),
+                rich_lines(R, A, 2), rich_lines(A, R, 3))
 
     want = all_counts()
     assert want[0] == want[1] == want[2] and want[3] > 0
-    # the SL2 keys go in rows of 24 (a quotient times H, or an h1 times H):
-    # one (7), four (100) or 120 (2900) rows a block, so the fill's 576
-    # pair quotients take 576, 144 or five blocks, the quotient histogram's
-    # 24 rows 24, six or one.  The pair histograms merge several
-    # blocks at 7 (d_histogram and product_rep_histogram at 100 too) and
-    # count by index at 2900, as at
-    # the default chunk (additive_energy's 25 keys, fewer than p, sort in one
-    # block).  The Moebius hits take one map (7), 20 maps (100)
+    assert want[10:12] == want[12:14] and len(want[10]) > 0
+    # every keyed pass goes in row blocks of about _CELLS cells.  The SL2
+    # keys go in rows of 24 (a quotient times H, or an h1 times H): one (7),
+    # four (100) or 120 (2900) rows a block, so the fill's 576 pair
+    # quotients take 576, 144 or five blocks, the quotient histogram's 24
+    # rows 24, six or one, and so do the D histogram's 576 keys, which
+    # count by index (p <= 576).  The m_k column arm counts R's rows of 144
+    # keys by index, one row a block at 7 and 100 and 20 at 2900; the pair
+    # arm keys R's 66 x-pairs against its 144 y-pairs in blocks of as many
+    # x-pairs, and the lines A's 10 x-pairs against them likewise and R's
+    # 66 against A's 25 y-pairs in 66, 17 or one block.
+    # The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
     # of the 40-byte pole rows per block, and one (7, 100) or all five
     # (2900) of the 303-byte membership rows of A's a values and the
     # translations per table block; the poles of sigma (24 maps x 5 points)
     # and sumprod (25 x 5) are reduced to their distinct values at 7 and 100
-    for chunk in (7, 100, 2900):
-        for name in ("_CHUNK", "_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
-            monkeypatch.setattr(counts, name, chunk)
+    for cells in (7, 100, 2900):
+        for name in ("_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
+            monkeypatch.setattr(counts, name, cells)
         assert all_counts() == want
 
 
 def test_pair_histogram_routes_agree(monkeypatch):
-    """Each pair histogram gives the same arrays counted by index (a block
-    holds at least p keys, as at the default chunk) and sorted (at 100)."""
-    p = 1009
-    A, H = _rand_a(p, 40), _rand_h(p, 40)  # 1600 keys each; 805 differences
+    """Each pair histogram equals a Counter over its pairs: added by index
+    where p is at most its keys (no _tally), else sorted and counted once."""
     tallies = []
     real = counts._tally
     monkeypatch.setattr(counts, "_tally", lambda *args: tallies.append(1) or real(*args))
 
-    def histograms():
-        d, r = counts._differences(A)
-        assert np.all(d[1:] > d[:-1]) and d.dtype == r.dtype == np.int64
-        return d.tolist(), r.tolist(), _table(product_rep_histogram(A)), _table(d_histogram(H))
+    def counted(fn, S):
+        tallies.clear()
+        return _table(fn(S)), len(tallies)
 
-    want = histograms()
-    assert tallies == []  # every block indexed
-    monkeypatch.setattr(counts, "_CHUNK", 100)  # blocks of 80 or 805 keys, fewer than p
-    assert histograms() == want
-    assert len(tallies) > 3
+    # differences: n^2 keys; 1200^2 >= 1000003 > 2^18 is counted by index
+    for p, n, sorts in ((1009, 40, 0), (1000003, 1200, 0), (65537, 40, 1), (P61, 30, 1)):
+        A = _rand_a(p, n)
+        assert counted(counts._differences, A) == (Counter((x - y) % p for x in A for y in A), sorts)
+    # D: n^2 keys, formed as Python ints above 2^21 and counted as int64
+    for p, n, sorts in ((1009, 40, 0), (1000003, 40, 1), (2097169, 30, 1)):
+        H = _rand_h(p, n)
+        assert counted(d_histogram, H) == (Counter((a - c) * (b - d) % p for a, b in H for c, d in H), sorts)
+    # products of the m distinct differences: m^2 keys weighted by r(d1) r(d2),
+    # after the difference histogram's own tally where it sorts
+    for p, n, sorts in ((1009, 40, 0), (65537, 16, 2), (P61, 8, 2)):
+        A = _rand_a(p, n)
+        diffs, want = Counter((x - y) % p for x in A for y in A), Counter()
+        for d1, r1 in diffs.items():
+            for d2, r2 in diffs.items():
+                want[d1 * d2 % p] += r1 * r2
+        assert p <= len(diffs) ** 2 if sorts == 0 else p > len(diffs) ** 2
+        assert counted(product_rep_histogram, A) == (want, sorts)
 
 
 def test_t3_fill_chunks_at_p61(monkeypatch):
@@ -595,6 +611,7 @@ _PEAK_CASES = {
     "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
     "lk-8": lambda: (rich_lines, _rand_a(65537, 8), _rand_a(65537, 8), 2),
     "lk-12": lambda: (rich_lines, _rand_a(65537, 12), _rand_a(65537, 12), 2),
+    "lk-40": lambda: (rich_lines, _rand_a(65537, 40), _rand_a(65537, 40), 2),  # the runs, not the table, dominate
     "lk-p61": lambda: (rich_lines, _rand_a(P61, 8), _rand_a(P61, 8), 2),
     "sigma-40": lambda: (sigma, _rand_a(1009, 40), _rand_h(1009, 40)),
     "sigma-300": lambda: (sigma, _rand_a(1009, 300), _rand_h(1009, 2000)),
@@ -613,11 +630,10 @@ _PEAK_CASES = {
     "sumprod-poles": lambda: (sumprod_quadruples, _rand_a(65537, 200), 2),
     "cschain-poles": lambda: (cs_chain_report, _rand_a(65537, 20000), _rand_h(65537, 40)),
     # the pair histograms: about n^2 distinct differences (or n^2 / 2 distinct
-    # D values) of a random set while n^2 < p, and p of them above; the -600
-    # cases sort and merge several blocks; the -dense, -index and -40 cases
-    # hold p or fewer cells against a block's keys, so they count by index
-    # (product-rep-40 over 10 blocks), and the weighted blocks of
-    # product-rep-dense set its peak
+    # D values) of a random set while n^2 < p, and p of them above; where
+    # p > n^2 keys (the -300, -600, -16 and -p61 cases) all keys sort in one
+    # array, and where p <= n^2 (the -dense, -index and -40 cases) blocks of
+    # about _CELLS keys count by index (product-rep-40 over 74 blocks)
     "eplus-300": lambda: (additive_energy, _rand_a(1000003, 300)),
     "eplus-dense": lambda: (additive_energy, _rand_a(4099, 400)),
     "eplus-index": lambda: (additive_energy, _rand_a(4099, 2000)),
@@ -658,9 +674,9 @@ def _peak_and_estimate(monkeypatch, case):
 @pytest.mark.parametrize("case", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
 def test_reserved_bytes_bound_the_peak(monkeypatch, case):
     """Each kernel's estimate is at least tracemalloc's peak of the call, and
-    at most 4 peaks + 1 MiB (a gate that is not vacuous)."""
+    at most 2 peaks + 1 MiB (a gate that is not vacuous)."""
     peak, estimate = _peak_and_estimate(monkeypatch, case)
-    assert peak <= estimate <= 4 * peak + (1 << 20)
+    assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
 # the histograms and their readers: the coset labels (whose arguments and
@@ -760,8 +776,11 @@ def test_d_histogram_and_q_pin():
 
 # ------------------------------------------------------------ minkowski
 
-def test_minkowski_grid_pin():
-    assert tuple(minkowski_grid(B01)) == ((0, 0), (1, 1), (1, 6), (2, 0))
+def _minkowski_grid(A):
+    """The 45-degree image {(x+y, x-y): (x,y) in A x A}; D on it is the
+    Minkowski distance on A x A."""
+    p = A.p
+    return TranslateSet(p, tuple(((x + y) % p, (x - y) % p) for x in A for y in A))
 
 
 def test_minkowski_realisations_pin():
@@ -785,7 +804,7 @@ def test_minkowski_brute_force_small():
                             expected += 1
         assert minkowski_realisations(A, lam) == expected
         # the 45-degree image turns Minkowski distance into D
-        assert _table(d_histogram(minkowski_grid(A))).get(lam, 0) == expected
+        assert _table(d_histogram(_minkowski_grid(A))).get(lam, 0) == expected
 
 
 @pytest.mark.parametrize("p", [(1 << 31) - 1, P61])
@@ -794,7 +813,7 @@ def test_minkowski_at_word_size_primes(p):
     # difference d brings in S(0) = |A|, the pairs at dy = 0
     A = parse_setspec("random:12,1", Fp(p))
     d = (A.elements[3] - A.elements[7]) % p
-    grid = _table(d_histogram(minkowski_grid(A)))
+    grid = _table(d_histogram(_minkowski_grid(A)))
     for lam in (1, 5, p - 1, d * d % p, random.Random(p).randrange(1, p)):
         assert minkowski_realisations(A, lam) == grid.get(lam, 0)
     assert grid[d * d % p] > 0
@@ -807,7 +826,7 @@ def test_minkowski_takes_no_square_root(monkeypatch):
     monkeypatch.setattr(counts, "_sqrt_vec", no_root)
     for p in (1009, 1000003, P61):
         A = parse_setspec("random:20,1", Fp(p))
-        assert minkowski_realisations(A, 5) == _table(d_histogram(minkowski_grid(A))).get(5, 0)
+        assert minkowski_realisations(A, 5) == _table(d_histogram(_minkowski_grid(A))).get(5, 0)
 
 
 def test_minkowski_rect_cover_is_one_sided():
@@ -1235,12 +1254,15 @@ def test_dot_exact_on_both_sides_of_int64():
         [0, 0, 0, 1, 2, 2, 3, 5, 5, 5, 5],
         [],
         [P61**3, P61**3, 2**70, 2**70 + 1, 2**70 + 1],
+        [0, 0, 1, 2, 3, 3, 3, 4, 5, 6, 7, 8, 8],
+        [P61**3] * 4 + [2**70, 2**70 + 1, 2**70 + 1],
     ],
-    ids=["one-key", "all-equal", "all-distinct", "runs-at-both-ends", "empty", "object"],
+    ids=["one-key", "all-equal", "all-distinct", "runs-at-both-ends", "empty", "object", "few-equal", "object-runs"],
 )
 def test_equal_neighbour_sum_matches_counter(keys):
-    """N + sum L (L + 1) over the stretches of L equal neighbours of sorted
-    keys is their sum of squared multiplicities; Python ints as object keys."""
+    """The sum of squared multiplicities of sorted keys, read off the equal
+    neighbours where they are at most half (all-distinct, few-equal, object)
+    and off the unequal ones elsewhere; Python ints as object keys."""
     array = np.array(sorted(keys), dtype=object if keys and max(keys) >= 1 << 63 else np.int64)
     assert counts._sorted_square_sum(array, counts._item_bytes(P61)) == sum(v * v for v in Counter(keys).values())
 

@@ -10,7 +10,7 @@ PUBLIC = [
     "cs_chain_report", "d_histogram", "difference_set", "embed_translate", "errors",
     "eval_charsum", "eval_fp_extras", "eval_incidence_hb", "eval_lines", "eval_main_theorem",
     "eval_mk_bb", "eval_t3_bounds", "evaluate", "field", "gen_cartesian", "invert", "is_prime",
-    "make_report", "max_line_multiplicity", "minkowski_grid", "minkowski_realisations",
+    "make_report", "max_line_multiplicity", "minkowski_realisations",
     "moebius", "oracle", "pair_quotient", "parse_setspec", "product_rep_energy",
     "product_rep_histogram", "q_rect", "quotient_histogram", "read_scalar_file",
     "read_translate_file", "report_to_csv_row", "report_to_json_obj", "rich_hyperbolae",
@@ -21,4 +21,4 @@ PUBLIC = [
 
 def test_public_api_pinned():
     assert sorted(hyperlab.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == len(set(PUBLIC)) == 71
+    assert len(PUBLIC) == len(set(PUBLIC)) == 70
