@@ -26,8 +26,8 @@ and otherwise sort all n^2 keys as int64: nothing merges, and every
 histogram leaves the module as arrays, its values ascending.  Weighted
 int64 keys sort packed, key (max weight + 1) + weight, where that fits
 int64, and by argsort otherwise; a weight sum is int64 only where
-len(weights) max(weight) < 2^63.  Keys stay below p^3: int64 for
-p <= 2^21, Python ints above.
+len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for p <= 1289
+(SL2 kernels only), int64 for p <= 2^21, Python ints above.
 
 T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
 the squared run lengths (_sorted_square_sum); the quotient arm weighs the
@@ -89,6 +89,7 @@ _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
 _T3_QUOTIENTS = 3 / 5  # |Q| / |H|^2 up to which the quotient arm of T_3 takes less time
+_INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
 
@@ -148,10 +149,11 @@ def _table_bytes(p: int, sqrt: bool = False) -> int:
     return (32 + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
 
 
-def _item_bytes(p: int) -> int:
-    """Bytes per group-kernel array element: an int64, or above _INT64_P a
-    pointer to a Python int no larger than a key (< p^3)."""
-    return 8 if p <= _INT64_P else 8 + sys.getsizeof(p**3)
+def _item_bytes(p: int, sl2: bool = False, top: int = 0) -> int:
+    """Bytes per array element of a key (< p^3), or of a value below top: an
+    int64, an int32 in an SL2 kernel up to _INT32_P (_sl2_columns), or above
+    _INT64_P a pointer to a Python int."""
+    return 4 if sl2 and p <= _INT32_P else 8 if p <= _INT64_P else 8 + sys.getsizeof(top or p**3)
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,13 @@ def _pole_rows(p: int, poles, xs):
     return rows
 
 
-def _hits(p: int, xs, poles, pole, shift, targets=None, key=None) -> np.ndarray:
+def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> np.ndarray:
     """For each map i, x -> shift[i] + row(x), where row is the row of
     poles[pole[i]] (see _pole_rows), the number of points x of xs whose image
     lies in targets, or where targets is None in the row of poles[key[i]], as
     int64.  xs, shifts and targets are int64 residues, so a cell lies in
-    [0, 3p) and 2p never hits.
+    [0, 3p) and 2p never hits.  The caller holds held bytes per map (by
+    default 2 residues: sigma's shifts or sumprod's factors as they form).
 
     The rows are formed for a block of poles within _HIT_ROW_BYTES at a time,
     all at once where they fit; a cell is then a row gather, an add and a
@@ -237,16 +240,15 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None) -> np.ndarray:
     # inverses, zero mask), above the table range a Python int, its pointer
     # and its conversion per inverse, 8 more where the block before lives on
     # as the next forms and 32 more where target rows form (keys and wrap,
-    # joined); per map 5 items (a caller's columns: a translate set's,
-    # sumprod's factors, a quotient histogram's arguments) and 7 int64
-    # (poles, shifts, keys, offsets, output), 6 int64 more as the maps sort;
+    # joined); per map the caller's held bytes and 7 int64 (poles, shifts,
+    # keys, offsets, output), 6 int64 more as the maps sort;
     # per cell of a chunk 17 bytes reading a membership table (3p bytes per
     # target row) or 72 as np.isin sorts the cells
     row = 17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) + 8 * (pole_blocks > 1) + 32 * (targets is None)
     row *= min(len(poles), per_pole) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
-    maps_bytes = (5 * _item_bytes(p) + 56 + 48 * (groups > 1)) * maps
+    maps_bytes = ((2 * _item_bytes(p, top=p) if held is None else held) + 56 + 48 * (groups > 1)) * maps
     _reserve("Moebius hits", row + maps_bytes + cells + member_bytes + _table_bytes(p))
     order, bounds = None, [0, maps]
     if groups > 1:
@@ -322,6 +324,12 @@ def _array(S, dtype=None):
     return np.array(S.elements, dtype=dtype or (np.int64 if S.p <= _INT64_P else object))
 
 
+def _sl2_columns(H: TranslateSet):
+    """The columns a, b of a translate set for the SL2 kernels, int32 up to
+    _INT32_P, where their keys (< p^3) fit it, and as _array above."""
+    return _array(H, np.int32 if H.p <= _INT32_P else None).reshape(-1, 2).T
+
+
 def _distinct(p: int, v, width: int):
     """The distinct values of an array of poles and the index of each among
     them, so that _hits forms one row of width cells per distinct pole.
@@ -349,7 +357,7 @@ def _key_blocks(p: int, u, v, key):
 
 def _write_keys(p: int, u, v, key=_key, dtype=None):
     """The keys of _key_blocks, by default the products', in one flat array of
-    u's dtype or of dtype (int64 for residues formed as Python ints)."""
+    u's dtype or of dtype (int64 for residues formed as Python ints or int32 blocks)."""
     out = np.empty((len(u[0]), len(v[0])), dtype=dtype or u[0].dtype)
     for rows, keys in _key_blocks(p, u, v, key):
         out[rows] = keys
@@ -360,12 +368,12 @@ def _write_keys(p: int, u, v, key=_key, dtype=None):
 def _tally(keys, weights=None):
     """Each distinct key, ascending, and its total weight, or its multiplicity
     when no weights are given; keys are nonnegative.  Unweighted, keys are
-    sorted in place.  Weighted int64 keys with (max key + 1)(max weight + 1)
-    <= 2^63 are overwritten: key (max weight + 1) + weight is sorted in place
-    and unpacked, one sort where an argsort and two gathers take about three
-    times as long; other keys (Python ints above 2^21 among them) go by
-    argsort.  A weight sum is int64 where len(weights) max(weight) < 2^63
-    bounds it and a Python int otherwise."""
+    sorted in place.  Weighted keys are int64 (written so on the int32 rung)
+    or Python ints; int64 keys with (max key + 1)(max weight + 1) <= 2^63 are
+    overwritten: key (max weight + 1) + weight is sorted in place and
+    unpacked, one sort where an argsort and two gathers take about three
+    times as long; other keys go by argsort.  A weight sum is int64 where
+    len(weights) max(weight) < 2^63 bounds it and a Python int otherwise."""
     top = 0
     if weights is None:
         keys.sort()
@@ -433,10 +441,11 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     benchmark's trace counts one quotient_histogram call per energy, t4,
     cschain and borel job."""
     p = H.p
-    # 5 items per pair, as the keys form, sort and count (32 B a pair at int64
-    # and 241 B at 2^61 - 1, measured)
-    _reserve("quotient histogram", 5 * len(H) ** 2 * _item_bytes(p))
-    a, b = _array(H).reshape(-1, 2).T
+    # per pair 2 items (keys, then the distinct ones) and 16 B (run edges and
+    # counts): 24 B at int32, 32 B at int64; above 2^21 5 items (241 B at 2^61 - 1)
+    item = _item_bytes(p, sl2=True)
+    _reserve("quotient histogram", (2 * item + 16 if p <= _INT64_P else 5 * item) * len(H) ** 2)
+    a, b = _sl2_columns(H)
     key = lambda p, a1, b1, a2, b2: np.where(  # noqa: E731
         (w := _mod(b1 - b2, p)) == 0, _mod(a1 - a2, p) * p, (w * p + a1) * p + a2)
     keys, counts = _tally(_write_keys(p, (a, b), (a, b), key))
@@ -451,17 +460,17 @@ def _t3_fill_bytes(p: int, n: int) -> int:
     """The T_3 fill's keys and the run count's 1 byte per key, 4 items per
     pair quotient and 5 items and 8 B per cell of a key block (measured: 9.1 B
     a key at |H| = 128, 45 B a block cell at int64, 164 B at 2097169)."""
-    item = _item_bytes(p)
+    item = _item_bytes(p, sl2=True)
     return (item + 1) * n**3 + 4 * item * n * n + (5 * item + 8) * min(n**3, max(n, _CELLS))
 
 
 def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
     """m rows of n keys weighted by at most top, as they form and tally: per
-    key 1 item and 32 B (40 B on random translates, 24 B on grids at int64),
-    2 items more where keys and weights do not pack (argsort); 5 items and
-    8 B per cell of a key block and 8 items per row (histogram, columns)."""
-    item, packs = _item_bytes(p), p**3 * (top + 1) <= 1 << 63
-    return (item + 32 + 2 * item * (not packs)) * m * n + (5 * item + 8) * min(m * n, max(n, _CELLS)) + 8 * item * m
+    key 1 item (int64 on the int32 rung) and 32 B (40 B random, 24 B grids),
+    2 items more where keys and weights do not pack (argsort); 5 SL2 items
+    and 8 B per cell of a key block and 8 items per row (histogram, columns)."""
+    item, cell, packs = _item_bytes(p), _item_bytes(p, sl2=True), p**3 * (top + 1) <= 1 << 63
+    return (item + 32 + 2 * item * (not packs)) * m * n + (5 * cell + 8) * min(m * n, max(n, _CELLS)) + 8 * item * m
 
 
 def _t3_keys(H: TranslateSet):
@@ -469,7 +478,7 @@ def _t3_keys(H: TranslateSet):
     |H|^2 pair quotients with the embedded h3."""
     p, n = H.p, len(H)
     _reserve("T3 key array", _t3_fill_bytes(p, n))
-    a, b = _array(H).reshape(-1, 2).T
+    a, b = _sl2_columns(H)
     keys = _write_keys(p, [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)],
                        embed_entries(p, a, b))
     keys.sort()
@@ -481,8 +490,9 @@ def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
     g = u h3 of the support with the embedded h3 of (sum of r(u) behind g)^2."""
     p, n, m = H.p, len(H), len(hist)
     _reserve("T3 quotient keys", _weighted_key_bytes(p, m, n, int(hist.counts.max(initial=0))))
-    a, b = _array(H).reshape(-1, 2).T
-    _, sums = _tally(_write_keys(p, hist.columns, embed_entries(p, a, b)), np.repeat(hist.counts, n))
+    a, b = _sl2_columns(H)
+    _, sums = _tally(_write_keys(p, hist.columns, embed_entries(p, a, b), dtype=np.int64 if p <= _INT64_P else None),
+                     np.repeat(hist.counts, n))
     return _dot(sums, sums)
 
 
@@ -502,12 +512,13 @@ def t_k(H: TranslateSet, k: int) -> int:
                 with suppress(ResourceLimit):  # the fill may fit the budget where this arm does not
                     return _t3_quotients(H, hist)
             del hist  # the fill peaks without it
-        return _sorted_square_sum(_t3_keys(H), _item_bytes(p))
+        return _sorted_square_sum(_t3_keys(H), _item_bytes(p, sl2=True))
     if k == 4:
         q2 = quotient_histogram(H)
         m, top = len(q2), int(q2.counts.max(initial=0))
         _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
-        _, sums = _tally(_write_keys(p, *[q2.columns] * 2), (q2.counts[:, None] * q2.counts).reshape(-1))
+        _, sums = _tally(_write_keys(p, *[q2.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
+                         (q2.counts[:, None] * q2.counts).reshape(-1))
         return _dot(sums, sums)
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
@@ -634,9 +645,11 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks)."""
     p, n = A.p, len(A)
     roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
-    # 12 items per cell of a block (n^2 y-pairs per x-pair) and 3 per root
+    # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
+    # roots form, per root its key (< p^2) and 16 B as _tally reads the runs
     block = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
-    _reserve("m_k pair pass", _item_bytes(p) * (12 * block + 3 * roots) + _table_bytes(p, sqrt=True))
+    _reserve("m_k pair pass", (6 * _item_bytes(p, top=p) + 8) * block + (_item_bytes(p, top=p * p) + 16) * roots
+             + _table_bytes(p, sqrt=True))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -779,13 +792,13 @@ def _borel_keys(H: TranslateSet):
     |H|^2 M triples, M the most translates sharing an a."""
     p, n = H.p, len(H)
     item = _item_bytes(p)
-    # per pair 4 items and 2 int64 as the a3 form and their runs in by_a
-    # are found (above 2^18 a Python int and its pointer per inverse); per
-    # triple 16 items and 5 int64 as the indices, the entries and the keys
-    # form
+    # per pair 4 items and 2 int64 as the a3 form (int64 on the SL2 rung too,
+    # off the inverse table) and their runs in by_a are found (above 2^18 a
+    # Python int and its pointer per inverse); per triple 16 SL2 items and 5
+    # int64 as the indices, the entries and the keys form
     pair_bytes = (4 * item + 16 + (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p))) * n * n
     _reserve("Borel T3 join", pair_bytes + _table_bytes(p))
-    a, b = _array(H).reshape(-1, 2).T
+    a, b = _sl2_columns(H)
     order = np.argsort(a)
     by_a = a[order]
     w = _mod(b[:, None] - b, p).ravel()  # the pair (h1, h2) at index i1 n + i2
@@ -795,7 +808,7 @@ def _borel_keys(H: TranslateSet):
     span[w == 0] = 0  # inv(0) = 0 would join a3 = a2
     del w, a3
     triples = int(span.sum())
-    _reserve("Borel T3 join", pair_bytes + (16 * item + 40) * triples)
+    _reserve("Borel T3 join", pair_bytes + (16 * _item_bytes(p, sl2=True) + 40) * triples)
     pair = np.repeat(np.arange(n * n), span)
     i3 = order[np.repeat(lo - np.cumsum(span) + span, span) + np.arange(triples)]
     del lo, span
@@ -823,7 +836,8 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     p = A.p
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
-    w, a1, a2 = (v.astype(np.int64, copy=False) for v in hist.args)
+    r, (w, a1, a2) = hist.counts, (v.astype(np.int64, copy=False) for v in hist.args)
+    del hist  # the arguments live on as int64 only (int32 or Python ints in hist)
     xs = _array(A, np.int64)
     # u = h1 h2^-1 maps a2 to a1 and x != a2 to a1 + 1/(w + inv(x - a2)), which
     # is y != a1 in A exactly when w + inv(x - a2) = inv(y - a1) (0 is no
@@ -840,16 +854,16 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     z = w == 0
     pole = np.where(z, len(ha) - 1, rank(a2))
     key = np.where(z, len(ha) - 1, rank(a1))
-    su = _hits(p, xs, ha, pole, np.where(z, a1, w), None, key)
+    su = _hits(p, xs, ha, pole, np.where(z, a1, w), None, key, held=32)  # w, a1, a2, r
     in_a = xs[np.searchsorted(xs[:-1], ha)] == ha  # a pole lies in A (oo does not)
     su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
-    total_rs = _dot(hist.counts, su)
+    total_rs = _dot(r, su)
     rhs = len(A) * total_rs
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
     omega = su >= -(-delta.numerator // delta.denominator)  # sigma_u >= ceil(delta)
-    share = Fraction(_dot(hist.counts[omega], su[omega]), total_rs) if total_rs else Fraction(1)
+    share = Fraction(_dot(r[omega], su[omega]), total_rs) if total_rs else Fraction(1)
     return CsChainReport(
         sigma=sig,
         lhs_sq=sig * sig,

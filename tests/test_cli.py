@@ -55,13 +55,14 @@ def test_compute_json_roundtrip(capsys):
 
 
 def test_compute_budget_overflow_exit_2(capsys):
-    code, _, err = run(capsys, "compute", "t3", "--p", "101", "--H", "randomh:600,1")
+    # 700^3 int32 keys: 1.72 GB against the default 1.61 GB
+    code, _, err = run(capsys, "compute", "t3", "--p", "101", "--H", "randomh:700,1")
     assert code == 2
     assert "budget" in err
 
 
 def test_compute_budget_env_moves_cap(capsys, monkeypatch):
-    args = ("compute", "t3", "--p", "101", "--H", "randomh:30,1")
+    args = ("compute", "t3", "--p", "101", "--H", "randomh:40,1")  # the fill reserves 1.33 MB
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     code, _, err = run(capsys, *args)
     assert code == 2 and "budget" in err
@@ -92,8 +93,8 @@ def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantit
 
 
 def test_default_budget_refuses_large_energy(capsys):
-    # the 8192^2-pair quotient histogram would need about 2.7 GB (40 B per pair)
-    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:8192,1")
+    # the 11000^2-pair quotient histogram would need about 2.9 GB (24 B per pair)
+    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:11000,1")
     assert code == 2
     required, budget = map(int, _REFUSAL.match(err.strip()).groups())
     assert budget == 1536 << 20 < 2.5 * 10**9 < required

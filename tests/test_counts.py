@@ -415,9 +415,9 @@ def test_t3_budget_gate(monkeypatch):
     H, big = rand_translates(rng, 101, 40), rand_translates(rng, 101, 150)
     grid = parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009))
     want = t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)
-    # 40^3 keys and a key block: 2.3 MB; 150^2 pairs and about 150^3 / 101
-    # Borel triples: 6.7 MB; the grid's 1819 quotients times 100 translates:
-    # 9.0 MB
+    # 40^3 int32 keys and a key block: 1.3 MB; 150^2 pairs and about
+    # 150^3 / 101 Borel triples: 4.6 MB; the grid's 1819 quotients times 100
+    # translates: 8.4 MB
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T3 key array"):
         t_k(H, 3)
@@ -429,9 +429,9 @@ def test_t3_budget_gate(monkeypatch):
         t_k(grid, 3)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
-    # the default budget admits the fill at |H| = 512 (10 B per key of
-    # 512^3: 1.35 GB), past the support histogram that chose it; an admitted
-    # fill stops before it allocates
+    # the default budget admits the fill at |H| = 512 (5 B per int32 key of
+    # 512^3: 0.68 GB), past the support histogram that chose it, and up to
+    # |H| = 684 at p = 1009; an admitted fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
 
@@ -444,7 +444,7 @@ def test_t3_budget_gate(monkeypatch):
     with pytest.raises(_Admitted):
         t_k(rand_translates(rng, 1009, 512), 3)
     with pytest.raises(ResourceLimit, match="T3 key array"):
-        t_k(rand_translates(rng, 1009, 600), 3)
+        t_k(rand_translates(rng, 1009, 700), 3)
 
 
 def test_t3_arm_follows_the_support(monkeypatch):
@@ -467,7 +467,7 @@ def test_t3_arm_follows_the_support(monkeypatch):
         arms.clear()
         t_k(parse_setspec(spec, F), 3)
         assert arms == want, spec
-    # the quotient arm reserves 32.2 MiB for mid, the fill 22.0 MiB
+    # the quotient arm reserves 31.6 MiB for mid, the fill 11.2 MiB
     want = _t3_by_fill(mid)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "28")
     arms.clear()
@@ -491,6 +491,66 @@ def test_t3_arms_agree(p, spec):
     H = parse_setspec(spec, Fp(p))
     assert len(H) >= 128
     assert _t3_by_quotients(H) == _t3_by_fill(H)
+
+
+def _sl2_counts(H, H4):
+    """Every SL2 count and histogram of H (T_4 of the smaller H4), with both
+    T_3 arms forced, as plain ints and lists."""
+    hist = quotient_histogram(H)
+    labels, masses, max_nb = borel_coset_mass(H)
+    return (t_k(H, 2), t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), t_k(H4, 4), borel_t3_mass(H),
+            labels.tolist(), masses.tolist(), max_nb, [v.tolist() for v in (*hist.args, hist.counts)])
+
+
+@pytest.mark.parametrize("spec", ["randomh:128,1", "cart:ap:1,1,16;random:8,2"])
+@pytest.mark.parametrize("p", [1289, 1291])
+def test_int32_rung_matches_the_int64_route(monkeypatch, p, spec):
+    """At the top of the int32 rung (1289^3 < 2^31) and at the first prime
+    above it (1291^3 > 2^31), every SL2 kernel agrees with the int64 route,
+    forced by emptying the rung.  The random set fills and the grid takes
+    the quotient arm, and each forced arm runs too."""
+    H = parse_setspec(spec, Fp(p))
+    H4 = TranslateSet(p, H.elements[:24])
+    assert len(H) >= 128
+    assert quotient_histogram(H).args[0].dtype == (np.int32 if p == 1289 else np.int64)
+    got = _sl2_counts(H, H4)
+    monkeypatch.setattr(counts, "_INT32_P", 0)
+    assert quotient_histogram(H).args[0].dtype == np.int64
+    assert got == _sl2_counts(H, H4)
+
+
+@pytest.mark.parametrize("p", [1289, 1291])
+def test_int32_rung_against_the_oracle(p):
+    """At |H| <= 10 on both sides of the rung, T_2 and T_3 equal the oracle,
+    and T_4, the Borel part of T_3 and the coset masses equal compose loops;
+    (p - 1, p - 1) puts the largest residues into every key, and (5, 1)
+    (0, 0) joins (p - 1, 7) and (p - 1, p - 1) as Borel triples."""
+    F = Fp(p)
+    H = TranslateSet(p, (*rand_translates(random.Random(p), p, 6), (0, 0), (5, 1), (p - 1, 7), (p - 1, p - 1)))
+    assert len(H) == 10
+    assert t_k(H, 2) == oracle.energy_naive(H)
+    assert t_k(H, 3) == oracle.t3_naive(H)
+    mats = [embed_translate(F, h) for h in H]
+    quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
+    triples = [compose(u, m3) for u in quotients for m3 in mats]
+    r4 = Counter(compose(u, v).entries for u in quotients for v in quotients)
+    rb = Counter(g.entries for g in triples if g.c == 0)
+    masses = Counter()
+    for entries, n in Counter(u.entries for u in quotients).items():
+        masses[evaluate(MoebiusMap(p, *entries), INFINITY)] += n * n
+    assert t_k(H, 4) == sum(v * v for v in r4.values())
+    assert borel_t3_mass(H) == sum(v * v for v in rb.values()) > 0
+    assert _cosets(H)[0] == masses
+
+
+def test_int32_rung_keys_stay_below_p_cubed():
+    """An overflow sentinel: with (1288, 1288) in H, every T_3 key at
+    p = 1289, formed in int32, lies in [0, 1289^3)."""
+    p = 1289
+    H = TranslateSet(p, (*rand_translates(random.Random(1), p, 63), (p - 1, p - 1), (0, p - 1), (p - 1, 0)))
+    keys = counts._t3_keys(H)
+    assert keys.dtype == np.int32 and len(keys) == len(H) ** 3
+    assert 0 <= int(keys.min()) and int(keys.max()) < p**3
 
 
 @pytest.mark.parametrize(
@@ -540,7 +600,7 @@ def test_t4_budget_gate(monkeypatch):
     rng = random.Random(0)
     H = rand_translates(rng, 101, 30)
     want = t_k(H, 4)
-    # the quotient histogram (94 kB) fits, the support^2 convolution (32 MB) does not
+    # the quotient histogram (87 kB) fits, the support^2 convolution (31 MB) does not
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T4 self-convolution"):
         t_k(H, 4)
@@ -549,14 +609,14 @@ def test_t4_budget_gate(monkeypatch):
 
 
 def test_budget_from_env(monkeypatch):
-    H = rand_translates(random.Random(0), 101, 170)
+    H = rand_translates(random.Random(0), 101, 220)
     with pytest.raises(ResourceLimit) as e:
         counts._reserve("table", 1536 << 20)
     assert e.value.budget == 1536 << 20  # the default, in bytes
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (40 * 170**2 + counts._OVERHEAD, 1 << 20)
+    assert (e.value.required, e.value.budget) == (24 * 220**2 + counts._OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -576,14 +636,17 @@ def _rand_a(p, n):
 
 P61 = (1 << 61) - 1
 
-# each table-building kernel at two small sizes; p >= 2097169 runs on Python ints
+# each table-building kernel at two small sizes; p >= 2097169 runs on Python
+# ints.  The SL2 kernels run on int32 at p = 1009 and on int64 at their 1291 twins
 _PEAK_CASES = {
     "quotient-64": lambda: (quotient_histogram, _rand_h(1009, 64)),
     "quotient-256": lambda: (quotient_histogram, _rand_h(1009, 256)),
+    "quotient-1291": lambda: (quotient_histogram, _rand_h(1291, 256)),
     "quotient-2097169": lambda: (quotient_histogram, _rand_h(2097169, 64)),
     "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
     "t3-24": lambda: (t_k, _rand_h(1009, 24), 3),
     "t3-80": lambda: (t_k, _rand_h(1009, 80), 3),
+    "t3-1291": lambda: (t_k, _rand_h(1291, 80), 3),
     # the coset labels on top of the quotient histogram: a table read, a
     # cold table build, and a Python int per inverse above 2^18
     "borel-256": lambda: (borel_coset_mass, _rand_h(1009, 256)),
@@ -593,13 +656,16 @@ _PEAK_CASES = {
     # the T_3 quotient arm (forced on the random set) and the Borel join
     "t3-quotient-cart": lambda: (t_k, parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009)), 3),
     "t3-quotient-random": lambda: (_t3_by_quotients, _rand_h(1009, 48)),
+    "t3-quotient-1291": lambda: (t_k, parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1291)), 3),
     "t3-quotient-2097169": lambda: (t_k, parse_setspec("cart:ap:1,1,8;ap:1,1,4", Fp(2097169)), 3),
     "borel-t3-cart": lambda: (borel_t3_mass, parse_setspec("cart:ap:1,1,12;ap:1,1,12", Fp(1009))),
     "borel-t3-random": lambda: (borel_t3_mass, _rand_h(1009, 128)),
+    "borel-t3-1291": lambda: (borel_t3_mass, _rand_h(1291, 128)),
     "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
     "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),
     "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
     "t4-24": lambda: (t_k, _rand_h(1009, 24), 4),
+    "t4-1291": lambda: (t_k, _rand_h(1291, 24), 4),
     "t4-p61": lambda: (t_k, _rand_h(P61, 10), 4),
     # m_k at k = 2, where every translate found is counted: the column
     # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
@@ -618,6 +684,7 @@ _PEAK_CASES = {
     "sigma-p61": lambda: (sigma, _rand_a(P61, 20), _rand_h(P61, 30)),
     # one point and 200 000 maps: the per-map columns, not the block, dominate
     "sigma-maps": lambda: (sigma_rect, _rand_a(1009, 1), _rand_a(1009, 1009), _rand_h(1009, 200000)),
+    "sigma-maps-p61": lambda: (sigma_rect, _rand_a(P61, 1), _rand_a(P61, 1009), _rand_h(P61, 10000)),
     "sumprod-20": lambda: (sumprod_quadruples, _rand_a(1009, 20), 2),
     "sumprod-64": lambda: (sumprod_quadruples, _rand_a(1009, 64), 4),
     "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
