@@ -20,14 +20,15 @@ keys lie in a range no longer than they are many: there one array indexed
 by key counts them (np.add.at per block, as np.bincount returns an array a
 call and sums weights in float64; the m_k column arm bincounts a block of
 rows).  So the histograms over element pairs (differences for eplus,
-minkowski and the product histogram, D(h, h') for q and t3), residues mod p
-of n^2 pairs (_sort_count), add into one p-long int64 total where p <= n^2
-and otherwise sort all n^2 keys as int64: nothing merges, and every
-histogram leaves the module as arrays, its values ascending.  Weighted
-int64 keys sort packed, key (max weight + 1) + weight, where that fits
-int64, and by argsort otherwise; a weight sum is int64 only where
-len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for p <= 1289
-(SL2 kernels only), int64 for p <= 2^21, Python ints above.
+minkowski and the product histogram, D(h, h') for q and t3) and the growth
+sets A + B and A - B (sets.sumset and sets.difference_set, which keep the
+values only), residues mod p of n^2 pairs (_sort_count), add into one
+p-long int64 total where p <= n^2 and otherwise sort all n^2 keys as int64:
+nothing merges, and every histogram leaves the module as arrays, its values
+ascending.  Weighted int64 keys sort packed, key (max weight + 1) + weight,
+where that fits int64, and by argsort otherwise; a weight sum is int64 only
+where len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for
+p <= 1289 (SL2 kernels only), int64 for p <= 2^21, Python ints above.
 
 T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
 the squared run lengths (_sorted_square_sum); the quotient arm weighs the
@@ -81,7 +82,7 @@ import numpy as np
 from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
 from .moebius import _mod, embed_entries, pair_quotient_entries, product_key_entries
-from .sets import ScalarSet, TranslateSet
+from .sets import ScalarSet, TranslateSet, _sorted_set
 
 _INV_TABLE_MAX = 1 << 18
 _CELLS = 1 << 15  # cells per block of every keyed pass (2^14 to 2^16 time alike; 2^18 was slower)
@@ -142,11 +143,12 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int, sqrt: bool = False) -> int:
+def _table_bytes(p: int) -> int:
     """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather) and, if asked, of a square-root table
-    build (20 p); tracemalloc peaks, 0 where no table is built."""
-    return (32 + 20 * sqrt) * p if p <= _INV_TABLE_MAX else 0
+    table, the index and the gather), a tracemalloc peak, 0 where no table
+    is built; the table kept is 8 p, as is a square-root table, whose build
+    (20 p) peaks below it."""
+    return 32 * p if p <= _INV_TABLE_MAX else 0
 
 
 def _item_bytes(p: int, sl2: bool = False, top: int = 0) -> int:
@@ -389,12 +391,13 @@ def _tally(keys, weights=None):
         else:
             order = np.argsort(keys)
             keys, weights = keys[order], weights[order]
-    # runs start at 0 and where the key changes; the edge at len(keys) closes the last
+    # runs start at 0 and where the key changes; the edge at len(keys) closes
+    # the last (np.flatnonzero and np.diff cost 2-3 times as much on few keys)
     edges = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
-    edges = np.flatnonzero(edges)
+    edges = edges.nonzero()[0]
     if weights is None:
-        return keys[edges[:-1]], np.diff(edges)
+        return keys[edges[:-1]], edges[1:] - edges[:-1]
     if len(weights) * top >= 1 << 63:
         weights = weights.astype(object)
     return keys[edges[:-1]], np.add.reduceat(weights, edges[:-1])
@@ -551,6 +554,20 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
     return _tally(_write_keys(p, u, v, key, np.int64), w)
 
 
+def _residue_set(what: str, A: ScalarSet, B: ScalarSet, key) -> ScalarSet:
+    """The set of the residues key(p, a, b) mod p over A x B (sets.sumset and
+    sets.difference_set): the values of one _sort_count of int64 keys at
+    every p, as a + b < 2^62.  Once their number is known, per value 8 B, a
+    list and a tuple pointer and a Python int as the tuple forms (56 B a
+    value measured at p = 1000003)."""
+    if A.p != B.p:
+        raise ModulusMismatch(f"{what} across moduli {A.p} and {B.p}")
+    p = A.p
+    values = _sort_count(what, p, (_array(A, np.int64),), (_array(B, np.int64),), key, len(A) * len(B))[0]
+    _reserve(what, (32 + sys.getsizeof(p)) * len(values))
+    return _sorted_set(p, tuple(values.tolist()))
+
+
 def d_histogram(H: TranslateSet) -> tuple:
     """(d ascending, number of ordered pairs with D(h, h') = (a-a')(b-b') = d)."""
     p, n = H.p, len(H)
@@ -646,10 +663,13 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     p, n = A.p, len(A)
     roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
     # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
-    # roots form, per root its key (< p^2) and 16 B as _tally reads the runs
+    # roots form, per root its key (< p^2) and 16 B as _tally reads the runs,
+    # next to the inverse and square-root tables (16 p); their cold builds
+    # run one after the other, the inverses' the larger
     block = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
-    _reserve("m_k pair pass", (6 * _item_bytes(p, top=p) + 8) * block + (_item_bytes(p, top=p * p) + 16) * roots
-             + _table_bytes(p, sqrt=True))
+    tables = _table_bytes(p)
+    _reserve("m_k pair pass", max(tables, (6 * _item_bytes(p, top=p) + 8) * block
+                                  + (_item_bytes(p, top=p * p) + 16) * roots + tables // 2))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -767,13 +787,13 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
     """
     p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
-    # per quotient the histogram's 4 columns, and 6 items as the labels form
-    # and sort (the inverses, the labels, the weights, their order and both
-    # sorted), 8 bytes each; above the table range a Python int below p per
-    # inverse (and its pointer as it forms), above 2^21 one per argument and
-    # label too
+    # per quotient the histogram's 3 arguments (SL2 items: int32 up to
+    # 1289, Python ints below p above 2^21) and its counts, and 6 int64 as
+    # the labels form and sort (the inverses, the labels, the weights, their
+    # order and both sorted); above the table range a Python int below p per
+    # inverse (and its pointer as it forms), above 2^21 one per label too
     n, big = len(hist), sys.getsizeof(p)
-    per = 80 + (p > _INV_TABLE_MAX) * (8 + big) + (p > _INT64_P) * 4 * big
+    per = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INV_TABLE_MAX) * (8 + big) + (p > _INT64_P) * big
     _reserve("Borel coset labels", per * n + _table_bytes(p))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyInput, InvalidSpec, ModulusMismatch, _reserve
 from .field import Fp
-from .moebius import Translate
+from .moebius import Translate, _mod
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,15 @@ class ScalarSet:
 
     def __iter__(self):
         return iter(self.elements)
+
+
+def _sorted_set(p: int, elements: tuple) -> ScalarSet:
+    """The ScalarSet of elements that are distinct residues mod p in ascending
+    order already, taken as they are: no second reduction and sort."""
+    S = object.__new__(ScalarSet)
+    object.__setattr__(S, "p", p)
+    object.__setattr__(S, "elements", elements)
+    return S
 
 
 @dataclass(frozen=True)
@@ -282,14 +291,12 @@ def max_line_multiplicity(H: TranslateSet) -> int:
 
 
 def sumset(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    if A.p != B.p:
-        raise ModulusMismatch(f"sumset across moduli {A.p} and {B.p}")
-    p = A.p
-    return ScalarSet(p, tuple({(a + b) % p for a in A for b in B}))
+    """A + B = {a + b mod p}, from the |A||B| keys of counts' keyed pass."""
+    from .counts import _residue_set  # counts imports this module
+    return _residue_set("sumset", A, B, lambda p, x, y: _mod(x + y, p))
 
 
 def difference_set(A: ScalarSet, B: ScalarSet) -> ScalarSet:
-    if A.p != B.p:
-        raise ModulusMismatch(f"difference set across moduli {A.p} and {B.p}")
-    p = A.p
-    return ScalarSet(p, tuple({(a - b) % p for a in A for b in B}))
+    """A - B = {a - b mod p}, from the |A||B| keys of counts' keyed pass."""
+    from .counts import _residue_set  # counts imports this module
+    return _residue_set("difference set", A, B, lambda p, x, y: _mod(x - y, p))

@@ -675,6 +675,8 @@ _PEAK_CASES = {
     "mk-pairs-10": lambda: (rich_hyperbolae, _rand_a(1009, 10), 2),
     "mk-pairs-12": lambda: (rich_hyperbolae, _rand_a(1009, 12), 2),
     "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
+    # past the cold table builds (the inverses' 32p, then 16p kept)
+    "mk-pairs-65537": lambda: (rich_hyperbolae, _rand_a(65537, 20), 2),
     "lk-8": lambda: (rich_lines, _rand_a(65537, 8), _rand_a(65537, 8), 2),
     "lk-12": lambda: (rich_lines, _rand_a(65537, 12), _rand_a(65537, 12), 2),
     "lk-40": lambda: (rich_lines, _rand_a(65537, 40), _rand_a(65537, 40), 2),  # the runs, not the table, dominate
@@ -717,6 +719,9 @@ _PEAK_CASES = {
     "d-hist-300": lambda: (d_histogram, _rand_h(1000003, 300)),
     "d-hist-600": lambda: (d_histogram, _rand_h(1000003, 600)),
     "d-hist-index": lambda: (d_histogram, _rand_h(65537, 300)),
+    # the growth sets of minkowski: the keyed pass, then a Python int per value
+    "sumset-index": lambda: (sumset, *[_rand_a(1009, 512)] * 2),
+    "difference-set-sorted": lambda: (difference_set, *[_rand_a(1000003, 300)] * 2),
     "q-p61": lambda: (q_rect, _rand_h(P61, 60)),
 }
 

@@ -265,3 +265,45 @@ def test_sumset_difference_set():
     A = ScalarSet(7, (0, 1, 3))
     assert tuple(sumset(A, A)) == (0, 1, 2, 3, 4, 6)
     assert tuple(difference_set(A, A)) == (0, 1, 2, 3, 4, 5, 6)
+
+
+P61 = (1 << 61) - 1
+
+# (p, |A|, |B|) with 0 and p - 1 joined to each set of more than one
+# element; the keyed pass counts by index where p <= |A||B|, else it sorts
+_GROWTH_CASES = {
+    "index": [(7, 3, 3), (7, 7, 1), (1009, 40, 30), (1009, 512, 512), (1000003, 1001, 1000)],
+    "sorted": [(7, 1, 1), (7, 2, 3), (1009, 1, 1), (1009, 30, 20), (1000003, 300, 200),
+               (2097169, 64, 48), (P61, 1, 1), (P61, 64, 48)],
+}
+
+
+def _growth_set(p, n, seed):
+    if n == 1:
+        return ScalarSet(p, (random.Random(seed).randrange(p),))
+    return ScalarSet(p, (0, p - 1, *random.Random(seed).sample(range(1, p - 1), n - 2)))
+
+
+@pytest.mark.parametrize("route, p, na, nb", [(r, *c) for r, cases in _GROWTH_CASES.items() for c in cases])
+def test_sumset_difference_set_against_the_set_comprehension(route, p, na, nb):
+    """Both growth sets equal the pure-Python set over all |A||B| pairs, on
+    both routes of the keyed pass, for A != B and for A = B, as Python ints."""
+    A, B = _growth_set(p, na, 1), _growth_set(p, nb, 2)
+    assert (p <= len(A) * len(B)) == (route == "index")
+    for X, Y in ((A, B), (A, A)):
+        for got, want in ((sumset(X, Y), {(x + y) % p for x in X for y in Y}),
+                          (difference_set(X, Y), {(x - y) % p for x in X for y in Y})):
+            assert got.elements == tuple(sorted(want)) and all(type(v) is int for v in got)
+
+
+def test_growth_sets_refuse_before_they_grow(monkeypatch):
+    """The growth sets reserve their keys' bytes first: over budget they
+    raise ResourceLimit with the estimate instead of growing a set."""
+    A = _growth_set(P61, 600, 1)  # 360000 int64 keys: 2.9 MB
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit, match="sumset"):
+        sumset(A, A)
+    with pytest.raises(ResourceLimit, match="difference set"):
+        difference_set(A, A)
+    with pytest.raises(ModulusMismatch):
+        sumset(A, ScalarSet(7, (1,)))
