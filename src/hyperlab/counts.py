@@ -63,9 +63,12 @@ lies in C/lam, so it divides lam out of its shifts and targets; a sumprod
 map is a = -g, b = -f, and a quotient with w = b1 - b2 != 0 maps x != a2
 to a1 + 1/(w + 1/(x - a2)) and a2 to a1, so an x != a2 hits A exactly when
 w + inv(x - a2) = inv(y - a1) for a y != a1 in A; a quotient with w = 0
-is the translation by a1 - a2, the map with pole oo.  The inverses come
-from one array route, _inv_vec: a table read off the powers of a primitive
-root for small p, and above it one Fp.inv call (the built-in
+is the translation by a1 - a2, the map with pole oo.  The Cauchy-Schwarz
+step tests only the quotients with w <= (p-1)/2, the translations whole,
+and weighs the rest twice: u^-1 has the arguments (-w, a2, a1), the same
+r and the same sigma_u, and p is odd, so w and p - w differ.  The inverses
+come from one array route, _inv_vec: a table read off the powers of a
+primitive root for small p, and above it one Fp.inv call (the built-in
 pow(x, -1, p)) per element.  The brute-force reference loops in the oracle
 module use Fermat powers instead, so the two routes share no arithmetic
 shortcuts.
@@ -240,13 +243,12 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
     chunk = max(1, _CELLS // max(1, width))
     # per (pole, point) of a block 17 bytes as its row forms (differences,
     # inverses, zero mask), above the table range a Python int, its pointer
-    # and its conversion per inverse, 8 more where the block before lives on
-    # as the next forms and 32 more where target rows form (keys and wrap,
-    # joined); per map the caller's held bytes and 7 int64 (poles, shifts,
-    # keys, offsets, output), 6 int64 more as the maps sort;
+    # and its conversion per inverse, and 32 more where target rows form
+    # (keys and wrap, joined); per map the caller's held bytes and 7 int64
+    # (poles, shifts, keys, offsets, output), 6 int64 more as the maps sort;
     # per cell of a chunk 17 bytes reading a membership table (3p bytes per
     # target row) or 72 as np.isin sorts the cells
-    row = 17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) + 8 * (pole_blocks > 1) + 32 * (targets is None)
+    row = 17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) + 32 * (targets is None)
     row *= min(len(poles), per_pole) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
@@ -270,15 +272,18 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
         if lo == hi:
             continue
         b0 = g % pole_blocks * per_pole
+        block = None  # the next rows form without the last block
         if k0 != g // pole_blocks * per:  # the membership of the next target rows
             if table and k0 is not None:
                 member[found] = False
+            found = None  # nor the last target keys
             k0 = g // pole_blocks * per
             if targets is not None:
                 found = targets
             else:
                 t = rows[k0 : k0 + per] if rows is not None else _pole_rows(p, poles[k0 : k0 + per], xs)
                 found = (t + np.arange(0, len(t) * stride, stride)[:, None])[t < p]
+                del t  # the pole blocks form without it
             found = np.concatenate((found, found + p))
             if table:
                 member[found] = True
@@ -856,8 +861,14 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     p = A.p
     sig = sigma(A, H, -1)
     hist = quotient_histogram(H)
-    r, (w, a1, a2) = hist.counts, (v.astype(np.int64, copy=False) for v in hist.args)
-    del hist  # the arguments live on as int64 only (int32 or Python ints in hist)
+    # the translations (w = 0, first by key) once each, then the w <= (p-1)/2
+    # for themselves and their inverses (-w, a2, a1): r doubled.  u takes the
+    # x in A with u(x) in A one to one to the y in A with u^-1(y) in A
+    t, m = hist.args[0].searchsorted([1, (p + 1) // 2])
+    cols = [hist.counts, *hist.args]
+    del hist  # each column goes once its first m are copied as int64 (int32 or Python ints in hist)
+    r, w, a1, a2 = (cols.pop(0)[:m].astype(np.int64) for _ in range(4))
+    r[t:] *= 2
     xs = _array(A, np.int64)
     # u = h1 h2^-1 maps a2 to a1 and x != a2 to a1 + 1/(w + inv(x - a2)), which
     # is y != a1 in A exactly when w + inv(x - a2) = inv(y - a1) (0 is no
@@ -870,12 +881,12 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
         rank[ha[:-1]] = np.arange(len(ha) - 1)
         rank = rank.__getitem__
     else:
-        rank = lambda v: np.searchsorted(ha, v)  # noqa: E731
-    z = w == 0
-    pole = np.where(z, len(ha) - 1, rank(a2))
-    key = np.where(z, len(ha) - 1, rank(a1))
-    su = _hits(p, xs, ha, pole, np.where(z, a1, w), None, key, held=32)  # w, a1, a2, r
-    in_a = xs[np.searchsorted(xs[:-1], ha)] == ha  # a pole lies in A (oo does not)
+        rank = ha.searchsorted
+    pole, key = rank(a2), rank(a1)
+    pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
+    w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
+    su = _hits(p, xs, ha, pole, w, None, key, held=24)  # r, a1, a2 (w is the shift)
+    in_a = xs[xs[:-1].searchsorted(ha)] == ha  # a pole lies in A (oo does not)
     su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
     total_rs = _dot(r, su)
     rhs = len(A) * total_rs
@@ -889,6 +900,6 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
         lhs_sq=sig * sig,
         rhs_cs=rhs,
         delta=delta,
-        omega_size=int(np.count_nonzero(omega)),
+        omega_size=int(np.count_nonzero(omega) + np.count_nonzero(omega[t:])),
         omega_incidence_share=share,
     )

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyInput, InvalidSpec, ModulusMismatch, _reserve
-from .field import Fp
+from .field import Fp, check_prime
 from .moebius import Translate, _mod
 
 
@@ -37,7 +37,7 @@ class ScalarSet:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.p
+        p = check_prime(self.p).p  # an odd prime, or NotAPrime
         object.__setattr__(self, "elements", tuple(sorted({e % p for e in self.elements})))
 
     def __len__(self) -> int:
@@ -64,7 +64,7 @@ class TranslateSet:
     elements: tuple[Translate, ...]
 
     def __post_init__(self):
-        p = self.p
+        p = check_prime(self.p).p  # an odd prime, or NotAPrime
         object.__setattr__(
             self, "elements", tuple(sorted({(a % p, b % p) for a, b in self.elements}))
         )

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -726,12 +727,15 @@ _PEAK_CASES = {
 }
 
 
-def _peak_and_estimate(monkeypatch, case):
-    """tracemalloc's peak of a cold call and the largest estimate it reserved."""
-    fn, *args = case()  # the inputs, built before the measured call
+@functools.cache
+def _peak_and_estimate(name):
+    """tracemalloc's peak of a cold call of a _PEAK_CASES entry and the
+    largest estimate it reserved, measured once: every gate below reads the
+    same two figures."""
+    fn, *args = _PEAK_CASES[name]()  # the inputs, built before the measured call
     reserved = []
     real = counts._reserve
-    monkeypatch.setattr(counts, "_reserve", lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes)))
+    counts._reserve = lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes))[1]
     for table in (counts._inv_vec, counts._sqrt_vec):
         table.cache_clear()  # the call builds its lookup tables cold
     tracemalloc.start()
@@ -740,14 +744,15 @@ def _peak_and_estimate(monkeypatch, case):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        counts._reserve = real
     return peak, max(reserved) + counts._OVERHEAD
 
 
-@pytest.mark.parametrize("case", _PEAK_CASES.values(), ids=_PEAK_CASES.keys())
-def test_reserved_bytes_bound_the_peak(monkeypatch, case):
+@pytest.mark.parametrize("name", _PEAK_CASES)
+def test_reserved_bytes_bound_the_peak(name):
     """Each kernel's estimate is at least tracemalloc's peak of the call, and
     at most 2 peaks + 1 MiB (a gate that is not vacuous)."""
-    peak, estimate = _peak_and_estimate(monkeypatch, case)
+    peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
@@ -765,9 +770,9 @@ _HISTOGRAM_CASES = [
 
 
 @pytest.mark.parametrize("name", _HISTOGRAM_CASES)
-def test_histogram_estimates_within_two_peaks(monkeypatch, name):
+def test_histogram_estimates_within_two_peaks(name):
     """The histogram kernels return arrays, so they reserve within 2 peaks + 1 MiB."""
-    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
+    peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
@@ -777,8 +782,8 @@ _HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "s
 
 
 @pytest.mark.parametrize("name", _HIT_CASES)
-def test_hit_estimates_within_two_peaks(monkeypatch, name):
-    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
+def test_hit_estimates_within_two_peaks(name):
+    peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
@@ -788,8 +793,8 @@ _SL2_CASES = [name for name in _PEAK_CASES if name.startswith(("t3-", "t4-", "bo
 
 
 @pytest.mark.parametrize("name", _SL2_CASES)
-def test_sl2_estimates_within_two_peaks(monkeypatch, name):
-    peak, estimate = _peak_and_estimate(monkeypatch, _PEAK_CASES[name])
+def test_sl2_estimates_within_two_peaks(name):
+    peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
@@ -1459,6 +1464,68 @@ def test_cs_chain_pin():
     assert rep.delta == Fraction(2, 3)
     assert rep.omega_size == 1
     assert rep.omega_incidence_share == 1
+
+
+def _full_support_sigma_u(A, H):
+    """(r(u), sigma_u) for every quotient u of the support, keyed by its
+    arguments (w, a1, a2): one _hits call over the whole support, the pass
+    that cs_chain_report halves."""
+    p = A.p
+    hist = quotient_histogram(H)
+    w, a1, a2 = (v.astype(np.int64) for v in hist.args)
+    xs = counts._array(A, np.int64)
+    ha = np.array([*sorted({a for a, _ in H}), p], dtype=np.int64)
+    z = w == 0  # translations: the pole oo, whose row is A itself
+    pole = np.where(z, len(ha) - 1, np.searchsorted(ha, a2))
+    key = np.where(z, len(ha) - 1, np.searchsorted(ha, a1))
+    su = counts._hits(p, xs, ha, pole, np.where(z, a1, w), None, key)
+    in_a = np.isin(ha, xs)
+    su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1
+    args = zip(w.tolist(), a1.tolist(), a2.tolist())
+    return dict(zip(args, zip(hist.counts.tolist(), su.tolist())))
+
+
+@pytest.mark.parametrize(
+    "p, a_spec, h_spec",
+    [
+        (3, "list:0,1,2", "randomh:6,1"),
+        (3, "list:0,2", "cart:ap:0,1,3;ap:0,1,2"),
+        (5, "list:0,1,3", "randomh:12,2"),
+        (5, "list:1,2,4", "cart:ap:0,1,5;ap:1,2,3"),
+        (1009, "ap:1,1,40", "randomh:80,1"),
+        (1009, "ap:1,1,20", "cart:ap:0,1,12;ap:1,1,5"),
+        (65537, "random:40,2", "randomh:80,2"),
+        (65537, "ap:1,1,20", "cart:ap:0,1,12;ap:1,1,5"),
+    ],
+)
+def test_sigma_u_equals_sigma_of_the_inverse(p, a_spec, h_spec):
+    # u^-1 = h2 h1^-1 has the arguments (-w, a2, a1), a translation by t
+    # inverts to the one by -t, and r and sigma_u agree on each such pair:
+    # what lets cs_chain_report test only the quotients with w <= (p-1)/2
+    F = Fp(p)
+    A, H = parse_setspec(a_spec, F), parse_setspec(h_spec, F)
+    full = _full_support_sigma_u(A, H)
+    for (w, a1, a2), rs in full.items():
+        assert full[(p - w, a2, a1) if w else (0, -a1 % p, 0)] == rs
+    assert any(su for (w, _, _), (_, su) in full.items() if w)  # not only translations hit
+    assert sum(r * su for r, su in full.values()) == cs_chain_report(A, H).rhs_cs // len(A)
+
+
+@pytest.mark.parametrize(
+    "p, a_spec, h_spec",
+    [
+        (3, "list:0,1,2", "cart:ap:0,1,3;ap:0,1,3"),  # every translate: t and -t both present
+        (3, "list:1,2", "listh:0,0;2,0;1,2"),
+        (5, "list:0,1,3", "cart:ap:0,1,5;list:2,4"),  # five translates share each b
+        (5, "list:0,2,3", "cart:list:0,1,3;list:1"),  # all share b: no 0 < w <= (p-1)/2
+    ],
+)
+def test_cs_chain_half_pass_at_the_smallest_primes(p, a_spec, h_spec):
+    F = Fp(p)
+    A, H = parse_setspec(a_spec, F), parse_setspec(h_spec, F)
+    if len({b for _, b in H}) == 1:
+        assert not quotient_histogram(H).args[0].any()
+    _check_group_kernels(A, H)
 
 
 def test_cs_chain_inequality_random():

@@ -10,6 +10,7 @@ from hyperlab import (
     Fp,
     InvalidSpec,
     ModulusMismatch,
+    NotAPrime,
     ResourceLimit,
     ScalarSet,
     TranslateSet,
@@ -33,6 +34,16 @@ def test_scalar_set_dedups_and_sorts():
     assert tuple(s) == (1, 3)
     assert 1 in s and 2 not in s
     assert len(s) == 2
+
+
+@pytest.mark.parametrize("p", [2, 9])
+def test_sets_take_odd_prime_moduli_only(p):
+    # the kernels assume an odd prime: at 2 the inverse table finds no
+    # primitive root, and at 9 the counts would be quietly wrong
+    with pytest.raises(NotAPrime):
+        ScalarSet(p, (0, 1))
+    with pytest.raises(NotAPrime):
+        TranslateSet(p, ((0, 0), (1, 1)))
 
 
 def test_ap_pin():
