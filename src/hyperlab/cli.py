@@ -43,7 +43,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from . import bounds, counts
@@ -373,6 +372,8 @@ def cmd_scan(ns) -> int:
     if ns.workers == 1 or len(descs) <= 1:
         rows = [_scan_row(d) for d in descs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every start about 10 ms
+
         with ProcessPoolExecutor(max_workers=ns.workers) as pool:
             rows = list(pool.map(_scan_row, descs))
     _write_output(_emit([obj if ns.format == "json" else csv for csv, obj in rows], ns.format), ns.out)

@@ -30,15 +30,19 @@ where that fits int64, and by argsort otherwise; a weight sum is int64 only
 where len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for
 p <= 1289 (SL2 kernels only), int64 for p <= 2^21, Python ints above.
 
-T_3 has two arms.  The fill keys all |H|^3 products h1 h2^-1 h3 and sums
-the squared run lengths (_sorted_square_sum); the quotient arm weighs the
-|Q| |H| products u h3 of the support by r(u), as
+T_3 and T_4 have two arms each.  The fill keys all |H|^k products, the
+|H|^2 pair quotients h1 h2^-1 times the embedded h3 (k = 3) or times the
+pair quotients again (k = 4), and sums the squared run lengths
+(_sorted_square_sum); the quotient arm weighs the |Q| |H| products u h3,
+or the |Q|^2 products u v, of the support by r(u) (r(u) r(v)), as
 T_3 = sum_g (sum_{u h3 = g} r(u))^2.  The quotient arm runs where
-|Q| <= 3/5 |H|^2 (about where it stops being the faster, measured) and the
-budget admits it; up to |H|^3 = 2^12 the fill runs with no support
-histogram built.  The Borel part of T_3 keys only the triples whose
-product lies in B: u h3 has c = w (a2 - a3) - 1, so each pair with w != 0
-joins the h3 with a3 = a2 - 1/w, and a pair with w = 0 joins none.
+|Q| <= 3/5 |H|^2 (about where it stops being the faster, measured for
+either k), the fill elsewhere; where the budget refuses the quotient arm
+the fill runs, and for T_4 also the other way round.  Up to |H|^3 = 2^12
+the T_3 fill runs with no support histogram built.  The Borel part of T_3
+keys only the triples whose product lies in B: u h3 has
+c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
+a3 = a2 - 1/w, and a pair with w = 0 joins none.
 
 Every table-building kernel checks its estimated peak bytes against
 HYPERLAB_BUDGET_MB (_reserve) before it allocates.
@@ -92,7 +96,8 @@ _CELLS = 1 << 15  # cells per block of every keyed pass (2^14 to 2^16 time alike
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
-_T3_QUOTIENTS = 3 / 5  # |Q| / |H|^2 up to which the quotient arm of T_3 takes less time
+_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the quotient arms of T_3 and T_4 take less time
+_FILL_NAMES = {3: "T3", 4: "T4 self-convolution"}  # what the T_k fill's reservations are named after
 _INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
@@ -416,17 +421,17 @@ def _dot(u, v) -> int:
     return int(np.dot(u.astype(object), v.astype(object)))
 
 
-def _sorted_square_sum(keys, item: int) -> int:
+def _sorted_square_sum(keys, item: int, what: str = "T3 run count") -> int:
     """Sum of squared run lengths of N sorted keys of item bytes, from the
     indices of the fewer of the R run starts and the N - R equal neighbours:
     a run's length is the step to the next start, and a stretch of L
     adjacent equal neighbours lies in a run of L + 1 keys, where
-    r^2 = r + (r - 1) r.  Reserves 1 byte a key, then 16 per index."""
+    r^2 = r + (r - 1) r.  Reserves (as what) 1 byte a key, then 16 per index."""
     n = len(keys)
     edges = np.ones(n + 1, dtype=bool)  # runs start at 0 and where the key changes; n closes the last
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     runs = int(np.count_nonzero(edges)) - 1
-    _reserve("T3 run count", (item + 1) * n + 16 * min(runs, n - runs))
+    _reserve(what, (item + 1) * n + 16 * min(runs, n - runs))
     few = 2 * runs <= n
     at = np.flatnonzero(edges if few else np.logical_not(edges, out=edges))  # or 1 + each equal neighbour
     del edges  # the steps peak without the mask
@@ -464,12 +469,15 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     return QuotientHistogram(p, (keys, a1, a2), counts)
 
 
-def _t3_fill_bytes(p: int, n: int) -> int:
-    """The T_3 fill's keys and the run count's 1 byte per key, 4 items per
-    pair quotient and 5 items and 8 B per cell of a key block (measured: 9.1 B
-    a key at |H| = 128, 45 B a block cell at int64, 164 B at 2097169)."""
-    item = _item_bytes(p, sl2=True)
-    return (item + 1) * n**3 + 4 * item * n * n + (5 * item + 8) * min(n**3, max(n, _CELLS))
+def _fill_bytes(p: int, n: int, k: int) -> int:
+    """The T_k fill's n^k keys and the run count's 1 byte per key, 4 items per
+    pair quotient and 5 items and 8 B per cell of a key block of rows n^(k-2)
+    long (measured: 9.1 B a key at |H| = 128, 45 B a block cell at int64,
+    164 B at 2097169).  A Python-int key holds 4 B more than its item: the
+    addition that forms it allocates a carry digit it may not fill."""
+    item, keys = _item_bytes(p, sl2=True), n**k
+    block = min(keys, max(n ** (k - 2), _CELLS))
+    return (item + 1 + 4 * (p > _INT64_P)) * keys + 4 * item * n * n + (5 * item + 8) * block
 
 
 def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
@@ -481,16 +489,21 @@ def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
     return (item + 32 + 2 * item * (not packs)) * m * n + (5 * cell + 8) * min(m * n, max(n, _CELLS)) + 8 * item * m
 
 
-def _t3_keys(H: TranslateSet):
-    """Sorted keys of all |H|^3 products h1 h2^-1 h3: the products of the
-    |H|^2 pair quotients with the embedded h3."""
+def _fill_keys(H: TranslateSet, k: int):
+    """Sorted keys of all |H|^k products, k = 3 or 4: the |H|^2 pair
+    quotients h1 h2^-1 times the embedded h3, or times themselves (h3 h4^-1)."""
     p, n = H.p, len(H)
-    _reserve("T3 key array", _t3_fill_bytes(p, n))
+    _reserve(_FILL_NAMES[k] + " key array", _fill_bytes(p, n, k))
     a, b = _sl2_columns(H)
-    keys = _write_keys(p, [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)],
-                       embed_entries(p, a, b))
+    u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
+    keys = _write_keys(p, u, embed_entries(p, a, b) if k == 3 else u)
     keys.sort()
     return keys
+
+
+def _fill(H: TranslateSet, k: int) -> int:
+    """T_k(H), k = 3 or 4, from the fill: the sum of squared run lengths."""
+    return _sorted_square_sum(_fill_keys(H, k), _item_bytes(H.p, sl2=True), _FILL_NAMES[k] + " run count")
 
 
 def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
@@ -504,10 +517,20 @@ def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
     return _dot(sums, sums)
 
 
+def _t4_quotients(hist: QuotientHistogram) -> int:
+    """T_4 over the quotient support: the sum over the |Q|^2 products g = u v
+    of the support of (sum of r(u) r(v) behind g)^2."""
+    p, m, top = hist.p, len(hist), int(hist.counts.max(initial=0))
+    _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
+    _, sums = _tally(_write_keys(p, *[hist.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
+                     (hist.counts[:, None] * hist.counts).reshape(-1))
+    return _dot(sums, sums)
+
+
 def t_k(H: TranslateSet, k: int) -> int:
     """T_k(H) = sum of squared representation counts of alternating
     products h1 h2^-1 h3 ... of length k, at SL2-entry equality."""
-    p, n = H.p, len(H)
+    n = len(H)
     if n == 0:
         return 0
     if k == 2:
@@ -516,18 +539,19 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 3:
         if n**3 > _T3_FEW:
             hist = _quotient_histogram(H)
-            if len(hist) <= _T3_QUOTIENTS * n * n:
+            if len(hist) <= _QUOTIENT_ARM * n * n:
                 with suppress(ResourceLimit):  # the fill may fit the budget where this arm does not
                     return _t3_quotients(H, hist)
             del hist  # the fill peaks without it
-        return _sorted_square_sum(_t3_keys(H), _item_bytes(p, sl2=True))
+        return _fill(H, 3)
     if k == 4:
-        q2 = quotient_histogram(H)
-        m, top = len(q2), int(q2.counts.max(initial=0))
-        _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
-        _, sums = _tally(_write_keys(p, *[q2.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
-                         (q2.counts[:, None] * q2.counts).reshape(-1))
-        return _dot(sums, sums)
+        hist = quotient_histogram(H)
+        arms = [lambda: _t4_quotients(hist), lambda: _fill(H, 4)]
+        if len(hist) > _QUOTIENT_ARM * n * n:
+            arms.reverse()
+        with suppress(ResourceLimit):  # the other arm may fit the budget where this one does not
+            return arms[0]()
+        return arms[1]()
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 

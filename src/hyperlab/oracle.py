@@ -8,11 +8,14 @@ a linear scan.  Shared code with the kernels would defeat the purpose.
 Budgets are hard errors, never silent skips.
 """
 
+from functools import reduce
+from itertools import product
+
 from .errors import ResourceLimit
 from .sets import ScalarSet, TranslateSet
 
 _ENERGY_MAX_H = 32
-_T3_MAX_H = 10
+_T3_MAX_H = 10  # and for t4_naive
 _Q_MAX_H = 32
 _MK_MAX_P = 61
 
@@ -60,40 +63,37 @@ def sigma_naive(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return total
 
 
-def energy_naive(H: TranslateSet) -> int:
-    """E(H) by comparing all pairs of the |H|^2 quotient products."""
+def _chain_naive(H: TranslateSet, k: int, cap: int, what: str) -> int:
+    """T_k(H) by comparing all pairs of the |H|^k alternating products
+    h1 h2^-1 h3 ..., each a chain of k generic matrix products."""
     n = len(H)
-    if n > _ENERGY_MAX_H:
-        raise ResourceLimit("energy_naive", required=n, budget=_ENERGY_MAX_H)
+    if n > cap:
+        raise ResourceLimit(what, required=n, budget=cap)
     p = H.p
     mats = [_embed(h, p) for h in H]
-    invs = [_minvert(m, p) for m in mats]
-    products = [_mmul(m1, m2i, p) for m1 in mats for m2i in invs]
+    factors = [mats, [_minvert(m, p) for m in mats]] * 2
+    products = [reduce(lambda m, f: _mmul(m, f, p), chain) for chain in product(*factors[:k])]
     total = 0
     for u in products:
         for v in products:
             if u == v:
                 total += 1
     return total
+
+
+def energy_naive(H: TranslateSet) -> int:
+    """E(H) by comparing all pairs of the |H|^2 quotient products."""
+    return _chain_naive(H, 2, _ENERGY_MAX_H, "energy_naive")
 
 
 def t3_naive(H: TranslateSet) -> int:
     """T_3(H) by comparing all pairs of the |H|^3 triple products."""
-    n = len(H)
-    if n > _T3_MAX_H:
-        raise ResourceLimit("t3_naive", required=n, budget=_T3_MAX_H)
-    p = H.p
-    mats = [_embed(h, p) for h in H]
-    invs = [_minvert(m, p) for m in mats]
-    products = [
-        _mmul(_mmul(m1, m2i, p), m3, p) for m1 in mats for m2i in invs for m3 in mats
-    ]
-    total = 0
-    for u in products:
-        for v in products:
-            if u == v:
-                total += 1
-    return total
+    return _chain_naive(H, 3, _T3_MAX_H, "t3_naive")
+
+
+def t4_naive(H: TranslateSet) -> int:
+    """T_4(H) by comparing all pairs of the |H|^4 quadruple products."""
+    return _chain_naive(H, 4, _T3_MAX_H, "t4_naive")
 
 
 def q_naive(H: TranslateSet) -> int:

@@ -64,12 +64,32 @@ def rand_translates(rng, p, n):
 
 def _t3_by_fill(H):
     """t_k(H, 3) on the fill arm, whatever the quotient support."""
-    return counts._sorted_square_sum(counts._t3_keys(H), counts._item_bytes(H.p))
+    return counts._fill(H, 3)
 
 
 def _t3_by_quotients(H):
     """t_k(H, 3) on the quotient arm, whatever the quotient support."""
     return counts._t3_quotients(H, counts._quotient_histogram(H))
+
+
+def _t4_by_fill(H):
+    """t_k(H, 4) on the fill arm, whatever the quotient support."""
+    return counts._fill(H, 4)
+
+
+def _t4_by_quotients(H):
+    """t_k(H, 4) on the weighted self-convolution of the quotient support,
+    whatever the support."""
+    return counts._t4_quotients(counts._quotient_histogram(H))
+
+
+def _record_arms(monkeypatch, names):
+    """The list the named counts functions append their names to as they are called."""
+    arms = []
+    for name in names:
+        real = getattr(counts, name)
+        monkeypatch.setattr(counts, name, lambda *args, real=real, name=name: arms.append(name) or real(*args))
+    return arms
 
 
 def _entries(hist):
@@ -453,17 +473,14 @@ def test_t3_arm_follows_the_support(monkeypatch):
     |H|^2 (grids), fills where it is not (random translates), where |H|^3 is
     at most _T3_FEW, with no support histogram built there, and where the
     budget refuses the quotient arm but admits the fill."""
-    arms = []
-    for name in ("_t3_keys", "_t3_quotients", "_quotient_histogram"):
-        real = getattr(counts, name)
-        monkeypatch.setattr(counts, name, lambda *args, real=real, name=name: arms.append(name) or real(*args))
+    arms = _record_arms(monkeypatch, ("_fill", "_t3_quotients", "_quotient_histogram"))
     F = Fp(1009)
     mid = parse_setspec("cart:ap:1,1,32;ap:1,1,4", F)  # |Q| / |H|^2 = 0.38
     for spec, want in (
         ("cart:ap:1,1,10;ap:1,1,10", ["_quotient_histogram", "_t3_quotients"]),
         ("cart:ap:1,1,32;ap:1,1,4", ["_quotient_histogram", "_t3_quotients"]),
-        ("randomh:64,1", ["_quotient_histogram", "_t3_keys"]),
-        ("cart:ap:1,1,4;ap:1,1,4", ["_t3_keys"]),
+        ("randomh:64,1", ["_quotient_histogram", "_fill"]),
+        ("cart:ap:1,1,4;ap:1,1,4", ["_fill"]),
     ):
         arms.clear()
         t_k(parse_setspec(spec, F), 3)
@@ -473,7 +490,7 @@ def test_t3_arm_follows_the_support(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "28")
     arms.clear()
     assert t_k(mid, 3) == want
-    assert arms == ["_quotient_histogram", "_t3_quotients", "_t3_keys"]
+    assert arms == ["_quotient_histogram", "_t3_quotients", "_fill"]
 
 
 @pytest.mark.parametrize(
@@ -549,7 +566,7 @@ def test_int32_rung_keys_stay_below_p_cubed():
     p = 1289, formed in int32, lies in [0, 1289^3)."""
     p = 1289
     H = TranslateSet(p, (*rand_translates(random.Random(1), p, 63), (p - 1, p - 1), (0, p - 1), (p - 1, 0)))
-    keys = counts._t3_keys(H)
+    keys = counts._fill_keys(H, 3)
     assert keys.dtype == np.int32 and len(keys) == len(H) ** 3
     assert 0 <= int(keys.min()) and int(keys.max()) < p**3
 
@@ -569,7 +586,7 @@ def test_borel_join_is_the_borel_part_of_the_fill(p, spec):
     middle digit of (a p + c) p + z.  (0, 0), (5, 1) and (p - 1, 7) give
     Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
     H = TranslateSet(p, (*parse_setspec(spec, Fp(p)), (0, 0), (5, 1), (p - 1, 7)))
-    keys = counts._t3_keys(H)
+    keys = counts._fill_keys(H, 3)
     want = keys[keys // p % p == 0]
     assert len(want) > 0
     assert np.sort(counts._borel_keys(H)).tolist() == want.tolist()
@@ -607,6 +624,87 @@ def test_t4_budget_gate(monkeypatch):
         t_k(H, 4)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "64")
     assert t_k(H, 4) == want
+
+
+@pytest.mark.parametrize("p", [61, 1009, 1291, 2097169, (1 << 61) - 1])
+def test_t4_arms_against_the_oracle(p):
+    """Both T_4 arms, each forced, equal the oracle at |H| <= 6: on a random
+    set, a 2 x 3 grid, and a set with the largest residues (p - 1, p - 1)."""
+    for H in (
+        _rand_h(p, 5),
+        parse_setspec("cart:ap:1,1,2;ap:0,1,3", Fp(p)),
+        TranslateSet(p, (*_rand_h(p, 4), (0, 0), (p - 1, p - 1))),
+    ):
+        assert _t4_by_fill(H) == _t4_by_quotients(H) == t_k(H, 4) == oracle.t4_naive(H)
+
+
+@pytest.mark.parametrize(
+    "p, spec",
+    [
+        (61, "randomh:24,1"),
+        (61, "cart:ap:1,1,6;ap:1,1,4"),
+        (1009, "randomh:32,1"),
+        (1009, "cart:ap:1,1,6;ap:1,1,6"),
+        (1009, "cart:gp:3,5,6;gp:3,5,6"),
+        (1291, "randomh:24,1"),
+        (1291, "cart:gp:3,5,4;ap:1,1,6"),
+        (2097169, "randomh:10,1"),
+        (2097169, "cart:ap:1,1,3;gp:3,5,3"),
+    ],
+)
+def test_t4_arms_agree(monkeypatch, p, spec):
+    """t_k(H, 4) with its arm choice forced each way (the support share above
+    which it fills set to 0, then to 1) gives one T_4 on random sets and on
+    ap and gp grids: int32 keys at 61 and 1009, int64 at 1291 and Python
+    ints at 2097169."""
+    H = parse_setspec(spec, Fp(p))
+    arms = _record_arms(monkeypatch, ("_fill", "_t4_quotients"))
+    got = []
+    for share in (0, 1):
+        monkeypatch.setattr(counts, "_QUOTIENT_ARM", share)
+        got.append(t_k(H, 4))
+    assert arms == ["_fill", "_t4_quotients"]
+    assert got[0] == got[1]
+
+
+def test_t4_arm_follows_the_support(monkeypatch):
+    """t_k(H, 4) fills where the quotient support is more than 3/5 of |H|^2
+    (random translates), sums over the support where it is not (grids), and
+    takes the other arm where the budget refuses the one chosen."""
+    arms = _record_arms(monkeypatch, ("_fill", "_t4_quotients"))
+    F = Fp(1009)
+    for spec, want in (("randomh:32,1", ["_fill"]), ("cart:ap:1,1,6;ap:1,1,6", ["_t4_quotients"])):
+        arms.clear()
+        t_k(parse_setspec(spec, F), 4)
+        assert arms == want, spec
+    # |Q| / |H|^2 = 0.46: the weighted arm reserves 43.5 MiB, the fill 26.3 MiB
+    mid = parse_setspec("cart:ap:1,1,16;ap:1,1,3", F)
+    want = _t4_by_fill(mid)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "32")
+    arms.clear()
+    assert t_k(mid, 4) == want
+    assert arms == ["_t4_quotients", "_fill"]
+
+
+def test_refused_fill_writes_no_key(monkeypatch):
+    """A T_4 fill the budget refuses stops before it writes a key: under
+    1 MiB, 30^4 int32 keys (4.1 MB) are refused, and t_k(H, 4) writes only
+    the quotient histogram's keys, 30 rows of them, before both arms refuse."""
+    H = rand_translates(random.Random(0), 1009, 30)
+    written = []
+    real = counts._write_keys
+
+    def write_keys(p, u, *args, **kwargs):
+        written.append(len(u[0]))
+        return real(p, u, *args, **kwargs)
+
+    monkeypatch.setattr(counts, "_write_keys", write_keys)
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimit, match="T4 self-convolution key array"):
+        counts._fill(H, 4)
+    with pytest.raises(ResourceLimit, match="T4 self-convolution"):
+        t_k(H, 4)
+    assert written == [30]
 
 
 def test_budget_from_env(monkeypatch):
@@ -664,10 +762,18 @@ _PEAK_CASES = {
     "borel-t3-1291": lambda: (borel_t3_mass, _rand_h(1291, 128)),
     "borel-t3-2097169": lambda: (borel_t3_mass, _rand_h(2097169, 24)),
     "borel-t3-p61": lambda: (borel_t3_mass, _rand_h(P61, 16)),
+    # the T_4 fill (random sets): int32 keys at 1009, int64 at 1291 and
+    # Python ints at 2^61 - 1 and just above the int64 switch
     "t4-12": lambda: (t_k, _rand_h(1009, 12), 4),
     "t4-24": lambda: (t_k, _rand_h(1009, 24), 4),
     "t4-1291": lambda: (t_k, _rand_h(1291, 24), 4),
     "t4-p61": lambda: (t_k, _rand_h(P61, 10), 4),
+    "t4-2097169": lambda: (t_k, _rand_h(2097169, 12), 4),
+    # the T_4 weighted self-convolution: on grids, and forced on random sets
+    "t4-quotient-cart": lambda: (t_k, parse_setspec("cart:ap:1,1,6;ap:1,1,6", Fp(1009)), 4),
+    "t4-quotient-random": lambda: (_t4_by_quotients, _rand_h(1009, 24)),
+    "t4-quotient-1291": lambda: (t_k, parse_setspec("cart:ap:1,1,6;ap:1,1,6", Fp(1291)), 4),
+    "t4-quotient-p61": lambda: (_t4_by_quotients, _rand_h(P61, 10)),
     # m_k at k = 2, where every translate found is counted: the column
     # (exhaustive) arm where p <= |A|^2, the pair arm elsewhere
     "mk-exhaustive-61": lambda: (rich_hyperbolae, _rand_a(61, 8), 2),

@@ -26,6 +26,11 @@ def test_t3_naive_pin():
     assert oracle.t3_naive(HD) == 20
 
 
+def test_t4_naive_pin():
+    # the compose loop of test_counts.test_t4_brute_force_tiny over HD
+    assert oracle.t4_naive(HD) == 70
+
+
 def test_q_naive_pin():
     assert oracle.q_naive(HD) == 8
 
@@ -45,6 +50,8 @@ def test_hard_budgets():
         oracle.q_naive(big)
     with pytest.raises(ResourceLimit):
         oracle.t3_naive(rand_translates(rng, 101, 11))
+    with pytest.raises(ResourceLimit):
+        oracle.t4_naive(rand_translates(rng, 101, 11))
     with pytest.raises(ResourceLimit):
         oracle.mk_exhaustive(ScalarSet(67, (1, 2)), 2, -1)
 
