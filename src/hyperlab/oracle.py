@@ -1,15 +1,15 @@
 """Brute-force reference counters used to certify the kernels in counts.
 
 Deliberately naive: inverses are Fermat powers, group elements are built
-by generic 2x2 matrix chains (no closed formulas), equalities are found
-by comparing all pairs of product lists (no hashing), and membership is
-a linear scan.  Shared code with the kernels would defeat the purpose.
+by generic 2x2 matrix chains (no closed formulas), equal pairs of
+products are counted from one sort (no hashing), and membership is a
+linear scan.  Shared code with the kernels would defeat the purpose.
 
 Budgets are hard errors, never silent skips.
 """
 
 from functools import reduce
-from itertools import product
+from itertools import groupby, product
 
 from .errors import ResourceLimit
 from .sets import ScalarSet, TranslateSet
@@ -63,52 +63,47 @@ def sigma_naive(A: ScalarSet, H: TranslateSet, lam: int = -1) -> int:
     return total
 
 
+def _equal_pairs(items: list) -> int:
+    """The ordered pairs (u, v) of items with u == v, counted from one sort
+    (< and == only, no hashing) as the squared lengths of its equal runs."""
+    return sum(len(list(run)) ** 2 for _, run in groupby(sorted(items)))
+
+
 def _chain_naive(H: TranslateSet, k: int, cap: int, what: str) -> int:
-    """T_k(H) by comparing all pairs of the |H|^k alternating products
-    h1 h2^-1 h3 ..., each a chain of k generic matrix products."""
+    """T_k(H): equal pairs of the |H|^k alternating products h1 h2^-1 h3 ...,
+    each a chain of k generic matrix products, counted from one sort."""
     n = len(H)
     if n > cap:
         raise ResourceLimit(what, required=n, budget=cap)
     p = H.p
     mats = [_embed(h, p) for h in H]
     factors = [mats, [_minvert(m, p) for m in mats]] * 2
-    products = [reduce(lambda m, f: _mmul(m, f, p), chain) for chain in product(*factors[:k])]
-    total = 0
-    for u in products:
-        for v in products:
-            if u == v:
-                total += 1
-    return total
+    return _equal_pairs([reduce(lambda m, f: _mmul(m, f, p), chain) for chain in product(*factors[:k])])
 
 
 def energy_naive(H: TranslateSet) -> int:
-    """E(H) by comparing all pairs of the |H|^2 quotient products."""
+    """E(H): equal pairs of the |H|^2 quotient products, from one sort."""
     return _chain_naive(H, 2, _ENERGY_MAX_H, "energy_naive")
 
 
 def t3_naive(H: TranslateSet) -> int:
-    """T_3(H) by comparing all pairs of the |H|^3 triple products."""
+    """T_3(H): equal pairs of the |H|^3 triple products, from one sort."""
     return _chain_naive(H, 3, _T3_MAX_H, "t3_naive")
 
 
 def t4_naive(H: TranslateSet) -> int:
-    """T_4(H) by comparing all pairs of the |H|^4 quadruple products."""
+    """T_4(H): equal pairs of the |H|^4 quadruple products, from one sort."""
     return _chain_naive(H, 4, _T3_MAX_H, "t4_naive")
 
 
 def q_naive(H: TranslateSet) -> int:
-    """Q(H) by the definitional quadruple test D(h1,h1') = D(h2,h2')."""
+    """Q(H): the quadruples with D(h1,h1') = D(h2,h2'), as equal pairs of
+    the |H|^2 values D counted from one sort."""
     n = len(H)
     if n > _Q_MAX_H:
         raise ResourceLimit("q_naive", required=n, budget=_Q_MAX_H)
     p = H.p
-    ds = [(a - a2) * (b - b2) % p for a, b in H for a2, b2 in H]
-    total = 0
-    for d1 in ds:
-        for d2 in ds:
-            if d1 == d2:
-                total += 1
-    return total
+    return _equal_pairs([(a - a2) * (b - b2) % p for a, b in H for a2, b2 in H])
 
 
 def mk_exhaustive(A: ScalarSet, k: int, lam: int = -1) -> tuple:

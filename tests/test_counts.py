@@ -539,15 +539,16 @@ def test_int32_rung_matches_the_int64_route(monkeypatch, p, spec):
 
 @pytest.mark.parametrize("p", [1289, 1291])
 def test_int32_rung_against_the_oracle(p):
-    """At |H| <= 10 on both sides of the rung, T_2 and T_3 equal the oracle,
-    and T_4, the Borel part of T_3 and the coset masses equal compose loops;
-    (p - 1, p - 1) puts the largest residues into every key, and (5, 1)
-    (0, 0) joins (p - 1, 7) and (p - 1, p - 1) as Borel triples."""
+    """At |H| <= 10 on both sides of the rung, T_2, T_3 and T_4 equal the
+    oracle, and T_4, the Borel part of T_3 and the coset masses equal
+    compose loops; (p - 1, p - 1) puts the largest residues into every key,
+    and (5, 1) (0, 0) joins (p - 1, 7) and (p - 1, p - 1) as Borel triples."""
     F = Fp(p)
     H = TranslateSet(p, (*rand_translates(random.Random(p), p, 6), (0, 0), (5, 1), (p - 1, 7), (p - 1, p - 1)))
     assert len(H) == 10
     assert t_k(H, 2) == oracle.energy_naive(H)
     assert t_k(H, 3) == oracle.t3_naive(H)
+    assert t_k(H, 4) == oracle.t4_naive(H)
     mats = [embed_translate(F, h) for h in H]
     quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
     triples = [compose(u, m3) for u in quotients for m3 in mats]
@@ -628,11 +629,14 @@ def test_t4_budget_gate(monkeypatch):
 
 @pytest.mark.parametrize("p", [61, 1009, 1291, 2097169, (1 << 61) - 1])
 def test_t4_arms_against_the_oracle(p):
-    """Both T_4 arms, each forced, equal the oracle at |H| <= 6: on a random
-    set, a 2 x 3 grid, and a set with the largest residues (p - 1, p - 1)."""
+    """Both T_4 arms, each forced, equal the oracle at |H| <= 10, its cap: on
+    random sets of 5 and 10, 2 x 3 and 2 x 5 grids, and a set with the
+    largest residues (p - 1, p - 1)."""
     for H in (
         _rand_h(p, 5),
+        _rand_h(p, 10),
         parse_setspec("cart:ap:1,1,2;ap:0,1,3", Fp(p)),
+        parse_setspec("cart:ap:1,1,2;ap:0,1,5", Fp(p)),
         TranslateSet(p, (*_rand_h(p, 4), (0, 0), (p - 1, p - 1))),
     ):
         assert _t4_by_fill(H) == _t4_by_quotients(H) == t_k(H, 4) == oracle.t4_naive(H)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperlab.counts as counts
 import hyperlab.moebius as moebius
@@ -39,6 +41,15 @@ def test_mk_exhaustive_pin():
     wits = oracle.mk_exhaustive(ScalarSet(7, (1, 6)), 2, -1)
     assert len(wits) == 3
     assert sorted(wits) == [(0, 0), (3, 4), (4, 3)]
+
+
+@given(st.lists(st.integers(0, 3), max_size=40) | st.lists(st.tuples(*[st.integers(0, 1)] * 4), max_size=40))
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_equal_pairs_is_the_definition(items):
+    """The one-sort count of equal pairs is the all-pairs count, on small
+    ints and on 4-tuples, both heavily repeated."""
+    assert oracle._equal_pairs(items) == sum(u == v for u in items for v in items)
 
 
 def test_hard_budgets():
