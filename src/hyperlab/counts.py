@@ -15,11 +15,12 @@ give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).
 Every keyed pass forms its keys in row blocks of about _CELLS cells, the
 one block size (_key_blocks; _hits chunks its cells alike), and
 _write_keys writes the keys that are kept into one array.  One counter,
-_tally, sorts keys and reads off the runs of equal ones, except where the
-keys lie in a range no longer than they are many: there one array indexed
-by key counts them (np.add.at per block, as np.bincount returns an array a
-call and sums weights in float64; the m_k column arm bincounts a block of
-rows).  So the histograms over element pairs (differences for eplus,
+_tally, sorts keys and reads off the runs of equal ones (one reader,
+_run_blocks, a block at a time, serves it and _sorted_square_sum), except
+where the keys lie in a range no longer than they are many: there one
+array indexed by key counts them (np.add.at per block, as np.bincount
+returns an array a call and sums weights in float64; the m_k column arm
+bincounts a block of rows).  So the histograms over element pairs (differences for eplus,
 minkowski and the product histogram, D(h, h') for q and t3) and the growth
 sets A + B and A - B (sets.sumset and sets.difference_set, which keep the
 values only), residues mod p of n^2 pairs (_sort_count), add into one
@@ -56,7 +57,8 @@ where a bound read off its arrays allows and over Python ints otherwise.
 
 m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
-the number of points (or point pairs) on each.
+the number of points (or point pairs) on each, its keys (< p^2) as
+_map_keys has them and its counts in the narrowest dtype that holds them.
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -94,10 +96,10 @@ from .sets import ScalarSet, TranslateSet, _sorted_set
 _INV_TABLE_MAX = 1 << 18
 _CELLS = 1 << 15  # cells per block of every keyed pass (2^14 to 2^16 time alike; 2^18 was slower)
 _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its membership rows
+_RUN_BLOCK = 1 << 16  # sorted keys per block of _run_blocks, a multiple of _CELLS (timed)
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
 _QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the quotient arms of T_3 and T_4 take less time
-_FILL_NAMES = {3: "T3", 4: "T4 self-convolution"}  # what the T_k fill's reservations are named after
 _INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
@@ -248,13 +250,13 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
     chunk = max(1, _CELLS // max(1, width))
     # per (pole, point) of a block 17 bytes as its row forms (differences,
     # inverses, zero mask), above the table range a Python int, its pointer
-    # and its conversion per inverse, and 32 more where target rows form
-    # (keys and wrap, joined); per map the caller's held bytes and 7 int64
-    # (poles, shifts, keys, offsets, output), 6 int64 more as the maps sort;
-    # per cell of a chunk 17 bytes reading a membership table (3p bytes per
-    # target row) or 72 as np.isin sorts the cells
-    row = 17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) + 32 * (targets is None)
-    row *= min(len(poles), per_pole) * width
+    # and its conversion per inverse, and 32 more per cell of a target block
+    # where target rows form (keys and wrap, joined); per map the caller's
+    # held bytes and 7 int64 (poles, shifts, keys, offsets, output), 6 int64
+    # more as the maps sort; per cell of a chunk 17 bytes reading a membership
+    # table (3p bytes per target row) or 72 as np.isin sorts the cells
+    row = (17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p))) * min(len(poles), per_pole) * width
+    row += 32 * (targets is None) * min(len(poles), per) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
     maps_bytes = ((2 * _item_bytes(p, top=p) if held is None else held) + 56 + 48 * (groups > 1)) * maps
@@ -377,40 +379,69 @@ def _write_keys(p: int, u, v, key=_key, dtype=None):
     return out.reshape(-1)
 
 
-def _tally(keys, weights=None):
-    """Each distinct key, ascending, and its total weight, or its multiplicity
-    when no weights are given; keys are nonnegative.  Unweighted, keys are
-    sorted in place.  Weighted keys are int64 (written so on the int32 rung)
-    or Python ints; int64 keys with (max key + 1)(max weight + 1) <= 2^63 are
-    overwritten: key (max weight + 1) + weight is sorted in place and
-    unpacked, one sort where an argsort and two gathers take about three
-    times as long; other keys go by argsort.  A weight sum is int64 where
-    len(weights) max(weight) < 2^63 bounds it and a Python int otherwise."""
-    top = 0
+def _run_blocks(keys):
+    """(lo, hi, edges) per block of _RUN_BLOCK sorted keys, hi extended by a
+    binary search to the end of the run open at its edge; edges (one buffer)
+    marks the run starts among its first m = len(edges) - 1 keys, and m."""
+    n, lo, hi = len(keys), 0, -1
+    buffer = np.empty(min(n, _RUN_BLOCK) + 1, dtype=bool)
+    while hi < n:  # no keys make one block
+        top = min(n, lo + _RUN_BLOCK)
+        edges = buffer[: top - lo + 1]
+        edges[0] = edges[-1] = True
+        np.not_equal(keys[lo + 1 : top], keys[lo : top - 1], out=edges[1:-1])
+        hi = top if top == n else int(keys.searchsorted(keys[top - 1], "right"))
+        yield lo, hi, edges
+        lo = hi
+
+
+def _sort(keys, weights=None):
+    """Sorted keys (nonnegative) and their weights, if any; unweighted in place.
+    Weighted keys are int64 (written so on the int32 rung) or Python ints;
+    int64 keys with (max key + 1)(max weight + 1) <= 2^63 are overwritten:
+    key (max weight + 1) + weight is sorted in place and unpacked, one sort
+    where an argsort and two gathers take about three times as long; other
+    keys go by argsort.  Weights whose sum could pass 2^63 turn Python ints."""
     if weights is None:
         keys.sort()
+        return keys, None
+    top = int(weights.max(initial=0))
+    span = top + 1  # an int64 scalar; a packed key is below (max key + 1) span
+    if keys.dtype == np.int64 and span < 1 << 63 and (int(keys.max(initial=0)) + 1) * span <= 1 << 63:
+        keys *= span
+        keys += weights
+        keys.sort()
+        weights = _mod(keys, span)
+        keys //= span
     else:
-        top = int(weights.max(initial=0))
-        span = top + 1  # an int64 scalar; a packed key is below (max key + 1) span
-        if keys.dtype == np.int64 and span < 1 << 63 and (int(keys.max(initial=0)) + 1) * span <= 1 << 63:
-            keys *= span
-            keys += weights
-            keys.sort()
-            weights = _mod(keys, span)
-            keys //= span
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    return keys, weights.astype(object) if len(weights) * top >= 1 << 63 else weights
+
+
+def _tally(keys, weights=None, count=np.int64):
+    """Each distinct key, ascending, and its total weight, or its multiplicity
+    as count, of the keys _sort sorts; past one block (_run_blocks) the runs
+    are counted first, then written a block at a time."""
+    keys, weights = _sort(keys, weights)
+    r, out = 0, None
+    if len(keys) > _RUN_BLOCK:
+        runs = sum(int(np.count_nonzero(edges)) - 1 for *_, edges in _run_blocks(keys))
+        out = np.empty(runs, keys.dtype), np.empty(runs, count if weights is None else weights.dtype)
+    for lo, hi, edges in _run_blocks(keys):
+        at = edges.nonzero()[0]  # the run starts and the end of the last run
+        at[-1] = hi - lo
+        if out is None:
+            return keys[at[:-1]], ((at[1:] - at[:-1]).astype(count, copy=False) if weights is None
+                                   else np.add.reduceat(weights, at[:-1]))
+        rows = slice(r, r + len(at) - 1)
+        np.take(keys[lo:hi], at[:-1], out=out[0][rows], mode="clip")  # "raise" would buffer out
+        if weights is None:
+            np.subtract(at[1:], at[:-1], out=out[1][rows], casting="unsafe")
         else:
-            order = np.argsort(keys)
-            keys, weights = keys[order], weights[order]
-    # runs start at 0 and where the key changes; the edge at len(keys) closes
-    # the last (np.flatnonzero and np.diff cost 2-3 times as much on few keys)
-    edges = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
-    edges = edges.nonzero()[0]
-    if weights is None:
-        return keys[edges[:-1]], edges[1:] - edges[:-1]
-    if len(weights) * top >= 1 << 63:
-        weights = weights.astype(object)
-    return keys[edges[:-1]], np.add.reduceat(weights, edges[:-1])
+            np.add.reduceat(weights[lo:hi], at[:-1], out=out[1][rows])
+        r, at = rows.stop, None  # the next block's indices form without these
+    return out
 
 
 def _dot(u, v) -> int:
@@ -421,26 +452,35 @@ def _dot(u, v) -> int:
     return int(np.dot(u.astype(object), v.astype(object)))
 
 
-def _sorted_square_sum(keys, item: int, what: str = "T3 run count") -> int:
-    """Sum of squared run lengths of N sorted keys of item bytes, from the
-    indices of the fewer of the R run starts and the N - R equal neighbours:
-    a run's length is the step to the next start, and a stretch of L
-    adjacent equal neighbours lies in a run of L + 1 keys, where
-    r^2 = r + (r - 1) r.  Reserves (as what) 1 byte a key, then 16 per index."""
-    n = len(keys)
-    edges = np.ones(n + 1, dtype=bool)  # runs start at 0 and where the key changes; n closes the last
-    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
-    runs = int(np.count_nonzero(edges)) - 1
-    _reserve(what, (item + 1) * n + 16 * min(runs, n - runs))
-    few = 2 * runs <= n
-    at = np.flatnonzero(edges if few else np.logical_not(edges, out=edges))  # or 1 + each equal neighbour
-    del edges  # the steps peak without the mask
-    if few:
-        steps = np.diff(at)
-        return _dot(steps, steps)
-    at = np.concatenate(([-2], at, [n + 1]))  # a stretch ends where the next one is not adjacent
-    stretch = np.diff(np.flatnonzero(at[1:] - at[:-1] != 1))
-    return n + _dot(stretch, stretch + 1)
+def _run_bytes(n: int, weighted: bool = False) -> int:
+    """Peak bytes of a block of _run_blocks over n keys as _tally or
+    _sorted_square_sum reads it: 10 per key, or 17 where it sums weights."""
+    return (17 if weighted else 10) * min(n, _RUN_BLOCK)
+
+
+def _sorted_square_sum(keys, weights=None) -> int:
+    """Sum of squared run lengths of sorted keys, or of squared weight sums.
+    Unweighted, each block (_run_blocks) is read off the indices of the fewer
+    of its R run starts and m - R equal neighbours: a run's length is the
+    step to the next start, and a stretch of L adjacent equal neighbours lies
+    in a run of L + 1 keys, where r^2 = r + (r - 1) r; the last run, to hi,
+    starts after a last stretch reaching the m-th key."""
+    total = 0
+    for lo, hi, edges in _run_blocks(keys):
+        m, at, runs = len(edges) - 1, None, None  # the next block's indices form without these
+        if weights is not None or 2 * int(np.count_nonzero(edges)) <= m + 2:  # the closing edge starts no run
+            at = np.flatnonzero(edges)
+            at[-1] = hi - lo
+            runs = np.diff(at) if weights is None else np.add.reduceat(weights[lo:hi], at[:-1])  # lengths or sums
+            total += int(np.dot(runs, runs)) if weights is None and (hi - lo) ** 2 < 1 << 63 else _dot(runs, runs)
+            continue
+        at = np.flatnonzero(np.logical_not(edges, out=edges))  # 1 + each equal neighbour
+        at = np.concatenate(([-2], at, [m + 1]))  # a stretch ends where the next one is not adjacent
+        runs = np.diff(np.flatnonzero(at[1:] - at[:-1] != 1))  # their stretches, each at most m: int64 dots
+        tail = int(runs[-1]) if at[-2] == m - 1 else 0  # the last run's equal neighbours
+        last = m - 1 - tail
+        total += last + len(at) - 2 - tail + int(np.dot(runs, runs)) - tail * tail + (hi - lo - last) ** 2
+    return total
 
 
 def quotient_histogram(H: TranslateSet) -> QuotientHistogram:
@@ -454,10 +494,11 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     benchmark's trace counts one quotient_histogram call per energy, t4,
     cschain and borel job."""
     p = H.p
-    # per pair 2 items (keys, then the distinct ones) and 16 B (run edges and
-    # counts): 24 B at int32, 32 B at int64; above 2^21 5 items (241 B at 2^61 - 1)
-    item = _item_bytes(p, sl2=True)
-    _reserve("quotient histogram", (2 * item + 16 if p <= _INT64_P else 5 * item) * len(H) ** 2)
+    # per pair 3 items and 8 B (its key next to a block of runs as they are
+    # read, then a distinct key, its count and the two arguments read off
+    # it): 20 B at int32, 32 B at int64; above 2^21 5 items (241 B at 2^61 - 1)
+    item, pairs = _item_bytes(p, sl2=True), len(H) ** 2
+    _reserve("quotient histogram", (3 * item + 8) * pairs + _run_bytes(pairs) if p <= _INT64_P else 5 * item * pairs)
     a, b = _sl2_columns(H)
     key = lambda p, a1, b1, a2, b2: np.where(  # noqa: E731
         (w := _mod(b1 - b2, p)) == 0, _mod(a1 - a2, p) * p, (w * p + a1) * p + a2)
@@ -470,30 +511,32 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
 
 
 def _fill_bytes(p: int, n: int, k: int) -> int:
-    """The T_k fill's n^k keys and the run count's 1 byte per key, 4 items per
-    pair quotient and 5 items and 8 B per cell of a key block of rows n^(k-2)
-    long (measured: 9.1 B a key at |H| = 128, 45 B a block cell at int64,
-    164 B at 2097169).  A Python-int key holds 4 B more than its item: the
-    addition that forms it allocates a carry digit it may not fill."""
+    """The T_k fill's n^k keys next to 4 items per pair quotient and 5 items
+    and 8 B per cell of a key block of rows n^(k-2) long (measured: 45 B a
+    block cell at int64, 164 B at 2097169), then to a block of runs.  A
+    Python-int key holds 4 B more than its item: the addition that forms it
+    allocates a carry digit it may not fill."""
     item, keys = _item_bytes(p, sl2=True), n**k
     block = min(keys, max(n ** (k - 2), _CELLS))
-    return (item + 1 + 4 * (p > _INT64_P)) * keys + 4 * item * n * n + (5 * item + 8) * block
+    return (item + 4 * (p > _INT64_P)) * keys + max(4 * item * n * n + (5 * item + 8) * block, _run_bytes(keys))
 
 
 def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
-    """m rows of n keys weighted by at most top, as they form and tally: per
-    key 1 item (int64 on the int32 rung) and 32 B (40 B random, 24 B grids),
-    2 items more where keys and weights do not pack (argsort); 5 SL2 items
-    and 8 B per cell of a key block and 8 items per row (histogram, columns)."""
+    """m rows of n keys weighted by at most top, as they form, sort and sum:
+    per key 1 item (int64 on the int32 rung) and 16 B (its weight, unpacked),
+    2 items more where keys and weights do not pack (argsort); next to a key
+    block (5 SL2 items and 8 B a cell) or a weighted block of runs; 8 items
+    per row (histogram, columns)."""
     item, cell, packs = _item_bytes(p), _item_bytes(p, sl2=True), p**3 * (top + 1) <= 1 << 63
-    return (item + 32 + 2 * item * (not packs)) * m * n + (5 * cell + 8) * min(m * n, max(n, _CELLS)) + 8 * item * m
+    block = (5 * cell + 8) * min(m * n, max(n, _CELLS))
+    return (item + 16 + 2 * item * (not packs)) * m * n + max(block, _run_bytes(m * n, True)) + 8 * item * m
 
 
 def _fill_keys(H: TranslateSet, k: int):
     """Sorted keys of all |H|^k products, k = 3 or 4: the |H|^2 pair
     quotients h1 h2^-1 times the embedded h3, or times themselves (h3 h4^-1)."""
     p, n = H.p, len(H)
-    _reserve(_FILL_NAMES[k] + " key array", _fill_bytes(p, n, k))
+    _reserve(("T3" if k == 3 else "T4 self-convolution") + " key array", _fill_bytes(p, n, k))
     a, b = _sl2_columns(H)
     u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
     keys = _write_keys(p, u, embed_entries(p, a, b) if k == 3 else u)
@@ -503,7 +546,7 @@ def _fill_keys(H: TranslateSet, k: int):
 
 def _fill(H: TranslateSet, k: int) -> int:
     """T_k(H), k = 3 or 4, from the fill: the sum of squared run lengths."""
-    return _sorted_square_sum(_fill_keys(H, k), _item_bytes(H.p, sl2=True), _FILL_NAMES[k] + " run count")
+    return _sorted_square_sum(_fill_keys(H, k))
 
 
 def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
@@ -512,9 +555,8 @@ def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
     p, n, m = H.p, len(H), len(hist)
     _reserve("T3 quotient keys", _weighted_key_bytes(p, m, n, int(hist.counts.max(initial=0))))
     a, b = _sl2_columns(H)
-    _, sums = _tally(_write_keys(p, hist.columns, embed_entries(p, a, b), dtype=np.int64 if p <= _INT64_P else None),
-                     np.repeat(hist.counts, n))
-    return _dot(sums, sums)
+    return _sorted_square_sum(*_sort(_write_keys(p, hist.columns, embed_entries(p, a, b),
+                                                 dtype=np.int64 if p <= _INT64_P else None), np.repeat(hist.counts, n)))
 
 
 def _t4_quotients(hist: QuotientHistogram) -> int:
@@ -522,9 +564,8 @@ def _t4_quotients(hist: QuotientHistogram) -> int:
     of the support of (sum of r(u) r(v) behind g)^2."""
     p, m, top = hist.p, len(hist), int(hist.counts.max(initial=0))
     _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
-    _, sums = _tally(_write_keys(p, *[hist.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
-                     (hist.counts[:, None] * hist.counts).reshape(-1))
-    return _dot(sums, sums)
+    return _sorted_square_sum(*_sort(_write_keys(p, *[hist.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
+                                     (hist.counts[:, None] * hist.counts).reshape(-1)))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -565,8 +606,8 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
     # per cell of a key block 3 items as key() forms them and 1 int64 more
     # to weigh; indexed, the 8p-byte total next to a block or to two int64
     # per value; sorted, the int64 keys (and to weigh the weights and their
-    # unpacked copy) next to a block or, as _tally reads the runs, to 1 byte
-    # per key and 3 int64 per run (4 to weigh)
+    # unpacked copy) next to a block or, as _tally reads the runs, to a block
+    # of runs and 2 int64 per run
     weighted, runs = weights is not None, min(p, n, distinct)
     block = min(n, max(len(v[0]), _CELLS)) * (3 * item + 8 * weighted)
     if p <= n:
@@ -578,7 +619,7 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
             del keys  # the next block forms without this one
         values = np.flatnonzero(total)  # every weight is positive
         return values, total[values]
-    _reserve(what, (8 + 16 * weighted) * n + max(block, n + (24 + 8 * weighted) * runs))
+    _reserve(what, (8 + 16 * weighted) * n + max(block, _run_bytes(n) + 16 * runs))
     w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
     return _tally(_write_keys(p, u, v, key, np.int64), w)
 
@@ -638,6 +679,14 @@ def minkowski_realisations(A: ScalarSet, lam: int) -> int:
     return _dot(S, np.where(s[i] == t, S[i], 0))
 
 
+def _map_keys(p: int) -> tuple:
+    """(dtype, bytes) of a richness map's keys (< p^2): uint32 while p^2 <= 2^32,
+    then int64, above _INT64_P Python ints (never uint64, as int64 and uint64 make float64)."""
+    if p * p <= 1 << 32:
+        return np.uint32, 4
+    return np.int64 if p <= _INT64_P else object, _item_bytes(p, top=p * p)
+
+
 def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     """(keys a p + b ascending, richness) of every translate holding >= 2
     points of A x A, in O(p |A|^2): (x, y) with y != a lies on (a, b)
@@ -647,18 +696,19 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     here) a block's rows of p cells are no more than its keys: one bincount
     over rows of 2p cells counts x + c < 2p by index, and folding each row's
     upper half onto its lower reduces x + c mod p.  Above that each block is
-    sorted and counted by _tally.  Either way the keys come out ascending."""
+    sorted and counted by _tally.  Either way the keys come out ascending,
+    as _map_keys has them, each block's kept before the next forms."""
     p, n = A.p, len(A)
     rows = max(1, _CELLS // max(1, n * n))
-    index = p <= n * n
+    index, (key_type, key), rich_type = p <= n * n, _map_keys(p), np.min_scalar_type(n)  # richness <= n
     # per key of a block 4 int64 as the keys form and count (9 to sort), and
-    # reserved again before each block and the join, 256 bytes a block and 3
-    # int64 per translate found (>= 2 points): in the lists, then one joined
-    cells = (32 if index else 72) * min(p, rows) * n * n + _table_bytes(p)
+    # reserved again before each block and the join, 256 bytes a block and per
+    # translate found (>= 2 points) 2 keys and its richness (in the lists, then joined)
+    cells, found_bytes = (32 if index else 72) * min(p, rows) * n * n + _table_bytes(p), 2 * key + rich_type.itemsize
     xs, inv = _array(A), _inv_vec(p)
     keys, rich, size = [], [], 0
     for a0 in range(0, p, rows):
-        _reserve("m_k column pass", cells + 24 * size + 256 * len(keys))
+        _reserve("m_k column pass", cells + found_bytes * size + 256 * len(keys))
         a = np.arange(a0, min(p, a0 + rows))[:, None]
         u = _mod(xs - a, p)
         c = _mod(-lam * inv(u), p)  # over (a, y); inv(0) = 0 gives c = 0 where y = a
@@ -674,10 +724,10 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
         else:
             found, t = _tally((_mod(c[:, :, None] + xs, p) + (a - a0)[:, :, None] * p)[u != 0].ravel())
             found, t = found[t >= 2], t[t >= 2]
-        keys.append(found + a0 * p)
-        rich.append(t)
+        keys.append((found + a0 * p).astype(key_type, copy=False))
+        rich.append(t.astype(rich_type))
         size += len(t)
-    _reserve("m_k column pass", cells + 24 * size + 256 * len(keys))
+    _reserve("m_k column pass", cells + found_bytes * size + 256 * len(keys))
     keys = np.concatenate(keys)  # frees the key blocks before joining the rest
     return keys, np.concatenate(rich)
 
@@ -688,17 +738,20 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant ef(ef - 4 lam)),
     so a t-rich translate shows up C(t, 2) times.  Any two points of one
     curve differ in both coordinates, so no translate with t >= 2 is missed.
-    The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks)."""
+    The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks),
+    their roots kept as map keys (_map_keys); a table read turns the C(t, 2)
+    hits of a translate, counted in the narrowest dtype, into t."""
     p, n = A.p, len(A)
-    roots = n * n * (n - 1) ** 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
+    roots, top = n * n * (n - 1) ** 2, n * (n - 1) // 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
+    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(top)
     # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
-    # roots form, per root its key (< p^2) and 16 B as _tally reads the runs,
-    # next to the inverse and square-root tables (16 p); their cold builds
-    # run one after the other, the inverses' the larger
+    # roots form, per root 2 keys (< p^2: in a block, joined) and its hits as
+    # _tally reads the runs, next to the inverse and square-root tables (16 p);
+    # their cold builds run one after the other, the inverses' the larger
     block = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
     tables = _table_bytes(p)
-    _reserve("m_k pair pass", max(tables, (6 * _item_bytes(p, top=p) + 8) * block
-                                  + (_item_bytes(p, top=p * p) + 16) * roots + tables // 2))
+    _reserve("m_k pair pass", max(tables, (6 * _item_bytes(p, top=p) + 8) * block + tables // 2
+                                  + (2 * key + hit_type.itemsize) * roots + _run_bytes(roots)))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -712,9 +765,12 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
                                for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]])
 
     blocks = _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates)
-    keys, hits = _tally(np.concatenate([xs[:0], *(keys for _, keys in blocks)]))
-    # 1 + 8 C(t, 2) = (2t - 1)^2 is an exact square below 2^53, so its float root is exact
-    return keys, (1 + np.sqrt(1 + 8 * hits).astype(np.int64)) // 2
+    # each block copied as it joins: joined as formed, the blocks made the peak RSS swing with the heap layout
+    keys, hits = _tally(np.concatenate([np.empty(0, key_type), *(k.astype(key_type) for _, k in blocks)]),
+                        None, hit_type)
+    rich, t = np.zeros(top + 1, dtype=np.min_scalar_type(n)), np.arange(n + 1)
+    rich[t * (t - 1) // 2] = t  # a t-rich translate has C(t, 2) hits
+    return keys, rich[hits]
 
 
 def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
@@ -736,18 +792,22 @@ def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     """(keys m p + c ascending, hits) of every line y = m x + c through >= 2
     points of B x C: each point pair with distinct x keys its line, so a
     t-rich line has C(t, 2) hits.  The rows are the x-pairs
-    (x1, 1/(x1 - x2)), the columns the y-pairs (y1, y1 - y2) (_write_keys)."""
+    (x1, 1/(x1 - x2)), the columns the y-pairs (y1, y1 - y2) (_write_keys),
+    written as map keys (_map_keys) and counted in the narrowest dtype."""
     p = B.p
     pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
-    # per pair its key and, as _tally reads the runs, 1 byte and 3 int64 a
-    # line (at most p^2), or 4 items per cell of a key block as it forms
-    block, item = min(pairs, max(len(C) ** 2, _CELLS)), _item_bytes(p)
-    _reserve("rich-line table", item * pairs + max(4 * item * block, pairs + 24 * min(pairs, p * p)) + _table_bytes(p))
+    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(len(B) * (len(B) - 1) // 2)  # C(t, 2), t <= |B|
+    # per pair its key (< p^2) and, as _tally reads the runs, a block of runs and
+    # a key and its hits per line (at most p^2), or 4 items a cell of a key block
+    block = 4 * _item_bytes(p) * min(pairs, max(len(C) ** 2, _CELLS))
+    lines = _run_bytes(pairs) + (key + hit_type.itemsize) * min(pairs, p * p)
+    _reserve("rich-line table", key * pairs + max(block, lines) + _table_bytes(p))
     xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(len(xs), 1)
     y1 = np.repeat(ys, len(ys))
-    return _tally(_write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
-                              lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p)))
+    keys = _write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
+                       lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p), key_type)
+    return _tally(keys, None, hit_type)
 
 
 def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
@@ -870,8 +930,7 @@ def borel_t3_mass(H: TranslateSet) -> int:
     """Y_B: the part of T_3 carried by upper-triangular products."""
     if len(H) == 0:
         return 0
-    _, r = _tally(_borel_keys(H))
-    return _dot(r, r)
+    return _sorted_square_sum(*_sort(_borel_keys(H)))
 
 
 def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:

@@ -55,8 +55,8 @@ def test_compute_json_roundtrip(capsys):
 
 
 def test_compute_budget_overflow_exit_2(capsys):
-    # 700^3 int32 keys: 1.72 GB against the default 1.61 GB
-    code, _, err = run(capsys, "compute", "t3", "--p", "101", "--H", "randomh:700,1")
+    # 750^3 int32 keys: 1.69 GB against the default 1.61 GB
+    code, _, err = run(capsys, "compute", "t3", "--p", "101", "--H", "randomh:750,1")
     assert code == 2
     assert "budget" in err
 
@@ -93,8 +93,8 @@ def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantit
 
 
 def test_default_budget_refuses_large_energy(capsys):
-    # the 11000^2-pair quotient histogram would need about 2.9 GB (24 B per pair)
-    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:11000,1")
+    # the 13000^2-pair quotient histogram would need about 3.4 GB (20 B per pair)
+    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:13000,1")
     assert code == 2
     required, budget = map(int, _REFUSAL.match(err.strip()).groups())
     assert budget == 1536 << 20 < 2.5 * 10**9 < required

@@ -359,6 +359,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # arm keys R's 66 x-pairs against its 144 y-pairs in blocks of as many
     # x-pairs, and the lines A's 10 x-pairs against them likewise and R's
     # 66 against A's 25 y-pairs in 66, 17 or one block.
+    # Every sorted count reads its runs in blocks of as many keys.
     # The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
     # of the 40-byte pole rows per block, and one (7, 100) or all five
@@ -366,7 +367,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # translations per table block; the poles of sigma (24 maps x 5 points)
     # and sumprod (25 x 5) are reduced to their distinct values at 7 and 100
     for cells in (7, 100, 2900):
-        for name in ("_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS"):
+        for name in ("_CELLS", "_HIT_ROW_BYTES", "_FEW_CELLS", "_RUN_BLOCK"):
             monkeypatch.setattr(counts, name, cells)
         assert all_counts() == want
 
@@ -450,9 +451,10 @@ def test_t3_budget_gate(monkeypatch):
         t_k(grid, 3)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
-    # the default budget admits the fill at |H| = 512 (5 B per int32 key of
-    # 512^3: 0.68 GB), past the support histogram that chose it, and up to
-    # |H| = 684 at p = 1009; an admitted fill stops before it allocates
+    # the default budget admits the fill at |H| = 512 and 640 (4 B per int32
+    # key of 640^3: 1.05 GB, and a block of runs as they are counted), past
+    # the support histogram that chose it, and up to |H| = 736 at p = 1009;
+    # an admitted fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
 
@@ -462,10 +464,11 @@ def test_t3_budget_gate(monkeypatch):
             raise _Admitted(what)
 
     monkeypatch.setattr(counts, "_reserve", reserve)
-    with pytest.raises(_Admitted):
-        t_k(rand_translates(rng, 1009, 512), 3)
+    for n in (512, 640):
+        with pytest.raises(_Admitted):
+            t_k(rand_translates(rng, 1009, n), 3)
     with pytest.raises(ResourceLimit, match="T3 key array"):
-        t_k(rand_translates(rng, 1009, 700), 3)
+        t_k(rand_translates(rng, 1009, 750), 3)
 
 
 def test_t3_arm_follows_the_support(monkeypatch):
@@ -485,9 +488,9 @@ def test_t3_arm_follows_the_support(monkeypatch):
         arms.clear()
         t_k(parse_setspec(spec, F), 3)
         assert arms == want, spec
-    # the quotient arm reserves 31.6 MiB for mid, the fill 11.2 MiB
+    # the quotient arm reserves 19.7 MiB for mid, the fill 9.2 MiB
     want = _t3_by_fill(mid)
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "28")
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "16")
     arms.clear()
     assert t_k(mid, 3) == want
     assert arms == ["_quotient_histogram", "_t3_quotients", "_fill"]
@@ -681,20 +684,21 @@ def test_t4_arm_follows_the_support(monkeypatch):
         arms.clear()
         t_k(parse_setspec(spec, F), 4)
         assert arms == want, spec
-    # |Q| / |H|^2 = 0.46: the weighted arm reserves 43.5 MiB, the fill 26.3 MiB
+    # |Q| / |H|^2 = 0.46: the weighted arm reserves 26.7 MiB, the fill 21.2 MiB
     mid = parse_setspec("cart:ap:1,1,16;ap:1,1,3", F)
     want = _t4_by_fill(mid)
-    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "32")
+    monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     arms.clear()
     assert t_k(mid, 4) == want
     assert arms == ["_t4_quotients", "_fill"]
 
 
 def test_refused_fill_writes_no_key(monkeypatch):
-    """A T_4 fill the budget refuses stops before it writes a key: under
-    1 MiB, 30^4 int32 keys (4.1 MB) are refused, and t_k(H, 4) writes only
-    the quotient histogram's keys, 30 rows of them, before both arms refuse."""
-    H = rand_translates(random.Random(0), 1009, 30)
+    """A T_k fill the budget refuses stops before it writes a key: under
+    1 MiB, 30^4 int32 keys (3.2 MB) and 70^3 (1.4 MB) are refused, and t_k
+    writes only the quotient histogram's keys, a row per translate, before
+    the arms refuse (both for T_4; the fill for T_3, on a support too large
+    for the quotient arm)."""
     written = []
     real = counts._write_keys
 
@@ -704,11 +708,14 @@ def test_refused_fill_writes_no_key(monkeypatch):
 
     monkeypatch.setattr(counts, "_write_keys", write_keys)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
-    with pytest.raises(ResourceLimit, match="T4 self-convolution key array"):
-        counts._fill(H, 4)
-    with pytest.raises(ResourceLimit, match="T4 self-convolution"):
-        t_k(H, 4)
-    assert written == [30]
+    for k, n, name in ((4, 30, "T4 self-convolution"), (3, 70, "T3")):
+        H = rand_translates(random.Random(0), 1009, n)
+        written.clear()
+        with pytest.raises(ResourceLimit, match=name + " key array"):
+            counts._fill(H, k)
+        with pytest.raises(ResourceLimit, match=name):
+            t_k(H, k)
+        assert written == [n]
 
 
 def test_budget_from_env(monkeypatch):
@@ -719,7 +726,7 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (24 * 220**2 + counts._OVERHEAD, 1 << 20)
+    assert (e.value.required, e.value.budget) == (20 * 220**2 + counts._run_bytes(220**2) + counts._OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -744,6 +751,8 @@ P61 = (1 << 61) - 1
 _PEAK_CASES = {
     "quotient-64": lambda: (quotient_histogram, _rand_h(1009, 64)),
     "quotient-256": lambda: (quotient_histogram, _rand_h(1009, 256)),
+    # more pairs than a block of runs: the arguments read off the distinct keys peak
+    "quotient-600": lambda: (quotient_histogram, _rand_h(1009, 600)),
     "quotient-1291": lambda: (quotient_histogram, _rand_h(1291, 256)),
     "quotient-2097169": lambda: (quotient_histogram, _rand_h(2097169, 64)),
     "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
@@ -809,6 +818,9 @@ _PEAK_CASES = {
     "sigma-poles": lambda: (sigma, _rand_a(65537, 2000), _rand_h(65537, 3000)),
     "sumprod-poles": lambda: (sumprod_quadruples, _rand_a(65537, 200), 2),
     "cschain-poles": lambda: (cs_chain_report, _rand_a(65537, 20000), _rand_h(65537, 40)),
+    # one pole block of 41 rows, target blocks of 21 rows: the target rows'
+    # keys form for a target block, not for the pole block
+    "cschain-wide": lambda: (cs_chain_report, *(parse_setspec(s, Fp(65537)) for s in ("random:12000,1", "randomh:40,1"))),
     # the pair histograms: about n^2 distinct differences (or n^2 / 2 distinct
     # D values) of a random set while n^2 < p, and p of them above; where
     # p > n^2 keys (the -300, -600, -16 and -p61 cases) all keys sort in one
@@ -1063,9 +1075,9 @@ def test_rich_hyperbolae_ap_pin():
 
 @pytest.mark.parametrize(
     "p, spec",
-    [(1009, "random:40,1"), (1009, "ap:1,1,32"), (65537, "random:8,1"), (65537, "gp:3,5,8"),
-     (61, "random:8,1"), (61, "ap:1,1,8"), (61, "gp:2,3,8"), (101, "random:12,1"), (101, "ap:3,5,11"),
-     (101, "gp:2,3,11"), (1009, "gp:3,5,32")],
+    [(1009, "random:40,1"), (1009, "ap:1,1,32"), (65521, "random:8,1"), (65521, "gp:3,5,8"), (65537, "random:8,1"),
+     (65537, "gp:3,5,8"), (61, "random:8,1"), (61, "ap:1,1,8"), (61, "gp:2,3,8"), (101, "random:12,1"),
+     (101, "ap:3,5,11"), (101, "gp:2,3,11"), (1009, "gp:3,5,32")],
 )
 def test_mk_arms_agree(p, spec):
     """The column and pair arms give the same translate -> richness map, the
@@ -1078,6 +1090,25 @@ def test_mk_arms_agree(p, spec):
         assert len(ck) > 0
         assert np.array_equal(ck, pk) and np.array_equal(cr, pr)
         assert np.all(ck[1:] > ck[:-1]) and np.all(cr >= 2)
+
+
+@pytest.mark.parametrize("p, key", [(65521, np.uint32), (65537, np.int64), (2097169, object)])
+def test_richness_maps_at_their_values_width(p, key):
+    """A richness map keeps its keys (< p^2) as uint32 while p^2 - 1 < 2^32,
+    as int64 up to 2^21 and as Python ints above (the pair arm's route), and
+    its richness (at most |A|) or hits (at most C(|B|, 2)) in the smallest
+    unsigned dtype that holds them: uint8 for 8 points, uint16 for 300.
+    A threshold past that dtype's range counts nothing."""
+    A, lam = parse_setspec("random:8,1", Fp(p)), p - 1
+    for arm in (counts._mk_pairs, counts._mk_columns)[: 1 + (p <= counts._INT64_P)]:
+        keys, rich = arm(A, lam)
+        assert (keys.dtype, rich.dtype) == (key, np.uint8) and len(keys) > 0
+    keys, hits = counts._lines(A, A)
+    assert (keys.dtype, hits.dtype) == (key, np.uint8) and len(keys) > 0  # C(8, 2) = 28
+    assert rich_hyperbolae(A, 300) == rich_lines(A, A, 300) == 0
+    assert rich_lines(A, A, 2) == len(keys) + len(A)
+    wide = parse_setspec("random:300,1", Fp(1009))  # the column arm
+    assert counts._mk_columns(wide, 1008)[1].dtype == np.uint16 and rich_hyperbolae(wide, 70000) == 0
 
 
 def test_rich_hyperbolae_arm_selection(monkeypatch):
@@ -1451,7 +1482,36 @@ def test_equal_neighbour_sum_matches_counter(keys):
     neighbours where they are at most half (all-distinct, few-equal, object)
     and off the unequal ones elsewhere; Python ints as object keys."""
     array = np.array(sorted(keys), dtype=object if keys and max(keys) >= 1 << 63 else np.int64)
-    assert counts._sorted_square_sum(array, counts._item_bytes(P61)) == sum(v * v for v in Counter(keys).values())
+    assert counts._sorted_square_sum(array) == sum(v * v for v in Counter(keys).values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=40), st.sampled_from(["int32", "int64", "object"]), st.data())
+def test_run_reader_is_the_definition(keys, dtype, data):
+    """_tally, unweighted and weighted, and _sorted_square_sum read the runs
+    of sorted keys as np.unique counts them and as the weights of each key
+    sum, on int32, int64 and Python-int keys (past 2^64), in blocks of 3 and
+    7 keys, where runs straddle block edges, and in one block; also for no
+    keys and for one."""
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    for ks, ws in ((keys, weights), ([], []), (keys[:1], weights[:1])):
+        if dtype == "object":
+            ks = [k * 2**64 + 2**70 for k in ks]
+        array, w = np.array(ks, dtype=dtype), np.array(ws, dtype=np.int64)
+        values, multiplicity = np.unique(array, return_counts=True)
+        sums = Counter()
+        for k, x in zip(ks, ws):
+            sums[k] += x
+        for block in (3, 7, counts._RUN_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counts, "_RUN_BLOCK", block)
+                got = counts._tally(array.copy())
+                assert [v.tolist() for v in got] == [values.tolist(), multiplicity.tolist()]
+                got = counts._tally(array.copy(), w.copy())
+                assert [v.tolist() for v in got] == [values.tolist(), [sums[k] for k in values.tolist()]]
+                assert counts._sorted_square_sum(np.sort(array)) == sum(m * m for m in multiplicity.tolist())
+                assert counts._sorted_square_sum(*counts._sort(array.copy(), w.copy())) == sum(
+                    s * s for s in sums.values())
 
 
 def test_square_sums_past_int64():
