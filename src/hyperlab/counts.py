@@ -70,21 +70,22 @@ map is a = -g, b = -f, and a quotient with w = b1 - b2 != 0 maps x != a2
 to a1 + 1/(w + 1/(x - a2)) and a2 to a1, so an x != a2 hits A exactly when
 w + inv(x - a2) = inv(y - a1) for a y != a1 in A; a quotient with w = 0
 is the translation by a1 - a2, the map with pole oo.  The Cauchy-Schwarz
-step tests only the quotients with w <= (p-1)/2, the translations whole,
-and weighs the rest twice: u^-1 has the arguments (-w, a2, a1), the same
-r and the same sigma_u, and p is odd, so w and p - w differ.  The inverses
-come from one array route, _inv_vec: a table read off the powers of a
-primitive root for small p, and above it one Fp.inv call (the built-in
-pow(x, -1, p)) per element.  The brute-force reference loops in the oracle
-module use Fermat powers instead, so the two routes share no arithmetic
-shortcuts.
+step's Omega pass, read on demand, tests the quotients with w <= (p-1)/2,
+the translations whole, and weighs the rest twice: u^-1 has the arguments
+(-w, a2, a1), the same r and sigma_u, and p is odd, so w and p - w differ;
+its sum of r(u) sigma_u is sum_z N(z)^2 over the |H||A| preimages
+h^-1(x) = b - inv(x - a), the same rows minus b.  The inverses come from
+one array route, _inv_vec: a table read off the powers of a primitive root
+for small p, and above it one Fp.inv call (the built-in pow(x, -1, p)) per
+element.  The brute-force reference loops in the oracle module use Fermat
+powers instead, so the two routes share no arithmetic shortcuts.
 """
 
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,16 +188,6 @@ class QuotientHistogram:
         """The entry columns (a, b, c, d) of the quotients, formed on each read."""
         w, a1, a2 = self.args
         return pair_quotient_entries(self.p, a1, w, a2, 0)
-
-
-@dataclass(frozen=True)
-class CsChainReport:
-    sigma: int
-    lhs_sq: int
-    rhs_cs: int
-    delta: Fraction
-    omega_size: int
-    omega_incidence_share: Fraction
 
 
 def _check_lambda(p: int, lam: int) -> int:
@@ -596,12 +587,12 @@ def t_k(H: TranslateSet, k: int) -> int:
     raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
 
 
-def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item: int = 8) -> tuple:
+def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item: int = 8, held: int = 0) -> tuple:
     """(values ascending, total weights) of the at most distinct residues
     key(p, *u_i, *v) mod p of _key_blocks, weighted by the outer product of
     the weight columns (wu, wv) or by 1: where p is at most the keys, added
     by index into one p-long int64 total, else written as int64 and counted
-    by one _tally."""
+    by one _tally.  The caller holds held bytes besides."""
     n = len(u[0]) * len(v[0])
     # per cell of a key block 3 items as key() forms them and 1 int64 more
     # to weigh; indexed, the 8p-byte total next to a block or to two int64
@@ -611,7 +602,7 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
     weighted, runs = weights is not None, min(p, n, distinct)
     block = min(n, max(len(v[0]), _CELLS)) * (3 * item + 8 * weighted)
     if p <= n:
-        _reserve(what, 8 * p + max(block, 16 * runs))
+        _reserve(what, held + 8 * p + max(block, 16 * runs))
         total = np.zeros(p, dtype=np.int64)
         for rows, keys in _key_blocks(p, u, v, key):  # np.add.at takes a slow path on 2-d weights
             np.add.at(total, keys.reshape(-1).astype(np.int64, copy=False),
@@ -619,7 +610,7 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
             del keys  # the next block forms without this one
         values = np.flatnonzero(total)  # every weight is positive
         return values, total[values]
-    _reserve(what, (8 + 16 * weighted) * n + max(block, _run_bytes(n) + 16 * runs))
+    _reserve(what, held + (8 + 16 * weighted) * n + max(block, _run_bytes(n) + 16 * runs))
     w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
     return _tally(_write_keys(p, u, v, key, np.int64), w)
 
@@ -933,56 +924,89 @@ def borel_t3_mass(H: TranslateSet) -> int:
     return _sorted_square_sum(*_sort(_borel_keys(H)))
 
 
+@dataclass(frozen=True)
+class CsChainReport:
+    """cs_chain_report's step; |Omega| and its share are computed on first read, and == compares the rest."""
+
+    sigma: int
+    lhs_sq: int
+    rhs_cs: int
+    delta: Fraction
+    _inputs: tuple = field(repr=False, compare=False)  # A, H and the quotient histogram of H
+
+    @cached_property
+    def _omega(self) -> tuple:
+        """(|Omega|, its share) by _hits over the translations (w = 0, first by
+        key) and the w <= (p-1)/2 for themselves and their inverses (-w, a2,
+        a1), r doubled: u takes the x in A with u(x) in A one to one to the y
+        in A with u^-1(y) in A.  Its sum_u r(u) sigma_u must be rhs_cs / |A|."""
+        A, H, hist = self._inputs
+        p = A.p
+        t, m = hist.args[0].searchsorted([1, (p + 1) // 2])
+        r, w, a1, a2 = (col[:m].astype(np.int64) for col in (hist.counts, *hist.args))
+        r[t:] *= 2
+        xs = _array(A, np.int64)
+        # u = h1 h2^-1 maps a2 to a1 and x != a2 to a1 + 1/(w + inv(x - a2)), which
+        # is y != a1 in A exactly when w + inv(x - a2) = inv(y - a1) (0 is no
+        # inverse, so u(x) = oo never counts).  So the rows of inverses of the
+        # distinct a of H serve as poles a2 and as target rows a1, and the pole
+        # oo (p), whose row is A itself, as pole and target row of the translations
+        ha = np.array([*sorted({a for a, _ in H}), p], dtype=np.int64)
+        if p <= len(w):  # a's rank by a p-long table, faster than a binary search per quotient
+            rank = np.zeros(p, dtype=np.int64)
+            rank[ha[:-1]] = np.arange(len(ha) - 1)
+            rank = rank.__getitem__
+        else:
+            rank = ha.searchsorted
+        pole, key = rank(a2), rank(a1)
+        pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
+        w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
+        # held per map: r, a1, a2 (w is the shift), and the report's histogram (2 quotients of a count, 3 arguments)
+        su = _hits(p, xs, ha, pole, w, None, key, held=24 + 2 * (8 + 3 * _item_bytes(p, sl2=True, top=p)))
+        in_a = xs[xs[:-1].searchsorted(ha)] == ha  # a pole lies in A (oo does not)
+        su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
+        total_rs = self.rhs_cs // len(A)
+        if (rs := _dot(r, su)) != total_rs:
+            raise AssertionError(f"sum_u r(u) sigma_u = {rs} by quotients, {total_rs} by preimages")
+        omega = su >= -(-self.delta.numerator // self.delta.denominator)  # sigma_u >= ceil(delta)
+        share = Fraction(_dot(r[omega], su[omega]), total_rs) if total_rs else Fraction(1)
+        return int(np.count_nonzero(omega) + np.count_nonzero(omega[t:])), share
+
+    omega_size = property(lambda self: self._omega[0], doc="|Omega|, computed on first read")
+    omega_incidence_share = property(lambda self: self._omega[1], doc="Omega's share of sum_u r(u) sigma_u")
+
+
+def _preimage_counts(A: ScalarSet, H: TranslateSet) -> tuple:
+    """(z ascending, N(z), N(oo)), N(z) the number of (h, x) in H x A with
+    h^-1(x) = b - inv(x - a) = z (_pole_rows, _sort_count), oo where x = a:
+    such a cell (row 2p) is counted at b, then moved, maybe leaving N(z) = 0."""
+    p, xs = A.p, _array(A, np.int64)
+    a, b = _array(H, np.int64).reshape(-1, 2).T
+    poles, pole = _distinct(p, a, len(xs))
+    # per (pole, point) 17 bytes as the rows form (as in _hits) and 8 held as the cells count
+    cells = len(poles) * len(xs)
+    _reserve("preimage rows", (17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p))) * cells + _table_bytes(p))
+    rows = _pole_rows(p, poles, xs)
+    z, n = _sort_count("preimage counts", p, (pole, b), (np.arange(len(xs)),),
+                       lambda p, k, b, j: _mod(b - rows[k, j], p), len(H) * len(A), held=8 * cells)
+    at_oo = b[(xs[xs[:-1].searchsorted(a)] == a)]  # the h with a in A: their cell x = a counted at b
+    np.subtract.at(n, z.searchsorted(at_oo), 1)
+    return z, n, len(at_oo)
+
+
 def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     """Replay of the first Cauchy-Schwarz step: sigma^2 <= |A| sum_u r(u) sigma_u,
     the pigeonhole level Delta = sigma^2 / (3|A||H|^2), and the share of
-    the right-hand side carried by Omega = {u: sigma_u >= Delta}."""
+    the right-hand side carried by Omega = {u: sigma_u >= Delta}, read on
+    demand; sum_u r(u) sigma_u counts the (h1, h2, x, y) with h2^-1(x) = h1^-1(y): sum_z N(z)^2."""
     if A.p != H.p:
         raise ModulusMismatch(f"moduli differ: {A.p}, {H.p}")
     if len(A) == 0 or len(H) == 0:
         raise EmptyInput("cs_chain_report needs nonempty A and H")
-    p = A.p
     sig = sigma(A, H, -1)
-    hist = quotient_histogram(H)
-    # the translations (w = 0, first by key) once each, then the w <= (p-1)/2
-    # for themselves and their inverses (-w, a2, a1): r doubled.  u takes the
-    # x in A with u(x) in A one to one to the y in A with u^-1(y) in A
-    t, m = hist.args[0].searchsorted([1, (p + 1) // 2])
-    cols = [hist.counts, *hist.args]
-    del hist  # each column goes once its first m are copied as int64 (int32 or Python ints in hist)
-    r, w, a1, a2 = (cols.pop(0)[:m].astype(np.int64) for _ in range(4))
-    r[t:] *= 2
-    xs = _array(A, np.int64)
-    # u = h1 h2^-1 maps a2 to a1 and x != a2 to a1 + 1/(w + inv(x - a2)), which
-    # is y != a1 in A exactly when w + inv(x - a2) = inv(y - a1) (0 is no
-    # inverse, so u(x) = oo never counts).  So the rows of inverses of the
-    # distinct a of H serve as poles a2 and as target rows a1, and the pole
-    # oo (p), whose row is A itself, as pole and target row of the translations
-    ha = np.array([*sorted({a for a, _ in H}), p], dtype=np.int64)
-    if p <= len(w):  # a's rank by a p-long table, faster than a binary search per quotient
-        rank = np.zeros(p, dtype=np.int64)
-        rank[ha[:-1]] = np.arange(len(ha) - 1)
-        rank = rank.__getitem__
-    else:
-        rank = ha.searchsorted
-    pole, key = rank(a2), rank(a1)
-    pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
-    w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
-    su = _hits(p, xs, ha, pole, w, None, key, held=24)  # r, a1, a2 (w is the shift)
-    in_a = xs[xs[:-1].searchsorted(ha)] == ha  # a pole lies in A (oo does not)
-    su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
-    total_rs = _dot(r, su)
-    rhs = len(A) * total_rs
+    _, n, oo = _preimage_counts(A, H)
+    rhs = len(A) * (_dot(n, n) + oo * oo)
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)
-    omega = su >= -(-delta.numerator // delta.denominator)  # sigma_u >= ceil(delta)
-    share = Fraction(_dot(r[omega], su[omega]), total_rs) if total_rs else Fraction(1)
-    return CsChainReport(
-        sigma=sig,
-        lhs_sq=sig * sig,
-        rhs_cs=rhs,
-        delta=delta,
-        omega_size=int(np.count_nonzero(omega) + np.count_nonzero(omega[t:])),
-        omega_incidence_share=share,
-    )
+    return CsChainReport(sig, sig * sig, rhs, delta, (A, H, quotient_histogram(H)))

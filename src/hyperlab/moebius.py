@@ -145,13 +145,19 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
 def product_key_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
     """Key entries (a, c, z) of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p over
     broadcast arrays: the first column, then z = d, or b where c = 0 (b
-    formed only where some product has c = 0).  Injective on SL2, as det = 1
-    fixes b from (a, c, d) where c != 0, and d = 1/a where c = 0."""
+    gathered at those cells, or formed over a small block or one where they
+    are many).  Injective on SL2, as det = 1 fixes b from (a, c, d) where
+    c != 0, and d = 1/a where c = 0."""
     a = _mod(a1 * a2 + b1 * c2, p)
     c = _mod(c1 * a2 + d1 * c2, p)
     z, zero = c1 * b2 + d1 * d2, c == 0
-    if zero.any():
+    many = np.count_nonzero(zero)
+    if many and 8 * many + (1 << 13) > zero.size:  # over 1 in 8 (grids, Borel keys), or few cells: timed faster
         z = np.where(zero, a1 * b2 + b1 * d2, z)
+    elif many:
+        at = np.unravel_index(np.flatnonzero(zero), z.shape)
+        a1, b1, b2, d2 = (np.broadcast_to(e, z.shape)[at] for e in (a1, b1, b2, d2))
+        z[at] = a1 * b2 + b1 * d2
     return a, c, _mod(z, p)
 
 

@@ -267,6 +267,11 @@ def _scalar_cs_chain(A, H):
     return (sig, sig * sig, len(A) * total, delta, len(omega), share)
 
 
+def _cs_fields(rep):
+    """All six fields of a Cauchy-Schwarz report, the Omega pass among them."""
+    return (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
+
+
 def _check_group_kernels(A, H):
     """Every group kernel against the generic chain and scalar evaluate, and
     every value it returns a Python int (or Fraction), every histogram int64."""
@@ -277,8 +282,7 @@ def _check_group_kernels(A, H):
     yb = borel_t3_mass(H)
     assert yb == sum(v * v for key, v in q3.items() if key[2] == 0)
     rep = cs_chain_report(A, H)
-    fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
-    assert fields == _scalar_cs_chain(A, H)
+    assert _cs_fields(rep) == _scalar_cs_chain(A, H)
     # the coset label of u = (a b; c d) is u(oo) = a/c, or oo where c = 0
     want = Counter()
     for (a, _, c, _), r in q2.items():
@@ -341,8 +345,9 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     assert len(H) == 24
 
     def all_counts():
-        return (t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), borel_t3_mass(H), cs_chain_report(A, H), sigma(A, H, 3),
-                sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A), _table(product_rep_histogram(A)),
+        return (t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), borel_t3_mass(H), _cs_fields(cs_chain_report(A, H)),
+                sigma(A, H, 3), sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A),
+                _table(product_rep_histogram(A)),
                 *(v.tolist() for arm in (counts._mk_columns, counts._mk_pairs) for v in arm(R, 100)),
                 rich_lines(R, A, 2), rich_lines(A, R, 3))
 
@@ -358,7 +363,8 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # keys by index, one row a block at 7 and 100 and 20 at 2900; the pair
     # arm keys R's 66 x-pairs against its 144 y-pairs in blocks of as many
     # x-pairs, and the lines A's 10 x-pairs against them likewise and R's
-    # 66 against A's 25 y-pairs in 66, 17 or one block.
+    # 66 against A's 25 y-pairs in 66, 17 or one block; the preimage counts
+    # key H's 24 translates against A's 5 points in 24, six or one block.
     # Every sorted count reads its runs in blocks of as many keys.
     # The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
@@ -746,6 +752,12 @@ def _rand_a(p, n):
 
 P61 = (1 << 61) - 1
 
+
+def _cs_omega(A, H):
+    """|Omega| of a fresh Cauchy-Schwarz report: the report and its Omega pass."""
+    return cs_chain_report(A, H).omega_size
+
+
 # each table-building kernel at two small sizes; p >= 2097169 runs on Python
 # ints.  The SL2 kernels run on int32 at p = 1009 and on int64 at their 1291 twins
 _PEAK_CASES = {
@@ -810,17 +822,25 @@ _PEAK_CASES = {
     "sumprod-20": lambda: (sumprod_quadruples, _rand_a(1009, 20), 2),
     "sumprod-64": lambda: (sumprod_quadruples, _rand_a(1009, 64), 4),
     "sumprod-p61": lambda: (sumprod_quadruples, _rand_a(P61, 12), 3),
-    "cschain-1000": lambda: (cs_chain_report, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
-    "cschain-262139": lambda: (cs_chain_report, _rand_a(262139, 20), _rand_h(262139, 12)),
-    "cschain-p61": lambda: (cs_chain_report, _rand_a(P61, 20), _rand_h(P61, 12)),
+    # the Cauchy-Schwarz report with its Omega pass (_hits over the quotients)
+    "cschain-1000": lambda: (_cs_omega, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
+    "cschain-262139": lambda: (_cs_omega, _rand_a(262139, 20), _rand_h(262139, 12)),
+    "cschain-p61": lambda: (_cs_omega, _rand_a(P61, 20), _rand_h(P61, 12)),
+    # the report alone: sigma, the preimage counts (by index at 1009 and
+    # 65537, in 64 blocks of 16 translates at 65537, sorted above 2^21)
+    # and the quotient histogram
+    "cschain-rhs-job": lambda: (cs_chain_report, parse_setspec("ap:1,1,64", Fp(1009)), _rand_h(1009, 512)),
+    "cschain-rhs-65537": lambda: (cs_chain_report,
+                                  *(parse_setspec(s, Fp(65537)) for s in ("random:2000,1", "randomh:1024,1"))),
+    "cschain-rhs-2097169": lambda: (cs_chain_report, _rand_a(2097169, 300), _rand_h(2097169, 200)),
     # more distinct poles than a block of rows holds: sigma's b, sumprod's
     # a2 - a4 and the a of H (whose rows are also cs_chain's target rows)
     "sigma-poles": lambda: (sigma, _rand_a(65537, 2000), _rand_h(65537, 3000)),
     "sumprod-poles": lambda: (sumprod_quadruples, _rand_a(65537, 200), 2),
-    "cschain-poles": lambda: (cs_chain_report, _rand_a(65537, 20000), _rand_h(65537, 40)),
+    "cschain-poles": lambda: (_cs_omega, _rand_a(65537, 20000), _rand_h(65537, 40)),
     # one pole block of 41 rows, target blocks of 21 rows: the target rows'
     # keys form for a target block, not for the pole block
-    "cschain-wide": lambda: (cs_chain_report, *(parse_setspec(s, Fp(65537)) for s in ("random:12000,1", "randomh:40,1"))),
+    "cschain-wide": lambda: (_cs_omega, *(parse_setspec(s, Fp(65537)) for s in ("random:12000,1", "randomh:40,1"))),
     # the pair histograms: about n^2 distinct differences (or n^2 / 2 distinct
     # D values) of a random set while n^2 < p, and p of them above; where
     # p > n^2 keys (the -300, -600, -16 and -p61 cases) all keys sort in one
@@ -1393,9 +1413,7 @@ def test_hits_membership_routes(monkeypatch, p):
         monkeypatch.setattr(counts, "_FEW_CELLS", few_cells)
         got = sigma(A, H)
         assert type(got) is int and got == oracle.sigma_naive(A, H) >= 6
-        rep = cs_chain_report(A, H)
-        fields = (rep.sigma, rep.lhs_sq, rep.rhs_cs, rep.delta, rep.omega_size, rep.omega_incidence_share)
-        assert fields == want
+        assert _cs_fields(cs_chain_report(A, H)) == want
     assert bool(isin_calls) is not table
 
 
@@ -1696,6 +1714,48 @@ def test_cs_chain_half_pass_at_the_smallest_primes(p, a_spec, h_spec):
     if len({b for _, b in H}) == 1:
         assert not quotient_histogram(H).args[0].any()
     _check_group_kernels(A, H)
+
+
+@pytest.mark.parametrize(
+    "p, a_spec, h_spec",
+    [
+        (3, "list:0,1,2", "cart:ap:0,1,3;ap:0,1,3"),  # every translate: each a in A
+        (1009, "ap:1,1,40", "randomh:80,1"),
+        (65537, "ap:0,1,30", "cart:ap:0,1,12;ap:1,1,5"),
+        (2097169, "ap:0,1,10", "cart:ap:0,1,8;ap:1,1,6"),
+        (P61, "ap:0,1,8", "cart:ap:0,1,6;ap:1,1,4"),
+    ],
+)
+def test_preimage_counts_cross_checks(p, a_spec, h_spec):
+    # N(z) counts the (h, x) in H x A with h^-1(x) = z.  Those with z in A
+    # are the incidences (h, z), h(z) = x in A; every cell lands once, at oo
+    # where x = a; and sum_z N(z)^2 is the quotient route's sum_u r(u) sigma_u
+    F = Fp(p)
+    A, H = parse_setspec(a_spec, F), parse_setspec(h_spec, F)
+    z, n, oo = counts._preimage_counts(A, H)
+    assert np.all(np.diff(z) > 0) and np.all(n >= 0)
+    assert int(n[np.isin(z, counts._array(A, np.int64))].sum()) == sigma(A, H) > 0
+    assert int(n.sum()) + oo == len(H) * len(A)
+    assert oo == sum(a in A.elements for a, _ in H) > 0
+    full = _full_support_sigma_u(A, H)
+    assert cs_chain_report(A, H).rhs_cs == len(A) * sum(r * su for r, su in full.values())
+
+
+def test_omega_is_read_on_demand_and_checked(monkeypatch):
+    F = Fp(1009)
+    A, H = parse_setspec("ap:1,1,20", F), parse_setspec("cart:ap:1,1,6;ap:1,1,5", F)
+    want, calls = _scalar_cs_chain(A, H), []
+    real = counts._hits
+    monkeypatch.setattr(counts, "_hits", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    rep = cs_chain_report(A, H)
+    assert len(calls) == 1  # sigma's: the right-hand side comes from the preimage counts
+    assert _cs_fields(rep) == _cs_fields(rep) == want
+    assert len(calls) == 2  # one Omega pass, cached
+    # the Omega pass checks its sum_u r(u) sigma_u against the preimage pass's
+    rep = cs_chain_report(A, H)
+    monkeypatch.setattr(counts, "_hits", lambda *args, **kw: real(*args, **kw) + 1)
+    with pytest.raises(AssertionError, match="by quotients"):
+        rep.omega_size
 
 
 def test_cs_chain_inequality_random():
