@@ -31,16 +31,17 @@ where that fits int64, and by argsort otherwise; a weight sum is int64 only
 where len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for
 p <= 1289 (SL2 kernels only), int64 for p <= 2^21, Python ints above.
 
-T_3 and T_4 have two arms each.  The fill keys all |H|^k products, the
-|H|^2 pair quotients h1 h2^-1 times the embedded h3 (k = 3) or times the
-pair quotients again (k = 4), and sums the squared run lengths
-(_sorted_square_sum); the quotient arm weighs the |Q| |H| products u h3,
-or the |Q|^2 products u v, of the support by r(u) (r(u) r(v)), as
-T_3 = sum_g (sum_{u h3 = g} r(u))^2.  The quotient arm runs where
-|Q| <= 3/5 |H|^2 (about where it stops being the faster, measured for
-either k), the fill elsewhere; where the budget refuses the quotient arm
-the fill runs, and for T_4 also the other way round.  Up to |H|^3 = 2^12
-the T_3 fill runs with no support histogram built.  The Borel part of T_3
+T_3 and T_4 come from one pass, _product_squares: the sum over g of
+(sum_{u_i v_j = g} w_i w'_j)^2 over the products of two sets of entry
+columns, read off their sorted keys.  The fill takes the |H|^2 pair
+quotients h1 h2^-1 times the embedded h3 (k = 3) or times themselves
+(k = 4), with weight 1; the support arm takes the quotient support Q times
+the embedded h3 with weights (r(u), 1), or times itself with (r(u), r(v)),
+as T_3 = sum_g (sum_{u h3 = g} r(u))^2.  One rule serves both k: the
+support arm where |Q| <= 3/5 |H|^2 (about where it stops being the
+faster, measured for either k), the fill elsewhere, and the other arm
+where the budget refuses the one chosen.  Up to |H|^3 = 2^12 the T_3 fill
+runs with no support histogram built.  The Borel part of T_3
 keys only the triples whose product lies in B: u h3 has
 c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
 a3 = a2 - 1/w, and a pair with w = 0 joins none.
@@ -89,7 +90,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import _OVERHEAD, EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
+from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
 from .moebius import _mod, embed_entries, pair_quotient_entries, product_key_entries
 from .sets import ScalarSet, TranslateSet, _sorted_set
@@ -100,7 +101,7 @@ _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its
 _RUN_BLOCK = 1 << 16  # sorted keys per block of _run_blocks, a multiple of _CELLS (timed)
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
-_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the quotient arms of T_3 and T_4 take less time
+_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the support arms of T_3 and T_4 take less time
 _INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
@@ -501,62 +502,44 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     return QuotientHistogram(p, (keys, a1, a2), counts)
 
 
-def _fill_bytes(p: int, n: int, k: int) -> int:
-    """The T_k fill's n^k keys next to 4 items per pair quotient and 5 items
-    and 8 B per cell of a key block of rows n^(k-2) long (measured: 45 B a
-    block cell at int64, 164 B at 2097169), then to a block of runs.  A
-    Python-int key holds 4 B more than its item: the addition that forms it
-    allocates a carry digit it may not fill."""
-    item, keys = _item_bytes(p, sl2=True), n**k
-    block = min(keys, max(n ** (k - 2), _CELLS))
-    return (item + 4 * (p > _INT64_P)) * keys + max(4 * item * n * n + (5 * item + 8) * block, _run_bytes(keys))
-
-
-def _weighted_key_bytes(p: int, m: int, n: int, top: int) -> int:
-    """m rows of n keys weighted by at most top, as they form, sort and sum:
-    per key 1 item (int64 on the int32 rung) and 16 B (its weight, unpacked),
-    2 items more where keys and weights do not pack (argsort); next to a key
-    block (5 SL2 items and 8 B a cell) or a weighted block of runs; 8 items
-    per row (histogram, columns)."""
-    item, cell, packs = _item_bytes(p), _item_bytes(p, sl2=True), p**3 * (top + 1) <= 1 << 63
+def _product_squares(what: str, p: int, u, v, weights=None) -> int:
+    """sum_g (sum_{u_i v_j = g} w_i w'_j)^2 over the products g = u_i v_j of
+    the entry columns u and v, weighted by the outer product of the weight
+    columns (w, w') or by 1: the keys written (_write_keys; int64 up to
+    _INT64_P where weighted, for the packed sort), sorted (_sort) and their
+    squared run lengths or weight sums summed (_sorted_square_sum)."""
+    m, n, weighted = len(u[0]), len(v[0]), weights is not None
+    top = int(weights[0].max(initial=0)) * int(weights[1].max(initial=0)) if weighted else 0
+    cell, item = _item_bytes(p, sl2=True), _item_bytes(p, sl2=not weighted)
+    # per key its item (int64 on the int32 rung where weighted), 4 B more above
+    # 2^21 (the addition that forms a Python int allocates a carry digit it
+    # may not fill) and, weighted, 16 B (its weight, unpacked) and 2 items
+    # more where keys and weights do not pack (argsort); per row of u and of v
+    # 7 SL2 items and 8 B (the entry columns and the quotient histogram t_k
+    # holds); next to a key block (5 SL2 items and 8 B a cell, measured: 45 B
+    # at int64, 164 B at 2097169) or a block of runs
+    key = item + 4 * (p > _INT64_P) + weighted * (16 + 2 * item * (p**3 * (top + 1) > 1 << 63))
     block = (5 * cell + 8) * min(m * n, max(n, _CELLS))
-    return (item + 16 + 2 * item * (not packs)) * m * n + max(block, _run_bytes(m * n, True)) + 8 * item * m
-
-
-def _fill_keys(H: TranslateSet, k: int):
-    """Sorted keys of all |H|^k products, k = 3 or 4: the |H|^2 pair
-    quotients h1 h2^-1 times the embedded h3, or times themselves (h3 h4^-1)."""
-    p, n = H.p, len(H)
-    _reserve(("T3" if k == 3 else "T4 self-convolution") + " key array", _fill_bytes(p, n, k))
-    a, b = _sl2_columns(H)
-    u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
-    keys = _write_keys(p, u, embed_entries(p, a, b) if k == 3 else u)
-    keys.sort()
-    return keys
+    _reserve(what, key * m * n + (7 * cell + 8) * (m + n) + max(block, _run_bytes(m * n, weighted)))
+    return _sorted_square_sum(*_sort(_write_keys(p, u, v, dtype=np.int64 if weighted and p <= _INT64_P else None),
+                                     (weights[0][:, None] * weights[1]).reshape(-1) if weighted else None))
 
 
 def _fill(H: TranslateSet, k: int) -> int:
-    """T_k(H), k = 3 or 4, from the fill: the sum of squared run lengths."""
-    return _sorted_square_sum(_fill_keys(H, k))
-
-
-def _t3_quotients(H: TranslateSet, hist: QuotientHistogram) -> int:
-    """T_3 over the quotient support: the sum over the |Q| |H| products
-    g = u h3 of the support with the embedded h3 of (sum of r(u) behind g)^2."""
-    p, n, m = H.p, len(H), len(hist)
-    _reserve("T3 quotient keys", _weighted_key_bytes(p, m, n, int(hist.counts.max(initial=0))))
+    """T_k(H), k = 3 or 4, over all |H|^k products: the |H|^2 pair quotients
+    h1 h2^-1 times the embedded h3, or times themselves (h3 h4^-1)."""
+    p = H.p
     a, b = _sl2_columns(H)
-    return _sorted_square_sum(*_sort(_write_keys(p, hist.columns, embed_entries(p, a, b),
-                                                 dtype=np.int64 if p <= _INT64_P else None), np.repeat(hist.counts, n)))
+    u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
+    return _product_squares(f"T{k} fill", p, u, embed_entries(p, a, b) if k == 3 else u)
 
 
-def _t4_quotients(hist: QuotientHistogram) -> int:
-    """T_4 over the quotient support: the sum over the |Q|^2 products g = u v
-    of the support of (sum of r(u) r(v) behind g)^2."""
-    p, m, top = hist.p, len(hist), int(hist.counts.max(initial=0))
-    _reserve("T4 self-convolution", _weighted_key_bytes(p, m, m, top * top))
-    return _sorted_square_sum(*_sort(_write_keys(p, *[hist.columns] * 2, dtype=np.int64 if p <= _INT64_P else None),
-                                     (hist.counts[:, None] * hist.counts).reshape(-1)))
+def _support(H: TranslateSet, k: int, hist: QuotientHistogram) -> int:
+    """T_k(H), k = 3 or 4, over the quotient support: the |Q| |H| products
+    u h3 weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
+    p, u, r = H.p, hist.columns, hist.counts
+    v, w = (embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
+    return _product_squares(f"T{k} support", p, u, v, (r, w))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -568,23 +551,17 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 2:
         r = quotient_histogram(H).counts
         return _dot(r, r)
-    if k == 3:
-        if n**3 > _T3_FEW:
-            hist = _quotient_histogram(H)
-            if len(hist) <= _QUOTIENT_ARM * n * n:
-                with suppress(ResourceLimit):  # the fill may fit the budget where this arm does not
-                    return _t3_quotients(H, hist)
-            del hist  # the fill peaks without it
+    if k not in (3, 4):
+        raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
+    if k == 3 and n**3 <= _T3_FEW:
         return _fill(H, 3)
-    if k == 4:
-        hist = quotient_histogram(H)
-        arms = [lambda: _t4_quotients(hist), lambda: _fill(H, 4)]
-        if len(hist) > _QUOTIENT_ARM * n * n:
-            arms.reverse()
-        with suppress(ResourceLimit):  # the other arm may fit the budget where this one does not
-            return arms[0]()
-        return arms[1]()
-    raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
+    hist = (_quotient_histogram if k == 3 else quotient_histogram)(H)  # see _quotient_histogram
+    arms = [lambda: _support(H, k, hist), lambda: _fill(H, k)]
+    if len(hist) > _QUOTIENT_ARM * n * n:
+        arms.reverse()
+    with suppress(ResourceLimit):  # the other arm may fit the budget where this one does not
+        return arms[0]()
+    return arms[1]()
 
 
 def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item: int = 8, held: int = 0) -> tuple:

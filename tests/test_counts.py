@@ -48,6 +48,7 @@ from hyperlab import (
     sumset,
     t_k,
 )
+from hyperlab.errors import _OVERHEAD
 from hyperlab.field import check_prime, is_prime
 from hyperlab.moebius import pair_quotient_entries
 
@@ -68,8 +69,8 @@ def _t3_by_fill(H):
 
 
 def _t3_by_quotients(H):
-    """t_k(H, 3) on the quotient arm, whatever the quotient support."""
-    return counts._t3_quotients(H, counts._quotient_histogram(H))
+    """t_k(H, 3) on the quotient support arm, whatever the support."""
+    return counts._support(H, 3, counts._quotient_histogram(H))
 
 
 def _t4_by_fill(H):
@@ -78,9 +79,18 @@ def _t4_by_fill(H):
 
 
 def _t4_by_quotients(H):
-    """t_k(H, 4) on the weighted self-convolution of the quotient support,
-    whatever the support."""
-    return counts._t4_quotients(counts._quotient_histogram(H))
+    """t_k(H, 4) on the quotient support arm, whatever the support."""
+    return counts._support(H, 4, counts._quotient_histogram(H))
+
+
+def _fill_keys(monkeypatch, H, k):
+    """The sorted keys of the T_k fill of H, as _product_squares sorts them."""
+    caught = []
+    real = counts._sort
+    monkeypatch.setattr(counts, "_sort", lambda keys, weights=None: caught.append(keys) or real(keys, weights))
+    counts._fill(H, k)
+    monkeypatch.setattr(counts, "_sort", real)
+    return caught[0]
 
 
 def _record_arms(monkeypatch, names):
@@ -242,11 +252,16 @@ def test_group_histograms_match_generic_chain(H):
     assert t_k(H, 3) == sum(v * v for v in triples.values())
 
 
-def _generic_group_counts(H):
-    """quotient, T_3 and T_4 histograms by the generic compose/invert chain."""
+def _generic_quotients(H):
+    """The embedded translates and their quotients h1 h2^-1 by the generic compose/invert chain."""
     F = Fp(H.p)
     mats = [embed_translate(F, h) for h in H]
-    quotients = [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
+    return mats, [compose(m1, invert(m2)) for m1 in mats for m2 in mats]
+
+
+def _generic_group_counts(H):
+    """quotient, T_3 and T_4 histograms by the generic compose/invert chain."""
+    mats, quotients = _generic_quotients(H)
     triples = [compose(u, m3) for u in quotients for m3 in mats]
     fours = Counter(compose(g, invert(m4)).entries for g in triples for m4 in mats)
     return Counter(u.entries for u in quotients), Counter(g.entries for g in triples), fours
@@ -257,7 +272,7 @@ def _scalar_cs_chain(A, H):
     sig = sigma(A, H)
     members = set(A)
     rs = []
-    for entries, r in _generic_group_counts(H)[0].items():
+    for entries, r in Counter(u.entries for u in _generic_quotients(H)[1]).items():
         u = MoebiusMap(H.p, *entries)
         rs.append((r, sum(1 for x in A if evaluate(u, x) in members)))
     total = sum(r * su for r, su in rs)
@@ -447,34 +462,39 @@ def test_t3_budget_gate(monkeypatch):
     # 150^3 / 101 Borel triples: 4.6 MB; the grid's 1819 quotients times 100
     # translates: 8.4 MB
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
-    with pytest.raises(ResourceLimit, match="T3 key array"):
+    with pytest.raises(ResourceLimit, match="T3 fill"):
+        _t3_by_fill(H)
+    with pytest.raises(ResourceLimit, match="T3 support"):  # the support arm, after the fill
         t_k(H, 3)
     with pytest.raises(ResourceLimit, match="Borel T3 join"):
         borel_t3_mass(big)
-    with pytest.raises(ResourceLimit, match="T3 quotient keys"):
+    with pytest.raises(ResourceLimit, match="T3 support"):
         _t3_by_quotients(grid)
-    with pytest.raises(ResourceLimit, match="T3 key array"):  # the fill, after the quotient arm
+    with pytest.raises(ResourceLimit, match="T3 fill"):  # the fill, after the support arm
         t_k(grid, 3)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
     # the default budget admits the fill at |H| = 512 and 640 (4 B per int32
-    # key of 640^3: 1.05 GB, and a block of runs as they are counted), past
-    # the support histogram that chose it, and up to |H| = 736 at p = 1009;
+    # key of 640^3: 1.05 GB, and a block of runs as they are counted), next
+    # to the support histogram that chose it, and up to |H| = 735 at p = 1009;
     # an admitted fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
 
     def reserve(what, nbytes):
         real(what, nbytes)
-        if what == "T3 key array":
+        if what == "T3 fill":
             raise _Admitted(what)
 
     monkeypatch.setattr(counts, "_reserve", reserve)
     for n in (512, 640):
         with pytest.raises(_Admitted):
             t_k(rand_translates(rng, 1009, n), 3)
-    with pytest.raises(ResourceLimit, match="T3 key array"):
-        t_k(rand_translates(rng, 1009, 750), 3)
+    H = rand_translates(rng, 1009, 750)
+    with pytest.raises(ResourceLimit, match="T3 fill"):
+        _t3_by_fill(H)
+    with pytest.raises(ResourceLimit, match="T3 support"):  # the support arm, after the fill
+        t_k(H, 3)
 
 
 def test_t3_arm_follows_the_support(monkeypatch):
@@ -482,12 +502,12 @@ def test_t3_arm_follows_the_support(monkeypatch):
     |H|^2 (grids), fills where it is not (random translates), where |H|^3 is
     at most _T3_FEW, with no support histogram built there, and where the
     budget refuses the quotient arm but admits the fill."""
-    arms = _record_arms(monkeypatch, ("_fill", "_t3_quotients", "_quotient_histogram"))
+    arms = _record_arms(monkeypatch, ("_fill", "_support", "_quotient_histogram"))
     F = Fp(1009)
     mid = parse_setspec("cart:ap:1,1,32;ap:1,1,4", F)  # |Q| / |H|^2 = 0.38
     for spec, want in (
-        ("cart:ap:1,1,10;ap:1,1,10", ["_quotient_histogram", "_t3_quotients"]),
-        ("cart:ap:1,1,32;ap:1,1,4", ["_quotient_histogram", "_t3_quotients"]),
+        ("cart:ap:1,1,10;ap:1,1,10", ["_quotient_histogram", "_support"]),
+        ("cart:ap:1,1,32;ap:1,1,4", ["_quotient_histogram", "_support"]),
         ("randomh:64,1", ["_quotient_histogram", "_fill"]),
         ("cart:ap:1,1,4;ap:1,1,4", ["_fill"]),
     ):
@@ -499,7 +519,7 @@ def test_t3_arm_follows_the_support(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "16")
     arms.clear()
     assert t_k(mid, 3) == want
-    assert arms == ["_quotient_histogram", "_t3_quotients", "_fill"]
+    assert arms == ["_quotient_histogram", "_support", "_fill"]
 
 
 @pytest.mark.parametrize(
@@ -571,12 +591,12 @@ def test_int32_rung_against_the_oracle(p):
     assert _cosets(H)[0] == masses
 
 
-def test_int32_rung_keys_stay_below_p_cubed():
+def test_int32_rung_keys_stay_below_p_cubed(monkeypatch):
     """An overflow sentinel: with (1288, 1288) in H, every T_3 key at
     p = 1289, formed in int32, lies in [0, 1289^3)."""
     p = 1289
     H = TranslateSet(p, (*rand_translates(random.Random(1), p, 63), (p - 1, p - 1), (0, p - 1), (p - 1, 0)))
-    keys = counts._fill_keys(H, 3)
+    keys = _fill_keys(monkeypatch, H, 3)
     assert keys.dtype == np.int32 and len(keys) == len(H) ** 3
     assert 0 <= int(keys.min()) and int(keys.max()) < p**3
 
@@ -591,12 +611,12 @@ def test_int32_rung_keys_stay_below_p_cubed():
         (2097169, "cart:ap:1,1,6;ap:1,1,4"),
     ],
 )
-def test_borel_join_is_the_borel_part_of_the_fill(p, spec):
+def test_borel_join_is_the_borel_part_of_the_fill(monkeypatch, p, spec):
     """The joined Borel triples' keys are the fill's keys with c = 0, the
     middle digit of (a p + c) p + z.  (0, 0), (5, 1) and (p - 1, 7) give
     Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
     H = TranslateSet(p, (*parse_setspec(spec, Fp(p)), (0, 0), (5, 1), (p - 1, 7)))
-    keys = counts._fill_keys(H, 3)
+    keys = _fill_keys(monkeypatch, H, 3)
     want = keys[keys // p % p == 0]
     assert len(want) > 0
     assert np.sort(counts._borel_keys(H)).tolist() == want.tolist()
@@ -628,9 +648,12 @@ def test_t4_budget_gate(monkeypatch):
     rng = random.Random(0)
     H = rand_translates(rng, 101, 30)
     want = t_k(H, 4)
-    # the quotient histogram (87 kB) fits, the support^2 convolution (31 MB) does not
+    # the quotient histogram (87 kB) fits, the 30^4 fill keys (3.2 MB) and the
+    # support^2 products (31 MB) do not
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
-    with pytest.raises(ResourceLimit, match="T4 self-convolution"):
+    with pytest.raises(ResourceLimit, match="T4 fill"):
+        _t4_by_fill(H)
+    with pytest.raises(ResourceLimit, match="T4 support"):  # the support arm, after the fill
         t_k(H, 4)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "64")
     assert t_k(H, 4) == want
@@ -671,12 +694,12 @@ def test_t4_arms_agree(monkeypatch, p, spec):
     ap and gp grids: int32 keys at 61 and 1009, int64 at 1291 and Python
     ints at 2097169."""
     H = parse_setspec(spec, Fp(p))
-    arms = _record_arms(monkeypatch, ("_fill", "_t4_quotients"))
+    arms = _record_arms(monkeypatch, ("_fill", "_support"))
     got = []
     for share in (0, 1):
         monkeypatch.setattr(counts, "_QUOTIENT_ARM", share)
         got.append(t_k(H, 4))
-    assert arms == ["_fill", "_t4_quotients"]
+    assert arms == ["_fill", "_support"]
     assert got[0] == got[1]
 
 
@@ -684,9 +707,9 @@ def test_t4_arm_follows_the_support(monkeypatch):
     """t_k(H, 4) fills where the quotient support is more than 3/5 of |H|^2
     (random translates), sums over the support where it is not (grids), and
     takes the other arm where the budget refuses the one chosen."""
-    arms = _record_arms(monkeypatch, ("_fill", "_t4_quotients"))
+    arms = _record_arms(monkeypatch, ("_fill", "_support"))
     F = Fp(1009)
-    for spec, want in (("randomh:32,1", ["_fill"]), ("cart:ap:1,1,6;ap:1,1,6", ["_t4_quotients"])):
+    for spec, want in (("randomh:32,1", ["_fill"]), ("cart:ap:1,1,6;ap:1,1,6", ["_support"])):
         arms.clear()
         t_k(parse_setspec(spec, F), 4)
         assert arms == want, spec
@@ -696,15 +719,33 @@ def test_t4_arm_follows_the_support(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     arms.clear()
     assert t_k(mid, 4) == want
-    assert arms == ["_t4_quotients", "_fill"]
+    assert arms == ["_support", "_fill"]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_refused_fill_falls_back_to_the_support(monkeypatch, k):
+    """Where the budget refuses the fill that t_k(H, k) chose (random
+    translates, whose support is large), it takes the support arm."""
+    H = _rand_h(1009, 24 if k == 3 else 12)
+    want = _t3_by_quotients(H) if k == 3 else _t4_by_quotients(H)
+    real = counts._reserve
+
+    def reserve(what, nbytes):
+        if what == f"T{k} fill":
+            raise ResourceLimit(what)
+        real(what, nbytes)
+
+    monkeypatch.setattr(counts, "_reserve", reserve)
+    arms = _record_arms(monkeypatch, ("_fill", "_support"))
+    assert t_k(H, k) == want
+    assert arms == ["_fill", "_support"]
 
 
 def test_refused_fill_writes_no_key(monkeypatch):
     """A T_k fill the budget refuses stops before it writes a key: under
     1 MiB, 30^4 int32 keys (3.2 MB) and 70^3 (1.4 MB) are refused, and t_k
     writes only the quotient histogram's keys, a row per translate, before
-    the arms refuse (both for T_4; the fill for T_3, on a support too large
-    for the quotient arm)."""
+    both arms refuse, the support arm last."""
     written = []
     real = counts._write_keys
 
@@ -714,12 +755,12 @@ def test_refused_fill_writes_no_key(monkeypatch):
 
     monkeypatch.setattr(counts, "_write_keys", write_keys)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
-    for k, n, name in ((4, 30, "T4 self-convolution"), (3, 70, "T3")):
+    for k, n in ((4, 30), (3, 70)):
         H = rand_translates(random.Random(0), 1009, n)
         written.clear()
-        with pytest.raises(ResourceLimit, match=name + " key array"):
+        with pytest.raises(ResourceLimit, match=f"T{k} fill"):
             counts._fill(H, k)
-        with pytest.raises(ResourceLimit, match=name):
+        with pytest.raises(ResourceLimit, match=f"T{k} support"):
             t_k(H, k)
         assert written == [n]
 
@@ -732,7 +773,7 @@ def test_budget_from_env(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (20 * 220**2 + counts._run_bytes(220**2) + counts._OVERHEAD, 1 << 20)
+    assert (e.value.required, e.value.budget) == (20 * 220**2 + counts._run_bytes(220**2) + _OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -777,7 +818,7 @@ _PEAK_CASES = {
     "borel-262139": lambda: (borel_coset_mass, _rand_h(262139, 256)),
     "borel-1000003": lambda: (borel_coset_mass, _rand_h(1000003, 256)),
     "borel-p61": lambda: (borel_coset_mass, _rand_h(P61, 64)),
-    # the T_3 quotient arm (forced on the random set) and the Borel join
+    # the T_3 support arm (forced on the random set) and the Borel join
     "t3-quotient-cart": lambda: (t_k, parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1009)), 3),
     "t3-quotient-random": lambda: (_t3_by_quotients, _rand_h(1009, 48)),
     "t3-quotient-1291": lambda: (t_k, parse_setspec("cart:ap:1,1,10;ap:1,1,10", Fp(1291)), 3),
@@ -794,7 +835,7 @@ _PEAK_CASES = {
     "t4-1291": lambda: (t_k, _rand_h(1291, 24), 4),
     "t4-p61": lambda: (t_k, _rand_h(P61, 10), 4),
     "t4-2097169": lambda: (t_k, _rand_h(2097169, 12), 4),
-    # the T_4 weighted self-convolution: on grids, and forced on random sets
+    # the T_4 support arm: on grids, and forced on random sets
     "t4-quotient-cart": lambda: (t_k, parse_setspec("cart:ap:1,1,6;ap:1,1,6", Fp(1009)), 4),
     "t4-quotient-random": lambda: (_t4_by_quotients, _rand_h(1009, 24)),
     "t4-quotient-1291": lambda: (t_k, parse_setspec("cart:ap:1,1,6;ap:1,1,6", Fp(1291)), 4),
@@ -887,7 +928,7 @@ def _peak_and_estimate(name):
     finally:
         tracemalloc.stop()
         counts._reserve = real
-    return peak, max(reserved) + counts._OVERHEAD
+    return peak, max(reserved) + _OVERHEAD
 
 
 @pytest.mark.parametrize("name", _PEAK_CASES)
