@@ -39,15 +39,15 @@ quotients h1 h2^-1 times the embedded h3 (k = 3) or times themselves
 the embedded h3 with weights (r(u), 1), or times itself with (r(u), r(v)),
 as T_3 = sum_g (sum_{u h3 = g} r(u))^2.  One rule serves both k: the
 support arm where |Q| <= 3/5 |H|^2 (about where it stops being the
-faster, measured for either k), the fill elsewhere, and the other arm
-where the budget refuses the one chosen.  Up to |H|^3 = 2^12 the T_3 fill
-runs with no support histogram built.  The Borel part of T_3
-keys only the triples whose product lies in B: u h3 has
+faster, measured for either k), and the fill elsewhere and where the
+budget refuses the support, the support histogram dropped first.  Up to
+|H|^3 = 2^12 the T_3 fill runs with no support histogram built.  The
+Borel part of T_3 keys only the triples whose product lies in B: u h3 has
 c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
 a3 = a2 - 1/w, and a pair with w = 0 joins none.
 
-Every table-building kernel checks its estimated peak bytes against
-HYPERLAB_BUDGET_MB (_reserve) before it allocates.
+Every table-building kernel reserves (_reserve) against HYPERLAB_BUDGET_MB
+what its pass keeps plus one block, and what its caller holds (held), before it allocates.
 
 The array loops reduce mod p with moebius._mod, x - (x // p) p formed in
 place: numpy divides an int64 array by a scalar through libdivide, several
@@ -75,7 +75,7 @@ step's Omega pass, read on demand, tests the quotients with w <= (p-1)/2,
 the translations whole, and weighs the rest twice: u^-1 has the arguments
 (-w, a2, a1), the same r and sigma_u, and p is odd, so w and p - w differ;
 its sum of r(u) sigma_u is sum_z N(z)^2 over the |H||A| preimages
-h^-1(x) = b - inv(x - a), the same rows minus b.  The inverses come from
+h^-1(x) = b - inv(x - a), an inverse formed per cell.  The inverses come from
 one array route, _inv_vec: a table read off the powers of a primitive root
 for small p, and above it one Fp.inv call (the built-in pow(x, -1, p)) per
 element.  The brute-force reference loops in the oracle module use Fermat
@@ -502,12 +502,13 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     return QuotientHistogram(p, (keys, a1, a2), counts)
 
 
-def _product_squares(what: str, p: int, u, v, weights=None) -> int:
+def _product_squares(what: str, p: int, u, v, weights=None, held: int = 0) -> int:
     """sum_g (sum_{u_i v_j = g} w_i w'_j)^2 over the products g = u_i v_j of
     the entry columns u and v, weighted by the outer product of the weight
     columns (w, w') or by 1: the keys written (_write_keys; int64 up to
     _INT64_P where weighted, for the packed sort), sorted (_sort) and their
-    squared run lengths or weight sums summed (_sorted_square_sum)."""
+    squared run lengths or weight sums summed (_sorted_square_sum).  The
+    caller holds held bytes besides."""
     m, n, weighted = len(u[0]), len(v[0]), weights is not None
     top = int(weights[0].max(initial=0)) * int(weights[1].max(initial=0)) if weighted else 0
     cell, item = _item_bytes(p, sl2=True), _item_bytes(p, sl2=not weighted)
@@ -515,12 +516,11 @@ def _product_squares(what: str, p: int, u, v, weights=None) -> int:
     # 2^21 (the addition that forms a Python int allocates a carry digit it
     # may not fill) and, weighted, 16 B (its weight, unpacked) and 2 items
     # more where keys and weights do not pack (argsort); per row of u and of v
-    # 7 SL2 items and 8 B (the entry columns and the quotient histogram t_k
-    # holds); next to a key block (5 SL2 items and 8 B a cell, measured: 45 B
-    # at int64, 164 B at 2097169) or a block of runs
+    # its 4 entry columns; next to a key block (5 SL2 items and 8 B a cell,
+    # measured: 45 B at int64, 164 B at 2097169) or a block of runs
     key = item + 4 * (p > _INT64_P) + weighted * (16 + 2 * item * (p**3 * (top + 1) > 1 << 63))
     block = (5 * cell + 8) * min(m * n, max(n, _CELLS))
-    _reserve(what, key * m * n + (7 * cell + 8) * (m + n) + max(block, _run_bytes(m * n, weighted)))
+    _reserve(what, held + key * m * n + 4 * cell * (m + n) + max(block, _run_bytes(m * n, weighted)))
     return _sorted_square_sum(*_sort(_write_keys(p, u, v, dtype=np.int64 if weighted and p <= _INT64_P else None),
                                      (weights[0][:, None] * weights[1]).reshape(-1) if weighted else None))
 
@@ -535,11 +535,11 @@ def _fill(H: TranslateSet, k: int) -> int:
 
 
 def _support(H: TranslateSet, k: int, hist: QuotientHistogram) -> int:
-    """T_k(H), k = 3 or 4, over the quotient support: the |Q| |H| products
-    u h3 weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
+    """T_k(H), k = 3 or 4, over the quotient support held next to it: the |Q| |H|
+    products u h3 weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
     p, u, r = H.p, hist.columns, hist.counts
     v, w = (embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
-    return _product_squares(f"T{k} support", p, u, v, (r, w))
+    return _product_squares(f"T{k} support", p, u, v, (r, w), (3 * _item_bytes(p, sl2=True) + 8) * len(hist))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -556,12 +556,11 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 3 and n**3 <= _T3_FEW:
         return _fill(H, 3)
     hist = (_quotient_histogram if k == 3 else quotient_histogram)(H)  # see _quotient_histogram
-    arms = [lambda: _support(H, k, hist), lambda: _fill(H, k)]
-    if len(hist) > _QUOTIENT_ARM * n * n:
-        arms.reverse()
-    with suppress(ResourceLimit):  # the other arm may fit the budget where this one does not
-        return arms[0]()
-    return arms[1]()
+    if len(hist) <= _QUOTIENT_ARM * n * n:
+        with suppress(ResourceLimit):  # the fill may fit the budget where the support arm does not
+            return _support(H, k, hist)
+    del hist  # the fill forms without it
+    return _fill(H, k)
 
 
 def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item: int = 8, held: int = 0) -> tuple:
@@ -710,16 +709,15 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     their roots kept as map keys (_map_keys); a table read turns the C(t, 2)
     hits of a translate, counted in the narrowest dtype, into t."""
     p, n = A.p, len(A)
-    roots, top = n * n * (n - 1) ** 2, n * (n - 1) // 2  # at most two for each of n^2 (n-1)^2 / 2 pairs
+    top = n * (n - 1) // 2
     (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(top)
     # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
-    # roots form, per root 2 keys (< p^2: in a block, joined) and its hits as
-    # _tally reads the runs, next to the inverse and square-root tables (16 p);
-    # their cold builds run one after the other, the inverses' the larger
-    block = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
-    tables = _table_bytes(p)
-    _reserve("m_k pair pass", max(tables, (6 * _item_bytes(p, top=p) + 8) * block + tables // 2
-                                  + (2 * key + hit_type.itemsize) * roots + _run_bytes(roots)))
+    # roots form, per root found so far 2 keys (< p^2: in a block, joined)
+    # and its hits as _tally reads the runs, next to the inverse and square-root
+    # tables (16 p; their cold builds, one after the other, peak at the inverses')
+    tables, per_root = _table_bytes(p), 2 * key + hit_type.itemsize
+    block = (6 * _item_bytes(p, top=p) + 8) * min(n**3 * (n - 1) // 2, max(n * n, _CELLS)) + tables // 2
+    _reserve("m_k pair pass", max(tables, block))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -733,9 +731,13 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
                                for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]])
 
     blocks = _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates)
-    # each block copied as it joins: joined as formed, the blocks made the peak RSS swing with the heap layout
-    keys, hits = _tally(np.concatenate([np.empty(0, key_type), *(k.astype(key_type) for _, k in blocks)]),
-                        None, hit_type)
+
+    def copied(roots=0):  # each block copied as it joins: joined as formed, they made the peak RSS swing
+        for _, k in blocks:
+            yield k.astype(key_type)
+            _reserve("m_k pair pass", _run_bytes(roots := roots + len(k)) + per_root * roots + block)
+
+    keys, hits = _tally(np.concatenate([np.empty(0, key_type), *copied()]), None, hit_type)
     rich, t = np.zeros(top + 1, dtype=np.min_scalar_type(n)), np.arange(n + 1)
     rich[t * (t - 1) // 2] = t  # a t-rich translate has C(t, 2) hits
     return keys, rich[hits]
@@ -955,17 +957,14 @@ class CsChainReport:
 
 def _preimage_counts(A: ScalarSet, H: TranslateSet) -> tuple:
     """(z ascending, N(z), N(oo)), N(z) the number of (h, x) in H x A with
-    h^-1(x) = b - inv(x - a) = z (_pole_rows, _sort_count), oo where x = a:
-    such a cell (row 2p) is counted at b, then moved, maybe leaving N(z) = 0."""
+    h^-1(x) = b - inv(x - a) = z over the cells (a, b) x (x,), oo where x = a:
+    inv(0) = 0 counts such a cell at b, then it is moved, maybe leaving N(z) = 0."""
     p, xs = A.p, _array(A, np.int64)
     a, b = _array(H, np.int64).reshape(-1, 2).T
-    poles, pole = _distinct(p, a, len(xs))
-    # per (pole, point) 17 bytes as the rows form (as in _hits) and 8 held as the cells count
-    cells = len(poles) * len(xs)
-    _reserve("preimage rows", (17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p))) * cells + _table_bytes(p))
-    rows = _pole_rows(p, poles, xs)
-    z, n = _sort_count("preimage counts", p, (pole, b), (np.arange(len(xs)),),
-                       lambda p, k, b, j: _mod(b - rows[k, j], p), len(H) * len(A), held=8 * cells)
+    # a cold inverse table built next to it; above the table range a third of a
+    # Python int, its pointer and its conversion per inverse on each item
+    z, n = _sort_count("preimage counts", p, (a, b), (xs,), lambda p, a, b, x: _mod(b - _inv_vec(p)(_mod(x - a, p)), p),
+                       len(H) * len(A), item=8 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) // 3, held=_table_bytes(p))
     at_oo = b[(xs[xs[:-1].searchsorted(a)] == a)]  # the h with a in A: their cell x = a counted at b
     np.subtract.at(n, z.searchsorted(at_oo), 1)
     return z, n, len(at_oo)
@@ -983,6 +982,7 @@ def cs_chain_report(A: ScalarSet, H: TranslateSet) -> CsChainReport:
     sig = sigma(A, H, -1)
     _, n, oo = _preimage_counts(A, H)
     rhs = len(A) * (_dot(n, n) + oo * oo)
+    del _, n  # the quotient histogram forms without them
     if sig * sig > rhs:
         raise AssertionError(f"Cauchy-Schwarz step fails: sigma^2 = {sig * sig} > {rhs}")
     delta = Fraction(sig * sig, 3 * len(A) * len(H) ** 2)

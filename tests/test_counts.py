@@ -379,7 +379,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     # arm keys R's 66 x-pairs against its 144 y-pairs in blocks of as many
     # x-pairs, and the lines A's 10 x-pairs against them likewise and R's
     # 66 against A's 25 y-pairs in 66, 17 or one block; the preimage counts
-    # key H's 24 translates against A's 5 points in 24, six or one block.
+    # key H's 24 translates against A's 5 points in 24, two or one block.
     # Every sorted count reads its runs in blocks of as many keys.
     # The Moebius hits take one map (7), 20 maps (100)
     # or all (2900) per chunk of 5 points; one (7), two (100) or all (2900)
@@ -464,7 +464,7 @@ def test_t3_budget_gate(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T3 fill"):
         _t3_by_fill(H)
-    with pytest.raises(ResourceLimit, match="T3 support"):  # the support arm, after the fill
+    with pytest.raises(ResourceLimit, match="T3 fill"):  # no support arm after the fill
         t_k(H, 3)
     with pytest.raises(ResourceLimit, match="Borel T3 join"):
         borel_t3_mass(big)
@@ -475,9 +475,9 @@ def test_t3_budget_gate(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
     assert (t_k(H, 3), borel_t3_mass(big), t_k(grid, 3)) == want
     # the default budget admits the fill at |H| = 512 and 640 (4 B per int32
-    # key of 640^3: 1.05 GB, and a block of runs as they are counted), next
-    # to the support histogram that chose it, and up to |H| = 735 at p = 1009;
-    # an admitted fill stops before it allocates
+    # key of 640^3: 1.05 GB, and a block of runs as they are counted), with
+    # the support histogram that chose it dropped, and up to |H| = 736 at
+    # p = 1009; an admitted fill stops before it allocates
     monkeypatch.delenv("HYPERLAB_BUDGET_MB")
     real = counts._reserve
 
@@ -487,13 +487,13 @@ def test_t3_budget_gate(monkeypatch):
             raise _Admitted(what)
 
     monkeypatch.setattr(counts, "_reserve", reserve)
-    for n in (512, 640):
+    for n in (512, 640, 736):
         with pytest.raises(_Admitted):
             t_k(rand_translates(rng, 1009, n), 3)
-    H = rand_translates(rng, 1009, 750)
+    H = rand_translates(rng, 1009, 737)
     with pytest.raises(ResourceLimit, match="T3 fill"):
         _t3_by_fill(H)
-    with pytest.raises(ResourceLimit, match="T3 support"):  # the support arm, after the fill
+    with pytest.raises(ResourceLimit, match="T3 fill"):
         t_k(H, 3)
 
 
@@ -514,7 +514,7 @@ def test_t3_arm_follows_the_support(monkeypatch):
         arms.clear()
         t_k(parse_setspec(spec, F), 3)
         assert arms == want, spec
-    # the quotient arm reserves 19.7 MiB for mid, the fill 9.2 MiB
+    # the quotient arm reserves 19.5 MiB for mid, the fill 9.2 MiB
     want = _t3_by_fill(mid)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "16")
     arms.clear()
@@ -653,7 +653,7 @@ def test_t4_budget_gate(monkeypatch):
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit, match="T4 fill"):
         _t4_by_fill(H)
-    with pytest.raises(ResourceLimit, match="T4 support"):  # the support arm, after the fill
+    with pytest.raises(ResourceLimit, match="T4 fill"):  # no support arm after the fill
         t_k(H, 4)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "64")
     assert t_k(H, 4) == want
@@ -713,7 +713,7 @@ def test_t4_arm_follows_the_support(monkeypatch):
         arms.clear()
         t_k(parse_setspec(spec, F), 4)
         assert arms == want, spec
-    # |Q| / |H|^2 = 0.46: the weighted arm reserves 26.7 MiB, the fill 21.2 MiB
+    # |Q| / |H|^2 = 0.46: the weighted arm reserves 26.7 MiB, the fill 21.3 MiB
     mid = parse_setspec("cart:ap:1,1,16;ap:1,1,3", F)
     want = _t4_by_fill(mid)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "24")
@@ -723,11 +723,11 @@ def test_t4_arm_follows_the_support(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_refused_fill_falls_back_to_the_support(monkeypatch, k):
+def test_refused_fill_tries_no_support_arm(monkeypatch, k):
     """Where the budget refuses the fill that t_k(H, k) chose (random
-    translates, whose support is large), it takes the support arm."""
+    translates, whose support is large), t_k raises the fill's refusal: the
+    support histogram is dropped before the fill, so no support arm runs."""
     H = _rand_h(1009, 24 if k == 3 else 12)
-    want = _t3_by_quotients(H) if k == 3 else _t4_by_quotients(H)
     real = counts._reserve
 
     def reserve(what, nbytes):
@@ -737,15 +737,16 @@ def test_refused_fill_falls_back_to_the_support(monkeypatch, k):
 
     monkeypatch.setattr(counts, "_reserve", reserve)
     arms = _record_arms(monkeypatch, ("_fill", "_support"))
-    assert t_k(H, k) == want
-    assert arms == ["_fill", "_support"]
+    with pytest.raises(ResourceLimit, match=f"T{k} fill"):
+        t_k(H, k)
+    assert arms == ["_fill"]
 
 
 def test_refused_fill_writes_no_key(monkeypatch):
     """A T_k fill the budget refuses stops before it writes a key: under
     1 MiB, 30^4 int32 keys (3.2 MB) and 70^3 (1.4 MB) are refused, and t_k
     writes only the quotient histogram's keys, a row per translate, before
-    both arms refuse, the support arm last."""
+    the fill it chose refuses."""
     written = []
     real = counts._write_keys
 
@@ -760,7 +761,7 @@ def test_refused_fill_writes_no_key(monkeypatch):
         written.clear()
         with pytest.raises(ResourceLimit, match=f"T{k} fill"):
             counts._fill(H, k)
-        with pytest.raises(ResourceLimit, match=f"T{k} support"):
+        with pytest.raises(ResourceLimit, match=f"T{k} fill"):
             t_k(H, k)
         assert written == [n]
 
@@ -850,6 +851,8 @@ _PEAK_CASES = {
     "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
     # past the cold table builds (the inverses' 32p, then 16p kept)
     "mk-pairs-65537": lambda: (rich_hyperbolae, _rand_a(65537, 20), 2),
+    # a rich grid, whose roots are far fewer than two for every point pair
+    "mk-pairs-gp": lambda: (rich_hyperbolae, parse_setspec("gp:3,5,32", Fp(65537)), 2),
     "lk-8": lambda: (rich_lines, _rand_a(65537, 8), _rand_a(65537, 8), 2),
     "lk-12": lambda: (rich_lines, _rand_a(65537, 12), _rand_a(65537, 12), 2),
     "lk-40": lambda: (rich_lines, _rand_a(65537, 40), _rand_a(65537, 40), 2),  # the runs, not the table, dominate
@@ -867,9 +870,9 @@ _PEAK_CASES = {
     "cschain-1000": lambda: (_cs_omega, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
     "cschain-262139": lambda: (_cs_omega, _rand_a(262139, 20), _rand_h(262139, 12)),
     "cschain-p61": lambda: (_cs_omega, _rand_a(P61, 20), _rand_h(P61, 12)),
-    # the report alone: sigma, the preimage counts (by index at 1009 and
-    # 65537, in 64 blocks of 16 translates at 65537, sorted above 2^21)
-    # and the quotient histogram
+    # the report alone: sigma, the preimage counts (an inverse per cell of H x
+    # A, by index at 1009 and 65537, in 64 blocks of 16 translates at 65537,
+    # sorted above 2^21) and the quotient histogram
     "cschain-rhs-job": lambda: (cs_chain_report, parse_setspec("ap:1,1,64", Fp(1009)), _rand_h(1009, 512)),
     "cschain-rhs-65537": lambda: (cs_chain_report,
                                   *(parse_setspec(s, Fp(65537)) for s in ("random:2000,1", "randomh:1024,1"))),
@@ -947,7 +950,6 @@ _HISTOGRAM_CASES = [
     *(f"eplus-{s}" for s in ("300", "dense", "index", "p61", "600")),
     *(f"product-rep-{s}" for s in ("16", "40", "dense", "p61")),
     *(f"minkowski-{s}" for s in ("200", "index", "cold-262139", "p61")),
-    *(f"d-hist-{s}" for s in ("300", "600", "index")),
     "q-p61",
 ]
 
@@ -1493,7 +1495,8 @@ def test_cs_chain_sum_is_a_preimage_square_sum(p, a_spec, h_spec):
 
 def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
     # above 2^18 each inverse is an Fp.inv call: one per distinct pole (a b of
-    # H for sigma, an a of H for sigma_u) and point, not one per quotient and point
+    # H) and point for sigma and one per translate and point for the preimage
+    # counts, not one per quotient and point
     p = 1000003
     F = Fp(p)
     A, H = parse_setspec("random:12,1", F), parse_setspec("randomh:100,1", F)
@@ -1502,7 +1505,7 @@ def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
     monkeypatch.setattr(Fp, "inv", lambda self, x: (calls.append(x), real(self, x))[1])
     counts._inv_vec.cache_clear()
     rep = cs_chain_report(A, H)
-    assert 0 < len(calls) <= (len({a for a, _ in H}) + len({b for _, b in H})) * len(A)
+    assert 0 < len(calls) <= (len(H) + len({b for _, b in H})) * len(A)
     assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
 
 
@@ -1780,6 +1783,20 @@ def test_preimage_counts_cross_checks(p, a_spec, h_spec):
     assert oo == sum(a in A.elements for a, _ in H) > 0
     full = _full_support_sigma_u(A, H)
     assert cs_chain_report(A, H).rhs_cs == len(A) * sum(r * su for r, su in full.values())
+
+
+def test_preimage_counts_reserve_one_key_block(monkeypatch):
+    # 2 048 000 cells counted by index into one p-long total, a key block of
+    # 16 translates at a time: 3.5 MiB reserved, where rows of every distinct
+    # a at once took 36.7 MB
+    F = Fp(65537)
+    A, H = parse_setspec("random:2000,1", F), parse_setspec("randomh:1024,1", F)
+    reserved = []
+    real = counts._reserve
+    monkeypatch.setattr(counts, "_reserve", lambda what, nbytes: (reserved.append(nbytes), real(what, nbytes))[1])
+    _, n, oo = counts._preimage_counts(A, H)
+    assert int(n.sum()) + oo == len(H) * len(A)
+    assert max(reserved) < 4 << 20
 
 
 def test_omega_is_read_on_demand_and_checked(monkeypatch):
