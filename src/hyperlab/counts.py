@@ -75,11 +75,11 @@ step's Omega pass, read on demand, tests the quotients with w <= (p-1)/2,
 the translations whole, and weighs the rest twice: u^-1 has the arguments
 (-w, a2, a1), the same r and sigma_u, and p is odd, so w and p - w differ;
 its sum of r(u) sigma_u is sum_z N(z)^2 over the |H||A| preimages
-h^-1(x) = b - inv(x - a), an inverse formed per cell.  The inverses come from
-one array route, _inv_vec: a table read off the powers of a primitive root
-for small p, and above it one Fp.inv call (the built-in pow(x, -1, p)) per
-element.  The brute-force reference loops in the oracle module use Fermat
-powers instead, so the two routes share no arithmetic shortcuts.
+h^-1(x) = b - inv(x - a), a key block's cells read off the rows of its
+distinct a.  Every inverse is formed one way, _inv_vec, and priced one way,
+_inv_bytes: a table read off the powers of a primitive root for small p, and
+above it one Fp.inv call (the built-in pow(x, -1, p)) per element.  The
+brute-force oracle loops use Fermat powers, sharing no arithmetic shortcuts.
 """
 
 import sys
@@ -155,12 +155,12 @@ def _sqrt_vec(p: int):
     return _elementwise(lambda x: -1 if (s := sqrt(x)) is None else s)
 
 
-def _table_bytes(p: int) -> int:
-    """Peak bytes of a cold inverse-table build (32 p: the powers, the zeroed
-    table, the index and the gather), a tracemalloc peak, 0 where no table
-    is built; the table kept is 8 p, as is a square-root table, whose build
-    (20 p) peaks below it."""
-    return 32 * p if p <= _INV_TABLE_MAX else 0
+def _inv_bytes(p: int, n: int) -> int:
+    """Peak bytes of n inverses formed at once through _inv_vec (tracemalloc):
+    up to _INV_TABLE_MAX a cold table build (32 p: the powers, the zeroed table,
+    the index and the gather; 8 p kept, as for a square-root table, whose build,
+    20 p, peaks below it), above it a Python int, its pointer and its conversion each."""
+    return 32 * p if p <= _INV_TABLE_MAX else (16 + sys.getsizeof(p)) * n
 
 
 def _item_bytes(p: int, sl2: bool = False, top: int = 0) -> int:
@@ -241,18 +241,18 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
     groups = -(-ntargets // per) * pole_blocks
     chunk = max(1, _CELLS // max(1, width))
     # per (pole, point) of a block 17 bytes as its row forms (differences,
-    # inverses, zero mask), above the table range a Python int, its pointer
-    # and its conversion per inverse, and 32 more per cell of a target block
-    # where target rows form (keys and wrap, joined); per map the caller's
-    # held bytes and 7 int64 (poles, shifts, keys, offsets, output), 6 int64
-    # more as the maps sort; per cell of a chunk 17 bytes reading a membership
-    # table (3p bytes per target row) or 72 as np.isin sorts the cells
-    row = (17 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p))) * min(len(poles), per_pole) * width
-    row += 32 * (targets is None) * min(len(poles), per) * width
+    # inverses, zero mask) and its inverse (_inv_bytes), and 32 more per cell
+    # of a target block where target rows form (keys and wrap, joined); per
+    # map the caller's held bytes and 7 int64 (poles, shifts, keys, offsets,
+    # output), 6 int64 more as the maps sort; per cell of a chunk 17 bytes
+    # reading a membership table (3p bytes per target row) or 72 as np.isin
+    # sorts the cells
+    pole_cells = min(len(poles), per_pole) * width
+    row = 17 * pole_cells + _inv_bytes(p, pole_cells) + 32 * (targets is None) * min(len(poles), per) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
     maps_bytes = ((2 * _item_bytes(p, top=p) if held is None else held) + 56 + 48 * (groups > 1)) * maps
-    _reserve("Moebius hits", row + maps_bytes + cells + member_bytes + _table_bytes(p))
+    _reserve("Moebius hits", row + maps_bytes + cells + member_bytes)
     order, bounds = None, [0, maps]
     if groups > 1:
         group = pole // per_pole
@@ -338,10 +338,10 @@ def _sl2_columns(H: TranslateSet):
 
 def _distinct(p: int, v, width: int):
     """The distinct values of an array of poles and the index of each among
-    them, so that _hits forms one row of width cells per distinct pole.
-    Where a row per element takes at most _FEW_CELLS cells, each read off
-    the inverse table, each element is its own pole: forming the rows then
-    costs less than finding the distinct values."""
+    them, so that _hits (and _preimage_counts, on a key block's a) forms one
+    row of width cells per distinct pole.  Where a row per element takes at most
+    _FEW_CELLS cells, each read off the inverse table, each element is its own
+    pole: forming the rows then costs less than finding the distinct values."""
     if p <= _INV_TABLE_MAX and len(v) * width <= _FEW_CELLS:
         return v, np.arange(len(v))
     return np.unique(v, return_inverse=True)
@@ -668,10 +668,11 @@ def _mk_columns(A: ScalarSet, lam: int) -> tuple:
     p, n = A.p, len(A)
     rows = max(1, _CELLS // max(1, n * n))
     index, (key_type, key), rich_type = p <= n * n, _map_keys(p), np.min_scalar_type(n)  # richness <= n
-    # per key of a block 4 int64 as the keys form and count (9 to sort), and
-    # reserved again before each block and the join, 256 bytes a block and per
-    # translate found (>= 2 points) 2 keys and its richness (in the lists, then joined)
-    cells, found_bytes = (32 if index else 72) * min(p, rows) * n * n + _table_bytes(p), 2 * key + rich_type.itemsize
+    # per key of a block 4 int64 as the keys form and count (9 to sort) and its
+    # rows' inverses, and reserved again before each block and the join, 256
+    # bytes a block and per translate found (>= 2 points) 2 keys and its richness
+    cells = (32 if index else 72) * min(p, rows) * n * n + _inv_bytes(p, min(p, rows) * n)
+    found_bytes = 2 * key + rich_type.itemsize
     xs, inv = _array(A), _inv_vec(p)
     keys, rich, size = [], [], 0
     for a0 in range(0, p, rows):
@@ -712,12 +713,12 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
     top = n * (n - 1) // 2
     (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(top)
     # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
-    # roots form, per root found so far 2 keys (< p^2: in a block, joined)
-    # and its hits as _tally reads the runs, next to the inverse and square-root
-    # tables (16 p; their cold builds, one after the other, peak at the inverses')
-    tables, per_root = _table_bytes(p), 2 * key + hit_type.itemsize
-    block = (6 * _item_bytes(p, top=p) + 8) * min(n**3 * (n - 1) // 2, max(n * n, _CELLS)) + tables // 2
-    _reserve("m_k pair pass", max(tables, block))
+    # roots form and its inverses (_inv_bytes: the square-root table's cold
+    # build follows the inverses' and peaks below it), per root found so far
+    # 2 keys (< p^2: in a block, joined) and its hits as _tally reads the runs
+    cells, per_root = min(n**3 * (n - 1) // 2, max(n * n, _CELLS)), 2 * key + hit_type.itemsize
+    block = (6 * _item_bytes(p, top=p) + 8) * cells + _inv_bytes(p, cells)
+    _reserve("m_k pair pass", block)
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -764,14 +765,14 @@ def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     t-rich line has C(t, 2) hits.  The rows are the x-pairs
     (x1, 1/(x1 - x2)), the columns the y-pairs (y1, y1 - y2) (_write_keys),
     written as map keys (_map_keys) and counted in the narrowest dtype."""
-    p = B.p
-    pairs = len(B) * (len(B) - 1) // 2 * len(C) ** 2
-    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(len(B) * (len(B) - 1) // 2)  # C(t, 2), t <= |B|
-    # per pair its key (< p^2) and, as _tally reads the runs, a block of runs and
-    # a key and its hits per line (at most p^2), or 4 items a cell of a key block
+    p, x_pairs = B.p, len(B) * (len(B) - 1) // 2
+    pairs = x_pairs * len(C) ** 2
+    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(x_pairs)  # C(t, 2), t <= |B|
+    # per pair its key (< p^2) and, as _tally reads the runs, a block of runs and a key
+    # and its hits per line (at most p^2), or 4 items a cell of a key block; the x-pairs' inverses
     block = 4 * _item_bytes(p) * min(pairs, max(len(C) ** 2, _CELLS))
     lines = _run_bytes(pairs) + (key + hit_type.itemsize) * min(pairs, p * p)
-    _reserve("rich-line table", key * pairs + max(block, lines) + _table_bytes(p))
+    _reserve("rich-line table", key * pairs + max(block, lines) + _inv_bytes(p, x_pairs))
     xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(len(xs), 1)
     y1 = np.repeat(ys, len(ys))
@@ -847,13 +848,12 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
     p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
     # per quotient the histogram's 3 arguments (SL2 items: int32 up to
-    # 1289, Python ints below p above 2^21) and its counts, and 6 int64 as
-    # the labels form and sort (the inverses, the labels, the weights, their
-    # order and both sorted); above the table range a Python int below p per
-    # inverse (and its pointer as it forms), above 2^21 one per label too
-    n, big = len(hist), sys.getsizeof(p)
-    per = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INV_TABLE_MAX) * (8 + big) + (p > _INT64_P) * big
-    _reserve("Borel coset labels", per * n + _table_bytes(p))
+    # 1289, Python ints below p above 2^21) and its counts, 6 int64 as the
+    # labels form and sort (the inverses, the labels, the weights, their
+    # order and both sorted) and its inverse (_inv_bytes), above 2^21 a
+    # Python int below p per label too
+    per = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INT64_P) * sys.getsizeof(p)
+    _reserve("Borel coset labels", per * len(hist) + _inv_bytes(p, len(hist)))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3
@@ -870,13 +870,12 @@ def _borel_keys(H: TranslateSet):
     the h3 of that a, found by binary search in H sorted by a: at most
     |H|^2 M triples, M the most translates sharing an a."""
     p, n = H.p, len(H)
-    item = _item_bytes(p)
     # per pair 4 items and 2 int64 as the a3 form (int64 on the SL2 rung too,
-    # off the inverse table) and their runs in by_a are found (above 2^18 a
-    # Python int and its pointer per inverse); per triple 16 SL2 items and 5
-    # int64 as the indices, the entries and the keys form
-    pair_bytes = (4 * item + 16 + (p > _INV_TABLE_MAX) * (8 + sys.getsizeof(p))) * n * n
-    _reserve("Borel T3 join", pair_bytes + _table_bytes(p))
+    # off the inverse table) and their runs in by_a are found, and first its
+    # inverse (_inv_bytes); per triple 16 SL2 items and 5 int64 as the
+    # indices, the entries and the keys form
+    pair_bytes = (4 * _item_bytes(p) + 16) * n * n
+    _reserve("Borel T3 join", pair_bytes + _inv_bytes(p, n * n))
     a, b = _sl2_columns(H)
     order = np.argsort(a)
     by_a = a[order]
@@ -931,13 +930,7 @@ class CsChainReport:
         # distinct a of H serve as poles a2 and as target rows a1, and the pole
         # oo (p), whose row is A itself, as pole and target row of the translations
         ha = np.array([*sorted({a for a, _ in H}), p], dtype=np.int64)
-        if p <= len(w):  # a's rank by a p-long table, faster than a binary search per quotient
-            rank = np.zeros(p, dtype=np.int64)
-            rank[ha[:-1]] = np.arange(len(ha) - 1)
-            rank = rank.__getitem__
-        else:
-            rank = ha.searchsorted
-        pole, key = rank(a2), rank(a1)
+        pole, key = ha.searchsorted(a2), ha.searchsorted(a1)  # a's rank among the distinct a
         pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
         w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
         # held per map: r, a1, a2 (w is the shift), and the report's histogram (2 quotients of a count, 3 arguments)
@@ -957,14 +950,20 @@ class CsChainReport:
 
 def _preimage_counts(A: ScalarSet, H: TranslateSet) -> tuple:
     """(z ascending, N(z), N(oo)), N(z) the number of (h, x) in H x A with
-    h^-1(x) = b - inv(x - a) = z over the cells (a, b) x (x,), oo where x = a:
-    inv(0) = 0 counts such a cell at b, then it is moved, maybe leaving N(z) = 0."""
+    h^-1(x) = b - inv(x - a) = z over the cells (a, b) x (x,), oo where x = a.
+    A key block of H (sorted by a) forms the rows of its distinct a as _hits does:
+    a cell x = a reads 2p, counts at b - 2p = b mod p, then moves, maybe leaving N(z) = 0."""
     p, xs = A.p, _array(A, np.int64)
     a, b = _array(H, np.int64).reshape(-1, 2).T
-    # a cold inverse table built next to it; above the table range a third of a
-    # Python int, its pointer and its conversion per inverse on each item
-    z, n = _sort_count("preimage counts", p, (a, b), (xs,), lambda p, a, b, x: _mod(b - _inv_vec(p)(_mod(x - a, p)), p),
-                       len(H) * len(A), item=8 + (p > _INV_TABLE_MAX) * (16 + sys.getsizeof(p)) // 3, held=_table_bytes(p))
+
+    def key(p, a, b, x):
+        poles, pole = _distinct(p, a.ravel(), len(x))
+        return _mod(b - _pole_rows(p, poles, x)[pole], p)
+
+    # per cell of a key block 3 int64 as its key forms next to its pole row
+    # (8 B, 17 B as it forms): 3 items of 11 B; and the block's inverses
+    z, n = _sort_count("preimage counts", p, (a, b), (xs,), key, len(H) * len(A), item=11,
+                       held=_inv_bytes(p, min(len(H) * len(A), max(len(A), _CELLS))))
     at_oo = b[(xs[xs[:-1].searchsorted(a)] == a)]  # the h with a in A: their cell x = a counted at b
     np.subtract.at(n, z.searchsorted(at_oo), 1)
     return z, n, len(at_oo)

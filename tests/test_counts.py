@@ -870,13 +870,17 @@ _PEAK_CASES = {
     "cschain-1000": lambda: (_cs_omega, parse_setspec("ap:1,1,1000", Fp(1009)), _rand_h(1009, 40)),
     "cschain-262139": lambda: (_cs_omega, _rand_a(262139, 20), _rand_h(262139, 12)),
     "cschain-p61": lambda: (_cs_omega, _rand_a(P61, 20), _rand_h(P61, 12)),
-    # the report alone: sigma, the preimage counts (an inverse per cell of H x
-    # A, by index at 1009 and 65537, in 64 blocks of 16 translates at 65537,
-    # sorted above 2^21) and the quotient histogram
+    # the report alone: sigma, the preimage counts (a key block's rows of its
+    # distinct a, by index at 1009 and 65537, in 64 blocks of 16 translates at
+    # 65537, sorted above 2^21) and the quotient histogram
     "cschain-rhs-job": lambda: (cs_chain_report, parse_setspec("ap:1,1,64", Fp(1009)), _rand_h(1009, 512)),
     "cschain-rhs-65537": lambda: (cs_chain_report,
                                   *(parse_setspec(s, Fp(65537)) for s in ("random:2000,1", "randomh:1024,1"))),
     "cschain-rhs-2097169": lambda: (cs_chain_report, _rand_a(2097169, 300), _rand_h(2097169, 200)),
+    # the preimage counts alone above the table range on a grid: 5 key blocks
+    # of up to 327 translates, each inverting the rows of its 8 or 9 distinct a
+    "preimage-grid-1000003": lambda: (counts._preimage_counts, _rand_a(1000003, 100),
+                                      parse_setspec("cart:ap:1,1,40;ap:1,1,40", Fp(1000003))),
     # more distinct poles than a block of rows holds: sigma's b, sumprod's
     # a2 - a4 and the a of H (whose rows are also cs_chain's target rows)
     "sigma-poles": lambda: (sigma, _rand_a(65537, 2000), _rand_h(65537, 3000)),
@@ -942,11 +946,9 @@ def test_reserved_bytes_bound_the_peak(name):
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
-# the histograms and their readers: the coset labels (whose arguments and
-# labels are Python ints below p at 2^61 - 1), the pair histograms and Q and
-# the Minkowski count on top of them
+# the histograms and their readers: the pair histograms and Q and the
+# Minkowski count on top of them
 _HISTOGRAM_CASES = [
-    *(f"borel-{p}" for p in ("256", "262139", "1000003", "p61")),
     *(f"eplus-{s}" for s in ("300", "dense", "index", "p61", "600")),
     *(f"product-rep-{s}" for s in ("16", "40", "dense", "p61")),
     *(f"minkowski-{s}" for s in ("200", "index", "cold-262139", "p61")),
@@ -1494,19 +1496,24 @@ def test_cs_chain_sum_is_a_preimage_square_sum(p, a_spec, h_spec):
 
 
 def test_cs_chain_inverts_once_per_pole_and_point(monkeypatch):
-    # above 2^18 each inverse is an Fp.inv call: one per distinct pole (a b of
-    # H) and point for sigma and one per translate and point for the preimage
-    # counts, not one per quotient and point
-    p = 1000003
-    F = Fp(p)
-    A, H = parse_setspec("random:12,1", F), parse_setspec("randomh:100,1", F)
+    # above 2^18 each inverse is an Fp.inv call: one per distinct pole and
+    # point, a b of H for sigma and an a of H for the preimage counts, not one
+    # per translate or quotient and point.  The preimage counts invert the
+    # distinct a of each key block, so an a whose translates span two blocks
+    # is inverted in each: on the grid, 1600 translates of 40 a in 5 blocks,
+    # (40 + 4 + 40) 100 = 8400 calls, where an inverse per cell would make 164 000
+    F = Fp(1000003)
     calls = []
     real = Fp.inv
     monkeypatch.setattr(Fp, "inv", lambda self, x: (calls.append(x), real(self, x))[1])
-    counts._inv_vec.cache_clear()
-    rep = cs_chain_report(A, H)
-    assert 0 < len(calls) <= (len(H) + len({b for _, b in H})) * len(A)
-    assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
+    for a_spec, h_spec in (("random:12,1", "randomh:100,1"), ("random:100,1", "cart:ap:1,1,40;ap:1,1,40")):
+        A, H = parse_setspec(a_spec, F), parse_setspec(h_spec, F)
+        blocks = -(-len(H) // (counts._CELLS // len(A)))
+        calls.clear()
+        counts._inv_vec.cache_clear()
+        rep = cs_chain_report(A, H)
+        assert 0 < len(calls) <= (len({a for a, _ in H}) + blocks - 1 + len({b for _, b in H})) * len(A)
+        assert rep.rhs_cs == len(A) * _preimage_square_sum(A, H)
 
 
 def test_dot_exact_on_both_sides_of_int64():
