@@ -14,11 +14,12 @@ give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).
 
 Every keyed pass forms its keys in row blocks of about _CELLS cells, the
 one block size (_key_blocks; _hits chunks its cells alike), and
-_write_keys writes the keys that are kept into one array.  One counter,
+_write_keys writes the keys that are kept into one array, the SL2 keys in
+place (the rare w = 0 or c = 0 cells fixed up by index).  One counter,
 _tally, sorts keys and reads off the runs of equal ones (one reader,
-_run_blocks, a block at a time, serves it and _sorted_square_sum), except
-where the keys lie in a range no longer than they are many: there one
-array indexed by key counts them (np.add.at per block, as np.bincount
+_read_runs, over _run_blocks, which serve _run_count and _sorted_square_sum
+too), except where the keys lie in a range no longer than they are many:
+one array indexed by key counts them (np.add.at per block, as np.bincount
 returns an array a call and sums weights in float64; the m_k column arm
 bincounts a block of rows).  So the histograms over element pairs (differences for eplus,
 minkowski and the product histogram, D(h, h') for q and t3) and the growth
@@ -172,17 +173,31 @@ def _item_bytes(p: int, sl2: bool = False, top: int = 0) -> int:
 
 @dataclass(frozen=True)
 class QuotientHistogram:
-    """The arguments (w, a1, a2) of each distinct quotient u, in ascending
-    order of its key (w p + a1) p + a2 (see the module docstring), with
-    (0, a1 - a2, 0) for a translation (w = 0), and the counts r(u), as
-    arrays of the group kernels' items; len() is the support."""
+    """The |H|^2 pair keys (w p + a1) p + a2 of the quotients u, sorted (T_2 is their
+    squared run lengths), read off their runs on first read: the arguments (w, a1, a2)
+    of each distinct u by ascending key, (0, a1 - a2, 0) for a translation (w = 0),
+    and the counts r(u); len() is the support, the runs counted, not tallied."""
 
     p: int
-    args: tuple
-    counts: np.ndarray
+    keys: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return _run_count(self.keys)
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """(args, counts): next to the keys a distinct key, its count and 2 arguments read off it per run."""
+        p, item, n = self.p, _item_bytes(self.p, sl2=True), len(self.keys)
+        _reserve("quotient histogram runs", item * n + (3 * item + 8) * len(self) + _run_bytes(n))
+        keys, counts = _read_runs(self.keys)
+        a2 = _mod(keys, p)
+        keys //= p  # w p + a1
+        a1 = _mod(keys, p)
+        keys //= p  # w
+        return (keys, a1, a2), counts
+
+    args = property(lambda self: self._runs[0], doc="(w, a1, a2) of each distinct quotient, tallied on first read")
+    counts = property(lambda self: self._runs[1], doc="r(u) of each distinct quotient, tallied on first read")
 
     @property
     def columns(self) -> tuple:
@@ -219,8 +234,8 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
     poles[pole[i]] (see _pole_rows), the number of points x of xs whose image
     lies in targets, or where targets is None in the row of poles[key[i]], as
     int64.  xs, shifts and targets are int64 residues, so a cell lies in
-    [0, 3p) and 2p never hits.  The caller holds held bytes per map (by
-    default 2 residues: sigma's shifts or sumprod's factors as they form).
+    [0, 3p) and 2p never hits.  The caller holds held bytes (by default 2
+    residues a map: sigma's shifts or sumprod's factors as they form).
 
     The rows are formed for a block of poles within _HIT_ROW_BYTES at a time,
     all at once where they fit; a cell is then a row gather, an add and a
@@ -251,7 +266,7 @@ def _hits(p: int, xs, poles, pole, shift, targets=None, key=None, held=None) -> 
     row = 17 * pole_cells + _inv_bytes(p, pole_cells) + 32 * (targets is None) * min(len(poles), per) * width
     member_bytes = min(ntargets, per) * stride * table
     cells = min(maps, chunk) * width * (17 if table else 72)
-    maps_bytes = ((2 * _item_bytes(p, top=p) if held is None else held) + 56 + 48 * (groups > 1)) * maps
+    maps_bytes = (56 + 48 * (groups > 1)) * maps + (2 * _item_bytes(p, top=p) * maps if held is None else held)
     _reserve("Moebius hits", row + maps_bytes + cells + member_bytes)
     order, bounds = None, [0, maps]
     if groups > 1:
@@ -347,12 +362,6 @@ def _distinct(p: int, v, width: int):
     return np.unique(v, return_inverse=True)
 
 
-def _key(p: int, *entries):
-    """The key (a p + c) p + z of the product of two entry-column 4-tuples."""
-    a, c, z = product_key_entries(p, *entries)
-    return (a * p + c) * p + z
-
-
 def _key_blocks(p: int, u, v, key):
     """(rows, keys) of each row block of about _CELLS cells: the keys
     key(p, *u_i, *v) of the rows i of the columns u against the columns v."""
@@ -361,13 +370,33 @@ def _key_blocks(p: int, u, v, key):
         yield slice(i, i + rows), key(p, *(e[i : i + rows, None] for e in u), *v)
 
 
-def _write_keys(p: int, u, v, key=_key, dtype=None):
-    """The keys of _key_blocks, by default the products', in one flat array of
-    u's dtype or of dtype (int64 for residues formed as Python ints or int32 blocks)."""
-    out = np.empty((len(u[0]), len(v[0])), dtype=dtype or u[0].dtype)
-    for rows, keys in _key_blocks(p, u, v, key):
-        out[rows] = keys
-        del keys  # the next block forms without this one
+def _quotient_key(p: int, out, scratch, a1, b1, a2, b2):
+    """The pair key (w p + a1) p + a2 of h1 h2^-1, w = b1 - b2, or (a1 - a2) p
+    where w = 0 (fixed up by index), written into out with one scratch block."""
+    _mod(np.subtract(b1, b2, out=scratch[0]), p, out=out)
+    zero = np.nonzero(out == 0)
+    for x in (a1, a2):
+        out *= p
+        out += x
+    if len(zero[0]):
+        out[zero] = _mod(a1[zero[0], 0] - a2[zero[1]], p) * p  # a1 a column of rows, a2 a row
+
+
+def _assigned(key):
+    """key(p, *entries), which returns a block, as a _write_keys key: the block copied into out."""
+    return lambda p, out, scratch, *entries: np.copyto(out, key(p, *entries), casting="unsafe")
+
+
+def _write_keys(p: int, u, v, key=product_key_entries, dtype=None, depth: int = 2):
+    """The keys of _key_blocks' blocks, by default the products', in one flat array of
+    u's dtype or of dtype (int64 for residues formed as Python ints or int32 blocks),
+    each written in place by key(p, out, scratch, *u_i, *v) with depth scratch blocks."""
+    m, n = len(u[0]), len(v[0])
+    out = np.empty((m, n), dtype=dtype or u[0].dtype)
+    rows = max(1, _CELLS // max(1, n))
+    scratch = np.empty((depth, min(m, rows), n), out.dtype)
+    for i in range(0, m, rows):
+        key(p, out[i : i + rows], scratch[:, : min(rows, m - i)], *(e[i : i + rows, None] for e in u), *v)
     return out.reshape(-1)
 
 
@@ -412,13 +441,22 @@ def _sort(keys, weights=None):
 
 
 def _tally(keys, weights=None, count=np.int64):
-    """Each distinct key, ascending, and its total weight, or its multiplicity
-    as count, of the keys _sort sorts; past one block (_run_blocks) the runs
-    are counted first, then written a block at a time."""
-    keys, weights = _sort(keys, weights)
+    """_read_runs of the keys (and weights) _sort sorts."""
+    return _read_runs(*_sort(keys, weights), count)
+
+
+def _run_count(keys) -> int:
+    """The number of runs of equal sorted keys, counted a block at a time."""
+    return sum(int(np.count_nonzero(edges)) - 1 for *_, edges in _run_blocks(keys))
+
+
+def _read_runs(keys, weights=None, count=np.int64):
+    """The run reader: each distinct key of sorted keys and its total weight,
+    or its multiplicity as count; past one block (_run_blocks) the runs are
+    counted first, then written a block at a time."""
     r, out = 0, None
     if len(keys) > _RUN_BLOCK:
-        runs = sum(int(np.count_nonzero(edges)) - 1 for *_, edges in _run_blocks(keys))
+        runs = _run_count(keys)
         out = np.empty(runs, keys.dtype), np.empty(runs, count if weights is None else weights.dtype)
     for lo, hi, edges in _run_blocks(keys):
         at = edges.nonzero()[0]  # the run starts and the end of the last run
@@ -485,21 +523,13 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     """quotient_histogram's body, which t_k(H, 3) calls directly: the
     benchmark's trace counts one quotient_histogram call per energy, t4,
     cschain and borel job."""
-    p = H.p
-    # per pair 3 items and 8 B (its key next to a block of runs as they are
-    # read, then a distinct key, its count and the two arguments read off
-    # it): 20 B at int32, 32 B at int64; above 2^21 5 items (241 B at 2^61 - 1)
-    item, pairs = _item_bytes(p, sl2=True), len(H) ** 2
-    _reserve("quotient histogram", (3 * item + 8) * pairs + _run_bytes(pairs) if p <= _INT64_P else 5 * item * pairs)
+    p, n, item = H.p, len(H), _item_bytes(H.p, sl2=True)
+    # per pair its key, next to a key block's scratch (an item and 1 B a cell) or a block of runs
+    _reserve("quotient histogram", item * n * n + max((item + 1) * min(n * n, max(n, _CELLS)), _run_bytes(n * n)))
     a, b = _sl2_columns(H)
-    key = lambda p, a1, b1, a2, b2: np.where(  # noqa: E731
-        (w := _mod(b1 - b2, p)) == 0, _mod(a1 - a2, p) * p, (w * p + a1) * p + a2)
-    keys, counts = _tally(_write_keys(p, (a, b), (a, b), key))
-    a2 = _mod(keys, p)
-    keys //= p  # w p + a1
-    a1 = _mod(keys, p)
-    keys //= p  # w
-    return QuotientHistogram(p, (keys, a1, a2), counts)
+    keys = _write_keys(p, (a, b), (a, b), _quotient_key, depth=1)
+    keys.sort()
+    return QuotientHistogram(p, keys)
 
 
 def _product_squares(what: str, p: int, u, v, weights=None, held: int = 0) -> int:
@@ -516,10 +546,10 @@ def _product_squares(what: str, p: int, u, v, weights=None, held: int = 0) -> in
     # 2^21 (the addition that forms a Python int allocates a carry digit it
     # may not fill) and, weighted, 16 B (its weight, unpacked) and 2 items
     # more where keys and weights do not pack (argsort); per row of u and of v
-    # its 4 entry columns; next to a key block (5 SL2 items and 8 B a cell,
-    # measured: 45 B at int64, 164 B at 2097169) or a block of runs
+    # its 4 entry columns; next to a key block (2 SL2 items and 16 B a cell:
+    # the scratch, the c = 0 mask and its fix-up's indices) or a block of runs
     key = item + 4 * (p > _INT64_P) + weighted * (16 + 2 * item * (p**3 * (top + 1) > 1 << 63))
-    block = (5 * cell + 8) * min(m * n, max(n, _CELLS))
+    block = (2 * cell + 16) * min(m * n, max(n, _CELLS))
     _reserve(what, held + key * m * n + 4 * cell * (m + n) + max(block, _run_bytes(m * n, weighted)))
     return _sorted_square_sum(*_sort(_write_keys(p, u, v, dtype=np.int64 if weighted and p <= _INT64_P else None),
                                      (weights[0][:, None] * weights[1]).reshape(-1) if weighted else None))
@@ -537,9 +567,9 @@ def _fill(H: TranslateSet, k: int) -> int:
 def _support(H: TranslateSet, k: int, hist: QuotientHistogram) -> int:
     """T_k(H), k = 3 or 4, over the quotient support held next to it: the |Q| |H|
     products u h3 weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
-    p, u, r = H.p, hist.columns, hist.counts
+    p, u, r, item = H.p, hist.columns, hist.counts, _item_bytes(H.p, sl2=True)
     v, w = (embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
-    return _product_squares(f"T{k} support", p, u, v, (r, w), (3 * _item_bytes(p, sl2=True) + 8) * len(hist))
+    return _product_squares(f"T{k} support", p, u, v, (r, w), item * len(hist.keys) + (3 * item + 8) * len(hist))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -549,8 +579,7 @@ def t_k(H: TranslateSet, k: int) -> int:
     if n == 0:
         return 0
     if k == 2:
-        r = quotient_histogram(H).counts
-        return _dot(r, r)
+        return _sorted_square_sum(quotient_histogram(H).keys)
     if k not in (3, 4):
         raise InvalidArgument(f"k must be 2, 3 or 4, got {k}")
     if k == 3 and n**3 <= _T3_FEW:
@@ -588,7 +617,7 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
         return values, total[values]
     _reserve(what, held + (8 + 16 * weighted) * n + max(block, _run_bytes(n) + 16 * runs))
     w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
-    return _tally(_write_keys(p, u, v, key, np.int64), w)
+    return _tally(_write_keys(p, u, v, _assigned(key), np.int64, 0), w)
 
 
 def _residue_set(what: str, A: ScalarSet, B: ScalarSet, key) -> ScalarSet:
@@ -776,8 +805,9 @@ def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
     xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(len(xs), 1)
     y1 = np.repeat(ys, len(ys))
+    key = _assigned(lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p))
     keys = _write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
-                       lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p), key_type)
+                       key, key_type, 0)
     return _tally(keys, None, hit_type)
 
 
@@ -847,13 +877,12 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
     """
     p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
-    # per quotient the histogram's 3 arguments (SL2 items: int32 up to
-    # 1289, Python ints below p above 2^21) and its counts, 6 int64 as the
-    # labels form and sort (the inverses, the labels, the weights, their
-    # order and both sorted) and its inverse (_inv_bytes), above 2^21 a
-    # Python int below p per label too
-    per = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INT64_P) * sys.getsizeof(p)
-    _reserve("Borel coset labels", per * len(hist) + _inv_bytes(p, len(hist)))
+    # per pair the histogram's key, per quotient its 3 arguments (SL2 items:
+    # int32 up to 1289, Python ints below p above 2^21), its count, 6 int64 as
+    # the labels form and sort (the inverses, the labels, the weights, their
+    # order and both sorted), its inverse and above 2^21 a label's Python int
+    per, n = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INT64_P) * sys.getsizeof(p), len(hist)
+    _reserve("Borel coset labels", _item_bytes(p, sl2=True) * len(hist.keys) + per * n + _inv_bytes(p, n))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3
@@ -892,7 +921,8 @@ def _borel_keys(H: TranslateSet):
     del lo, span
     i1, i2 = np.divmod(pair, n)
     u = pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2])
-    return _key(p, *u, *embed_entries(p, a[i3], b[i3]))
+    return product_key_entries(p, np.empty(triples, u[0].dtype), np.empty((2, triples), u[0].dtype),
+                               *u, *embed_entries(p, a[i3], b[i3]))
 
 
 def borel_t3_mass(H: TranslateSet) -> int:
@@ -933,8 +963,10 @@ class CsChainReport:
         pole, key = ha.searchsorted(a2), ha.searchsorted(a1)  # a's rank among the distinct a
         pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
         w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
-        # held per map: r, a1, a2 (w is the shift), and the report's histogram (2 quotients of a count, 3 arguments)
-        su = _hits(p, xs, ha, pole, w, None, key, held=24 + 2 * (8 + 3 * _item_bytes(p, sl2=True, top=p)))
+        # held: per map r, a1, a2 (w is the shift), and the report's histogram
+        # (per quotient a count and 3 arguments, per pair a key)
+        held = (8 + 3 * _item_bytes(p, sl2=True, top=p)) * len(hist) + _item_bytes(p, sl2=True) * len(hist.keys)
+        su = _hits(p, xs, ha, pole, w, None, key, 24 * m + held)
         in_a = xs[xs[:-1].searchsorted(ha)] == ha  # a pole lies in A (oo does not)
         su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)
         total_rs = self.rhs_cs // len(A)

@@ -9,9 +9,9 @@ c = 0), which counts.borel_coset_mass computes on arrays of the pair
 quotients' closed-form arguments (a1 + 1/w).
 
 The SL2 closed forms are four column forms: the generic product
-(product_entries) and its key entries (product_key_entries), the translate
-embedding (embed_entries) and the pair quotient h1 h2^-1
-(pair_quotient_entries).  All but the key entries take Python ints or
+(product_entries) and its key (product_key_entries, written in place into
+an array), the translate embedding (embed_entries) and the pair quotient
+h1 h2^-1 (pair_quotient_entries).  All but the key take Python ints or
 broadcast numpy arrays alike, so the scalar maps here and the array kernels
 of counts share one copy of each; a triple h1 h2^-1 h3 is the product of a
 pair quotient and an embedding.
@@ -118,13 +118,14 @@ def evaluate(m: MoebiusMap, x: ProjectiveValue) -> ProjectiveValue:
     return (m.a * x + m.b) * F.inv(den) % m.p
 
 
-def _mod(x, p: int):
-    """x mod p in [0, p) for a Python int, an int64 array or an object array.
+def _mod(x, p: int, out=None):
+    """x mod p in [0, p) for a Python int, an int64 array or an object array,
+    into out (an array other than x) where given.
 
     Written x - (x // p) p in place: numpy's x // p by a scalar divides
     through libdivide, several times cheaper than x % p on int64 (more so
     for negative x), and the in-place steps hold no third temporary."""
-    r = x // p
+    r = x // p if out is None else np.floor_divide(x, p, out=out)
     r *= -p
     r += x
     return r
@@ -142,23 +143,30 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
     )
 
 
-def product_key_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
-    """Key entries (a, c, z) of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p over
-    broadcast arrays: the first column, then z = d, or b where c = 0 (b
-    gathered at those cells, or formed over a small block or one where they
-    are many).  Injective on SL2, as det = 1 fixes b from (a, c, d) where
-    c != 0, and d = 1/a where c = 0."""
-    a = _mod(a1 * a2 + b1 * c2, p)
-    c = _mod(c1 * a2 + d1 * c2, p)
-    z, zero = c1 * b2 + d1 * d2, c == 0
-    many = np.count_nonzero(zero)
-    if many and 8 * many + (1 << 13) > zero.size:  # over 1 in 8 (grids, Borel keys), or few cells: timed faster
-        z = np.where(zero, a1 * b2 + b1 * d2, z)
-    elif many:
-        at = np.unravel_index(np.flatnonzero(zero), z.shape)
-        a1, b1, b2, d2 = (np.broadcast_to(e, z.shape)[at] for e in (a1, b1, b2, d2))
-        z[at] = a1 * b2 + b1 * d2
-    return a, c, _mod(z, p)
+def product_key_entries(p: int, out, scratch, a1, b1, c1, d1, a2, b2, c2, d2):
+    """The key (a p + c) p + z of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, written into
+    out in place with two scratch arrays of its shape, and returned: the first
+    column, then z = d, or b where c = 0 (the fewer of the two fixed up by
+    index).  Injective on SL2, as det = 1 fixes b from (a, c, d) where c != 0,
+    and d = 1/a where c = 0.  Each entry joins the key reduced: it stays below
+    p^3 (int32 up to 1289)."""
+    s, t = scratch
+    z = (c1, b2, d1, d2), (a1, b2, b1, d2)  # the entries d and b
+    for i in range(3):
+        x1, y1, x2, y2 = ((a1, a2, b1, c2), (c1, a2, d1, c2), *z)[i + (i == 2 and many)]
+        np.multiply(x1, y1, out=s)
+        s += x2 * y2 if np.broadcast(x2, y2).size < s.size else np.multiply(x2, y2, out=t)  # a row: no block
+        r = _mod(s, p, out=t if i else out)
+        if i:
+            out *= p
+            out += r
+        if i == 1:  # z = b everywhere where c = 0 in most cells (Borel keys)
+            many = 2 * np.count_nonzero(zero := t == 0) > zero.size
+            fix = np.nonzero(zero != many)
+    if len(fix[0]):
+        x1, y1, x2, y2 = (np.broadcast_to(e, out.shape)[fix] for e in z[not many])
+        out[fix] += _mod(x1 * y1 + x2 * y2, p) - t[fix]
+    return out
 
 
 def embed_entries(p: int, a, b):

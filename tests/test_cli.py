@@ -93,11 +93,11 @@ def test_every_quantity_finishes_or_refuses_at_1_mb(capsys, monkeypatch, quantit
 
 
 def test_default_budget_refuses_large_energy(capsys):
-    # the 13000^2-pair quotient histogram would need about 3.4 GB (20 B per pair)
-    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:13000,1")
+    # the 24000^2 pair keys of the quotient histogram would need about 2.3 GB (4 B per pair)
+    code, _, err = run(capsys, "compute", "energy", "--p", "1009", "--H", "randomh:24000,1")
     assert code == 2
     required, budget = map(int, _REFUSAL.match(err.strip()).groups())
-    assert budget == 1536 << 20 < 2.5 * 10**9 < required
+    assert budget == 1536 << 20 < 2.2 * 10**9 < required
 
 
 def test_t4_through_the_quotient_support(capsys):

@@ -50,7 +50,7 @@ from hyperlab import (
 )
 from hyperlab.errors import _OVERHEAD
 from hyperlab.field import check_prime, is_prime
-from hyperlab.moebius import pair_quotient_entries
+from hyperlab.moebius import embed_entries, pair_quotient_entries, product_entries, product_key_entries
 
 A16 = ScalarSet(7, (1, 6))
 H00 = TranslateSet(7, ((0, 0),))
@@ -201,6 +201,71 @@ def test_t2_pin():
     assert t_k(H2, 2) == 6
 
 
+@pytest.mark.parametrize("p", [1009, 1291, 2097169, (1 << 61) - 1])
+def test_t2_is_the_square_sum_of_the_counts(p):
+    """T_2 off the sorted pair keys equals the counts' square sum and the
+    oracle on the int32 (1009), int64 (1291) and Python-int rungs, on a
+    random set and on a grid whose translates share b (translations, w = 0)."""
+    F = Fp(p)
+    for H in (_rand_h(p, 10), parse_setspec("cart:ap:1,1,3;ap:0,1,3", F), parse_setspec("randomh:300,1", F)):
+        hist = quotient_histogram(H)
+        assert hist.keys.dtype == (np.int32 if p <= 1289 else np.int64 if p <= 1 << 21 else object)
+        want = counts._dot(hist.counts, hist.counts)
+        assert t_k(H, 2) == want and type(want) is int
+        if len(H) <= 10:
+            assert want == oracle.energy_naive(H)
+
+
+def test_t2_and_len_never_tally(monkeypatch):
+    """t_k(H, 2) and len() read the held sorted keys without the run reader,
+    in one block of runs and in several; args and counts tally on first read."""
+    H = _rand_h(1009, 600)  # 360000 keys: six blocks of runs
+    want = t_k(H, 2), len(quotient_histogram(H))
+
+    def refuse(*_):
+        raise AssertionError("tallied")
+
+    monkeypatch.setattr(counts, "_read_runs", refuse)
+    for block in (counts._RUN_BLOCK, 7):
+        monkeypatch.setattr(counts, "_RUN_BLOCK", block)
+        hist = quotient_histogram(H)
+        assert (t_k(H, 2), len(hist)) == want
+        with pytest.raises(AssertionError, match="tallied"):
+            hist.args
+
+
+def _closed_form_keys(p, H):
+    """The pair keys of H and the keys of the products u h3 and u v of its pair
+    quotients, by the scalar closed forms over Python ints, row by row."""
+    hs, (a, b) = list(H), (np.array(c, dtype=object) for c in zip(*H))
+    pair = [((b1 - b2) % p * p + a1) * p + a2 if (b1 - b2) % p else (a1 - a2) % p * p for a1, b1 in hs for a2, b2 in hs]
+    u = [pair_quotient_entries(p, *h1, *h2) for h1 in hs for h2 in hs]
+    key = lambda e, f: (lambda a, b, c, d: (a * p + c) * p + (d if c else b))(*product_entries(p, *e, *f))  # noqa: E731
+    embedded = [embed_entries(p, a3, b3) for a3, b3 in hs]
+    return pair, [key(e, f) for e in u for f in embedded], [key(e, f) for e in u for f in u]
+
+
+@pytest.mark.parametrize("p", [3, 1009, 1291, 65537, 2097169, (1 << 61) - 1])
+def test_in_place_keys_match_the_closed_forms(monkeypatch, p):
+    """The pair keys and the T_3 and T_4 product keys, written in place in
+    blocks of 7 cells and of _CELLS, equal the scalar closed forms on a grid
+    of translates sharing b (w = 0 pairs, and products with c = 0: each
+    translation times a translation, and u h3 with w (a2 - a3) = 1)."""
+    F = Fp(p)
+    H = parse_setspec("cart:ap:0,1,3;ap:0,1,2", F) if p == 3 else TranslateSet(
+        p, (*parse_setspec("cart:ap:1,1,4;ap:0,1,2", F), (0, p - 1), (p - 1, 1), (2, p - 1)))
+    pair, triple, four = _closed_form_keys(p, H)
+    assert pair.count(0) < sum(k < p * p for k in pair)  # translations other than the identity
+    assert sum(k // p % p == 0 for k in triple) > len(H) and sum(k // p % p == 0 for k in four) > len(H) ** 2
+    a, b = counts._sl2_columns(H)
+    u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
+    for cells in (7, counts._CELLS):
+        monkeypatch.setattr(counts, "_CELLS", cells)
+        got = [counts._write_keys(p, (a, b), (a, b), counts._quotient_key, depth=1),
+               counts._write_keys(p, u, embed_entries(p, a, b)), counts._write_keys(p, u, u)]
+        assert [k.tolist() for k in got] == [pair, triple, four]
+
+
 def test_t3_pin():
     for p in (7, 101, 499):
         H = TranslateSet(p, ((0, 0), (1, 1)))
@@ -345,7 +410,8 @@ def test_key_injective_on_sl2():
         assert len(elems) == p**3 - p
         a, b, c, d = (np.array(col, dtype=np.int64) for col in zip(*elems))
         # each element times the identity: its own key entries
-        keys = counts._key(p, a, b, c, d, 1, 0, 0, 1).tolist()
+        out, scratch = np.empty(len(a), np.int64), np.empty((2, len(a)), np.int64)
+        keys = product_key_entries(p, out, scratch, a, b, c, d, 1, 0, 0, 1).tolist()
         assert len(set(keys)) == len(elems)
         for key, (a, b, c, d) in zip(keys, elems):
             assert 0 <= key < p**3
@@ -745,14 +811,14 @@ def test_refused_fill_tries_no_support_arm(monkeypatch, k):
 def test_refused_fill_writes_no_key(monkeypatch):
     """A T_k fill the budget refuses stops before it writes a key: under
     1 MiB, 30^4 int32 keys (3.2 MB) and 70^3 (1.4 MB) are refused, and t_k
-    writes only the quotient histogram's keys, a row per translate, before
-    the fill it chose refuses."""
+    writes only the quotient histogram's pair keys, a row per translate,
+    before the fill it chose refuses."""
     written = []
     real = counts._write_keys
 
-    def write_keys(p, u, *args, **kwargs):
-        written.append(len(u[0]))
-        return real(p, u, *args, **kwargs)
+    def write_keys(p, u, v, key=product_key_entries, *args, **kwargs):
+        written.append((len(u[0]), key.__name__))
+        return real(p, u, v, key, *args, **kwargs)
 
     monkeypatch.setattr(counts, "_write_keys", write_keys)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
@@ -763,18 +829,19 @@ def test_refused_fill_writes_no_key(monkeypatch):
             counts._fill(H, k)
         with pytest.raises(ResourceLimit, match=f"T{k} fill"):
             t_k(H, k)
-        assert written == [n]
+        assert written == [(n, "_quotient_key")]
 
 
 def test_budget_from_env(monkeypatch):
-    H = rand_translates(random.Random(0), 101, 220)
+    H = rand_translates(random.Random(0), 101, 300)
     with pytest.raises(ResourceLimit) as e:
         counts._reserve("table", 1536 << 20)
     assert e.value.budget == 1536 << 20  # the default, in bytes
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "1")
     with pytest.raises(ResourceLimit) as e:
         quotient_histogram(H)
-    assert (e.value.required, e.value.budget) == (20 * 220**2 + counts._run_bytes(220**2) + _OVERHEAD, 1 << 20)
+    # an int32 key per pair, next to a block of runs
+    assert (e.value.required, e.value.budget) == (4 * 300**2 + counts._run_bytes(300**2) + _OVERHEAD, 1 << 20)
     monkeypatch.setenv("HYPERLAB_BUDGET_MB", "2")
     assert len(quotient_histogram(H)) > 0
     for bad in ("lots", "", "0", "-3", "1.5"):
@@ -810,6 +877,11 @@ _PEAK_CASES = {
     "quotient-1291": lambda: (quotient_histogram, _rand_h(1291, 256)),
     "quotient-2097169": lambda: (quotient_histogram, _rand_h(2097169, 64)),
     "quotient-p61": lambda: (quotient_histogram, _rand_h(P61, 64)),
+    # T_2 off the sorted keys alone, and a first read of the arguments (the tally)
+    "t2-600": lambda: (t_k, _rand_h(1009, 600), 2),
+    "t2-p61": lambda: (t_k, _rand_h(P61, 64), 2),
+    "quotient-args-600": lambda: (lambda H: quotient_histogram(H).args, _rand_h(1009, 600)),
+    "quotient-args-p61": lambda: (lambda H: quotient_histogram(H).args, _rand_h(P61, 64)),
     "t3-24": lambda: (t_k, _rand_h(1009, 24), 3),
     "t3-80": lambda: (t_k, _rand_h(1009, 80), 3),
     "t3-1291": lambda: (t_k, _rand_h(1291, 80), 3),
@@ -942,23 +1014,6 @@ def _peak_and_estimate(name):
 def test_reserved_bytes_bound_the_peak(name):
     """Each kernel's estimate is at least tracemalloc's peak of the call, and
     at most 2 peaks + 1 MiB (a gate that is not vacuous)."""
-    peak, estimate = _peak_and_estimate(name)
-    assert peak <= estimate <= 2 * peak + (1 << 20)
-
-
-# the histograms and their readers: the pair histograms and Q and the
-# Minkowski count on top of them
-_HISTOGRAM_CASES = [
-    *(f"eplus-{s}" for s in ("300", "dense", "index", "p61", "600")),
-    *(f"product-rep-{s}" for s in ("16", "40", "dense", "p61")),
-    *(f"minkowski-{s}" for s in ("200", "index", "cold-262139", "p61")),
-    "q-p61",
-]
-
-
-@pytest.mark.parametrize("name", _HISTOGRAM_CASES)
-def test_histogram_estimates_within_two_peaks(name):
-    """The histogram kernels return arrays, so they reserve within 2 peaks + 1 MiB."""
     peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 

@@ -67,10 +67,10 @@ def test_pair_quotient_matches_chain(h1, h2):
 
 @pytest.mark.parametrize("p", [1009, 2097169, (1 << 61) - 1])
 def test_product_key_entries_match_compose(p):
-    """The key entries (a, c, then d, or b where c = 0) of u v agree with the
-    generic compose, over broadcast columns and elementwise, on int64
-    columns below 2^21 and Python ints above; u v9..v11 lie in the Borel
-    group (c = 0)."""
+    """The key (a p + c) p + z of u v, written in place, holds the entries
+    (a, c, then d, or b where c = 0) of the generic compose, over broadcast
+    columns and elementwise, on int64 columns below 2^21 and Python ints
+    above; u v9..v11 lie in the Borel group (c = 0)."""
     rng = random.Random(p)
 
     def sl2():
@@ -91,15 +91,18 @@ def test_product_key_entries_match_compose(p):
         a, b, c, d = compose(g, h).entries
         return a, c, d if c else b
 
+    def key(*entries):  # written in place into a fresh array, read back as its entries
+        shape = np.broadcast_shapes(*(np.shape(e) for e in entries))
+        out = product_key_entries(p, np.empty(shape, dtype), np.empty((2, *shape), dtype), *entries)
+        return [(k // p**2, k // p % p, k % p) for k in out.reshape(-1).tolist()]
+
     u, v = columns(us), columns(vs)
-    grid = product_key_entries(p, *(e[:, None] for e in u), *v)
-    assert [[tuple(int(e[i, j]) for e in grid) for j in range(len(vs))] for i in range(len(us))] == [
-        [want(g, h) for h in vs] for g in us
-    ]
+    grid = key(*(e[:, None] for e in u), *v)
+    assert grid == [want(g, h) for g in us for h in vs]
     assert sum(want(g, h)[1] == 0 for g in us for h in vs) >= 3
-    pairs = product_key_entries(p, *columns(us[:3]), *columns(vs[9:]))
-    assert list(zip(*(e.tolist() for e in pairs))) == [want(g, h) for g, h in zip(us, vs[9:])]
-    assert pairs[1].tolist() == [0, 0, 0]
+    pairs = key(*columns(us[:3]), *columns(vs[9:]))
+    assert pairs == [want(g, h) for g, h in zip(us, vs[9:])]
+    assert [c for _, c, _ in pairs] == [0, 0, 0]
 
 
 def test_compose_requires_same_modulus():
