@@ -17,12 +17,13 @@ one block size (_key_blocks; _hits chunks its cells alike), and
 _write_keys writes the keys that are kept into one array, the SL2 keys in
 place (the rare w = 0 or c = 0 cells fixed up by index).  One counter,
 _tally, sorts keys and reads off the runs of equal ones (one reader,
-_read_runs, over _run_blocks, which serve _run_count and _sorted_square_sum
-too), except where the keys lie in a range no longer than they are many:
-one array indexed by key counts them (np.add.at per block, as np.bincount
-returns an array a call and sums weights in float64; the m_k column arm
-bincounts a block of rows).  So the histograms over element pairs (differences for eplus,
-minkowski and the product histogram, D(h, h') for q and t3) and the growth
+_read_runs, over _run_blocks, which serve _run_count, _sorted_square_sum
+and the richness maps' _runs too), except where the keys lie in a range no
+longer than they are many: one array indexed by key counts them (np.add.at
+per block, as np.bincount returns an array a call and sums weights in
+float64; the m_k column arm bincounts a block of rows).  So the histograms
+over element pairs (differences for eplus, minkowski and the product
+histogram, D(h, h') for q and t3) and the growth
 sets A + B and A - B (sets.sumset and sets.difference_set, which keep the
 values only), residues mod p of n^2 pairs (_sort_count), add into one
 p-long int64 total where p <= n^2 and otherwise sort all n^2 keys as int64:
@@ -61,6 +62,12 @@ m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
 the number of points (or point pairs) on each, its keys (< p^2) as
 _map_keys has them and its counts in the narrowest dtype that holds them.
+A map is a stream of disjoint, ascending (keys, counts) blocks and is never
+held whole: the m_k column arm yields each block of rows a once counted,
+and the pair arm and the lines write their roots or line keys into one
+array, sort it in place and stream its runs a block at a time (_runs).
+One reader, _rich_count, takes the threshold count off the stream; the
+checks that compare whole maps join it (_joined).
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -171,17 +178,22 @@ def _item_bytes(p: int, sl2: bool = False, top: int = 0) -> int:
     return 4 if sl2 and p <= _INT32_P else 8 if p <= _INT64_P else 8 + sys.getsizeof(top or p**3)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class QuotientHistogram:
     """The |H|^2 pair keys (w p + a1) p + a2 of the quotients u, sorted (T_2 is their
     squared run lengths), read off their runs on first read: the arguments (w, a1, a2)
     of each distinct u by ascending key, (0, a1 - a2, 0) for a translation (w = 0),
-    and the counts r(u); len() is the support, the runs counted, not tallied."""
+    and the counts r(u).  The tally drops the keys (None after it); len() is the
+    support, the runs counted once, not tallied."""
 
     p: int
-    keys: np.ndarray
+    keys: np.ndarray | None
 
     def __len__(self) -> int:
+        return self._size
+
+    @cached_property
+    def _size(self) -> int:
         return _run_count(self.keys)
 
     @cached_property
@@ -190,6 +202,7 @@ class QuotientHistogram:
         p, item, n = self.p, _item_bytes(self.p, sl2=True), len(self.keys)
         _reserve("quotient histogram runs", item * n + (3 * item + 8) * len(self) + _run_bytes(n))
         keys, counts = _read_runs(self.keys)
+        self.keys = None  # nothing reads the pair keys once they are tallied
         a2 = _mod(keys, p)
         keys //= p  # w p + a1
         a1 = _mod(keys, p)
@@ -440,9 +453,9 @@ def _sort(keys, weights=None):
     return keys, weights.astype(object) if len(weights) * top >= 1 << 63 else weights
 
 
-def _tally(keys, weights=None, count=np.int64):
+def _tally(keys, weights=None):
     """_read_runs of the keys (and weights) _sort sorts."""
-    return _read_runs(*_sort(keys, weights), count)
+    return _read_runs(*_sort(keys, weights))
 
 
 def _run_count(keys) -> int:
@@ -450,20 +463,19 @@ def _run_count(keys) -> int:
     return sum(int(np.count_nonzero(edges)) - 1 for *_, edges in _run_blocks(keys))
 
 
-def _read_runs(keys, weights=None, count=np.int64):
+def _read_runs(keys, weights=None):
     """The run reader: each distinct key of sorted keys and its total weight,
-    or its multiplicity as count; past one block (_run_blocks) the runs are
+    or its multiplicity as int64; past one block (_run_blocks) the runs are
     counted first, then written a block at a time."""
     r, out = 0, None
     if len(keys) > _RUN_BLOCK:
         runs = _run_count(keys)
-        out = np.empty(runs, keys.dtype), np.empty(runs, count if weights is None else weights.dtype)
+        out = np.empty(runs, keys.dtype), np.empty(runs, np.int64 if weights is None else weights.dtype)
     for lo, hi, edges in _run_blocks(keys):
         at = edges.nonzero()[0]  # the run starts and the end of the last run
         at[-1] = hi - lo
         if out is None:
-            return keys[at[:-1]], ((at[1:] - at[:-1]).astype(count, copy=False) if weights is None
-                                   else np.add.reduceat(weights, at[:-1]))
+            return keys[at[:-1]], np.diff(at) if weights is None else np.add.reduceat(weights, at[:-1])
         rows = slice(r, r + len(at) - 1)
         np.take(keys[lo:hi], at[:-1], out=out[0][rows], mode="clip")  # "raise" would buffer out
         if weights is None:
@@ -565,11 +577,12 @@ def _fill(H: TranslateSet, k: int) -> int:
 
 
 def _support(H: TranslateSet, k: int, hist: QuotientHistogram) -> int:
-    """T_k(H), k = 3 or 4, over the quotient support held next to it: the |Q| |H|
-    products u h3 weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
+    """T_k(H), k = 3 or 4, over the quotient support held next to it (its arguments
+    and counts; the tally drops the pair keys): the |Q| |H| products u h3 weighted
+    by r(u), or the |Q|^2 products u v by r(u) r(v)."""
     p, u, r, item = H.p, hist.columns, hist.counts, _item_bytes(H.p, sl2=True)
     v, w = (embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
-    return _product_squares(f"T{k} support", p, u, v, (r, w), item * len(hist.keys) + (3 * item + 8) * len(hist))
+    return _product_squares(f"T{k} support", p, u, v, (r, w), (3 * item + 8) * len(hist))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -683,71 +696,124 @@ def _map_keys(p: int) -> tuple:
     return np.int64 if p <= _INT64_P else object, _item_bytes(p, top=p * p)
 
 
-def _mk_columns(A: ScalarSet, lam: int) -> tuple:
-    """(keys a p + b ascending, richness) of every translate holding >= 2
-    points of A x A, in O(p |A|^2): (x, y) with y != a lies on (a, b)
-    exactly when b = x + c mod p, c = -lam/(y - a), so the counts of the
-    |A|^2 keys of row a are its translates' richness.  Rows go in blocks of
-    ascending a.  Where p <= |A|^2 (the only inputs rich_hyperbolae sends
-    here) a block's rows of p cells are no more than its keys: one bincount
-    over rows of 2p cells counts x + c < 2p by index, and folding each row's
-    upper half onto its lower reduces x + c mod p.  Above that each block is
-    sorted and counted by _tally.  Either way the keys come out ascending,
-    as _map_keys has them, each block's kept before the next forms."""
+def _runs(keys, count):
+    """The runs of sorted keys as a stream of blocks (_run_blocks): each distinct
+    key of a block and its multiplicity as count."""
+    for lo, hi, edges in _run_blocks(keys):
+        at = edges.nonzero()[0]  # the run starts and the end of the last run
+        at[-1] = hi - lo
+        yield keys[lo:hi][at[:-1]], np.subtract(at[1:], at[:-1], out=np.empty(len(at) - 1, count), casting="unsafe")
+        at = None  # the next block's indices form without these
+
+
+def _runs_bytes(n: int, item: int) -> int:
+    """Peak bytes of _runs over n keys read by _rich_count: per key of a block
+    its edge and index, and two blocks of item bytes a run (the one formed
+    and the one its reader holds)."""
+    return (9 + 2 * item) * min(n, _RUN_BLOCK)
+
+
+def _rich_count(blocks, k: int) -> int:
+    """The number of entries of a richness map stream whose count is at least k,
+    read one block at a time: the one reader of m_k and l_k."""
+    return sum(int(np.count_nonzero(counts >= k)) for _, counts in blocks)
+
+
+def _joined(blocks) -> tuple:
+    """(keys, counts) of a whole richness map, joined from its stream: one
+    copy, for the checks that compare maps entry for entry."""
+    keys, counts = zip(*blocks)
+    return np.concatenate(keys), np.concatenate(counts)
+
+
+def _mk_columns(A: ScalarSet, lam: int):
+    """The map of every translate holding >= 2 points of A x A as a stream of
+    (keys a p + b ascending, richness) blocks, in O(p |A|^2): (x, y) with
+    y != a lies on (a, b) exactly when b = x + c mod p, c = -lam/(y - a), so
+    the counts of the |A|^2 keys of row a are its translates' richness.  Rows
+    go in blocks of ascending a, each yielded once counted, its keys as
+    _map_keys has them; a block's u, c and cells c + x are formed in buffers
+    kept across blocks.  Where p <= |A|^2 (the only inputs rich_hyperbolae
+    sends here) a block's rows of p cells are no more than its keys: one
+    bincount over rows of 2p cells counts x + c < 2p by index, and folding
+    each row's upper half onto its lower reduces x + c mod p.  Above that
+    each block's keys are sorted and their runs read (_runs)."""
     p, n = A.p, len(A)
-    rows = max(1, _CELLS // max(1, n * n))
+    rows = min(p, max(1, _CELLS // max(1, n * n)))
     index, (key_type, key), rich_type = p <= n * n, _map_keys(p), np.min_scalar_type(n)  # richness <= n
-    # per key of a block 4 int64 as the keys form and count (9 to sort) and its
-    # rows' inverses, and reserved again before each block and the join, 256
-    # bytes a block and per translate found (>= 2 points) 2 keys and its richness
-    cells = (32 if index else 72) * min(p, rows) * n * n + _inv_bytes(p, min(p, rows) * n)
-    found_bytes = 2 * key + rich_type.itemsize
+    # per cell of a block 8 B (the cells buffer), per (row, y) 40 B (u, c,
+    # the inverses and the y = a fix-up's gathers) and its inverses; by index
+    # per (row, b) the fold (8 B) next to the larger of the bincount's 2p
+    # counts a row (16 B), with numpy's buffers for their strided halves
+    # (np.getbufsize() int64 each), and the gather of the translates found
+    # (a mask, an index and a count, 17 B, then a key and a richness), and
+    # the block its reader holds (a key, a richness and a mask); sorted 72 B
+    # a cell, its runs included
+    block, item, b = 8 * rows * n * n + 40 * rows * n + _inv_bytes(p, rows * n), key + rich_type.itemsize, rows * p
+    found = 8 * b + max(16 * b + 16 * min(b, np.getbufsize()), (17 + item) * b) + (item + 1) * b
+    _reserve("m_k column pass", block + (found if index else 72 * rows * n * n))
     xs, inv = _array(A), _inv_vec(p)
-    keys, rich, size = [], [], 0
+    u, c = np.empty((2, rows, n), xs.dtype)
+    cells = np.empty((rows, n, n), xs.dtype)
+    fold = np.empty((rows, p), np.int64) if index else None
     for a0 in range(0, p, rows):
-        _reserve("m_k column pass", cells + found_bytes * size + 256 * len(keys))
-        a = np.arange(a0, min(p, a0 + rows))[:, None]
-        u = _mod(xs - a, p)
-        c = _mod(-lam * inv(u), p)  # over (a, y); inv(0) = 0 gives c = 0 where y = a
+        m = min(rows, p - a0)
+        a = np.arange(a0, a0 + m)[:, None]
+        _mod(np.subtract(xs, a, out=c[:m]), p, out=u[:m])
+        t = inv(u[:m])
+        t *= -lam
+        _mod(t, p, out=c[:m])  # over (a, y); inv(0) = 0 gives c = 0 where y = a
         if index:
-            t = np.bincount(((c + (a - a0) * 2 * p)[:, :, None] + xs).ravel(), minlength=2 * p * len(a))
-            t = t.reshape(-1, 2, p)  # (row, x + c >= p, x + c mod p)
-            t = (t[:, 0] + t[:, 1]).ravel()
+            c[:m] += (a - a0) * (2 * p)  # each row's 2p counts apart
+            np.add(c[:m, :, None], xs, out=cells[:m])
+            t = np.bincount(cells[:m].reshape(-1), minlength=2 * p * m)
+            t = t.reshape(m, 2, p)  # (row, x + c >= p, x + c mod p)
+            np.add(t[:, 0], t[:, 1], out=fold[:m])
+            t = None  # the gather forms without the counts
             # y = a put (a, x) on each x of A: take them off
-            ya = xs[(xs >= a0) & (xs < a0 + len(a))] - a0
-            t[(ya[:, None] * p + xs).ravel()] -= 1
-            found = np.flatnonzero(t >= 2)
-            t = t[found]
+            ya = xs[(xs >= a0) & (xs < a0 + m)] - a0
+            fold[ya[:, None], xs] -= 1
+            found = np.flatnonzero(fold[:m] >= 2)
+            t = fold.reshape(-1)[found]
+            found += a0 * p
+            keys, rich = found.astype(key_type, copy=False), t.astype(rich_type)
+            found = t = None  # the next block forms without these
+            yield keys, rich
         else:
-            found, t = _tally((_mod(c[:, :, None] + xs, p) + (a - a0)[:, :, None] * p)[u != 0].ravel())
-            found, t = found[t >= 2], t[t >= 2]
-        keys.append((found + a0 * p).astype(key_type, copy=False))
-        rich.append(t.astype(rich_type))
-        size += len(t)
-    _reserve("m_k column pass", cells + found_bytes * size + 256 * len(keys))
-    keys = np.concatenate(keys)  # frees the key blocks before joining the rest
-    return keys, np.concatenate(rich)
+            np.add(c[:m, :, None], xs, out=cells[:m])
+            t = _mod(cells[:m], p)
+            t += (a - a0)[:, :, None] * p
+            t = t[u[:m] != 0].reshape(-1)
+            t.sort()
+            for found, rich in _runs(t, rich_type):
+                at = rich >= 2
+                yield (found[at] + a0 * p).astype(key_type, copy=False), rich[at]
 
 
-def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
-    """_mk_columns from point pairs: the translates through (x1, y1) and
-    (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0, solve
+def _mk_pairs(A: ScalarSet, lam: int):
+    """_mk_columns' stream from point pairs: the translates through (x1, y1)
+    and (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0, solve
     f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant ef(ef - 4 lam)),
     so a t-rich translate shows up C(t, 2) times.  Any two points of one
     curve differ in both coordinates, so no translate with t >= 2 is missed.
     The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks),
-    their roots kept as map keys (_map_keys); a table read turns the C(t, 2)
-    hits of a translate, counted in the narrowest dtype, into t."""
+    their roots written as map keys (_map_keys) into one array sized for two
+    roots a point pair, shrunk in place to the roots found, sorted and read
+    off its runs (_runs); a table read turns the C(t, 2) hits of a
+    translate, counted in the narrowest dtype, into t."""
     p, n = A.p, len(A)
     top = n * (n - 1) // 2
-    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(top)
-    # per cell of a block (n^2 y-pairs per x-pair) 6 residues and 8 B as the
-    # roots form and its inverses (_inv_bytes: the square-root table's cold
-    # build follows the inverses' and peaks below it), per root found so far
-    # 2 keys (< p^2: in a block, joined) and its hits as _tally reads the runs
-    cells, per_root = min(n**3 * (n - 1) // 2, max(n * n, _CELLS)), 2 * key + hit_type.itemsize
-    block = (6 * _item_bytes(p, top=p) + 8) * cells + _inv_bytes(p, cells)
-    _reserve("m_k pair pass", block)
+    (key_type, key), hit_type, rich_type = _map_keys(p), np.min_scalar_type(top), np.min_scalar_type(n)
+    bound = 2 * top * n * (n - 1)  # two roots a pair of an x-pair and a y-pair with f != 0
+    # the roots, a key each up to the bound, next to a block (n^2 y-pairs per
+    # x-pair) of 7 residues and 8 B a cell as the roots form (63 B measured
+    # on int64) and its inverses (_inv_bytes: the square-root table's cold
+    # build follows the inverses' and peaks below it), or next to a block of
+    # runs: a key, its hits and its richness
+    cells = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
+    block = (7 * _item_bytes(p, top=p) + 8) * cells + _inv_bytes(p, cells)
+    runs = _runs_bytes(bound, key + hit_type.itemsize + rich_type.itemsize + 1)
+    _reserve("m_k pair pass", key * bound + max(block, runs))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
     y1 = np.repeat(xs, n)
@@ -757,25 +823,26 @@ def _mk_pairs(A: ScalarSet, lam: int) -> tuple:
         s = sqrt(_mod(ef * (ef - 4 * lam), p))  # above -4 p^2
         inv2f = inv(_mod(2 * f, p))
         # a double root counts once; each u is nonzero, as the roots multiply to lam e / f
-        return np.concatenate([(_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)]
-                               for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]])
+        return [(_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)]
+                for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]]
 
-    blocks = _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates)
-
-    def copied(roots=0):  # each block copied as it joins: joined as formed, they made the peak RSS swing
-        for _, k in blocks:
-            yield k.astype(key_type)
-            _reserve("m_k pair pass", _run_bytes(roots := roots + len(k)) + per_root * roots + block)
-
-    keys, hits = _tally(np.concatenate([np.empty(0, key_type), *copied()]), None, hit_type)
-    rich, t = np.zeros(top + 1, dtype=np.min_scalar_type(n)), np.arange(n + 1)
+    roots, r = np.empty(bound, key_type), 0
+    for _, found in _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates):
+        for keys in found:
+            roots[r : r + len(keys)] = keys
+            r += len(keys)
+        found = keys = None  # the next block forms without these
+    roots.resize(r, refcheck=False)  # gives the unwritten tail back
+    roots.sort()
+    rich, t = np.zeros(top + 1, dtype=rich_type), np.arange(n + 1)
     rich[t * (t - 1) // 2] = t  # a t-rich translate has C(t, 2) hits
-    return keys, rich[hits]
+    for keys, hits in _runs(roots, hit_type):
+        yield keys, rich[hits]
 
 
 def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
     """m_k: the number of translates (a, b) whose curve (x-b)(y-a) = lam holds
-    >= k points of A x A.  Two arms give the same map of every translate's
+    >= k points of A x A.  Two arms stream the same map of every translate's
     richness: the column arm (all p^2 translates, O(p |A|^2)) runs
     when p <= |A|^2 and p <= 2^21, the pair arm (the translates through each
     point pair, O(|A|^4 log |A|)) otherwise."""
@@ -784,31 +851,32 @@ def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
     arm = _mk_columns if p <= min(len(A) ** 2, _INT64_P) else _mk_pairs
-    _, rich = arm(A, lam)
-    return int(np.count_nonzero(rich >= k))
+    return _rich_count(arm(A, lam), k)
 
 
-def _lines(B: ScalarSet, C: ScalarSet) -> tuple:
-    """(keys m p + c ascending, hits) of every line y = m x + c through >= 2
-    points of B x C: each point pair with distinct x keys its line, so a
-    t-rich line has C(t, 2) hits.  The rows are the x-pairs
-    (x1, 1/(x1 - x2)), the columns the y-pairs (y1, y1 - y2) (_write_keys),
-    written as map keys (_map_keys) and counted in the narrowest dtype."""
+def _lines(B: ScalarSet, C: ScalarSet):
+    """The map of every line y = m x + c through >= 2 points of B x C as a
+    stream of (keys m p + c ascending, hits) blocks: each point pair with
+    distinct x keys its line, so a t-rich line has C(t, 2) hits.  The rows
+    are the x-pairs (x1, 1/(x1 - x2)), the columns the y-pairs
+    (y1, y1 - y2) (_write_keys), written as map keys (_map_keys), sorted in
+    place and read off their runs (_runs), the hits in the narrowest dtype."""
     p, x_pairs = B.p, len(B) * (len(B) - 1) // 2
     pairs = x_pairs * len(C) ** 2
     (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(x_pairs)  # C(t, 2), t <= |B|
-    # per pair its key (< p^2) and, as _tally reads the runs, a block of runs and a key
-    # and its hits per line (at most p^2), or 4 items a cell of a key block; the x-pairs' inverses
+    # per pair its key (< p^2), next to 4 items a cell of a key block or to a
+    # block of runs (a key and its hits); the x-pairs' inverses
     block = 4 * _item_bytes(p) * min(pairs, max(len(C) ** 2, _CELLS))
-    lines = _run_bytes(pairs) + (key + hit_type.itemsize) * min(pairs, p * p)
-    _reserve("rich-line table", key * pairs + max(block, lines) + _inv_bytes(p, x_pairs))
+    runs = _runs_bytes(pairs, key + hit_type.itemsize + 1)
+    _reserve("rich-line table", key * pairs + max(block, runs) + _inv_bytes(p, x_pairs))
     xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(len(xs), 1)
     y1 = np.repeat(ys, len(ys))
     key = _assigned(lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p))
     keys = _write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
                        key, key_type, 0)
-    return _tally(keys, None, hit_type)
+    keys.sort()
+    yield from _runs(keys, hit_type)
 
 
 def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
@@ -818,8 +886,7 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
         raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}")
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
-    _, hits = _lines(B, C)
-    return int(np.count_nonzero(hits >= k * (k - 1) // 2)) + (len(B) if len(C) >= k else 0)
+    return _rich_count(_lines(B, C), k * (k - 1) // 2) + (len(B) if len(C) >= k else 0)
 
 
 def additive_energy(B: ScalarSet) -> int:
@@ -877,12 +944,12 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
     """
     p, hist = H.p, quotient_histogram(H)
     w, a1, _ = hist.args
-    # per pair the histogram's key, per quotient its 3 arguments (SL2 items:
-    # int32 up to 1289, Python ints below p above 2^21), its count, 6 int64 as
-    # the labels form and sort (the inverses, the labels, the weights, their
-    # order and both sorted), its inverse and above 2^21 a label's Python int
+    # per quotient its 3 arguments (SL2 items: int32 up to 1289, Python ints
+    # below p above 2^21), its count, 6 int64 as the labels form and sort
+    # (the inverses, the labels, the weights, their order and both sorted),
+    # its inverse and above 2^21 a label's Python int; the tally dropped the pair keys
     per, n = 3 * _item_bytes(p, sl2=True, top=p) + 56 + (p > _INT64_P) * sys.getsizeof(p), len(hist)
-    _reserve("Borel coset labels", _item_bytes(p, sl2=True) * len(hist.keys) + per * n + _inv_bytes(p, n))
+    _reserve("Borel coset labels", per * n + _inv_bytes(p, n))
     # label a/c = (1 + a1 w)/w = a1 + 1/w, or p for oo where c = w = 0 (which
     # inverts to 0), read off the arguments with no entry columns formed;
     # a mass is <= E(H) <= |H|^3
@@ -964,8 +1031,8 @@ class CsChainReport:
         pole[:t] = key[:t] = len(ha) - 1  # the translations' pole and target row oo
         w[:t] = a1[:t]  # the shift: w, or a translation's a1 - a2 (a2 = 0)
         # held: per map r, a1, a2 (w is the shift), and the report's histogram
-        # (per quotient a count and 3 arguments, per pair a key)
-        held = (8 + 3 * _item_bytes(p, sl2=True, top=p)) * len(hist) + _item_bytes(p, sl2=True) * len(hist.keys)
+        # (per quotient a count and 3 arguments; the tally dropped the pair keys)
+        held = (8 + 3 * _item_bytes(p, sl2=True, top=p)) * len(hist)
         su = _hits(p, xs, ha, pole, w, None, key, 24 * m + held)
         in_a = xs[xs[:-1].searchsorted(ha)] == ha  # a pole lies in A (oo does not)
         su += in_a[pole] & in_a[key]  # x = a2 in A maps to a1 (w != 0)

@@ -257,8 +257,8 @@ def cross_algorithm_mk(seed=0, trials=20, p=None) -> SuiteResult:
         if len(A) < 2:
             A = ScalarSet(q, tuple(rng.sample(range(q), 2)))
         lam = rng.randrange(1, q)
-        pk, pr = counts._mk_pairs(A, lam)
-        ck, cr = counts._mk_columns(A, lam)
+        pk, pr = counts._joined(counts._mk_pairs(A, lam))
+        ck, cr = counts._joined(counts._mk_columns(A, lam))
         same = np.array_equal(pk, ck) and np.array_equal(pr, cr)
         for k in range(2, len(A) + 1):
             wits = {divmod(key, q) for key in pk[pr >= k].tolist()}

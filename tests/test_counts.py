@@ -205,13 +205,15 @@ def test_t2_pin():
 def test_t2_is_the_square_sum_of_the_counts(p):
     """T_2 off the sorted pair keys equals the counts' square sum and the
     oracle on the int32 (1009), int64 (1291) and Python-int rungs, on a
-    random set and on a grid whose translates share b (translations, w = 0)."""
+    random set and on a grid whose translates share b (translations, w = 0);
+    the tally drops the keys, and len() is the support still."""
     F = Fp(p)
     for H in (_rand_h(p, 10), parse_setspec("cart:ap:1,1,3;ap:0,1,3", F), parse_setspec("randomh:300,1", F)):
         hist = quotient_histogram(H)
         assert hist.keys.dtype == (np.int32 if p <= 1289 else np.int64 if p <= 1 << 21 else object)
         want = counts._dot(hist.counts, hist.counts)
         assert t_k(H, 2) == want and type(want) is int
+        assert hist.keys is None and len(hist) == len(hist.counts)  # the tally drops the keys
         if len(H) <= 10:
             assert want == oracle.energy_naive(H)
 
@@ -429,7 +431,7 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
         return (t_k(H, 3), _t3_by_fill(H), _t3_by_quotients(H), borel_t3_mass(H), _cs_fields(cs_chain_report(A, H)),
                 sigma(A, H, 3), sumprod_quadruples(A, 2), _table(d_histogram(H)), additive_energy(A),
                 _table(product_rep_histogram(A)),
-                *(v.tolist() for arm in (counts._mk_columns, counts._mk_pairs) for v in arm(R, 100)),
+                *(v.tolist() for arm in (counts._mk_columns, counts._mk_pairs) for v in counts._joined(arm(R, 100))),
                 rich_lines(R, A, 2), rich_lines(A, R, 3))
 
     want = all_counts()
@@ -918,6 +920,8 @@ _PEAK_CASES = {
     "mk-exhaustive-61": lambda: (rich_hyperbolae, _rand_a(61, 8), 2),
     "mk-exhaustive-101": lambda: (rich_hyperbolae, _rand_a(101, 12), 2),
     "mk-columns-40": lambda: (rich_hyperbolae, _rand_a(1009, 40), 2),
+    # the scan's input: 952,978 translates over 127 blocks of 8 rows
+    "mk-columns-ap64": lambda: (rich_hyperbolae, parse_setspec("ap:1,1,64", Fp(1009)), 2),
     "mk-pairs-10": lambda: (rich_hyperbolae, _rand_a(1009, 10), 2),
     "mk-pairs-12": lambda: (rich_hyperbolae, _rand_a(1009, 12), 2),
     "mk-pairs-p61": lambda: (rich_hyperbolae, _rand_a(P61, 6), 2),
@@ -1164,16 +1168,16 @@ def test_minkowski_rect_cover_is_one_sided():
 # ------------------------------------------------------------ rich curves
 
 def _mk_witnesses(A, k, lam=-1):
-    """The translates (a, b) counted by m_k, in order, read off the richness map."""
+    """The translates (a, b) counted by m_k, in order, read off the joined richness map."""
     arm = counts._mk_columns if A.p <= min(len(A) ** 2, counts._INT64_P) else counts._mk_pairs
-    keys, rich = arm(A, lam % A.p)
+    keys, rich = counts._joined(arm(A, lam % A.p))
     return tuple(divmod(key, A.p) for key in keys[rich >= k].tolist())
 
 
 def _lk_witnesses(B, C, k):
     """The lines counted by l_k, in order: ("s", m, c) for y = m x + c off the
-    line map, then ("v", x) for each vertical line."""
-    keys, hits = counts._lines(B, C)
+    joined line map, then ("v", x) for each vertical line."""
+    keys, hits = counts._joined(counts._lines(B, C))
     slopes = tuple(("s", *divmod(key, B.p)) for key in keys[hits >= k * (k - 1) // 2].tolist())
     return slopes + tuple(("v", x) for x in (B.elements if len(C) >= k else ()))
 
@@ -1187,7 +1191,7 @@ def test_rich_hyperbolae_pins():
 def test_rich_hyperbolae_ap_pin():
     # p = 61 <= 8^2 runs the column arm; the pair arm gives the same map
     A = ScalarSet(61, tuple(range(1, 9)))
-    keys, rich = counts._mk_pairs(A, 60)
+    keys, rich = counts._joined(counts._mk_pairs(A, 60))
     for k, expected in ((2, 1140), (3, 320), (4, 42)):
         assert rich_hyperbolae(A, k) == expected
         assert np.count_nonzero(rich >= k) == expected
@@ -1200,16 +1204,46 @@ def test_rich_hyperbolae_ap_pin():
      (101, "ap:3,5,11"), (101, "gp:2,3,11"), (1009, "gp:3,5,32")],
 )
 def test_mk_arms_agree(p, spec):
-    """The column and pair arms give the same translate -> richness map, the
-    column arm counting by index where p <= |A|^2 and sorting above."""
+    """The column and pair arms stream the same translate -> richness map, key
+    for key, the column arm counting by index where p <= |A|^2 and sorting above."""
     A = parse_setspec(spec, Fp(p))
     for lam in (-1, 5):
         lam %= p
-        ck, cr = counts._mk_columns(A, lam)
-        pk, pr = counts._mk_pairs(A, lam)
+        ck, cr = counts._joined(counts._mk_columns(A, lam))
+        pk, pr = counts._joined(counts._mk_pairs(A, lam))
         assert len(ck) > 0
         assert np.array_equal(ck, pk) and np.array_equal(cr, pr)
         assert np.all(ck[1:] > ck[:-1]) and np.all(cr >= 2)
+
+
+class _NumpyWithoutJoin:
+    """numpy as counts sees it, with np.concatenate refused."""
+
+    def __getattr__(self, name):
+        if name == "concatenate":
+            raise AssertionError("joined")
+        return getattr(np, name)
+
+
+def test_rich_counts_never_hold_the_map(monkeypatch):
+    """m_k on both arms and l_k read their maps a block at a time: with the
+    run reader (_read_runs) and np.concatenate refused, they give their
+    pinned counts over the scan's 127 row blocks of ap:1,1,64 (column arm),
+    the 8 blocks of runs of gp:3,5,32's 484,098 roots (pair arm) and the 20
+    of 1,248,000 line keys."""
+    ap, gp = parse_setspec("ap:1,1,64", Fp(1009)), parse_setspec("gp:3,5,32", Fp(65537))
+    B, C = (parse_setspec(f"random:40,{s}", Fp(65537)) for s in (1, 2))
+
+    def refuse(*_):
+        raise AssertionError("tallied")
+
+    monkeypatch.setattr(counts, "_read_runs", refuse)
+    monkeypatch.setattr(counts, "np", _NumpyWithoutJoin())
+    assert [rich_hyperbolae(ap, k) for k in (2, 3, 8, 9)] == [952978, 810640, 45106, 18576]
+    assert [rich_hyperbolae(gp, k) for k in (2, 3, 4)] == [480054, 1992, 20]
+    assert [rich_lines(B, C, k) for k in (2, 3, 4)] == [1198956, 8967, 130]
+    with pytest.raises(AssertionError, match="joined"):
+        counts._joined(counts._lines(B, C))
 
 
 @pytest.mark.parametrize("p, key", [(65521, np.uint32), (65537, np.int64), (2097169, object)])
@@ -1221,23 +1255,21 @@ def test_richness_maps_at_their_values_width(p, key):
     A threshold past that dtype's range counts nothing."""
     A, lam = parse_setspec("random:8,1", Fp(p)), p - 1
     for arm in (counts._mk_pairs, counts._mk_columns)[: 1 + (p <= counts._INT64_P)]:
-        keys, rich = arm(A, lam)
+        keys, rich = counts._joined(arm(A, lam))
         assert (keys.dtype, rich.dtype) == (key, np.uint8) and len(keys) > 0
-    keys, hits = counts._lines(A, A)
+    keys, hits = counts._joined(counts._lines(A, A))
     assert (keys.dtype, hits.dtype) == (key, np.uint8) and len(keys) > 0  # C(8, 2) = 28
     assert rich_hyperbolae(A, 300) == rich_lines(A, A, 300) == 0
     assert rich_lines(A, A, 2) == len(keys) + len(A)
     wide = parse_setspec("random:300,1", Fp(1009))  # the column arm
-    assert counts._mk_columns(wide, 1008)[1].dtype == np.uint16 and rich_hyperbolae(wide, 70000) == 0
+    assert counts._joined(counts._mk_columns(wide, 1008))[1].dtype == np.uint16 and rich_hyperbolae(wide, 70000) == 0
 
 
 def test_rich_hyperbolae_arm_selection(monkeypatch):
     """The column arm runs when p <= |A|^2 and p <= 2^21, the pair arm otherwise."""
     ran = []
     for name in ("_mk_columns", "_mk_pairs"):
-        monkeypatch.setattr(
-            counts, name, lambda A, lam, name=name: ran.append(name) or (np.zeros(0, np.int64),) * 2
-        )
+        monkeypatch.setattr(counts, name, lambda A, lam, name=name: ran.append(name) or iter(()))  # an empty map
     for p, n, arm in (
         (1009, 32, "_mk_columns"),  # 1009 <= 1024
         (1009, 31, "_mk_pairs"),  # 1009 > 961
