@@ -12,16 +12,18 @@ by the arguments of its closed form, w = b1 - b2, a1 and a2:
 quotients, as for w != 0 the entries c = w, a = 1 + a1 w and d = 1 - a2 w
 give all three back and for w = 0 the quotient is (1 a1-a2; 0 1).
 
-Every keyed pass forms its keys in row blocks of about _CELLS cells, the
-one block size (_key_blocks; _hits chunks its cells alike), and
-_write_keys writes the keys that are kept into one array, the SL2 keys in
-place (the rare w = 0 or c = 0 cells fixed up by index).  One counter,
-_tally, sorts keys and reads off the runs of equal ones (one reader,
-_read_runs, over _run_blocks, which serve _run_count, _sorted_square_sum
-and the richness maps' _runs too), except where the keys lie in a range no
-longer than they are many: one array indexed by key counts them (np.add.at
-per block, as np.bincount returns an array a call and sums weights in
-float64; the m_k column arm bincounts a block of rows).  So the histograms
+Every keyed pass forms its keys in blocks of about _CELLS cells, the one
+block size: row blocks (_key_blocks; _hits chunks its cells alike), or in
+_write_keys, which writes the keys that are kept into one array, whole rows
+or, where a row is longer than a block, runs of its columns, the SL2 keys
+in place (the rare w = 0 or c = 0 cells found by flat index and fixed
+up).  One counter, _tally, sorts keys and reads off the runs of equal
+ones (one reader, _read_runs, over _run_blocks, which serve _run_count,
+_sorted_square_sum and the richness maps' _runs too), except where the
+keys lie in a range no longer than they are many: one array indexed by
+key counts them (np.add.at per block, as np.bincount returns an array a
+call and sums weights in float64; the m_k column arm bincounts a block of
+rows).  So the histograms
 over element pairs (differences for eplus, minkowski and the product
 histogram, D(h, h') for q and t3) and the growth
 sets A + B and A - B (sets.sumset and sets.difference_set, which keep the
@@ -35,18 +37,24 @@ p <= 1289 (SL2 kernels only), int64 for p <= 2^21, Python ints above.
 
 T_3 and T_4 come from one pass, _product_squares: the sum over g of
 (sum_{u_i v_j = g} w_i w'_j)^2 over the products of two sets of entry
-columns, read off their sorted keys.  The fill takes the |H|^2 pair
-quotients h1 h2^-1 times the embedded h3 (k = 3) or times themselves
-(k = 4), with weight 1; the support arm takes the quotient support Q times
-the embedded h3 with weights (r(u), 1), or times itself with (r(u), r(v)),
-as T_3 = sum_g (sum_{u h3 = g} r(u))^2.  One rule serves both k: the
-support arm where |Q| <= 3/5 |H|^2 (about where it stops being the
-faster, measured for either k), and the fill elsewhere and where the
+columns, read off their sorted keys.  T_3 keys each triple by its inverse,
+(h1 h2^-1 h3)^-1 = h3^-1 (h2 h1^-1): products are equal exactly when their
+inverses are, and the quotients h2 h1^-1 over all ordered pairs are those
+h1 h2^-1.  So the rows are the |H| inverted embeddings h3^-1 (the adjugate
+(b, -(ab + 1), 1, -a)) and the columns quotients, |H|^2 cells a row, which
+broadcast faster than short rows.  The fill takes h3^-1 times the |H|^2
+pair quotients (k = 3), or the quotients times themselves (k = 4), with
+weight 1; the support arm takes h3^-1 times the quotient support Q with
+weights (1, r(u)), or Q times itself with (r(u), r(v)), as
+T_3 = sum_g (sum_{h3^-1 u = g} r(u))^2 (Q is closed under inversion and
+r(u^-1) = r(u)).  One rule serves both k: the support arm where
+|Q| <= 3/5 |H|^2 (between where it stops being the faster for T_3, near
+0.35, and for T_4, near 0.7), and the fill elsewhere and where the
 budget refuses the support, the support histogram dropped first.  Up to
 |H|^3 = 2^12 the T_3 fill runs with no support histogram built.  The
-Borel part of T_3 keys only the triples whose product lies in B: u h3 has
-c = w (a2 - a3) - 1, so each pair with w != 0 joins the h3 with
-a3 = a2 - 1/w, and a pair with w = 0 joins none.
+Borel part of T_3 keys only the triples whose product lies in B, in the
+fill's orientation: h3^-1 u has c = 1 + (a1 - a3) w, so each pair with
+w != 0 joins the h3 with a3 = a1 + 1/w, and a pair with w = 0 joins none.
 
 Every table-building kernel reserves (_reserve) against HYPERLAB_BUDGET_MB
 what its pass keeps plus one block, and what its caller holds (held), before it allocates.
@@ -100,7 +108,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
-from .moebius import _mod, embed_entries, pair_quotient_entries, product_key_entries
+from .moebius import _mod, inverse_embed_entries, pair_quotient_entries, product_key_entries
 from .sets import ScalarSet, TranslateSet, _sorted_set
 
 _INV_TABLE_MAX = 1 << 18
@@ -109,7 +117,7 @@ _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its
 _RUN_BLOCK = 1 << 16  # sorted keys per block of _run_blocks, a multiple of _CELLS (timed)
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
-_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the support arms of T_3 and T_4 take less time
+_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the support arms run: T_3's is faster below ~0.35, T_4's ~0.7
 _INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
@@ -385,14 +393,15 @@ def _key_blocks(p: int, u, v, key):
 
 def _quotient_key(p: int, out, scratch, a1, b1, a2, b2):
     """The pair key (w p + a1) p + a2 of h1 h2^-1, w = b1 - b2, or (a1 - a2) p
-    where w = 0 (fixed up by index), written into out with one scratch block."""
+    where w = 0 (fixed up by flat index), written into out with one scratch block."""
     _mod(np.subtract(b1, b2, out=scratch[0]), p, out=out)
-    zero = np.nonzero(out == 0)
+    zero = np.flatnonzero(out == 0)
     for x in (a1, a2):
         out *= p
         out += x
-    if len(zero[0]):
-        out[zero] = _mod(a1[zero[0], 0] - a2[zero[1]], p) * p  # a1 a column of rows, a2 a row
+    if len(zero):
+        i, j = np.unravel_index(zero, out.shape)
+        out[i, j] = _mod(a1[i, 0] - a2[j], p) * p  # a1 a column of rows, a2 a row
 
 
 def _assigned(key):
@@ -401,15 +410,23 @@ def _assigned(key):
 
 
 def _write_keys(p: int, u, v, key=product_key_entries, dtype=None, depth: int = 2):
-    """The keys of _key_blocks' blocks, by default the products', in one flat array of
-    u's dtype or of dtype (int64 for residues formed as Python ints or int32 blocks),
-    each written in place by key(p, out, scratch, *u_i, *v) with depth scratch blocks."""
+    """The keys key(p, *u_i, *v) of the rows i of the columns u (a scalar entry
+    broadcasts) against the columns v, by default the products', in one flat
+    array of u's dtype or of dtype (int64 for residues formed as Python ints or
+    int32 blocks), row by row.  Each block of at most _CELLS cells (whole rows,
+    as _key_blocks takes them, or where a row is longer a run of its columns,
+    so a block is contiguous) is written in place by key(p, out, scratch, *u_i,
+    *v_j) with depth scratch blocks."""
     m, n = len(u[0]), len(v[0])
     out = np.empty((m, n), dtype=dtype or u[0].dtype)
-    rows = max(1, _CELLS // max(1, n))
-    scratch = np.empty((depth, min(m, rows), n), out.dtype)
-    for i in range(0, m, rows):
-        key(p, out[i : i + rows], scratch[:, : min(rows, m - i)], *(e[i : i + rows, None] for e in u), *v)
+    rows, cols = max(1, _CELLS // max(1, n)), max(1, min(n, _CELLS))
+    scratch = np.empty((depth, min(m, rows), cols), out.dtype)
+    for j in range(0, n, cols):
+        vj = [e[j : j + cols] for e in v]
+        for i in range(0, m, rows):
+            block = out[i : i + rows, j : j + cols]
+            key(p, block, scratch[:, : len(block), : block.shape[1]],
+                *(e[i : i + rows, None] if np.ndim(e) else e for e in u), *vj)
     return out.reshape(-1)
 
 
@@ -537,7 +554,7 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     cschain and borel job."""
     p, n, item = H.p, len(H), _item_bytes(H.p, sl2=True)
     # per pair its key, next to a key block's scratch (an item and 1 B a cell) or a block of runs
-    _reserve("quotient histogram", item * n * n + max((item + 1) * min(n * n, max(n, _CELLS)), _run_bytes(n * n)))
+    _reserve("quotient histogram", item * n * n + max((item + 1) * min(n * n, _CELLS), _run_bytes(n * n)))
     a, b = _sl2_columns(H)
     keys = _write_keys(p, (a, b), (a, b), _quotient_key, depth=1)
     keys.sort()
@@ -561,28 +578,29 @@ def _product_squares(what: str, p: int, u, v, weights=None, held: int = 0) -> in
     # its 4 entry columns; next to a key block (2 SL2 items and 16 B a cell:
     # the scratch, the c = 0 mask and its fix-up's indices) or a block of runs
     key = item + 4 * (p > _INT64_P) + weighted * (16 + 2 * item * (p**3 * (top + 1) > 1 << 63))
-    block = (2 * cell + 16) * min(m * n, max(n, _CELLS))
+    block = (2 * cell + 16) * min(m * n, _CELLS)
     _reserve(what, held + key * m * n + 4 * cell * (m + n) + max(block, _run_bytes(m * n, weighted)))
     return _sorted_square_sum(*_sort(_write_keys(p, u, v, dtype=np.int64 if weighted and p <= _INT64_P else None),
                                      (weights[0][:, None] * weights[1]).reshape(-1) if weighted else None))
 
 
 def _fill(H: TranslateSet, k: int) -> int:
-    """T_k(H), k = 3 or 4, over all |H|^k products: the |H|^2 pair quotients
-    h1 h2^-1 times the embedded h3, or times themselves (h3 h4^-1)."""
+    """T_k(H), k = 3 or 4, over all |H|^k products: the |H| inverted h3 times
+    the |H|^2 pair quotients (the inverses h3^-1 h2 h1^-1 of the triples), or
+    the quotients times themselves (h1 h2^-1 h3 h4^-1)."""
     p = H.p
     a, b = _sl2_columns(H)
     u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
-    return _product_squares(f"T{k} fill", p, u, embed_entries(p, a, b) if k == 3 else u)
+    return _product_squares(f"T{k} fill", p, inverse_embed_entries(p, a, b) if k == 3 else u, u)
 
 
 def _support(H: TranslateSet, k: int, hist: QuotientHistogram) -> int:
     """T_k(H), k = 3 or 4, over the quotient support held next to it (its arguments
-    and counts; the tally drops the pair keys): the |Q| |H| products u h3 weighted
-    by r(u), or the |Q|^2 products u v by r(u) r(v)."""
+    and counts; the tally drops the pair keys): the |H| |Q| products h3^-1 u
+    weighted by r(u), or the |Q|^2 products u v by r(u) r(v)."""
     p, u, r, item = H.p, hist.columns, hist.counts, _item_bytes(H.p, sl2=True)
-    v, w = (embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
-    return _product_squares(f"T{k} support", p, u, v, (r, w), (3 * item + 8) * len(hist))
+    rows, w = (inverse_embed_entries(p, *_sl2_columns(H)), np.ones(len(H), dtype=np.int64)) if k == 3 else (u, r)
+    return _product_squares(f"T{k} support", p, rows, u, (w, r), (3 * item + 8) * len(hist))
 
 
 def t_k(H: TranslateSet, k: int) -> int:
@@ -866,7 +884,7 @@ def _lines(B: ScalarSet, C: ScalarSet):
     (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(x_pairs)  # C(t, 2), t <= |B|
     # per pair its key (< p^2), next to 4 items a cell of a key block or to a
     # block of runs (a key and its hits); the x-pairs' inverses
-    block = 4 * _item_bytes(p) * min(pairs, max(len(C) ** 2, _CELLS))
+    block = 4 * _item_bytes(p) * min(pairs, _CELLS)
     runs = _runs_bytes(pairs, key + hit_type.itemsize + 1)
     _reserve("rich-line table", key * pairs + max(block, runs) + _inv_bytes(p, x_pairs))
     xs, ys = _array(B), _array(C)
@@ -959,12 +977,12 @@ def borel_coset_mass(H: TranslateSet) -> tuple:
 
 
 def _borel_keys(H: TranslateSet):
-    """The keys of the products h1 h2^-1 h3 that lie in the Borel group B
-    (c = 0), one per such triple.  With w = b1 - b2 the quotient has c = w
-    and d = 1 - a2 w, so the product has c = w (a2 - a3) - 1: zero exactly
-    when w != 0 and a3 = a2 - 1/w.  So each ordered pair with w != 0 joins
-    the h3 of that a, found by binary search in H sorted by a: at most
-    |H|^2 M triples, M the most translates sharing an a."""
+    """The keys of the products h3^-1 h1 h2^-1, as the T_3 fill keys them, that
+    lie in the Borel group B (c = 0), one per such triple.  With w = b1 - b2
+    the quotient has a = 1 + a1 w and c = w, so the product has
+    c = 1 + (a1 - a3) w: zero exactly when w != 0 and a3 = a1 + 1/w.  So each
+    ordered pair with w != 0 joins the h3 of that a, found by binary search in
+    H sorted by a: at most |H|^2 M triples, M the most translates sharing an a."""
     p, n = H.p, len(H)
     # per pair 4 items and 2 int64 as the a3 form (int64 on the SL2 rung too,
     # off the inverse table) and their runs in by_a are found, and first its
@@ -976,10 +994,10 @@ def _borel_keys(H: TranslateSet):
     order = np.argsort(a)
     by_a = a[order]
     w = _mod(b[:, None] - b, p).ravel()  # the pair (h1, h2) at index i1 n + i2
-    a3 = _mod(np.tile(a, n) - _inv_vec(p)(w), p)
+    a3 = _mod(np.repeat(a, n) + _inv_vec(p)(w), p)
     lo = np.searchsorted(by_a, a3)
     span = np.searchsorted(by_a, a3, side="right") - lo
-    span[w == 0] = 0  # inv(0) = 0 would join a3 = a2
+    span[w == 0] = 0  # inv(0) = 0 would join a3 = a1
     del w, a3
     triples = int(span.sum())
     _reserve("Borel T3 join", pair_bytes + (16 * _item_bytes(p, sl2=True) + 40) * triples)
@@ -989,7 +1007,7 @@ def _borel_keys(H: TranslateSet):
     i1, i2 = np.divmod(pair, n)
     u = pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2])
     return product_key_entries(p, np.empty(triples, u[0].dtype), np.empty((2, triples), u[0].dtype),
-                               *u, *embed_entries(p, a[i3], b[i3]))
+                               *inverse_embed_entries(p, a[i3], b[i3]), *u)
 
 
 def borel_t3_mass(H: TranslateSet) -> int:

@@ -8,13 +8,14 @@ notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
 c = 0), which counts.borel_coset_mass computes on arrays of the pair
 quotients' closed-form arguments (a1 + 1/w).
 
-The SL2 closed forms are four column forms: the generic product
+The SL2 closed forms are five column forms: the generic product
 (product_entries) and its key (product_key_entries, written in place into
-an array), the translate embedding (embed_entries) and the pair quotient
-h1 h2^-1 (pair_quotient_entries).  All but the key take Python ints or
-broadcast numpy arrays alike, so the scalar maps here and the array kernels
-of counts share one copy of each; a triple h1 h2^-1 h3 is the product of a
-pair quotient and an embedding.
+an array), the translate embedding (embed_entries) and its inverse
+(inverse_embed_entries), and the pair quotient h1 h2^-1
+(pair_quotient_entries).  All but the key take Python ints or broadcast
+numpy arrays alike, so the scalar maps here and the array kernels of counts
+share one copy of each; the inverse of a triple h1 h2^-1 h3 is the product
+of an inverted embedding h3^-1 and a pair quotient h2 h1^-1.
 """
 
 from dataclasses import dataclass
@@ -146,8 +147,9 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
 def product_key_entries(p: int, out, scratch, a1, b1, c1, d1, a2, b2, c2, d2):
     """The key (a p + c) p + z of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, written into
     out in place with two scratch arrays of its shape, and returned: the first
-    column, then z = d, or b where c = 0 (the fewer of the two fixed up by
-    index).  Injective on SL2, as det = 1 fixes b from (a, c, d) where c != 0,
+    column, then z = d, or b where c = 0 (the fewer of the two fixed up,
+    found by flat index: np.nonzero on a 2-d mask takes ten times as long).
+    Injective on SL2, as det = 1 fixes b from (a, c, d) where c != 0,
     and d = 1/a where c = 0.  Each entry joins the key reduced: it stays below
     p^3 (int32 up to 1289)."""
     s, t = scratch
@@ -162,7 +164,7 @@ def product_key_entries(p: int, out, scratch, a1, b1, c1, d1, a2, b2, c2, d2):
             out += r
         if i == 1:  # z = b everywhere where c = 0 in most cells (Borel keys)
             many = 2 * np.count_nonzero(zero := t == 0) > zero.size
-            fix = np.nonzero(zero != many)
+            fix = np.unravel_index(np.flatnonzero(np.logical_not(zero, out=zero) if many else zero), out.shape)
     if len(fix[0]):
         x1, y1, x2, y2 = (np.broadcast_to(e, out.shape)[fix] for e in z[not many])
         out[fix] += _mod(x1 * y1 + x2 * y2, p) - t[fix]
@@ -173,6 +175,12 @@ def embed_entries(p: int, a, b):
     """Entries (-a, ab + 1, -1, b) mod p of the translate (a, b), in column
     form; c = p - 1 is a scalar, which broadcasts against the other columns."""
     return _mod(-a, p), _mod(a * b + 1, p), p - 1, _mod(b, p)
+
+
+def inverse_embed_entries(p: int, a, b):
+    """Entries (b, -(ab + 1), 1, -a) mod p of h^-1 for the translate h = (a, b):
+    the adjugate of embed_entries, in column form; c = 1 is a scalar."""
+    return _mod(b, p), _mod(-1 - a * b, p), 1, _mod(-a, p)
 
 
 def pair_quotient_entries(p: int, a1, b1, a2, b2):

@@ -50,7 +50,13 @@ from hyperlab import (
 )
 from hyperlab.errors import _OVERHEAD
 from hyperlab.field import check_prime, is_prime
-from hyperlab.moebius import embed_entries, pair_quotient_entries, product_entries, product_key_entries
+from hyperlab.moebius import (
+    embed_entries,
+    inverse_embed_entries,
+    pair_quotient_entries,
+    product_entries,
+    product_key_entries,
+)
 
 A16 = ScalarSet(7, (1, 6))
 H00 = TranslateSet(7, ((0, 0),))
@@ -237,22 +243,25 @@ def test_t2_and_len_never_tally(monkeypatch):
 
 
 def _closed_form_keys(p, H):
-    """The pair keys of H and the keys of the products u h3 and u v of its pair
-    quotients, by the scalar closed forms over Python ints, row by row."""
+    """The pair keys of H and the keys of the products h3^-1 u and u v of its
+    pair quotients, by the scalar closed forms over Python ints, row by row;
+    h3^-1 is the adjugate of the embedding."""
     hs, (a, b) = list(H), (np.array(c, dtype=object) for c in zip(*H))
     pair = [((b1 - b2) % p * p + a1) * p + a2 if (b1 - b2) % p else (a1 - a2) % p * p for a1, b1 in hs for a2, b2 in hs]
     u = [pair_quotient_entries(p, *h1, *h2) for h1 in hs for h2 in hs]
     key = lambda e, f: (lambda a, b, c, d: (a * p + c) * p + (d if c else b))(*product_entries(p, *e, *f))  # noqa: E731
-    embedded = [embed_entries(p, a3, b3) for a3, b3 in hs]
-    return pair, [key(e, f) for e in u for f in embedded], [key(e, f) for e in u for f in u]
+    inverted = [(lambda a, b, c, d: (d, -b % p, -c % p, a))(*embed_entries(p, a3, b3)) for a3, b3 in hs]
+    return pair, [key(e, f) for e in inverted for f in u], [key(e, f) for e in u for f in u]
 
 
 @pytest.mark.parametrize("p", [3, 1009, 1291, 65537, 2097169, (1 << 61) - 1])
 def test_in_place_keys_match_the_closed_forms(monkeypatch, p):
     """The pair keys and the T_3 and T_4 product keys, written in place in
-    blocks of 7 cells and of _CELLS, equal the scalar closed forms on a grid
-    of translates sharing b (w = 0 pairs, and products with c = 0: each
-    translation times a translation, and u h3 with w (a2 - a3) = 1)."""
+    blocks of 7 and 30 cells, which split the rows of |H| pair keys and of
+    |H|^2 product keys into runs of columns, and of _CELLS, equal the scalar
+    closed forms on a grid of translates sharing b (w = 0 pairs, and products
+    with c = 0: each translation times a translation, and h3^-1 u with
+    w (a3 - a1) = 1)."""
     F = Fp(p)
     H = parse_setspec("cart:ap:0,1,3;ap:0,1,2", F) if p == 3 else TranslateSet(
         p, (*parse_setspec("cart:ap:1,1,4;ap:0,1,2", F), (0, p - 1), (p - 1, 1), (2, p - 1)))
@@ -261,10 +270,11 @@ def test_in_place_keys_match_the_closed_forms(monkeypatch, p):
     assert sum(k // p % p == 0 for k in triple) > len(H) and sum(k // p % p == 0 for k in four) > len(H) ** 2
     a, b = counts._sl2_columns(H)
     u = [e.ravel() for e in pair_quotient_entries(p, a[:, None], b[:, None], a, b)]
-    for cells in (7, counts._CELLS):
+    assert 30 < len(u[0]) < counts._CELLS and len(u[0]) % 30 and len(u[0]) % 7
+    for cells in (7, 30, counts._CELLS):
         monkeypatch.setattr(counts, "_CELLS", cells)
         got = [counts._write_keys(p, (a, b), (a, b), counts._quotient_key, depth=1),
-               counts._write_keys(p, u, embed_entries(p, a, b)), counts._write_keys(p, u, u)]
+               counts._write_keys(p, inverse_embed_entries(p, a, b), u), counts._write_keys(p, u, u)]
         assert [k.tolist() for k in got] == [pair, triple, four]
 
 
@@ -437,12 +447,13 @@ def test_chunk_boundaries_leave_counts_unchanged(monkeypatch):
     want = all_counts()
     assert want[0] == want[1] == want[2] and want[3] > 0
     assert want[10:12] == want[12:14] and len(want[10]) > 0
-    # every keyed pass goes in row blocks of about _CELLS cells.  The SL2
-    # keys go in rows of 24 (a quotient times H, or an h1 times H): one (7),
-    # four (100) or 120 (2900) rows a block, so the fill's 576 pair
-    # quotients take 576, 144 or five blocks, the quotient histogram's 24
-    # rows 24, six or one, and so do the D histogram's 576 keys, which
-    # count by index (p <= 576).  The m_k column arm counts R's rows of 144
+    # every keyed pass goes in blocks of at most about _CELLS cells.  The
+    # fill keys the 24 inverted h3 against rows of 576 pair quotients: 83
+    # (7) or six (100) runs of columns a row, or five rows a block (2900);
+    # the quotient histogram keys each h1 against a row of 24: four runs of
+    # columns a row (7), four rows (100) or all 24 (2900) a block.  The D
+    # histogram's 576 keys count by index (p <= 576) in 24, six or one
+    # blocks of whole rows.  The m_k column arm counts R's rows of 144
     # keys by index, one row a block at 7 and 100 and 20 at 2900; the pair
     # arm keys R's 66 x-pairs against its 144 y-pairs in blocks of as many
     # x-pairs, and the lines A's 10 x-pairs against them likewise and R's
@@ -493,10 +504,10 @@ def test_pair_histogram_routes_agree(monkeypatch):
 
 
 def test_t3_fill_chunks_at_p61(monkeypatch):
-    # above 2^21 the key entries are object arrays, the pair quotients'
-    # broadcast against the embedded h3; at 7, 100 and 2900 blocks of one,
-    # four and 120 quotients split the 576 x 24 product grid, as in the test
-    # above, and the default block holds it whole
+    # above 2^21 the key entries are object arrays, the inverted h3's
+    # broadcast against the pair quotients; at 7, 100 and 2900 runs of 7 or
+    # 100 columns and blocks of five rows split the 24 x 576 product grid,
+    # as in the test above, and the default block holds it whole
     p = (1 << 61) - 1
     H = gen_cartesian(ScalarSet(p, (1, 2, 3, 4)), ScalarSet(p, (1, 2, 3, 4, 5, 6)))
     mats = [embed_translate(Fp(p), h) for h in H]
@@ -681,8 +692,9 @@ def test_int32_rung_keys_stay_below_p_cubed(monkeypatch):
 )
 def test_borel_join_is_the_borel_part_of_the_fill(monkeypatch, p, spec):
     """The joined Borel triples' keys are the fill's keys with c = 0, the
-    middle digit of (a p + c) p + z.  (0, 0), (5, 1) and (p - 1, 7) give
-    Borel triples, as (b1 - b2)(a3 - a2) = -1 there."""
+    middle digit of (a p + c) p + z, both keying h3^-1 h1 h2^-1.  (0, 0),
+    (5, 1) and (p - 1, 7) give Borel triples, as (b1 - b2)(a3 - a1) = 1
+    there."""
     H = TranslateSet(p, (*parse_setspec(spec, Fp(p)), (0, 0), (5, 1), (p - 1, 7)))
     keys = _fill_keys(monkeypatch, H, 3)
     want = keys[keys // p % p == 0]
@@ -1029,17 +1041,6 @@ _HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "s
 
 @pytest.mark.parametrize("name", _HIT_CASES)
 def test_hit_estimates_within_two_peaks(name):
-    peak, estimate = _peak_and_estimate(name)
-    assert peak <= estimate <= 2 * peak + (1 << 20)
-
-
-# the SL2 energy kernels, whose keys form in blocks: the T_3 fill and
-# quotient arm, the Borel join and T_4
-_SL2_CASES = [name for name in _PEAK_CASES if name.startswith(("t3-", "t4-", "borel-t3-"))]
-
-
-@pytest.mark.parametrize("name", _SL2_CASES)
-def test_sl2_estimates_within_two_peaks(name):
     peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 

@@ -17,7 +17,7 @@ from hyperlab import (
     invert,
     pair_quotient,
 )
-from hyperlab.moebius import _mod, product_key_entries
+from hyperlab.moebius import _mod, inverse_embed_entries, product_key_entries
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -55,6 +55,16 @@ def test_embed_determinant_one_exhaustive_small():
 
 def test_pair_quotient_pin():
     assert pair_quotient(F7, (1, 2), (3, 5)).entries == (5, 0, 4, 3)
+
+
+@given(translates)
+@settings(max_examples=100, deadline=None)
+def test_inverse_embedding_matches_invert(h):
+    """inverse_embed_entries is the adjugate of the embedding, entry for entry,
+    and h^-1 h is the identity."""
+    inv = MoebiusMap(101, *inverse_embed_entries(101, *h))
+    assert inv.entries == invert(embed_translate(F101, h)).entries
+    assert compose(inv, embed_translate(F101, h)).entries == (1, 0, 0, 1)
 
 
 @given(translates, translates)
