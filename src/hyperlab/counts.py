@@ -47,9 +47,11 @@ pair quotients (k = 3), or the quotients times themselves (k = 4), with
 weight 1; the support arm takes h3^-1 times the quotient support Q with
 weights (1, r(u)), or Q times itself with (r(u), r(v)), as
 T_3 = sum_g (sum_{h3^-1 u = g} r(u))^2 (Q is closed under inversion and
-r(u^-1) = r(u)).  One rule serves both k: the support arm where
-|Q| <= 3/5 |H|^2 (between where it stops being the faster for T_3, near
-0.35, and for T_4, near 0.7), and the fill elsewhere and where the
+r(u^-1) = r(u)).  One rule serves both k: the support arm where it
+writes at most 2/5 as many keys as the fill, |H| |Q| against |H|^3 or
+|Q|^2 against |H|^4 (its keys are weighted and cost more: the T_3 arms
+break even near |Q| = 0.4 |H|^2, the T_4 arms between 0.6 and 0.68, and
+the rule puts them at 0.4 and 0.63), and the fill elsewhere and where the
 budget refuses the support, the support histogram dropped first.  Up to
 |H|^3 = 2^12 the T_3 fill runs with no support histogram built.  The
 Borel part of T_3 keys only the triples whose product lies in B, in the
@@ -117,7 +119,7 @@ _HIT_ROW_BYTES = 1 << 22  # bytes per block of _hits' int64 pole rows and of its
 _RUN_BLOCK = 1 << 16  # sorted keys per block of _run_blocks, a multiple of _CELLS (timed)
 _FEW_CELLS = 1 << 11  # cells up to which _hits forms a row per map, not per distinct pole
 _T3_FEW = 1 << 12  # |H|^3 up to which T_3 fills with no support histogram first (|H| <= 16)
-_QUOTIENT_ARM = 3 / 5  # |Q| / |H|^2 up to which the support arms run: T_3's is faster below ~0.35, T_4's ~0.7
+_QUOTIENT_ARM = 2 / 5  # share of the fill's keys up to which the support arm writes its (weighted) keys
 _INT32_P = 1289  # SL2 keys (< p^3) fit int32 up to here (1291^3 > 2^31); intermediates (< 2 p^2) too
 _INT64_P = 1 << 21  # keys (< p^3) fit int64 up to here; intermediates (< 2 p^2) fit far beyond
 
@@ -616,7 +618,7 @@ def t_k(H: TranslateSet, k: int) -> int:
     if k == 3 and n**3 <= _T3_FEW:
         return _fill(H, 3)
     hist = (_quotient_histogram if k == 3 else quotient_histogram)(H)  # see _quotient_histogram
-    if len(hist) <= _QUOTIENT_ARM * n * n:
+    if (n if k == 3 else len(hist)) * len(hist) <= _QUOTIENT_ARM * n**k:  # the keys each arm writes
         with suppress(ResourceLimit):  # the fill may fit the budget where the support arm does not
             return _support(H, k, hist)
     del hist  # the fill forms without it

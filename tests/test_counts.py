@@ -784,8 +784,9 @@ def test_t4_arms_agree(monkeypatch, p, spec):
 
 
 def test_t4_arm_follows_the_support(monkeypatch):
-    """t_k(H, 4) fills where the quotient support is more than 3/5 of |H|^2
-    (random translates), sums over the support where it is not (grids), and
+    """t_k(H, 4) fills where the quotient support's |Q|^2 keys are more than
+    2/5 of the fill's |H|^4 (random translates), sums over the support where
+    they are not (grids), and
     takes the other arm where the budget refuses the one chosen."""
     arms = _record_arms(monkeypatch, ("_fill", "_support"))
     F = Fp(1009)
@@ -1041,6 +1042,17 @@ _HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "s
 
 @pytest.mark.parametrize("name", _HIT_CASES)
 def test_hit_estimates_within_two_peaks(name):
+    peak, estimate = _peak_and_estimate(name)
+    assert peak <= estimate <= 2 * peak + (1 << 20)
+
+
+# the SL2 energy kernels on the first int64 rung (p = 1291): the T_3 fill and
+# quotient arm, the Borel join and T_4, one case each
+_SL2_CASES = ["t3-1291", "t3-quotient-1291", "borel-t3-1291", "t4-1291"]
+
+
+@pytest.mark.parametrize("name", _SL2_CASES)
+def test_sl2_estimates_within_two_peaks(name):
     peak, estimate = _peak_and_estimate(name)
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
