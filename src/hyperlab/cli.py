@@ -296,10 +296,7 @@ def cmd_verify(ns) -> int:
     lines = list(result.case_lines)
     verdict = "PASS" if result.passed else "FAIL"
     lines.append(f"suite {result.name}: {result.cases} checks, {len(result.failures)} failures -> {verdict}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if ns.out:
-        _write_output(text, ns.out)
+    _write_output("\n".join(lines) + "\n", ns.out)
     return 0 if result.passed else 1
 
 

@@ -16,24 +16,25 @@ Every keyed pass forms its keys in blocks of about _CELLS cells, the one
 block size: row blocks (_key_blocks; _hits chunks its cells alike), or in
 _write_keys, which writes the keys that are kept into one array, whole rows
 or, where a row is longer than a block, runs of its columns, the SL2 keys
-in place (the rare w = 0 or c = 0 cells found by flat index and fixed
-up).  One counter, _tally, sorts keys and reads off the runs of equal
-ones (one reader, _read_runs, over _run_blocks, which serve _run_count,
-_sorted_square_sum and the richness maps' _runs too), except where the
-keys lie in a range no longer than they are many: one array indexed by
-key counts them (np.add.at per block, as np.bincount returns an array a
-call and sums weights in float64; the m_k column arm bincounts a block of
-rows).  So the histograms
-over element pairs (differences for eplus, minkowski and the product
-histogram, D(h, h') for q and t3) and the growth
-sets A + B and A - B (sets.sumset and sets.difference_set, which keep the
-values only), residues mod p of n^2 pairs (_sort_count), add into one
-p-long int64 total where p <= n^2 and otherwise sort all n^2 keys as int64:
-nothing merges, and every histogram leaves the module as arrays, its values
-ascending.  Weighted int64 keys sort packed, key (max weight + 1) + weight,
-where that fits int64, and by argsort otherwise; a weight sum is int64 only
-where len(weights) max(weight) < 2^63.  Keys stay below p^3: int32 for
-p <= 1289 (SL2 kernels only), int64 for p <= 2^21, Python ints above.
+in place (the rare w = 0 cells found by flat index and fixed up; b taken
+for d where c = 0 by masked multiplies).  One counter, _tally, sorts keys
+and reads off the runs of equal ones through the one run reader, _runs: a
+stream of blocks of runs (_run_blocks) that _read_runs joins and the
+richness maps read as it comes; only _run_count and _sorted_square_sum
+read the blocks themselves.  Keys that lie in a range no longer than they
+are many are counted instead in one array indexed by key (np.add.at per
+block, as np.bincount returns an array a call and sums weights in float64;
+the m_k column arm bincounts a block of rows).  So the histograms over
+element pairs (differences for eplus, minkowski and the product histogram,
+D(h, h') for q and t3) and the growth sets A + B and A - B (sets.sumset and
+sets.difference_set, which keep the values only), residues mod p of n^2
+pairs (_sort_count), add into one p-long int64 total where p <= n^2 and
+otherwise sort all n^2 keys as int64: nothing merges, and every histogram
+leaves the module as arrays, its values ascending.  Weighted int64 keys
+sort packed, key (max weight + 1) + weight, where that fits int64, and by
+argsort otherwise; a weight sum is int64 only where len(weights)
+max(weight) < 2^63.  Keys stay below p^3: int32 for p <= 1289 (SL2 kernels
+only), int64 for p <= 2^21, Python ints above.
 
 T_3 and T_4 come from one pass, _product_squares: the sum over g of
 (sum_{u_i v_j = g} w_i w'_j)^2 over the products of two sets of entry
@@ -57,6 +58,8 @@ budget refuses the support, the support histogram dropped first.  Up to
 Borel part of T_3 keys only the triples whose product lies in B, in the
 fill's orientation: h3^-1 u has c = 1 + (a1 - a3) w, so each pair with
 w != 0 joins the h3 with a3 = a1 + 1/w, and a pair with w = 0 joins none.
+With c = 0 throughout, each product is keyed a p^2 + b off its entries
+(moebius.product_entries), the fill's key (a p + c) p + b.
 
 Every table-building kernel reserves (_reserve) against HYPERLAB_BUDGET_MB
 what its pass keeps plus one block, and what its caller holds (held), before it allocates.
@@ -110,7 +113,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
-from .moebius import _mod, inverse_embed_entries, pair_quotient_entries, product_key_entries
+from .moebius import _mod, inverse_embed_entries, pair_quotient_entries, product_entries, product_key_entries
 from .sets import ScalarSet, TranslateSet, _sorted_set
 
 _INV_TABLE_MAX = 1 << 18
@@ -208,9 +211,9 @@ class QuotientHistogram:
 
     @cached_property
     def _runs(self) -> tuple:
-        """(args, counts): next to the keys a distinct key, its count and 2 arguments read off it per run."""
+        """(args, counts): next to the keys per run a distinct key, its count and 2 arguments, and a block of runs."""
         p, item, n = self.p, _item_bytes(self.p, sl2=True), len(self.keys)
-        _reserve("quotient histogram runs", item * n + (3 * item + 8) * len(self) + _run_bytes(n))
+        _reserve("quotient histogram runs", item * n + (3 * item + 8) * len(self) + _run_bytes(n, item + 8))
         keys, counts = _read_runs(self.keys)
         self.keys = None  # nothing reads the pair keys once they are tallied
         a2 = _mod(keys, p)
@@ -448,6 +451,17 @@ def _run_blocks(keys):
         lo = hi
 
 
+def _runs(keys, count=np.int64, weights=None):
+    """The run reader: the runs of sorted keys as a stream of blocks (_run_blocks),
+    each distinct key of a block and its multiplicity as count, or its weights' sum."""
+    for lo, hi, edges in _run_blocks(keys):
+        at = edges.nonzero()[0]  # the run starts and the end of the last run
+        at[-1] = hi - lo
+        yield keys[lo:hi][at[:-1]], (np.add.reduceat(weights[lo:hi], at[:-1]) if weights is not None else
+                                     np.subtract(at[1:], at[:-1], out=np.empty(len(at) - 1, count), casting="unsafe"))
+        at = None  # the next block's indices form without these
+
+
 def _sort(keys, weights=None):
     """Sorted keys (nonnegative) and their weights, if any; unweighted in place.
     Weighted keys are int64 (written so on the int32 rung) or Python ints;
@@ -483,25 +497,16 @@ def _run_count(keys) -> int:
 
 
 def _read_runs(keys, weights=None):
-    """The run reader: each distinct key of sorted keys and its total weight,
-    or its multiplicity as int64; past one block (_run_blocks) the runs are
-    counted first, then written a block at a time."""
-    r, out = 0, None
-    if len(keys) > _RUN_BLOCK:
-        runs = _run_count(keys)
-        out = np.empty(runs, keys.dtype), np.empty(runs, np.int64 if weights is None else weights.dtype)
-    for lo, hi, edges in _run_blocks(keys):
-        at = edges.nonzero()[0]  # the run starts and the end of the last run
-        at[-1] = hi - lo
-        if out is None:
-            return keys[at[:-1]], np.diff(at) if weights is None else np.add.reduceat(weights, at[:-1])
-        rows = slice(r, r + len(at) - 1)
-        np.take(keys[lo:hi], at[:-1], out=out[0][rows], mode="clip")  # "raise" would buffer out
-        if weights is None:
-            np.subtract(at[1:], at[:-1], out=out[1][rows], casting="unsafe")
-        else:
-            np.add.reduceat(weights[lo:hi], at[:-1], out=out[1][rows])
-        r, at = rows.stop, None  # the next block's indices form without these
+    """_runs joined: each distinct key of sorted keys and its multiplicity as int64, or
+    its total weight; one block as it is, past one copied into arrays sized by _run_count."""
+    blocks = _runs(keys, weights=weights)
+    if len(keys) <= _RUN_BLOCK:
+        return next(blocks)
+    runs, r = _run_count(keys), 0
+    out = np.empty(runs, keys.dtype), np.empty(runs, np.int64 if weights is None else weights.dtype)
+    for block, sums in blocks:
+        out[0][r : r + len(sums)], out[1][r : r + len(sums)] = block, sums
+        r, block, sums = r + len(sums), None, None  # the next block forms without this one
     return out
 
 
@@ -513,10 +518,13 @@ def _dot(u, v) -> int:
     return int(np.dot(u.astype(object), v.astype(object)))
 
 
-def _run_bytes(n: int, weighted: bool = False) -> int:
-    """Peak bytes of a block of _run_blocks over n keys as _tally or
-    _sorted_square_sum reads it: 10 per key, or 17 where it sums weights."""
-    return (17 if weighted else 10) * min(n, _RUN_BLOCK)
+def _run_bytes(n: int, run: int) -> int:
+    """Peak bytes of a block of runs (_run_blocks) over n sorted keys: per key of a block
+    its edge and index, and the run bytes per run (at most one a key) that its reader forms:
+    _runs a key and a count or sum (twice where the reader holds a block as the next forms;
+    _read_runs does not), _sorted_square_sum a sum, or unweighted 1 B (its run lengths, or
+    its stretches of equal neighbours, and its index each cover half a block)."""
+    return (9 + run) * min(n, _RUN_BLOCK)
 
 
 def _sorted_square_sum(keys, weights=None) -> int:
@@ -556,7 +564,7 @@ def _quotient_histogram(H: TranslateSet) -> QuotientHistogram:
     cschain and borel job."""
     p, n, item = H.p, len(H), _item_bytes(H.p, sl2=True)
     # per pair its key, next to a key block's scratch (an item and 1 B a cell) or a block of runs
-    _reserve("quotient histogram", item * n * n + max((item + 1) * min(n * n, _CELLS), _run_bytes(n * n)))
+    _reserve("quotient histogram", item * n * n + max((item + 1) * min(n * n, _CELLS), _run_bytes(n * n, 1)))
     a, b = _sl2_columns(H)
     keys = _write_keys(p, (a, b), (a, b), _quotient_key, depth=1)
     keys.sort()
@@ -578,10 +586,10 @@ def _product_squares(what: str, p: int, u, v, weights=None, held: int = 0) -> in
     # may not fill) and, weighted, 16 B (its weight, unpacked) and 2 items
     # more where keys and weights do not pack (argsort); per row of u and of v
     # its 4 entry columns; next to a key block (2 SL2 items and 16 B a cell:
-    # the scratch, the c = 0 mask and its fix-up's indices) or a block of runs
+    # the scratch, int64 where weighted, and the c = 0 mask) or a block of runs
     key = item + 4 * (p > _INT64_P) + weighted * (16 + 2 * item * (p**3 * (top + 1) > 1 << 63))
     block = (2 * cell + 16) * min(m * n, _CELLS)
-    _reserve(what, held + key * m * n + 4 * cell * (m + n) + max(block, _run_bytes(m * n, weighted)))
+    _reserve(what, held + key * m * n + 4 * cell * (m + n) + max(block, _run_bytes(m * n, 8 if weighted else 1)))
     return _sorted_square_sum(*_sort(_write_keys(p, u, v, dtype=np.int64 if weighted and p <= _INT64_P else None),
                                      (weights[0][:, None] * weights[1]).reshape(-1) if weighted else None))
 
@@ -648,7 +656,7 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
             del keys  # the next block forms without this one
         values = np.flatnonzero(total)  # every weight is positive
         return values, total[values]
-    _reserve(what, held + (8 + 16 * weighted) * n + max(block, _run_bytes(n) + 16 * runs))
+    _reserve(what, held + (8 + 16 * weighted) * n + max(block, _run_bytes(n, 16) + 16 * runs))
     w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
     return _tally(_write_keys(p, u, v, _assigned(key), np.int64, 0), w)
 
@@ -714,23 +722,6 @@ def _map_keys(p: int) -> tuple:
     if p * p <= 1 << 32:
         return np.uint32, 4
     return np.int64 if p <= _INT64_P else object, _item_bytes(p, top=p * p)
-
-
-def _runs(keys, count):
-    """The runs of sorted keys as a stream of blocks (_run_blocks): each distinct
-    key of a block and its multiplicity as count."""
-    for lo, hi, edges in _run_blocks(keys):
-        at = edges.nonzero()[0]  # the run starts and the end of the last run
-        at[-1] = hi - lo
-        yield keys[lo:hi][at[:-1]], np.subtract(at[1:], at[:-1], out=np.empty(len(at) - 1, count), casting="unsafe")
-        at = None  # the next block's indices form without these
-
-
-def _runs_bytes(n: int, item: int) -> int:
-    """Peak bytes of _runs over n keys read by _rich_count: per key of a block
-    its edge and index, and two blocks of item bytes a run (the one formed
-    and the one its reader holds)."""
-    return (9 + 2 * item) * min(n, _RUN_BLOCK)
 
 
 def _rich_count(blocks, k: int) -> int:
@@ -829,10 +820,10 @@ def _mk_pairs(A: ScalarSet, lam: int):
     # x-pair) of 7 residues and 8 B a cell as the roots form (63 B measured
     # on int64) and its inverses (_inv_bytes: the square-root table's cold
     # build follows the inverses' and peaks below it), or next to a block of
-    # runs: a key, its hits and its richness
+    # runs: a key, its hits, its richness and a mask, read and held
     cells = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
     block = (7 * _item_bytes(p, top=p) + 8) * cells + _inv_bytes(p, cells)
-    runs = _runs_bytes(bound, key + hit_type.itemsize + rich_type.itemsize + 1)
+    runs = _run_bytes(bound, 2 * (key + hit_type.itemsize + rich_type.itemsize + 1))
     _reserve("m_k pair pass", key * bound + max(block, runs))
     xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
     i, j = np.triu_indices(n, 1)
@@ -885,9 +876,9 @@ def _lines(B: ScalarSet, C: ScalarSet):
     pairs = x_pairs * len(C) ** 2
     (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(x_pairs)  # C(t, 2), t <= |B|
     # per pair its key (< p^2), next to 4 items a cell of a key block or to a
-    # block of runs (a key and its hits); the x-pairs' inverses
+    # block of runs (a key, its hits and a mask, read and held); the x-pairs' inverses
     block = 4 * _item_bytes(p) * min(pairs, _CELLS)
-    runs = _runs_bytes(pairs, key + hit_type.itemsize + 1)
+    runs = _run_bytes(pairs, 2 * (key + hit_type.itemsize + 1))
     _reserve("rich-line table", key * pairs + max(block, runs) + _inv_bytes(p, x_pairs))
     xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(len(xs), 1)
@@ -1007,9 +998,9 @@ def _borel_keys(H: TranslateSet):
     i3 = order[np.repeat(lo - np.cumsum(span) + span, span) + np.arange(triples)]
     del lo, span
     i1, i2 = np.divmod(pair, n)
-    u = pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2])
-    return product_key_entries(p, np.empty(triples, u[0].dtype), np.empty((2, triples), u[0].dtype),
-                               *inverse_embed_entries(p, a[i3], b[i3]), *u)
+    key, z = product_entries(p, *inverse_embed_entries(p, a[i3], b[i3]),
+                             *pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2]))[:2]
+    return np.add(np.multiply(key, p * p, out=key), z, out=key)  # c = 0: (a p + c) p + b, as the fill keys it
 
 
 def borel_t3_mass(H: TranslateSet) -> int:

@@ -147,27 +147,24 @@ def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
 def product_key_entries(p: int, out, scratch, a1, b1, c1, d1, a2, b2, c2, d2):
     """The key (a p + c) p + z of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, written into
     out in place with two scratch arrays of its shape, and returned: the first
-    column, then z = d, or b where c = 0 (the fewer of the two fixed up,
-    found by flat index: np.nonzero on a 2-d mask takes ten times as long).
+    column, then z = d, or b where c = 0 (its two products written there by
+    masked multiplies, no cell index formed).
     Injective on SL2, as det = 1 fixes b from (a, c, d) where c != 0,
     and d = 1/a where c = 0.  Each entry joins the key reduced: it stays below
     p^3 (int32 up to 1289)."""
     s, t = scratch
-    z = (c1, b2, d1, d2), (a1, b2, b1, d2)  # the entries d and b
-    for i in range(3):
-        x1, y1, x2, y2 = ((a1, a2, b1, c2), (c1, a2, d1, c2), *z)[i + (i == 2 and many)]
+    for i, (x1, y1, x2, y2) in enumerate(((a1, a2, b1, c2), (c1, a2, d1, c2), (c1, b2, d1, d2))):
         np.multiply(x1, y1, out=s)
-        s += x2 * y2 if np.broadcast(x2, y2).size < s.size else np.multiply(x2, y2, out=t)  # a row: no block
+        if i < 2:
+            s += x2 * y2 if np.broadcast(x2, y2).size < s.size else np.multiply(x2, y2, out=t)  # a row: no block
+        else:  # z = b = a1 b2 + b1 d2 where c = 0 (t holds c)
+            zero = t == 0
+            np.multiply(a1, b2, out=s, where=zero)
+            s += np.multiply(b1, d2, out=np.multiply(x2, y2, out=t), where=zero)
         r = _mod(s, p, out=t if i else out)
         if i:
             out *= p
             out += r
-        if i == 1:  # z = b everywhere where c = 0 in most cells (Borel keys)
-            many = 2 * np.count_nonzero(zero := t == 0) > zero.size
-            fix = np.unravel_index(np.flatnonzero(np.logical_not(zero, out=zero) if many else zero), out.shape)
-    if len(fix[0]):
-        x1, y1, x2, y2 = (np.broadcast_to(e, out.shape)[fix] for e in z[not many])
-        out[fix] += _mod(x1 * y1 + x2 * y2, p) - t[fix]
     return out
 
 

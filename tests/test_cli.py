@@ -276,6 +276,16 @@ def test_verify_pass_and_fail(capsys):
     assert "FAIL" in out.strip().splitlines()[-1]
 
 
+@pytest.mark.parametrize("suite, code", [("lemma-t3", 0), ("lemma-sh-cartesian", 1)])
+def test_verify_out_writes_the_file_only(tmp_path, capsys, suite, code):
+    """verify --out writes its report to the file instead of stdout, as
+    compute and scan do; the exit code is the suite's verdict either way."""
+    path = tmp_path / "report.txt"
+    assert run(capsys, "verify", suite, "--trials", "4", "--seed", "0", "--out", str(path)) == (code, "", "")
+    verdict = path.read_text().splitlines()[-1]
+    assert verdict.startswith(f"suite {suite}: ") and verdict.endswith("FAIL" if code else "PASS")
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_trials_below_one(capsys, trials):
     code, out, err = run(capsys, "verify", "oracle-equivalence", "--trials", trials)
