@@ -58,8 +58,8 @@ budget refuses the support, the support histogram dropped first.  Up to
 Borel part of T_3 keys only the triples whose product lies in B, in the
 fill's orientation: h3^-1 u has c = 1 + (a1 - a3) w, so each pair with
 w != 0 joins the h3 with a3 = a1 + 1/w, and a pair with w = 0 joins none.
-With c = 0 throughout, each product is keyed a p^2 + b off its entries
-(moebius.product_entries), the fill's key (a p + c) p + b.
+With c = 0 throughout, each product is keyed a p^2 + b off its top row
+(moebius.product_row_entries), the fill's key (a p + c) p + b.
 
 Every table-building kernel reserves (_reserve) against HYPERLAB_BUDGET_MB
 what its pass keeps plus one block, and what its caller holds (held), before it allocates.
@@ -73,14 +73,16 @@ where a bound read off its arrays allows and over Python ints otherwise.
 
 m_k and l_k are threshold counts over a richness map: the ascending keys of
 every translate (or non-vertical line) through two or more points, with
-the number of points (or point pairs) on each, its keys (< p^2) as
-_map_keys has them and its counts in the narrowest dtype that holds them.
-A map is a stream of disjoint, ascending (keys, counts) blocks and is never
-held whole: the m_k column arm yields each block of rows a once counted,
-and the pair arm and the lines write their roots or line keys into one
-array, sort it in place and stream its runs a block at a time (_runs).
-One reader, _rich_count, takes the threshold count off the stream; the
-checks that compare whole maps join it (_joined).
+the number of points on each, its keys (< p^2) as _map_keys has them and
+its richness in the narrowest dtype that holds it.  A map is a stream of
+disjoint, ascending (keys, richness) blocks and is never held whole: the
+m_k column arm yields each block of rows a once counted, and the m_k pair
+arm and the lines are one point-pair pass (_pair_map), which writes the
+keys of the curves through each point pair into one array, sorts it in
+place, streams its runs a block at a time (_runs) and reads the C(t, 2)
+pairs of a t-rich curve as t.  One reader, _rich_count, takes the
+threshold count off the stream; the checks that compare whole maps join
+it (_joined).
 
 Incidences between points and Moebius maps (sigma, the sumprod quadruples,
 sigma_u of the Cauchy-Schwarz step) are all counted by _hits in translate
@@ -113,7 +115,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidArgument, ModulusMismatch, ResourceLimit, _reserve
 from .field import check_prime
-from .moebius import _mod, inverse_embed_entries, pair_quotient_entries, product_entries, product_key_entries
+from .moebius import _mod, inverse_embed_entries, pair_quotient_entries, product_key_entries, product_row_entries
 from .sets import ScalarSet, TranslateSet, _sorted_set
 
 _INV_TABLE_MAX = 1 << 18
@@ -409,11 +411,6 @@ def _quotient_key(p: int, out, scratch, a1, b1, a2, b2):
         out[i, j] = _mod(a1[i, 0] - a2[j], p) * p  # a1 a column of rows, a2 a row
 
 
-def _assigned(key):
-    """key(p, *entries), which returns a block, as a _write_keys key: the block copied into out."""
-    return lambda p, out, scratch, *entries: np.copyto(out, key(p, *entries), casting="unsafe")
-
-
 def _write_keys(p: int, u, v, key=product_key_entries, dtype=None, depth: int = 2):
     """The keys key(p, *u_i, *v) of the rows i of the columns u (a scalar entry
     broadcasts) against the columns v, by default the products', in one flat
@@ -658,7 +655,8 @@ def _sort_count(what: str, p: int, u, v, key, distinct: int, weights=None, item:
         return values, total[values]
     _reserve(what, held + (8 + 16 * weighted) * n + max(block, _run_bytes(n, 16) + 16 * runs))
     w = None if weights is None else (weights[0][:, None] * weights[1]).reshape(-1)
-    return _tally(_write_keys(p, u, v, _assigned(key), np.int64, 0), w)
+    return _tally(_write_keys(p, u, v, lambda p, out, scratch, *e: np.copyto(out, key(p, *e), casting="unsafe"),
+                              np.int64, 0), w)  # key() returns a block, copied into out
 
 
 def _residue_set(what: str, A: ScalarSet, B: ScalarSet, key) -> ScalarSet:
@@ -801,35 +799,61 @@ def _mk_columns(A: ScalarSet, lam: int):
                 yield (found[at] + a0 * p).astype(key_type, copy=False), rich[at]
 
 
-def _mk_pairs(A: ScalarSet, lam: int):
-    """_mk_columns' stream from point pairs: the translates through (x1, y1)
-    and (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0, solve
-    f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant ef(ef - 4 lam)),
-    so a t-rich translate shows up C(t, 2) times.  Any two points of one
-    curve differ in both coordinates, so no translate with t >= 2 is missed.
-    The x-pairs (x1, e) go in row blocks against the y-pairs (_key_blocks),
-    their roots written as map keys (_map_keys) into one array sized for two
-    roots a point pair, shrunk in place to the roots found, sorted and read
-    off its runs (_runs); a table read turns the C(t, 2) hits of a
-    translate, counted in the narrowest dtype, into t."""
-    p, n = A.p, len(A)
+def _pair_map(what: str, B: ScalarSet, C: ScalarSet, curves, per_row: int, cell: int, tables):
+    """The map of every curve through >= 2 points of B x C as a stream of
+    (keys ascending, richness) blocks, from point pairs: the x-pairs (x1, e),
+    e = x1 - x2 over B's pairs of distinct elements, go in row blocks against
+    the y-pairs (y1, f), f = y1 - y2 over C x C (_key_blocks), and
+    curves(p, x1, e, y1, f) gives the map keys (_map_keys) of the curves
+    through each point pair as a list of arrays, at most per_row keys a row,
+    with cell bytes a cell as they form; tables are the lookup tables it reads,
+    built once the pass is reserved.  A curve holds at most one point per x,
+    so each pair of its points keys it once.  The keys are written into one
+    array sized for per_row a row, shrunk in place to the keys found, sorted
+    and read off its runs (_runs); a table read turns the C(t, 2) hits of a
+    t-rich curve into t."""
+    p, n = B.p, len(B)
     top = n * (n - 1) // 2
-    (key_type, key), hit_type, rich_type = _map_keys(p), np.min_scalar_type(top), np.min_scalar_type(n)
-    bound = 2 * top * n * (n - 1)  # two roots a pair of an x-pair and a y-pair with f != 0
-    # the roots, a key each up to the bound, next to a block (n^2 y-pairs per
-    # x-pair) of 7 residues and 8 B a cell as the roots form (63 B measured
-    # on int64) and its inverses (_inv_bytes: the square-root table's cold
-    # build follows the inverses' and peaks below it), or next to a block of
-    # runs: a key, its hits, its richness and a mask, read and held
-    cells = min(n**3 * (n - 1) // 2, max(n * n, _CELLS))
-    block = (7 * _item_bytes(p, top=p) + 8) * cells + _inv_bytes(p, cells)
-    runs = _run_bytes(bound, 2 * (key + hit_type.itemsize + rich_type.itemsize + 1))
-    _reserve("m_k pair pass", key * bound + max(block, runs))
-    xs, inv, sqrt = _array(A), _inv_vec(p), _sqrt_vec(p)
+    (key_type, key), rich_type = _map_keys(p), np.min_scalar_type(n)
+    size = top * per_row
+    # the keys, a key each up to size, next to a key block (a row of y-pairs
+    # per x-pair) as curves forms it and its inverses (_inv_bytes: the
+    # square-root table's cold build follows the inverses' and peaks below
+    # it), or next to a block of runs: a key, its hits, its richness and a
+    # mask, read and held
+    cells = min(top * len(C) ** 2, max(len(C) ** 2, _CELLS))
+    runs = _run_bytes(size, 2 * (key + 8 + rich_type.itemsize + 1))
+    _reserve(what, key * size + max(cell * cells + _inv_bytes(p, cells), runs))
+    for table in tables:
+        table(p)  # built before the keys are
+    xs, ys = _array(B), _array(C)
     i, j = np.triu_indices(n, 1)
-    y1 = np.repeat(xs, n)
+    y1 = np.repeat(ys, len(ys))
+    keys, r = np.empty(size, key_type), 0
+    for _, found in _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(ys, len(ys)), p)), curves):
+        for block in found:
+            keys[r : r + len(block)] = block
+            r += len(block)
+        found = block = None  # the next block forms without these
+    keys.resize(r, refcheck=False)  # gives the unwritten tail back
+    keys.sort()
+    rich, t = np.zeros(top + 1, dtype=rich_type), np.arange(n + 1)
+    rich[t * (t - 1) // 2] = t  # a t-rich curve has C(t, 2) hits
+    for run, hits in _runs(keys):  # int64 hits index rich with no cast
+        hits = rich[hits]  # read as richness: the int64 hits go before the next block forms
+        yield run, hits
+
+
+def _mk_pairs(A: ScalarSet, lam: int):
+    """_mk_columns' stream from point pairs (_pair_map): the translates
+    through (x1, y1) and (x2, y2), e = x1 - x2 != 0 and f = y1 - y2 != 0,
+    solve f u^2 - e f u + lam e = 0 in u = x1 - b (discriminant
+    ef(ef - 4 lam)), at most two a point pair.  Any two points of one curve
+    differ in both coordinates, so no translate with t >= 2 is missed."""
+    p, n = A.p, len(A)
 
     def translates(p, x1, e, y1, f):
+        inv, sqrt = _inv_vec(p), _sqrt_vec(p)
         ef = _mod(e * f, p)
         s = sqrt(_mod(ef * (ef - 4 * lam), p))  # above -4 p^2
         inv2f = inv(_mod(2 * f, p))
@@ -837,18 +861,9 @@ def _mk_pairs(A: ScalarSet, lam: int):
         return [(_mod(y1 - lam * inv(u), p) * p + _mod(x1 - u, p))[hit & (f != 0)]
                 for root, hit in ((s, s >= 0), (-s, s > 0)) for u in [_mod((ef + root) * inv2f, p)]]
 
-    roots, r = np.empty(bound, key_type), 0
-    for _, found in _key_blocks(p, (xs[i], _mod(xs[i] - xs[j], p)), (y1, _mod(y1 - np.tile(xs, n), p)), translates):
-        for keys in found:
-            roots[r : r + len(keys)] = keys
-            r += len(keys)
-        found = keys = None  # the next block forms without these
-    roots.resize(r, refcheck=False)  # gives the unwritten tail back
-    roots.sort()
-    rich, t = np.zeros(top + 1, dtype=rich_type), np.arange(n + 1)
-    rich[t * (t - 1) // 2] = t  # a t-rich translate has C(t, 2) hits
-    for keys, hits in _runs(roots, hit_type):
-        yield keys, rich[hits]
+    # per cell 7 residues and 8 B as the roots form (63 B measured on int64)
+    return _pair_map("m_k pair pass", A, A, translates, 2 * n * (n - 1), 7 * _item_bytes(p, top=p) + 8,
+                     (_inv_vec, _sqrt_vec))
 
 
 def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
@@ -866,28 +881,16 @@ def rich_hyperbolae(A: ScalarSet, k: int, lam: int = -1) -> int:
 
 
 def _lines(B: ScalarSet, C: ScalarSet):
-    """The map of every line y = m x + c through >= 2 points of B x C as a
-    stream of (keys m p + c ascending, hits) blocks: each point pair with
-    distinct x keys its line, so a t-rich line has C(t, 2) hits.  The rows
-    are the x-pairs (x1, 1/(x1 - x2)), the columns the y-pairs
-    (y1, y1 - y2) (_write_keys), written as map keys (_map_keys), sorted in
-    place and read off their runs (_runs), the hits in the narrowest dtype."""
-    p, x_pairs = B.p, len(B) * (len(B) - 1) // 2
-    pairs = x_pairs * len(C) ** 2
-    (key_type, key), hit_type = _map_keys(p), np.min_scalar_type(x_pairs)  # C(t, 2), t <= |B|
-    # per pair its key (< p^2), next to 4 items a cell of a key block or to a
-    # block of runs (a key, its hits and a mask, read and held); the x-pairs' inverses
-    block = 4 * _item_bytes(p) * min(pairs, _CELLS)
-    runs = _run_bytes(pairs, 2 * (key + hit_type.itemsize + 1))
-    _reserve("rich-line table", key * pairs + max(block, runs) + _inv_bytes(p, x_pairs))
-    xs, ys = _array(B), _array(C)
-    i, j = np.triu_indices(len(xs), 1)
-    y1 = np.repeat(ys, len(ys))
-    key = _assigned(lambda p, x1, ie, y1, f: (m := _mod(f * ie, p)) * p + _mod(y1 - m * x1, p))
-    keys = _write_keys(p, (xs[i], _inv_vec(p)(_mod(xs[i] - xs[j], p))), (y1, _mod(y1 - np.tile(ys, len(ys)), p)),
-                       key, key_type, 0)
-    keys.sort()
-    yield from _runs(keys, hit_type)
+    """The map of every line y = m x + c through >= 2 points of B x C, keyed
+    m p + c (_pair_map): a point pair with distinct x lies on one line, of
+    slope m = f / e, the inverses of a row block's e formed once a row."""
+
+    def line(p, x1, e, y1, f):
+        m = _mod(f * _inv_vec(p)(e), p)
+        return [(m * p + _mod(y1 - m * x1, p)).reshape(-1)]
+
+    # per cell 4 items as the keys form
+    return _pair_map("rich-line table", B, C, line, len(C) ** 2, 4 * _item_bytes(B.p), (_inv_vec,))
 
 
 def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
@@ -897,7 +900,7 @@ def rich_lines(B: ScalarSet, C: ScalarSet, k: int) -> int:
         raise ModulusMismatch(f"moduli differ: {B.p}, {C.p}")
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
-    return _rich_count(_lines(B, C), k * (k - 1) // 2) + (len(B) if len(C) >= k else 0)
+    return _rich_count(_lines(B, C), k) + (len(B) if len(C) >= k else 0)
 
 
 def additive_energy(B: ScalarSet) -> int:
@@ -998,9 +1001,9 @@ def _borel_keys(H: TranslateSet):
     i3 = order[np.repeat(lo - np.cumsum(span) + span, span) + np.arange(triples)]
     del lo, span
     i1, i2 = np.divmod(pair, n)
-    key, z = product_entries(p, *inverse_embed_entries(p, a[i3], b[i3]),
-                             *pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2]))[:2]
-    return np.add(np.multiply(key, p * p, out=key), z, out=key)  # c = 0: (a p + c) p + b, as the fill keys it
+    key, z = product_row_entries(p, *inverse_embed_entries(p, a[i3], b[i3])[:2],  # the top row: c = 0
+                                 *pair_quotient_entries(p, a[i1], b[i1], a[i2], b[i2]))
+    return np.add(np.multiply(key, p * p, out=key), z, out=key)  # (a p + c) p + b, as the fill keys it
 
 
 def borel_t3_mass(H: TranslateSet) -> int:

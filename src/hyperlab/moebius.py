@@ -8,9 +8,10 @@ notion in use is the left Borel coset of u, labelled u(oo) = a/c (oo when
 c = 0), which counts.borel_coset_mass computes on arrays of the pair
 quotients' closed-form arguments (a1 + 1/w).
 
-The SL2 closed forms are five column forms: the generic product
-(product_entries) and its key (product_key_entries, written in place into
-an array), the translate embedding (embed_entries) and its inverse
+The SL2 closed forms are six column forms: the generic product
+(product_entries), built from the product of a row and a matrix
+(product_row_entries), and its key (product_key_entries, written in place
+into an array), the translate embedding (embed_entries) and its inverse
 (inverse_embed_entries), and the pair quotient h1 h2^-1
 (pair_quotient_entries).  All but the key take Python ints or broadcast
 numpy arrays alike, so the scalar maps here and the array kernels of counts
@@ -132,16 +133,17 @@ def _mod(x, p: int, out=None):
     return r
 
 
+def product_row_entries(p: int, a1, b1, a2, b2, c2, d2):
+    """Entries of the row (a1 b1) times (a2 b2; c2 d2) mod p, in column form:
+    only + - * and _mod enter, so the arguments may be Python ints or
+    broadcast numpy arrays alike.  From residues, intermediates stay below 2 p^2."""
+    return _mod(a1 * a2 + b1 * c2, p), _mod(a1 * b2 + b1 * d2, p)
+
+
 def product_entries(p: int, a1, b1, c1, d1, a2, b2, c2, d2):
-    """Entries of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, in column form: only
-    + - * and _mod enter, so the arguments may be Python ints or broadcast
-    numpy arrays alike.  From residues, intermediates stay below 2 p^2."""
-    return (
-        _mod(a1 * a2 + b1 * c2, p),
-        _mod(a1 * b2 + b1 * d2, p),
-        _mod(c1 * a2 + d1 * c2, p),
-        _mod(c1 * b2 + d1 * d2, p),
-    )
+    """Entries of (a1 b1; c1 d1)(a2 b2; c2 d2) mod p, in column form: each
+    row by product_row_entries."""
+    return (*product_row_entries(p, a1, b1, a2, b2, c2, d2), *product_row_entries(p, c1, d1, a2, b2, c2, d2))
 
 
 def product_key_entries(p: int, out, scratch, a1, b1, c1, d1, a2, b2, c2, d2):

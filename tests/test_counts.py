@@ -1038,17 +1038,6 @@ def test_reserved_bytes_bound_the_peak(name):
     assert peak <= estimate <= 2 * peak + (1 << 20)
 
 
-# the Moebius hit kernel's callers, whose bytes per (pole, point) and per
-# map are measured
-_HIT_CASES = [name for name in _PEAK_CASES if name.split("-")[0] in ("sigma", "sumprod", "cschain")]
-
-
-@pytest.mark.parametrize("name", _HIT_CASES)
-def test_hit_estimates_within_two_peaks(name):
-    peak, estimate = _peak_and_estimate(name)
-    assert peak <= estimate <= 2 * peak + (1 << 20)
-
-
 def test_inv_vec_built_once_per_prime():
     p = 65537
     inv = counts._inv_vec(p)
@@ -1182,8 +1171,8 @@ def _mk_witnesses(A, k, lam=-1):
 def _lk_witnesses(B, C, k):
     """The lines counted by l_k, in order: ("s", m, c) for y = m x + c off the
     joined line map, then ("v", x) for each vertical line."""
-    keys, hits = counts._joined(counts._lines(B, C))
-    slopes = tuple(("s", *divmod(key, B.p)) for key in keys[hits >= k * (k - 1) // 2].tolist())
+    keys, rich = counts._joined(counts._lines(B, C))
+    slopes = tuple(("s", *divmod(key, B.p)) for key in keys[rich >= k].tolist())
     return slopes + tuple(("v", x) for x in (B.elements if len(C) >= k else ()))
 
 
@@ -1255,15 +1244,19 @@ def test_rich_counts_never_hold_the_map(monkeypatch):
 def test_richness_maps_at_their_values_width(p, key):
     """A richness map keeps its keys (< p^2) as uint32 while p^2 - 1 < 2^32,
     as int64 up to 2^21 and as Python ints above (the pair arm's route), and
-    its richness (at most |A|) or hits (at most C(|B|, 2)) in the smallest
-    unsigned dtype that holds them: uint8 for 8 points, uint16 for 300.
+    its richness (at most |A| on a translate, |B| on a line) in the smallest
+    unsigned dtype that holds it: uint8 for 8 points, uint16 for 300.
     A threshold past that dtype's range counts nothing."""
     A, lam = parse_setspec("random:8,1", Fp(p)), p - 1
     for arm in (counts._mk_pairs, counts._mk_columns)[: 1 + (p <= counts._INT64_P)]:
         keys, rich = counts._joined(arm(A, lam))
         assert (keys.dtype, rich.dtype) == (key, np.uint8) and len(keys) > 0
-    keys, hits = counts._joined(counts._lines(A, A))
-    assert (keys.dtype, hits.dtype) == (key, np.uint8) and len(keys) > 0  # C(8, 2) = 28
+    keys, rich = counts._joined(counts._lines(A, A))
+    assert (keys.dtype, rich.dtype) == (key, np.uint8) and len(keys) > 0
+    # richness: every line holds 2 to |A| points, and the C(t, 2) pairs of its
+    # t points sum over the map to the point pairs with distinct x
+    assert rich.min() >= 2 and rich.max() <= len(A)
+    assert int((rich.astype(np.int64) * (rich - 1) // 2).sum()) == len(A) * (len(A) - 1) // 2 * len(A) ** 2
     assert rich_hyperbolae(A, 300) == rich_lines(A, A, 300) == 0
     assert rich_lines(A, A, 2) == len(keys) + len(A)
     wide = parse_setspec("random:300,1", Fp(1009))  # the column arm
@@ -1393,6 +1386,27 @@ def test_rich_lines_brute_force_small():
         if on >= k:
             expected += 1
     assert rich_lines(B, C, k) == expected
+
+
+@pytest.mark.parametrize("p, key", [(1009, np.uint32), (65521, np.uint32), (65537, np.int64), (P61, object)])
+def test_line_map_is_the_point_pairs_read_as_richness(p, key):
+    """_lines' joined map is a Counter of the lines y = m x + c over the point
+    pairs of B x C with distinct x, each count C(t, 2) read as t, with
+    B != C and the horizontal lines included; its keys m p + c are uint32
+    while p^2 - 1 < 2^32, int64 up to 2^21 and Python ints above."""
+    B = ScalarSet(p, (1, 2, 3, 4, 5, 6, 7, p // 3, p - 1))
+    C = ScalarSet(p, (0, 2, 4, 6, 9, p - 2))  # y = 2x - 8 holds 5 points, each y = c all 9
+    pairs = Counter()
+    for (x1, y1), (x2, y2) in itertools.combinations([(x, y) for x in B for y in C], 2):
+        if x1 != x2:
+            m = (y1 - y2) * pow(x1 - x2, -1, p) % p
+            pairs[m * p + (y1 - m * x1) % p] += 1
+    rich = {t * (t - 1) // 2: t for t in range(2, len(B) + 1)}
+    want = sorted((line, rich[hits]) for line, hits in pairs.items())
+    keys, got = counts._joined(counts._lines(B, C))
+    assert keys.dtype == key and list(zip(keys.tolist(), got.tolist())) == want
+    assert [line for line, t in want if t == len(B)] == list(C.elements)  # the horizontal lines y = c
+    assert rich_lines(B, C, 5) == sum(t >= 5 for _, t in want) + len(B) > 6 + len(B)
 
 
 # ------------------------------------------------------------ scalar-set counts
